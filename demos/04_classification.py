@@ -17,7 +17,7 @@ from modkit import (
     run_pipeline,
     train_lr,
     train_nb,
-    transform,
+    transform_all,
 )
 from modkit.models import CycleConfig
 
@@ -44,17 +44,21 @@ dataset = LabeledDataset(entries=tuple(entries))
 config = PreprocessConfig()
 streams = [run_pipeline(text, config, source_id=cid) for cid, text, _ in dataset.entries]
 tfidf = fit(streams)
-X = [transform(tfidf, s) for s in streams]
+X = transform_all(tfidf, streams)  # one sparse row per comment
 y = dataset.labels()
-print(f"TF-IDF vocabulary: {tfidf.vocab_size} terms over {tfidf.doc_count} docs")
+print(f"TF-IDF vocabulary: {X.n_cols} terms over {tfidf.doc_count} docs, {len(X.data)} nonzeros")
 
 nb = train_nb(X, y, alpha=1.0)
 lr = train_lr(X, y)  # full-batch descent, 500 epochs, zero init
 print(f"LR loss: {lr.loss_history[0]:.4f} -> {lr.loss_history[-1]:.4f}")
 
-probe = transform(tfidf, run_pipeline("you pathetic dumb troll", config))
-print("NB says:", predict_nb(nb, probe))
-print("LR says:", predict_lr(lr, probe))
+probes = ["you pathetic dumb troll", "what a lovely helpful answer"]
+P = transform_all(tfidf, [run_pipeline(text, config) for text in probes])
+# NB reports the posterior of its label, LR the probability of OFFENSIVE.
+for name, predict, model in (("NB", predict_nb, nb), ("LR", predict_lr, lr)):
+    labels, probabilities = predict(model, P)  # the whole batch in one product
+    for text, label, p in zip(probes, labels, probabilities):
+        print(f"{name} says {label.name} ({p:.3f}) for {text!r}")
 
 # The cycle protocol: re-split 80/10/10 per cycle, train, pick the best
 # cycle by validation F1, report its test metrics.

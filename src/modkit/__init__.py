@@ -62,7 +62,7 @@ from .analytics import (
     length_histogram,
     ngram_counts,
 )
-from .vectorize import SparseVector, TfidfModel, fit, load_tfidf, save_tfidf, transform
+from .vectorize import CSRMatrix, TfidfModel, fit, load_tfidf, save_tfidf, transform_all
 from .wordpiece import (
     Encoding,
     FragmentationRate,

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__, analytics, corpus, evaluate, models, textprep, vectorize
-from .errors import ConfigError, ModkitError
+from .errors import ConfigError, ModkitError, SchemaViolationError
 
 DEFAULT_STEPS = (
     "lowercasing",
@@ -50,17 +50,12 @@ class RunConfig:
     n_cycles: int = 1
     dataset: str = ""
     stoplist: str = ""
-    lexicon: str = ""
-    vocab: str = ""
     out: str = "runs"
-    threads: int = 1
-    cap: int | None = None
     variant_name: str = ""
 
     def hash(self) -> str:
         payload = asdict(self)
         payload.pop("out")  # output location does not change the experiment
-        payload.pop("threads")
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         )
@@ -105,33 +100,25 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         config.update(_load_config_file(args.config))
     _apply_set_overrides(config, getattr(args, "set", None) or [])
     # explicit flags win over config file and --set
-    for name in (
-        "seed",
-        "model",
-        "emoji_mode",
-        "dataset",
-        "stoplist",
-        "lexicon",
-        "vocab",
-        "out",
-        "threads",
-        "cap",
-        "n_cycles",
-    ):
+    for name in ("seed", "model", "emoji_mode", "dataset", "stoplist", "out", "n_cycles"):
         value = getattr(args, name, None)
         if value is not None:
             config[name] = value
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(config) - known
+    return _run_config(config)
+
+
+def _run_config(config: dict) -> RunConfig:
+    """RunConfig from a key/value mapping; ConfigError on unknown keys
+    or values outside the accepted choices."""
+    unknown = set(config) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    config = dict(config)
     if "steps" in config:
         config["steps"] = tuple(config["steps"])
     if "ratios" in config:
         config["ratios"] = tuple(config["ratios"])
     run_config = RunConfig(**config)
-    if run_config.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     if run_config.model not in ("nb", "lr"):
         raise ConfigError(f"model must be 'nb' or 'lr', got {run_config.model!r}")
     if run_config.emoji_mode not in ("ml", "bert"):
@@ -353,11 +340,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_run(run_dir: Path) -> tuple[RunConfig, vectorize.TfidfModel, models.NBModel | models.LRModel, dict]:
     manifest_path = _require_file(run_dir / "manifest.json", "run manifest")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    config_dict = dict(manifest["config"])
-    config_dict["steps"] = tuple(config_dict.get("steps", DEFAULT_STEPS))
-    config_dict["ratios"] = tuple(config_dict.get("ratios", (0.8, 0.1, 0.1)))
-    config = RunConfig(**config_dict)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaViolationError(
+            f"manifest is not valid JSON: {exc.msg}", str(manifest_path)
+        ) from exc
+    config_obj = manifest.get("config") if isinstance(manifest, dict) else None
+    if not isinstance(config_obj, dict):
+        raise SchemaViolationError("manifest has no config object", str(manifest_path))
+    try:
+        config = _run_config(config_obj)
+    except (ConfigError, TypeError) as exc:
+        raise SchemaViolationError(f"bad run config: {exc}", str(manifest_path)) from exc
     tfidf = vectorize.load_tfidf(_require_file(run_dir / "tfidf.json", "TF-IDF model"))
     model = models.load_model(_require_file(run_dir / "model.json", "model file"))
     return config, tfidf, model, manifest
@@ -458,10 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--cycles", dest="n_cycles", type=int, default=None)
     p_train.add_argument("--emoji-mode", dest="emoji_mode", choices=("ml", "bert"), default=None)
     p_train.add_argument("--stoplist", default=None)
-    p_train.add_argument("--lexicon", default=None)
-    p_train.add_argument("--vocab", default=None)
-    p_train.add_argument("--threads", type=int, default=None, help="worker cap (stages run sequentially today)")
-    p_train.add_argument("--cap", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a trained run on a dataset")

@@ -26,13 +26,14 @@ from .corpus import LabeledDataset, Label, split
 from .errors import (
     BadAlphaError,
     ConfigError,
+    MalformedJsonError,
     NonFiniteLossError,
     SchemaViolationError,
     SingleClassError,
 )
 from .evaluate import MetricsReport, confusion, metrics
 from .textprep import PreprocessConfig, StopList, TokenStream, run_pipeline
-from .vectorize import SparseVector, TfidfModel, fit, to_matrix, transform
+from .vectorize import CSRMatrix, TfidfModel, fit, transform_all
 
 # Class index convention: column 0 = NOT_OFFENSIVE, column 1 = OFFENSIVE.
 _NOT, _OFF = 0, 1
@@ -42,12 +43,11 @@ def _as_label_array(y: Sequence[Label]) -> np.ndarray:
     return np.array([1 if label is Label.OFFENSIVE else 0 for label in y])
 
 
-def _infer_vocab_size(X: Sequence[SparseVector]) -> int:
-    top = -1
-    for vector in X:
-        if vector.entries:
-            top = max(top, vector.entries[-1][0])
-    return top + 1
+def _check_width(n_features: int, X: CSRMatrix) -> None:
+    if n_features != X.n_cols:
+        raise SchemaViolationError(
+            f"model has {n_features} features but the TF-IDF vocabulary has {X.n_cols}"
+        )
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,13 @@ class NBModel:
     log_prior: np.ndarray  # shape (2,)
     log_likelihood: np.ndarray  # shape (2, vocab_size)
     alpha: float
-    vocab_size: int
+
+    @property
+    def vocab_size(self) -> int:
+        return self.log_likelihood.shape[1]
 
 
-def train_nb(
-    X: Sequence[SparseVector],
-    y: Sequence[Label],
-    alpha: float = 1.0,
-    vocab_size: int | None = None,
-) -> NBModel:
+def train_nb(X: CSRMatrix, y: Sequence[Label], alpha: float = 1.0) -> NBModel:
     """Multinomial NB over per-class feature mass.
 
     mass(t, c) sums the weight of term t across class-c documents;
@@ -79,44 +77,31 @@ def train_nb(
     labels = _as_label_array(y)
     if labels.min() == labels.max():
         raise SingleClassError("both classes must be present in the training set")
-    if vocab_size is None:
-        vocab_size = _infer_vocab_size(X)
-    mass = np.zeros((2, vocab_size))
-    for vector, cls in zip(X, labels):
-        for index, weight in vector.entries:
-            mass[cls, index] += weight
-    class_counts = np.array([(labels == 0).sum(), (labels == 1).sum()])
+    mass = np.stack([(labels == _NOT) @ X, (labels == _OFF) @ X])
+    class_counts = np.array([(labels == _NOT).sum(), (labels == _OFF).sum()])
     log_prior = np.log(class_counts / len(X))
     totals = mass.sum(axis=1, keepdims=True)
-    log_likelihood = np.log(mass + alpha) - np.log(totals + alpha * vocab_size)
-    return NBModel(
-        log_prior=log_prior,
-        log_likelihood=log_likelihood,
-        alpha=alpha,
-        vocab_size=vocab_size,
-    )
+    log_likelihood = np.log(mass + alpha) - np.log(totals + alpha * X.n_cols)
+    return NBModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=alpha)
 
 
-def nb_log_joint(model: NBModel, x: SparseVector) -> np.ndarray:
-    """log prior + sum_t x_t * log P(t|c); out-of-range indices ignored."""
-    scores = model.log_prior.copy()
-    for index, weight in x.entries:
-        if index < model.vocab_size:
-            scores += weight * model.log_likelihood[:, index]
-    return scores
+def nb_log_joint(model: NBModel, X: CSRMatrix) -> np.ndarray:
+    """Per row: log prior + sum_t x_t * log P(t|c), shape (n_rows, 2)."""
+    _check_width(model.vocab_size, X)
+    return np.stack([X @ ll for ll in model.log_likelihood], axis=1) + model.log_prior
 
 
-def predict_nb(model: NBModel, x: SparseVector) -> tuple[Label, float]:
-    """Argmax class and its posterior (log-sum-exp stabilized).
+def predict_nb(model: NBModel, X: CSRMatrix) -> tuple[list[Label], np.ndarray]:
+    """Argmax class of every row and its posterior (log-sum-exp stabilized).
 
     Exact ties go to NOT_OFFENSIVE, the conservative moderation default.
     """
-    scores = nb_log_joint(model, x)
-    shifted = scores - scores.max()
-    posterior = np.exp(shifted) / np.exp(shifted).sum()
-    if scores[_OFF] > scores[_NOT]:
-        return Label.OFFENSIVE, float(posterior[_OFF])
-    return Label.NOT_OFFENSIVE, float(posterior[_NOT])
+    scores = nb_log_joint(model, X)
+    posterior = np.exp(scores - scores.max(axis=1, keepdims=True))
+    posterior /= posterior.sum(axis=1, keepdims=True)
+    offensive = scores[:, _OFF] > scores[:, _NOT]
+    labels = [Label.OFFENSIVE if off else Label.NOT_OFFENSIVE for off in offensive]
+    return labels, np.where(offensive, posterior[:, _OFF], posterior[:, _NOT])
 
 
 @dataclass(frozen=True)
@@ -140,51 +125,49 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def lr_loss(
-    weights: np.ndarray,
-    bias: float,
-    X: np.ndarray,
-    y: np.ndarray,
-    l2: float,
-) -> float:
-    """Mean cross-entropy + (l2/2)*||w||^2, numerically stable.
-
-    The bias is not regularized.
-    """
-    z = X @ weights + bias
+def _loss_at(z: np.ndarray, weights: np.ndarray, y: np.ndarray, l2: float) -> float:
     # log(1 + e^z) - y*z  ==  -[y log p + (1-y) log(1-p)]
     per_example = np.logaddexp(0.0, z) - y * z
     return float(per_example.mean() + 0.5 * l2 * (weights @ weights))
 
 
-def lr_gradients(
-    weights: np.ndarray,
-    bias: float,
-    X: np.ndarray,
-    y: np.ndarray,
-    l2: float,
+def _gradients_at(
+    z: np.ndarray, weights: np.ndarray, X: CSRMatrix | np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
-    p = _sigmoid(X @ weights + bias)
-    grad_w = X.T @ (p - y) / len(y) + l2 * weights
-    grad_b = float((p - y).mean())
-    return grad_w, grad_b
+    residual = _sigmoid(z) - y
+    return (residual @ X) / len(y) + l2 * weights, float(residual.mean())
+
+
+def lr_loss(
+    weights: np.ndarray, bias: float, X: CSRMatrix | np.ndarray, y: np.ndarray, l2: float
+) -> float:
+    """Mean cross-entropy + (l2/2)*||w||^2, numerically stable.
+
+    The bias is not regularized. Training passes a CSRMatrix; the
+    gradient check passes dense arrays.
+    """
+    return _loss_at(X @ weights + bias, weights, y, l2)
+
+
+def lr_gradients(
+    weights: np.ndarray, bias: float, X: CSRMatrix | np.ndarray, y: np.ndarray, l2: float
+) -> tuple[np.ndarray, float]:
+    return _gradients_at(X @ weights + bias, weights, X, y, l2)
 
 
 def train_lr(
-    X: Sequence[SparseVector],
+    X: CSRMatrix,
     y: Sequence[Label],
     learning_rate: float = 0.1,
     epochs: int = 500,
     l2: float = 1e-4,
-    seed: int = 0,
-    vocab_size: int | None = None,
 ) -> LRModel:
     """Full-batch gradient descent from zero-initialized weights.
 
-    ``seed`` is accepted for interface stability but unused: zero
-    initialization plus full batches make training deterministic.
+    Zero initialization plus full batches make training deterministic.
+    Each epoch computes the margins z = Xw + b once: they give the loss
+    after the previous step and the gradient of the next.
     """
-    del seed
     if len(X) != len(y):
         raise ValueError("X and y must have equal length")
     if len(X) == 0:
@@ -194,20 +177,19 @@ def train_lr(
         raise SingleClassError("both classes must be present in the training set")
     if learning_rate <= 0 or epochs < 1 or l2 < 0:
         raise ConfigError("learning_rate must be > 0, epochs >= 1, l2 >= 0")
-    if vocab_size is None:
-        vocab_size = _infer_vocab_size(X)
-    matrix = to_matrix(X, vocab_size)
-    weights = np.zeros(vocab_size)
+    weights = np.zeros(X.n_cols)
     bias = 0.0
     # divergence is detected via the finiteness check, so numpy's own
     # overflow warnings on that path are just noise
     with np.errstate(over="ignore", invalid="ignore"):
-        history = [lr_loss(weights, bias, matrix, labels, l2)]
+        z = X @ weights + bias
+        history = [_loss_at(z, weights, labels, l2)]
         for _ in range(epochs):
-            grad_w, grad_b = lr_gradients(weights, bias, matrix, labels, l2)
+            grad_w, grad_b = _gradients_at(z, weights, X, labels, l2)
             weights -= learning_rate * grad_w
             bias -= learning_rate * grad_b
-            loss = lr_loss(weights, bias, matrix, labels, l2)
+            z = X @ weights + bias
+            loss = _loss_at(z, weights, labels, l2)
             if not math.isfinite(loss):
                 raise NonFiniteLossError(
                     "training loss diverged; lower the learning rate"
@@ -223,19 +205,12 @@ def train_lr(
     )
 
 
-def predict_lr(model: LRModel, x: SparseVector) -> tuple[Label, float]:
-    """Probability sigmoid(w.x + b); OFFENSIVE iff probability >= 0.5."""
-    z = model.bias
-    for index, weight in x.entries:
-        if index < len(model.weights):
-            z += weight * model.weights[index]
-    if z >= 0:
-        probability = 1.0 / (1.0 + math.exp(-z))
-    else:
-        ez = math.exp(z)
-        probability = ez / (1.0 + ez)
-    label = Label.OFFENSIVE if probability >= 0.5 else Label.NOT_OFFENSIVE
-    return label, probability
+def predict_lr(model: LRModel, X: CSRMatrix) -> tuple[list[Label], np.ndarray]:
+    """Probability sigmoid(w.x + b) of every row; OFFENSIVE iff it is >= 0.5."""
+    _check_width(len(model.weights), X)
+    probability = _sigmoid(X @ model.weights + model.bias)
+    labels = [Label.OFFENSIVE if p >= 0.5 else Label.NOT_OFFENSIVE for p in probability]
+    return labels, probability
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +272,13 @@ def _train_one(
 ) -> tuple[TfidfModel, NBModel | LRModel]:
     streams = _preprocess_all(train_set, config)
     tfidf = fit(streams)
-    X = [transform(tfidf, s) for s in streams]
+    X = transform_all(tfidf, streams)
     y = train_set.labels()
     if config.model == "nb":
-        model: NBModel | LRModel = train_nb(X, y, alpha=config.alpha, vocab_size=tfidf.vocab_size)
+        model: NBModel | LRModel = train_nb(X, y, alpha=config.alpha)
     elif config.model == "lr":
         model = train_lr(
-            X,
-            y,
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-            l2=config.l2,
-            vocab_size=tfidf.vocab_size,
+            X, y, learning_rate=config.learning_rate, epochs=config.epochs, l2=config.l2
         )
     else:
         raise ConfigError(f"unknown model kind {config.model!r}")
@@ -322,9 +292,9 @@ def evaluate_on(
     config: CycleConfig,
     variant_name: str = "",
 ) -> MetricsReport:
-    streams = _preprocess_all(dataset, config)
+    X = transform_all(tfidf, _preprocess_all(dataset, config))
     predict = predict_nb if isinstance(model, NBModel) else predict_lr
-    y_pred = [predict(model, transform(tfidf, s))[0] for s in streams]
+    y_pred, _ = predict(model, X)
     return metrics(confusion(dataset.labels(), y_pred), variant_name=variant_name)
 
 
@@ -414,31 +384,40 @@ def save_model(model: NBModel | LRModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2), encoding="utf-8")
 
 
+_MODEL_KEYS = {
+    "nb": ("alpha", "vocab_size", "log_prior", "terms"),
+    "lr": ("bias", "weights", "hyperparams"),
+}
+
+
 def load_model(path: str | Path) -> NBModel | LRModel:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    kind = obj.get("kind")
-    if kind == "nb":
-        vocab_size = obj["vocab_size"]
-        log_likelihood = np.zeros((2, vocab_size))
-        for item in obj["terms"]:
-            log_likelihood[_OFF, item["index"]] = item["log_likelihood_off"]
-            log_likelihood[_NOT, item["index"]] = item["log_likelihood_not"]
-        log_prior = np.zeros(2)
-        log_prior[_OFF] = obj["log_prior"]["offensive"]
-        log_prior[_NOT] = obj["log_prior"]["not_offensive"]
-        return NBModel(
-            log_prior=log_prior,
-            log_likelihood=log_likelihood,
-            alpha=obj["alpha"],
-            vocab_size=vocab_size,
-        )
-    if kind == "lr":
-        hyper = obj.get("hyperparams", {})
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedJsonError(f"invalid model JSON in {path}: {exc.msg}", offset=exc.pos) from exc
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in _MODEL_KEYS:
+        raise SchemaViolationError(f"unknown model kind {kind!r}", str(path))
+    missing = [key for key in _MODEL_KEYS[kind] if key not in obj]
+    if missing:
+        raise SchemaViolationError(f"{kind} model lacks {missing}", str(path))
+    try:
+        if kind == "nb":
+            log_likelihood = np.zeros((2, obj["vocab_size"]))
+            for item in obj["terms"]:
+                log_likelihood[_OFF, item["index"]] = item["log_likelihood_off"]
+                log_likelihood[_NOT, item["index"]] = item["log_likelihood_not"]
+            log_prior = np.zeros(2)
+            log_prior[_OFF] = obj["log_prior"]["offensive"]
+            log_prior[_NOT] = obj["log_prior"]["not_offensive"]
+            return NBModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=obj["alpha"])
+        hyper = obj["hyperparams"]
         return LRModel(
-            weights=np.array(obj["weights"]),
-            bias=obj["bias"],
-            l2=hyper.get("l2", 0.0),
-            learning_rate=hyper.get("learning_rate", 0.1),
-            epochs=hyper.get("epochs", 0),
+            weights=np.array(obj["weights"], dtype=float),
+            bias=float(obj["bias"]),
+            l2=hyper["l2"],
+            learning_rate=hyper["learning_rate"],
+            epochs=hyper["epochs"],
         )
-    raise SchemaViolationError(f"unknown model kind {kind!r}", str(path))
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise SchemaViolationError(f"malformed {kind} model: {exc!r}", str(path)) from exc

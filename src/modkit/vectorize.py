@@ -12,6 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -21,31 +22,39 @@ from .errors import EmptyCorpusError, SchemaViolationError
 from .textprep import TokenStream
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """L2-normalized sparse feature vector with strictly increasing
-    indices and no explicit zeros."""
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """Row-compressed sparse matrix: row i holds columns
+    ``indices[indptr[i]:indptr[i+1]]`` (strictly increasing) with values
+    ``data[indptr[i]:indptr[i+1]]``.
 
-    entries: tuple[tuple[int, float], ...]
+    Only the two products the classifiers need are offered, ``X @ v``
+    and ``r @ X``. Both accumulate with ``np.bincount`` in storage
+    order, so results do not depend on a BLAS build.
+    """
 
-    def __post_init__(self):
-        last = -1
-        for index, weight in self.entries:
-            if index <= last:
-                raise ValueError("indices must be strictly increasing")
-            if weight == 0.0:
-                raise ValueError("zero weights must be omitted")
-            last = index
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_cols: int
 
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for _, w in self.entries))
+    # make ``ndarray @ CSRMatrix`` defer to __rmatmul__
+    __array_ufunc__ = None
 
-    def to_dense(self, size: int) -> np.ndarray:
-        dense = np.zeros(size)
-        for index, weight in self.entries:
-            if index < size:
-                dense[index] = weight
-        return dense
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """X @ v for a vector of length n_cols."""
+        return np.bincount(self._rows, weights=self.data * v[self.indices], minlength=len(self))
+
+    def __rmatmul__(self, r: np.ndarray) -> np.ndarray:
+        """r @ X for a vector of length n_rows."""
+        return np.bincount(self.indices, weights=self.data * r[self._rows], minlength=self.n_cols)
 
 
 @dataclass(frozen=True)
@@ -80,33 +89,29 @@ def fit(corpus: Sequence[TokenStream]) -> TfidfModel:
     return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n)
 
 
-def transform(model: TfidfModel, stream: TokenStream) -> SparseVector:
-    """Raw tf x idf, L2-normalized; out-of-vocabulary tokens ignored."""
-    counts: Counter[int] = Counter()
-    for token in stream.tokens:
-        index = model.vocabulary.get(token)
-        if index is not None:
-            counts[index] += 1
-    if not counts:
-        return SparseVector(entries=())
-    indices = sorted(counts)
-    weights = np.array([counts[i] * model.idf[i] for i in indices])
-    weights /= np.linalg.norm(weights)
-    return SparseVector(entries=tuple(zip(indices, weights.tolist())))
-
-
-def transform_all(model: TfidfModel, corpus: Sequence[TokenStream]) -> list[SparseVector]:
-    return [transform(model, stream) for stream in corpus]
-
-
-def to_matrix(vectors: Sequence[SparseVector], vocab_size: int) -> np.ndarray:
-    """Stack sparse vectors into a dense (n_docs, vocab_size) array."""
-    matrix = np.zeros((len(vectors), vocab_size))
-    for row, vector in enumerate(vectors):
-        for index, weight in vector.entries:
-            if index < vocab_size:
-                matrix[row, index] = weight
-    return matrix
+def transform_all(model: TfidfModel, corpus: Sequence[TokenStream]) -> CSRMatrix:
+    """One row per stream: raw tf x idf, L2-normalized; out-of-vocabulary
+    tokens are ignored, so a stream without known tokens is an empty row."""
+    indptr = [0]
+    indices: list[int] = []
+    data: list[np.ndarray] = []
+    for stream in corpus:
+        counts = Counter(
+            index for index in map(model.vocabulary.get, stream.tokens) if index is not None
+        )
+        if counts:
+            columns = sorted(counts)
+            weights = np.array([counts[i] * model.idf[i] for i in columns])
+            weights /= np.linalg.norm(weights)
+            indices.extend(columns)
+            data.append(weights)
+        indptr.append(len(indices))
+    return CSRMatrix(
+        indptr=np.array(indptr),
+        indices=np.array(indices, dtype=np.intp),
+        data=np.concatenate(data) if data else np.zeros(0),
+        n_cols=model.vocab_size,
+    )
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:

@@ -34,7 +34,6 @@ from modkit.textprep import (
     run_pipeline,
     tokenize,
 )
-from modkit.vectorize import SparseVector
 from modkit.wordpiece import augment_vocab, default_vocab, fragmentation_rate
 
 from _fuzz import fuzz_texts
@@ -45,6 +44,7 @@ from _oracles import (
     metric_identities,
     nb_log_joint_oracle,
 )
+from _sparse import csr
 
 SLANG_TOKENS = ["simp", "boomer", "cap"]
 ALIAS_TOKENS = [
@@ -133,20 +133,18 @@ def test_nb_oracle_equivalence():
                 docs = [
                     {t: float(w) for t, w in enumerate(row) if w} for row in matrix
                 ]
-                X = [SparseVector(tuple(sorted(d.items()))) for d in docs]
                 labels = labelings[checked % len(labelings)]
                 model = train_nb(
-                    X,
+                    csr(docs, n_terms),
                     [Label.OFFENSIVE if v else Label.NOT_OFFENSIVE for v in labels],
                     alpha=1.0,
-                    vocab_size=n_terms,
                 )
                 probe_pool = [d for d in docs if d] or [{0: 1.0}]
                 probe = probe_pool[checked % len(probe_pool)]
                 expected_not, expected_off = nb_log_joint_oracle(
                     docs, labels, 1.0, n_terms, probe
                 )
-                got = nb_log_joint(model, SparseVector(tuple(sorted(probe.items()))))
+                (got,) = nb_log_joint(model, csr([probe], n_terms))
                 assert abs(got[0] - expected_not) < 1e-9
                 assert abs(got[1] - expected_off) < 1e-9
                 checked += 1
@@ -177,7 +175,7 @@ def test_lr_gradient_check_and_loss_descent(separable_paths, fixture10_paths, tm
 
     from modkit.corpus import load_dataset
     from modkit.models import CycleConfig, _preprocess_all
-    from modkit.vectorize import fit, transform
+    from modkit.vectorize import fit, transform_all
 
     fixture_datasets = [load_dataset(_ingest(tmp_path, separable_paths))]
     tree, labels = fixture10_paths
@@ -188,8 +186,7 @@ def test_lr_gradient_check_and_loss_descent(separable_paths, fixture10_paths, tm
     for data in fixture_datasets:
         streams = _preprocess_all(data, config)
         tfidf = fit(streams)
-        X = [transform(tfidf, s) for s in streams]
-        model = train_lr(X, data.labels(), epochs=500)
+        model = train_lr(transform_all(tfidf, streams), data.labels(), epochs=500)
         assert len(model.loss_history) == 501
         for before, after in zip(model.loss_history, model.loss_history[1:]):
             assert after <= before + 1e-12

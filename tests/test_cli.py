@@ -226,11 +226,25 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key, value", [("lexicon", "terms.tsv"), ("vocab", "vocab.txt"), ("cap", 3), ("threads", 2)]
+    )
+    def test_removed_knobs_exit_2(self, tmp_path, separable_paths, key, value):
+        dataset = run_ingest(tmp_path, separable_paths)
+        config = write_json(tmp_path / "config.json", {"dataset": str(dataset), key: value})
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert not (tmp_path / "r").exists()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--dataset", str(dataset), f"--{key}", str(value)])
+        assert excinfo.value.code == 2
 
-def train_run(tmp_path, separable_paths) -> tuple[Path, Path]:
+
+def train_run(tmp_path, separable_paths, model: str = "nb") -> tuple[Path, Path]:
     dataset = run_ingest(tmp_path, separable_paths)
     out = tmp_path / "runs"
-    main(["train", "--dataset", str(dataset), "--out", str(out), "--seed", "5", "--cycles", "2"])
+    argv = ["train", "--dataset", str(dataset), "--out", str(out), "--seed", "5", "--cycles", "2"]
+    main([*argv, "--model", model])
     return next(out.iterdir()), dataset
 
 
@@ -261,6 +275,60 @@ class TestEval:
         empty = write_json(tmp_path / "empty.json", {"entries": []})
         code = main(["eval", "--run", str(run_dir), "--dataset", str(empty), "--full"])
         assert code == 3
+
+
+def assert_one_line_error(capsys) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+class TestRunDirValidation:
+    """A damaged run directory is a data error (exit 3), never a traceback."""
+
+    def eval_code(self, run_dir: Path, dataset: Path, capsys) -> int:
+        capsys.readouterr()
+        return main(["eval", "--run", str(run_dir), "--dataset", str(dataset), "--full"])
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"seed": 1, "lexicon": ""}, {"model": "svm"}, {"steps": 5}, None, ["seed"]],
+    )
+    def test_bad_manifest_config_exits_3(self, tmp_path, separable_paths, capsys, config):
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"] = config
+        write_json(manifest_path, manifest)
+        assert self.eval_code(run_dir, dataset, capsys) == 3
+        assert_one_line_error(capsys)
+
+    def test_manifest_not_json_exits_3(self, tmp_path, separable_paths, capsys):
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        (run_dir / "manifest.json").write_text("{", encoding="utf-8")
+        assert self.eval_code(run_dir, dataset, capsys) == 3
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("model_kind, key", [("nb", "terms"), ("lr", "weights"), ("lr", "bias")])
+    def test_model_missing_key_exits_3(self, tmp_path, separable_paths, capsys, model_kind, key):
+        run_dir, dataset = train_run(tmp_path, separable_paths, model_kind)
+        model = json.loads((run_dir / "model.json").read_text())
+        del model[key]
+        write_json(run_dir / "model.json", model)
+        assert self.eval_code(run_dir, dataset, capsys) == 3
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("model_kind", ["nb", "lr"])
+    def test_model_width_mismatch_exits_3(self, tmp_path, separable_paths, capsys, model_kind):
+        run_dir, dataset = train_run(tmp_path, separable_paths, model_kind)
+        model = json.loads((run_dir / "model.json").read_text())
+        if model_kind == "lr":
+            model["weights"] = model["weights"][:10]
+        else:
+            model["vocab_size"], model["terms"] = 10, model["terms"][:10]
+        write_json(run_dir / "model.json", model)
+        assert self.eval_code(run_dir, dataset, capsys) == 3
+        assert_one_line_error(capsys)
 
 
 class TestReport:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -9,7 +10,13 @@ import numpy as np
 import pytest
 
 from modkit.corpus import Label, LabeledDataset
-from modkit.errors import BadAlphaError, NonFiniteLossError, SingleClassError
+from modkit.errors import (
+    BadAlphaError,
+    MalformedJsonError,
+    NonFiniteLossError,
+    SchemaViolationError,
+    SingleClassError,
+)
 from modkit.models import (
     CycleConfig,
     CycleResult,
@@ -28,26 +35,31 @@ from modkit.models import (
     train_nb,
 )
 from modkit.evaluate import ConfusionMatrix, metrics
-from modkit.textprep import PreprocessConfig, Step
-from modkit.vectorize import SparseVector
-
+from modkit.textprep import PreprocessConfig, Step, TokenStream
+from modkit.vectorize import fit, transform_all
 from _oracles import central_difference_gradient, nb_log_joint_oracle
+from _sparse import csr, dense, entries
 
 OFF, NOT = Label.OFFENSIVE, Label.NOT_OFFENSIVE
 
 
-def sparse(mapping: dict[int, float]) -> SparseVector:
-    return SparseVector(entries=tuple(sorted(mapping.items())))
-
-
 # "bad bad" -> offensive, "good" -> not offensive, raw counts as weights
-BAD_GOOD_X = [sparse({0: 2.0}), sparse({1: 1.0})]
+BAD_GOOD_X = csr([{0: 2.0}, {1: 1.0}])
 BAD_GOOD_Y = [OFF, NOT]
+
+
+def predict_one(predict, model, row: dict[int, float]) -> tuple[Label, float]:
+    labels, probabilities = predict(model, csr([row], model_width(model)))
+    return labels[0], float(probabilities[0])
+
+
+def model_width(model) -> int:
+    return model.vocab_size if isinstance(model, NBModel) else len(model.weights)
 
 
 class TestTrainNB:
     def test_counting_example(self):
-        model = train_nb(BAD_GOOD_X, BAD_GOOD_Y, alpha=1.0, vocab_size=2)
+        model = train_nb(BAD_GOOD_X, BAD_GOOD_Y, alpha=1.0)
         off, not_ = 1, 0
         assert math.exp(model.log_likelihood[off, 0]) == pytest.approx(0.75)
         assert math.exp(model.log_likelihood[off, 1]) == pytest.approx(0.25)
@@ -56,8 +68,8 @@ class TestTrainNB:
 
     def test_disjoint_vocab_separates(self):
         model = train_nb(BAD_GOOD_X, BAD_GOOD_Y)
-        assert predict_nb(model, sparse({0: 1.0}))[0] is OFF
-        assert predict_nb(model, sparse({1: 1.0}))[0] is NOT
+        labels, _ = predict_nb(model, csr([{0: 1.0}, {1: 1.0}]))
+        assert labels == [OFF, NOT]
 
     def test_zero_alpha_rejected(self):
         with pytest.raises(BadAlphaError):
@@ -71,37 +83,35 @@ class TestTrainNB:
         rng = random.Random(5)
         for _ in range(20):
             n_docs, n_terms = rng.randint(2, 8), rng.randint(1, 6)
-            X = []
-            for _ in range(n_docs):
-                weights = {t: float(rng.randint(0, 3)) for t in range(n_terms)}
-                X.append(sparse({t: w for t, w in weights.items() if w}))
+            X = csr(
+                [{t: float(rng.randint(0, 3)) for t in range(n_terms)} for _ in range(n_docs)],
+                n_terms,
+            )
             y = [OFF if i % 2 else NOT for i in range(n_docs)]
-            model = train_nb(X, y, alpha=rng.choice([0.5, 1.0, 2.0]), vocab_size=n_terms)
+            model = train_nb(X, y, alpha=rng.choice([0.5, 1.0, 2.0]))
             sums = np.exp(model.log_likelihood).sum(axis=1)
             assert sums == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 class TestPredictNB:
     def test_joint_scores_match_hand_arithmetic(self):
-        model = train_nb(BAD_GOOD_X, BAD_GOOD_Y, alpha=1.0, vocab_size=2)
-        label, _posterior = predict_nb(model, sparse({0: 1.0}))
-        joints = np.exp(nb_log_joint(model, sparse({0: 1.0})))
+        model = train_nb(BAD_GOOD_X, BAD_GOOD_Y, alpha=1.0)
+        label, _posterior = predict_one(predict_nb, model, {0: 1.0})
+        (joints,) = np.exp(nb_log_joint(model, csr([{0: 1.0}], 2)))
         assert joints[1] == pytest.approx(0.375)
         assert joints[0] == pytest.approx(1 / 6)
         assert label is OFF
 
     def test_empty_vector_uses_priors(self):
-        X = [sparse({0: 1.0}), sparse({1: 1.0}), sparse({1: 2.0})]
+        X = csr([{0: 1.0}, {1: 1.0}, {1: 2.0}])
         model = train_nb(X, [OFF, NOT, NOT])
-        label, posterior = predict_nb(model, sparse({}))
+        label, posterior = predict_one(predict_nb, model, {})
         assert label is NOT
         assert posterior == pytest.approx(2 / 3)
 
     def test_exact_tie_goes_to_not_offensive(self):
-        model = train_nb(
-            [sparse({0: 1.0}), sparse({1: 1.0})], [OFF, NOT], alpha=1.0, vocab_size=2
-        )
-        label, posterior = predict_nb(model, sparse({}))
+        model = train_nb(csr([{0: 1.0}, {1: 1.0}]), [OFF, NOT], alpha=1.0)
+        label, posterior = predict_one(predict_nb, model, {})
         assert label is NOT
         assert posterior == pytest.approx(0.5)
 
@@ -116,49 +126,46 @@ class TestPredictNB:
             labels = [rng.randint(0, 1) for _ in range(n_docs)]
             if len(set(labels)) < 2:
                 labels[0] = 1 - labels[1]
-            X = [sparse({k: float(v) for k, v in d.items()}) for d in docs]
+            X = csr(docs, n_terms)
             y = [OFF if v else NOT for v in labels]
-            model = train_nb(X, y, alpha=1.0, vocab_size=n_terms)
+            model = train_nb(X, y, alpha=1.0)
             probe = {t: rng.randint(0, 2) for t in range(n_terms)}
             probe = {t: w for t, w in probe.items() if w}
             expected_not, expected_off = nb_log_joint_oracle(
                 docs, labels, 1.0, n_terms, probe
             )
-            got = nb_log_joint(model, sparse({k: float(v) for k, v in probe.items()}))
+            (got,) = nb_log_joint(model, csr([probe], n_terms))
             assert got[0] == pytest.approx(expected_not, abs=1e-9)
             assert got[1] == pytest.approx(expected_off, abs=1e-9)
 
     def test_scaling_features_keeps_argmax(self):
         rng = random.Random(13)
-        X = [
-            sparse({t: rng.randint(1, 3) for t in range(4) if rng.random() < 0.8})
+        rows = [
+            {t: rng.randint(1, 3) for t in range(4) if rng.random() < 0.8}
             for _ in range(8)
         ]
-        X = [v if v.entries else sparse({0: 1.0}) for v in X]
+        rows = [row or {0: 1.0} for row in rows]
+        X = csr(rows, 4)
         y = [OFF if i % 2 else NOT for i in range(8)]
-        model = train_nb(X, y, vocab_size=4)
+        model = train_nb(X, y)
         for scale in (0.25, 1.0, 7.5):
-            scaled_model = train_nb(
-                [sparse({i: w * scale for i, w in v.entries}) for v in X],
-                y,
-                vocab_size=4,
-            )
-            for probe in X:
-                assert predict_nb(scaled_model, probe)[0] is predict_nb(model, probe)[0]
+            scaled = csr([{i: w * scale for i, w in row.items()} for row in rows], 4)
+            scaled_model = train_nb(scaled, y)
+            assert predict_nb(scaled_model, X)[0] == predict_nb(model, X)[0]
 
 
 class TestTrainLR:
     def test_zero_model_predicts_half(self):
         model = LRModel(weights=np.zeros(3), bias=0.0, l2=0.0, learning_rate=0.1, epochs=0)
-        label, probability = predict_lr(model, sparse({0: 1.0, 2: 0.5}))
+        label, probability = predict_one(predict_lr, model, {0: 1.0, 2: 0.5})
         assert probability == 0.5
         assert label is OFF  # threshold rule: >= 0.5 is offensive
 
     def test_separable_line_reaches_perfect_accuracy(self):
-        X = [sparse({0: -1.0}), sparse({0: 1.0})] * 5
+        X = csr([{0: -1.0}, {0: 1.0}] * 5)
         y = [NOT, OFF] * 5
         model = train_lr(X, y)
-        assert all(predict_lr(model, x)[0] is t for x, t in zip(X, y))
+        assert predict_lr(model, X)[0] == y
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(20240214)
@@ -181,10 +188,10 @@ class TestTrainLR:
 
     def test_loss_non_increasing(self):
         rng = random.Random(17)
-        X = [
-            sparse({t: rng.random() for t in range(6) if rng.random() < 0.6} or {0: 1.0})
-            for _ in range(20)
-        ]
+        X = csr(
+            [{t: rng.random() for t in range(6) if rng.random() < 0.6} or {0: 1.0} for _ in range(20)],
+            6,
+        )
         y = [OFF if i % 2 else NOT for i in range(20)]
         model = train_lr(X, y)
         assert len(model.loss_history) == 501
@@ -192,16 +199,16 @@ class TestTrainLR:
             assert after <= before + 1e-12
 
     def test_diverging_rate_raises(self):
-        X = [sparse({0: 1000.0}), sparse({0: -1000.0})]
+        X = csr([{0: 1000.0}, {0: -1000.0}])
         with pytest.raises(NonFiniteLossError):
             train_lr(X, [OFF, NOT], learning_rate=1e6, epochs=200)
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
-            train_lr([sparse({0: 1.0})] * 2, [OFF, OFF])
+            train_lr(csr([{0: 1.0}] * 2), [OFF, OFF])
 
     def test_deterministic(self):
-        X = [sparse({0: 0.3, 1: 0.9}), sparse({1: 1.0}), sparse({0: 1.0})]
+        X = csr([{0: 0.3, 1: 0.9}, {1: 1.0}, {0: 1.0}])
         y = [OFF, NOT, OFF]
         a = train_lr(X, y, epochs=50)
         b = train_lr(X, y, epochs=50)
@@ -214,14 +221,85 @@ class TestPredictLR:
         model = LRModel(
             weights=np.zeros(2), bias=math.log(3), l2=0.0, learning_rate=0.1, epochs=0
         )
-        _, probability = predict_lr(model, sparse({}))
+        _, probability = predict_one(predict_lr, model, {})
         assert probability == pytest.approx(0.75)
 
     def test_large_margin_saturates(self):
         model = LRModel(weights=np.array([50.0]), bias=0.0, l2=0.0, learning_rate=0.1, epochs=0)
-        label, probability = predict_lr(model, sparse({0: 1.0}))
+        label, probability = predict_one(predict_lr, model, {0: 1.0})
         assert label is OFF
         assert probability > 0.999999
+
+
+def tfidf_matrix(seed: int, n_docs: int = 80):
+    """A TF-IDF matrix over random token streams, with alternating labels."""
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(40)]
+    streams = [
+        TokenStream(tuple(rng.choice(words) for _ in range(rng.randint(0, 12))))
+        for _ in range(n_docs)
+    ]
+    X = transform_all(fit(streams), streams)
+    return X, [OFF if i % 2 else NOT for i in range(n_docs)]
+
+
+class TestAgainstReferences:
+    """The CSR paths against a per-entry loop and against dense arrays."""
+
+    def test_nb_mass_and_likelihoods_bit_identical_to_loop(self):
+        for seed in (1, 2, 3):
+            X, y = tfidf_matrix(seed)
+            labels = [1 if t is OFF else 0 for t in y]
+            mass = np.zeros((2, X.n_cols))
+            for row in range(len(X)):
+                for column, weight in entries(X, row):
+                    mass[labels[row], column] += weight
+            totals = mass.sum(axis=1, keepdims=True)
+            expected = np.log(mass + 0.5) - np.log(totals + 0.5 * X.n_cols)
+            model = train_nb(X, y, alpha=0.5)
+            assert model.log_likelihood.tolist() == expected.tolist()
+
+    def test_nb_joint_matches_loop(self):
+        X, y = tfidf_matrix(4)
+        model = train_nb(X, y)
+        joints = nb_log_joint(model, X)
+        for row in range(len(X)):
+            expected = model.log_prior.copy()
+            for column, weight in entries(X, row):
+                expected += weight * model.log_likelihood[:, column]
+            assert np.all(np.abs(joints[row] - expected) <= 1e-12 * np.abs(expected))
+
+    def test_train_lr_matches_dense_descent(self):
+        for seed in (5, 6):
+            X, y = tfidf_matrix(seed)
+            D, labels = dense(X), np.array([1.0 if t is OFF else 0.0 for t in y])
+            weights, bias, history = np.zeros(X.n_cols), 0.0, []
+            for _ in range(500):
+                history.append(lr_loss(weights, bias, D, labels, 1e-4))
+                grad_w, grad_b = lr_gradients(weights, bias, D, labels, 1e-4)
+                weights -= 0.1 * grad_w
+                bias -= 0.1 * grad_b
+            history.append(lr_loss(weights, bias, D, labels, 1e-4))
+            model = train_lr(X, y, learning_rate=0.1, epochs=500, l2=1e-4)
+            assert np.abs(model.weights - weights).max() <= 1e-12 * np.abs(weights).max()
+            assert abs(model.bias - bias) <= 1e-12 * abs(bias)
+            assert np.allclose(model.loss_history, history, rtol=1e-12, atol=0.0)
+
+    def test_batch_predictions_match_rows_one_at_a_time(self):
+        X, y = tfidf_matrix(7)
+        for model, predict in ((train_nb(X, y), predict_nb), (train_lr(X, y, epochs=50), predict_lr)):
+            labels, probabilities = predict(model, X)
+            for row in range(len(X)):
+                label, probability = predict_one(predict, model, dict(entries(X, row)))
+                assert label is labels[row]
+                assert probability == pytest.approx(probabilities[row], rel=1e-12)
+
+    def test_width_mismatch_raises(self):
+        X, y = tfidf_matrix(8)
+        narrow = csr([{0: 1.0}], X.n_cols - 1)
+        for model, predict in ((train_nb(X, y), predict_nb), (train_lr(X, y, epochs=5), predict_lr)):
+            with pytest.raises(SchemaViolationError, match="features"):
+                predict(model, narrow)
 
 
 class TestSelectBestCycle:
@@ -301,7 +379,7 @@ class TestRunCycles:
 
 class TestPersistence:
     def test_nb_round_trip(self, tmp_path):
-        model = train_nb(BAD_GOOD_X, BAD_GOOD_Y, vocab_size=2)
+        model = train_nb(BAD_GOOD_X, BAD_GOOD_Y)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -319,3 +397,35 @@ class TestPersistence:
         assert loaded.weights.tolist() == model.weights.tolist()
         assert loaded.bias == model.bias
         assert loaded.epochs == model.epochs
+
+    @pytest.mark.parametrize("kind", ["nb", "lr"])
+    def test_missing_key_is_schema_violation(self, tmp_path, kind):
+        X, y = tfidf_matrix(9)
+        model = train_nb(X, y) if kind == "nb" else train_lr(X, y, epochs=5)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        obj = json.loads(path.read_text())
+        for key in [k for k in obj if k != "kind"]:
+            path.write_text(json.dumps({k: v for k, v in obj.items() if k != key}))
+            with pytest.raises(SchemaViolationError, match=key):
+                load_model(path)
+
+    def test_malformed_entries_are_schema_violations(self, tmp_path):
+        path = tmp_path / "model.json"
+        for obj in (
+            [],
+            {"kind": "svm"},
+            {"kind": "lr", "bias": 0.0, "weights": ["x"], "hyperparams": {}},
+            {"kind": "nb", "alpha": 1.0, "vocab_size": 1, "log_prior": {}, "terms": []},
+            {"kind": "nb", "alpha": 1.0, "vocab_size": 1, "terms": [{"index": 0}],
+             "log_prior": {"offensive": -1.0, "not_offensive": -1.0}},
+        ):
+            path.write_text(json.dumps(obj))
+            with pytest.raises(SchemaViolationError):
+                load_model(path)
+
+    def test_invalid_json_is_malformed(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"kind": "lr",', encoding="utf-8")
+        with pytest.raises(MalformedJsonError):
+            load_model(path)

@@ -1,15 +1,19 @@
-"""TF-IDF fitting and transformation."""
+"""TF-IDF fitting, transformation and the CSR feature matrix."""
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from modkit.errors import EmptyCorpusError
 from modkit.textprep import TokenStream
-from modkit.vectorize import SparseVector, fit, load_tfidf, save_tfidf, to_matrix, transform
+from modkit.vectorize import fit, load_tfidf, save_tfidf, transform_all
+
+from _sparse import csr, dense, entries
 
 
 def stream(*tokens: str) -> TokenStream:
@@ -51,29 +55,34 @@ class TestFit:
         assert all(value >= 1.0 for value in model.idf)
 
 
+def transform_one(model, doc: TokenStream) -> list[tuple[int, float]]:
+    return entries(transform_all(model, [doc]), 0)
+
+
 class TestTransform:
     def test_weights_match_hand_arithmetic(self):
         model = fit(CORPUS)
-        vector = transform(model, stream("a", "b"))
+        vector = transform_one(model, stream("a", "b"))
         idf_b = math.log(3 / 2) + 1
         norm = math.sqrt(1.0 + idf_b**2)
         expected = {
             model.vocabulary["a"]: 1.0 / norm,
             model.vocabulary["b"]: idf_b / norm,
         }
-        assert dict(vector.entries) == pytest.approx(expected, abs=1e-12)
+        assert dict(vector) == pytest.approx(expected, abs=1e-12)
         # frozen from the formula: 1/1.7249219 and 1.4054651/1.7249219
-        assert vector.entries[0][1] == pytest.approx(0.57974, abs=5e-6)
-        assert vector.entries[1][1] == pytest.approx(0.81480, abs=5e-6)
+        assert vector[0][1] == pytest.approx(0.57974, abs=5e-6)
+        assert vector[1][1] == pytest.approx(0.81480, abs=5e-6)
 
     def test_only_oov_gives_empty_vector(self):
         model = fit(CORPUS)
-        assert transform(model, stream("zzz", "qqq")).entries == ()
+        X = transform_all(model, [stream("a"), stream("zzz", "qqq"), stream("b")])
+        assert entries(X, 1) == []
+        assert X.indptr.tolist() == [0, 1, 1, 2]
 
     def test_repeated_token_normalizes_to_one(self):
         model = fit([stream("a")])
-        vector = transform(model, stream("a", "a"))
-        assert vector.entries == ((0, 1.0),)
+        assert transform_one(model, stream("a", "a")) == [(0, 1.0)]
 
     def test_unit_norm(self):
         rng = random.Random(23)
@@ -82,46 +91,103 @@ class TestTransform:
             for _ in range(40)
         ]
         model = fit(corpus)
-        for doc in corpus:
-            vector = transform(model, doc)
-            if vector.entries:
-                assert abs(vector.norm() - 1.0) < 1e-9
+        X = transform_all(model, corpus)
+        for row in range(len(X)):
+            vector = entries(X, row)
+            if vector:
+                assert abs(math.sqrt(sum(w * w for _, w in vector)) - 1.0) < 1e-9
 
     def test_token_order_invariant(self):
         model = fit(CORPUS)
         tokens = ["a", "b", "a", "c"]
-        forward = transform(model, stream(*tokens))
-        backward = transform(model, stream(*reversed(tokens)))
+        forward = transform_one(model, stream(*tokens))
+        backward = transform_one(model, stream(*reversed(tokens)))
         assert forward == backward
 
     def test_support_within_vocabulary(self):
         model = fit(CORPUS)
-        for doc in CORPUS:
-            vector = transform(model, doc)
-            assert all(index < model.vocab_size for index, _ in vector.entries)
+        X = transform_all(model, CORPUS)
+        assert X.n_cols == model.vocab_size
+        assert all(0 <= index < model.vocab_size for index in X.indices)
+        for row in range(len(X)):
+            columns = [index for index, _ in entries(X, row)]
+            assert columns == sorted(set(columns))
 
     def test_doubling_tokens_changes_nothing(self):
         model = fit(CORPUS)
         for doc in CORPUS:
-            once = transform(model, doc)
-            doubled = transform(model, stream(*(doc.tokens + doc.tokens)))
-            for (i1, w1), (i2, w2) in zip(once.entries, doubled.entries):
+            once = transform_one(model, doc)
+            doubled = transform_one(model, stream(*(doc.tokens + doc.tokens)))
+            for (i1, w1), (i2, w2) in zip(once, doubled):
                 assert i1 == i2
                 assert abs(w1 - w2) < 1e-9
 
+    def test_rows_match_per_document_loop(self):
+        """Each row is the per-document arithmetic: counts times idf in
+        column order, divided by the norm of that row alone."""
+        rng = random.Random(29)
+        corpus = [
+            stream(*(rng.choice("abcdefghij") for _ in range(rng.randint(0, 15))))
+            for _ in range(60)
+        ]
+        model = fit(corpus[:40])
+        X = transform_all(model, corpus)
+        assert len(X) == len(corpus)
+        for row, doc in enumerate(corpus):
+            counts = Counter(model.vocabulary[t] for t in doc.tokens if t in model.vocabulary)
+            columns = sorted(counts)
+            weights = np.array([counts[i] * model.idf[i] for i in columns])
+            if columns:
+                weights /= np.linalg.norm(weights)
+            assert entries(X, row) == list(zip(columns, weights.tolist()))
 
-class TestSparseVector:
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(ValueError):
-            SparseVector(entries=((2, 0.5), (1, 0.5)))
+    def test_empty_corpus_gives_no_rows(self):
+        X = transform_all(fit(CORPUS), [])
+        assert len(X) == 0 and X.n_cols == 3
+        assert (X @ np.ones(3)).shape == (0,)
+        assert (np.ones(0) @ X).tolist() == [0.0, 0.0, 0.0]
 
-    def test_rejects_zero_weights(self):
-        with pytest.raises(ValueError):
-            SparseVector(entries=((0, 0.0),))
 
-    def test_to_matrix(self):
-        matrix = to_matrix([SparseVector(((0, 1.0),)), SparseVector(((1, 0.5),))], 2)
-        assert matrix.tolist() == [[1.0, 0.0], [0.0, 0.5]]
+def random_csr(rng: random.Random, n_rows: int, n_cols: int):
+    rows = [
+        {c: rng.uniform(-2.0, 2.0) for c in range(n_cols) if rng.random() < 0.3}
+        for _ in range(n_rows)
+    ]
+    return csr(rows, n_cols)
+
+
+class TestCSRMatrix:
+    def test_products_match_dense_within_1e_12(self):
+        rng = random.Random(31)
+        np_rng = np.random.default_rng(31)
+        for _ in range(50):
+            n_rows, n_cols = rng.randint(1, 30), rng.randint(1, 40)
+            X = random_csr(rng, n_rows, n_cols)
+            D = dense(X)
+            v, r = np_rng.normal(size=n_cols), np_rng.normal(size=n_rows)
+            for got, want in ((X @ v, D @ v), (r @ X, r @ D)):
+                scale = np.abs(D).sum() * max(np.abs(v).max(), np.abs(r).max())
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-12 * max(scale, 1.0))
+
+    def test_products_follow_storage_order_exactly(self):
+        """X @ v and r @ X add the stored entries one at a time, in order."""
+        rng = random.Random(37)
+        X = random_csr(rng, 25, 30)
+        v = np.array([rng.uniform(-1, 1) for _ in range(30)])
+        r = np.array([rng.uniform(-1, 1) for _ in range(25)])
+        Xv, rX = np.zeros(25), np.zeros(30)
+        for row in range(25):
+            for column, weight in entries(X, row):
+                Xv[row] += weight * v[column]
+                rX[column] += weight * r[row]
+        assert (X @ v).tolist() == Xv.tolist()
+        assert (r @ X).tolist() == rX.tolist()
+
+    def test_empty_rows_and_columns(self):
+        X = csr([{}, {2: 1.5}, {}], 4)
+        assert (X @ np.array([1.0, 2.0, 3.0, 4.0])).tolist() == [0.0, 4.5, 0.0]
+        assert (np.array([1.0, 2.0, 3.0]) @ X).tolist() == [0.0, 0.0, 3.0, 0.0]
 
 
 class TestPersistence:
@@ -133,5 +199,5 @@ class TestPersistence:
         assert loaded.vocabulary == model.vocabulary
         assert loaded.doc_count == model.doc_count
         assert loaded.idf.tolist() == model.idf.tolist()
-        original = transform(model, stream("a", "b"))
-        assert transform(loaded, stream("a", "b")) == original
+        original = transform_one(model, stream("a", "b"))
+        assert transform_one(loaded, stream("a", "b")) == original
