@@ -9,12 +9,14 @@ so exports are stable.
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import _atomic
 from .corpus import Comment, Label, LabeledDataset
 from .errors import (
     BadBucketWidthError,
@@ -212,27 +214,25 @@ def export_chart_data(
     path: str | Path,
 ) -> None:
     """Write the data behind a chart as UTF-8 CSV with a header row."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if isinstance(result, NgramTable):
-            writer.writerow(["gram", "count"])
-            writer.writerows(result.rows)
-        elif isinstance(result, LengthHistogram):
-            writer.writerow(["bucket_start", "count"])
-            for start in sorted(result.buckets):
-                writer.writerow([start, result.buckets[start]])
-        elif isinstance(result, EmojiStats):
-            writer.writerow(["alias", "count"])
-            writer.writerows(result.frequency)
-            writer.writerow(["presence_overall", f"{result.presence_overall:.4f}"])
-            writer.writerow(["presence_offensive", f"{result.presence_offensive:.4f}"])
-            writer.writerow(
-                ["presence_nonoffensive", f"{result.presence_nonoffensive:.4f}"]
-            )
-        elif isinstance(result, CloudWeights):
-            writer.writerow(["term", "weight"])
-            for term, weight in result.terms.items():
-                writer.writerow([term, repr(weight)])
-        else:
-            raise TypeError(f"cannot export {type(result).__name__}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if isinstance(result, NgramTable):
+        writer.writerow(["gram", "count"])
+        writer.writerows(result.rows)
+    elif isinstance(result, LengthHistogram):
+        writer.writerow(["bucket_start", "count"])
+        for start in sorted(result.buckets):
+            writer.writerow([start, result.buckets[start]])
+    elif isinstance(result, EmojiStats):
+        writer.writerow(["alias", "count"])
+        writer.writerows(result.frequency)
+        writer.writerow(["presence_overall", f"{result.presence_overall:.4f}"])
+        writer.writerow(["presence_offensive", f"{result.presence_offensive:.4f}"])
+        writer.writerow(["presence_nonoffensive", f"{result.presence_nonoffensive:.4f}"])
+    elif isinstance(result, CloudWeights):
+        writer.writerow(["term", "weight"])
+        for term, weight in result.terms.items():
+            writer.writerow([term, repr(weight)])
+    else:
+        raise TypeError(f"cannot export {type(result).__name__}")
+    _atomic.write_text(path, buf.getvalue())

@@ -18,15 +18,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__, analytics, corpus, evaluate, models, textprep, vectorize
-from .errors import ConfigError, ModkitError, SchemaViolationError
+from . import __version__, _atomic, analytics, corpus, evaluate, models, textprep, vectorize
+from .errors import ConfigError, MalformedJsonError, ModkitError, SchemaViolationError
 
 DEFAULT_STEPS = (
     "lowercasing",
@@ -168,12 +167,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_atomic(path: Path, content: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -206,7 +199,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             cid: [[term, category.value] for term, category in found]
             for cid, found in hits.items()
         }
-        _write_atomic(hits_path, json.dumps(hits_obj, indent=2, ensure_ascii=False))
+        _atomic.write_text(hits_path, json.dumps(hits_obj, indent=2, ensure_ascii=False))
         print(f"{len(hits)} comments matched the lexicon -> {hits_path}")
     return 0
 
@@ -325,7 +318,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             for c in report.cycles
         ],
     }
-    _write_atomic(run_dir / "train_report.json", json.dumps(report_obj, indent=2))
+    _atomic.write_text(run_dir / "train_report.json", json.dumps(report_obj, indent=2))
     artifact_names = ("tfidf.json", "model.json", "train_report.json")
     manifest = {
         "config": asdict(config),
@@ -333,7 +326,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "checksums": {name: _sha256(run_dir / name) for name in artifact_names},
         "timings": {"train_seconds": train_seconds},
     }
-    _write_atomic(run_dir / "manifest.json", json.dumps(manifest, indent=2))
+    _atomic.write_text(run_dir / "manifest.json", json.dumps(manifest, indent=2))
     print(f"artifacts -> {run_dir}")
     return 0
 
@@ -358,6 +351,26 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, vectorize.TfidfModel, models.NB
     return config, tfidf, model, manifest
 
 
+def _best_cycle_seed(report_path: Path) -> int:
+    """Split seed of the best cycle recorded in a run's train report."""
+    try:
+        report = json.loads(_read_text(report_path, "train report"))
+    except json.JSONDecodeError as exc:
+        raise MalformedJsonError(
+            f"train report {report_path} is not valid JSON: {exc.msg}", offset=exc.pos
+        ) from exc
+    try:
+        cycles, best = report["cycles"], report["best_cycle_index"]
+        if type(best) is not int or not 0 <= best < len(cycles):
+            raise ValueError(f"best_cycle_index {best!r} is not a cycle of the report")
+        seed = cycles[best]["seed"]
+        if type(seed) is not int:
+            raise ValueError(f"seed {seed!r} is not an integer")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaViolationError(f"bad train report: {exc!r}", str(report_path)) from exc
+    return seed
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
     config, tfidf, model, _manifest = _load_run(run_dir)
@@ -367,20 +380,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         subset = dataset
         scope = "full dataset"
     else:
-        train_report = json.loads(
-            _require_file(run_dir / "train_report.json", "train report").read_text(
-                encoding="utf-8"
-            )
-        )
-        best_seed = train_report["cycles"][train_report["best_cycle_index"]]["seed"]
+        best_seed = _best_cycle_seed(run_dir / "train_report.json")
         _, _, subset = corpus.split(dataset, config.ratios, best_seed)
         scope = f"test fold of best cycle (seed={best_seed})"
     name = config.variant_name or models.default_variant_name(cycle_config)
     report = models.evaluate_on(tfidf, model, subset, cycle_config, variant_name=name)
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "eval_report.json", evaluate.render_json([report]))
-    _write_atomic(out_dir / "eval_report.txt", evaluate.render_text_table([report]))
+    _atomic.write_text(out_dir / "eval_report.json", evaluate.render_json([report]))
+    _atomic.write_text(out_dir / "eval_report.txt", evaluate.render_text_table([report]))
     print(f"evaluated {len(subset)} comments ({scope})")
     print(evaluate.render_text_table([report]), end="")
     return 0
@@ -398,8 +406,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError("nothing to report: give --inputs and/or --reference")
     base = Path(args.out)
     base.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(base.with_suffix(".json"), evaluate.render_json(variants))
-    _write_atomic(base.with_suffix(".txt"), evaluate.render_text_table(variants))
+    _atomic.write_text(base.with_suffix(".json"), evaluate.render_json(variants))
+    _atomic.write_text(base.with_suffix(".txt"), evaluate.render_text_table(variants))
     print(evaluate.render_text_table(variants), end="")
     return 0
 

@@ -17,6 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import _atomic
 from .errors import (
     BadRatiosError,
     DuplicateIdError,
@@ -396,7 +397,10 @@ def lexicon_flag(
 
 def load_labels(path: str | Path) -> dict[str, Label]:
     """Read a label file: JSON object mapping comment_id -> 0 or 1."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedJsonError(f"invalid label JSON in {path}: {exc.msg}", offset=exc.pos) from exc
     if not isinstance(raw, dict):
         raise SchemaViolationError("label file must be a JSON object", str(path))
     labels: dict[str, Label] = {}
@@ -462,7 +466,7 @@ def dataset_from_json(data: str | bytes) -> LabeledDataset:
 
 
 def save_dataset(dataset: LabeledDataset, path: str | Path) -> None:
-    Path(path).write_text(dataset_to_json(dataset), encoding="utf-8")
+    _atomic.write_text(path, dataset_to_json(dataset))
 
 
 def load_dataset(path: str | Path) -> LabeledDataset:

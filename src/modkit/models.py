@@ -22,6 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from . import _atomic
 from .corpus import LabeledDataset, Label, split
 from .errors import (
     BadAlphaError,
@@ -267,13 +268,10 @@ def _preprocess_all(dataset: LabeledDataset, config: CycleConfig) -> list[TokenS
 
 
 def _train_one(
-    train_set: LabeledDataset,
-    config: CycleConfig,
+    streams: Sequence[TokenStream], y: Sequence[Label], config: CycleConfig
 ) -> tuple[TfidfModel, NBModel | LRModel]:
-    streams = _preprocess_all(train_set, config)
     tfidf = fit(streams)
     X = transform_all(tfidf, streams)
-    y = train_set.labels()
     if config.model == "nb":
         model: NBModel | LRModel = train_nb(X, y, alpha=config.alpha)
     elif config.model == "lr":
@@ -285,6 +283,18 @@ def _train_one(
     return tfidf, model
 
 
+def _score(
+    tfidf: TfidfModel,
+    model: NBModel | LRModel,
+    streams: Sequence[TokenStream],
+    y: Sequence[Label],
+    name: str,
+) -> MetricsReport:
+    predict = predict_nb if isinstance(model, NBModel) else predict_lr
+    y_pred, _ = predict(model, transform_all(tfidf, streams))
+    return metrics(confusion(y, y_pred), variant_name=name)
+
+
 def evaluate_on(
     tfidf: TfidfModel,
     model: NBModel | LRModel,
@@ -292,10 +302,7 @@ def evaluate_on(
     config: CycleConfig,
     variant_name: str = "",
 ) -> MetricsReport:
-    X = transform_all(tfidf, _preprocess_all(dataset, config))
-    predict = predict_nb if isinstance(model, NBModel) else predict_lr
-    y_pred, _ = predict(model, X)
-    return metrics(confusion(dataset.labels(), y_pred), variant_name=variant_name)
+    return _score(tfidf, model, _preprocess_all(dataset, config), dataset.labels(), variant_name)
 
 
 def run_cycles(
@@ -309,19 +316,25 @@ def run_cycles(
     Cycle i splits with seed base_seed + i. Best = highest validation
     F1, ties broken by higher validation accuracy, then lower index.
     Test metrics are computed for every cycle but only the best cycle's
-    are authoritative.
+    are authoritative. Every comment is preprocessed once per run; each
+    cycle fits TF-IDF on its own train fold only.
     """
     if n_cycles < 1:
         raise ConfigError(f"n_cycles must be >= 1, got {n_cycles}")
+    stream_of = dict(zip(dataset.ids(), _preprocess_all(dataset, config)))
+
+    def fold(part: LabeledDataset) -> tuple[list[TokenStream], list[Label]]:
+        return [stream_of[cid] for cid in part.ids()], part.labels()
+
     results: list[CycleResult] = []
     artifacts: list[tuple[TfidfModel, NBModel | LRModel]] = []
     name = config.variant_name or default_variant_name(config)
     for i in range(n_cycles):
         seed = base_seed + i
         train_set, val_set, test_set = split(dataset, config.ratios, seed)
-        tfidf, model = _train_one(train_set, config)
-        val_report = evaluate_on(tfidf, model, val_set, config, variant_name=name)
-        test_report = evaluate_on(tfidf, model, test_set, config, variant_name=name)
+        tfidf, model = _train_one(*fold(train_set), config)
+        val_report = _score(tfidf, model, *fold(val_set), name)
+        test_report = _score(tfidf, model, *fold(test_set), name)
         results.append(CycleResult(seed=seed, validation=val_report, test=test_report))
         artifacts.append((tfidf, model))
     best = select_best_cycle(results)
@@ -381,7 +394,7 @@ def save_model(model: NBModel | LRModel, path: str | Path) -> None:
                 "l2": model.l2,
             },
         }
-    Path(path).write_text(json.dumps(obj, indent=2), encoding="utf-8")
+    _atomic.write_text(path, json.dumps(obj, indent=2))
 
 
 _MODEL_KEYS = {

@@ -13,6 +13,7 @@ Emojis are never treated as punctuation: raw emoji code points and
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -125,23 +126,42 @@ _EMOJI_MODIFIERS = frozenset({0x200D, 0xFE0E, 0xFE0F, 0x20E3}) | frozenset(
     range(0x1F3FB, 0x1F400)
 )
 
+_EMOJI, _MODIFIER, _PUNCT, _OTHER = range(4)
+
+
+class _CharClasses(dict):
+    """Character -> class: emoji, modifier, punctuation (categories P*,
+    S* and Cf that are neither of the first two) or other.
+
+    A class is computed on the first lookup of a character and kept, so
+    the text hot paths pay one dict lookup per character; the table
+    holds only the characters seen so far.
+    """
+
+    def __missing__(self, ch: str) -> int:
+        cp = ord(ch)
+        category = unicodedata.category(ch)
+        if cp in _EMOJI_MODIFIERS:
+            cls = _MODIFIER
+        elif any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES):
+            cls = _EMOJI
+        elif category[0] in "PS" or category == "Cf":
+            cls = _PUNCT
+        else:
+            cls = _OTHER
+        self[ch] = cls
+        return cls
+
+
+_CHAR_CLASS = _CharClasses()
+
+# Maximal whitespace runs (``\s`` is exactly ``str.isspace``), kept when
+# splitting so the chunks join back to the original string.
+_SPACE_RUNS = re.compile(r"(\s+)")
+
 
 def is_emoji_char(ch: str) -> bool:
-    cp = ord(ch)
-    if cp in _EMOJI_MODIFIERS:
-        return False
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
-
-
-def _is_modifier(ch: str) -> bool:
-    return ord(ch) in _EMOJI_MODIFIERS
-
-
-def _is_punct_char(ch: str) -> bool:
-    if is_emoji_char(ch) or _is_modifier(ch):
-        return False
-    cat = unicodedata.category(ch)
-    return cat.startswith("P") or cat.startswith("S") or cat == "Cf"
+    return _CHAR_CLASS[ch] == _EMOJI
 
 
 def is_emoji_token(token: str) -> bool:
@@ -159,22 +179,24 @@ def is_alias_placeholder(token: str) -> bool:
 # Tokenization
 
 
+def _punct_bounds(token: str) -> tuple[int, int]:
+    """Slice bounds of ``token`` without its leading and trailing
+    punctuation runs; equal bounds mean it is all punctuation."""
+    classes = _CHAR_CLASS
+    i, j = 0, len(token)
+    while i < j and classes[token[i]] == _PUNCT:
+        i += 1
+    while j > i and classes[token[j - 1]] == _PUNCT:
+        j -= 1
+    return i, j
+
+
 def _split_edges(segment: str) -> list[str]:
     """Separate leading/trailing punctuation runs from a word segment."""
-    i, j = 0, len(segment)
-    while i < j and _is_punct_char(segment[i]):
-        i += 1
-    while j > i and _is_punct_char(segment[j - 1]):
-        j -= 1
+    i, j = _punct_bounds(segment)
     if i == j:  # nothing but punctuation
         return [segment]
-    out = []
-    if i:
-        out.append(segment[:i])
-    out.append(segment[i:j])
-    if j < len(segment):
-        out.append(segment[j:])
-    return out
+    return [part for part in (segment[:i], segment[i:j], segment[j:]) if part]
 
 
 def tokenize(text: str, source_id: str = "") -> TokenStream:
@@ -185,35 +207,29 @@ def tokenize(text: str, source_id: str = "") -> TokenStream:
     and concatenating the tokens of a chunk reconstructs that chunk, so
     no characters are lost.
     """
+    classes = _CHAR_CLASS
     tokens: list[str] = []
     for chunk in text.split():
         if is_alias_placeholder(chunk):
             tokens.append(chunk)
             continue
-        segment_start = 0
-        segments: list[str] = []
-        emoji_positions: list[int] = []
+        start = 0
+        after_emoji = False  # tokens[-1] is an emoji of this chunk
         for idx, ch in enumerate(chunk):
-            if is_emoji_char(ch):
-                if idx > segment_start:
-                    segments.append(chunk[segment_start:idx])
-                emoji_positions.append(len(segments))
-                segments.append(ch)
-                segment_start = idx + 1
-            elif _is_modifier(ch):
-                # attach to a preceding emoji, otherwise drop
-                if idx > segment_start:
-                    segments.append(chunk[segment_start:idx])
-                if emoji_positions and emoji_positions[-1] == len(segments) - 1:
-                    segments[-1] += ch
-                segment_start = idx + 1
-        if segment_start < len(chunk):
-            segments.append(chunk[segment_start:])
-        for pos, segment in enumerate(segments):
-            if pos in emoji_positions:
-                tokens.append(segment)
-            else:
-                tokens.extend(_split_edges(segment))
+            cls = classes[ch]
+            if cls != _EMOJI and cls != _MODIFIER:
+                continue
+            if idx > start:
+                tokens.extend(_split_edges(chunk[start:idx]))
+                after_emoji = False
+            if cls == _EMOJI:
+                tokens.append(ch)
+                after_emoji = True
+            elif after_emoji:  # attach to the preceding emoji, otherwise drop
+                tokens[-1] += ch
+            start = idx + 1
+        if start < len(chunk):
+            tokens.extend(_split_edges(chunk[start:]))
     return TokenStream(tokens=tuple(tokens), source_id=source_id)
 
 
@@ -236,11 +252,7 @@ def remove_punctuation(stream: TokenStream) -> TokenStream:
         if is_emoji_token(token) or is_alias_placeholder(token):
             out.append(token)
             continue
-        i, j = 0, len(token)
-        while i < j and _is_punct_char(token[i]):
-            i += 1
-        while j > i and _is_punct_char(token[j - 1]):
-            j -= 1
+        i, j = _punct_bounds(token)
         if i < j:
             out.append(token[i:j])
     return TokenStream(tuple(out), stream.source_id)
@@ -296,28 +308,9 @@ def normalize_emoticons(text: str, emoticon_map: EmoticonMap | None = None) -> s
     if emoticon_map is None:
         emoticon_map = default_emoticon_map()
     entries = emoticon_map.entries
-    out: list[str] = []
-    for i, part in enumerate(_split_keep_spaces(text)):
-        if i % 2 == 0 and part in entries:
-            out.append(f":{entries[part]}:")
-        else:
-            out.append(part)
-    return "".join(out)
-
-
-def _split_keep_spaces(text: str) -> list[str]:
-    """Alternating [chunk, space, chunk, ...] split preserving whitespace."""
-    parts: list[str] = []
-    buf: list[str] = []
-    in_space = False
-    for ch in text:
-        if ch.isspace() != in_space:
-            parts.append("".join(buf))
-            buf = []
-            in_space = not in_space
-        buf.append(ch)
-    parts.append("".join(buf))
-    return parts
+    parts = _SPACE_RUNS.split(text)
+    parts[::2] = [f":{entries[p]}:" if p in entries else p for p in parts[::2]]
+    return "".join(parts)
 
 
 def encode_emojis(
@@ -340,18 +333,18 @@ def encode_emojis(
     if aliases is None:
         aliases = default_emoji_aliases()
     if mode is EmojiMode.ML_PLAIN:
-        parts = _split_keep_spaces(text)
-        for i in range(0, len(parts), 2):
-            if is_alias_placeholder(parts[i]):
-                parts[i] = parts[i][1:-1]
+        parts = _SPACE_RUNS.split(text)
+        parts[::2] = [p[1:-1] if is_alias_placeholder(p) else p for p in parts[::2]]
         text = "".join(parts)
+    classes = _CHAR_CLASS
     out: list[str] = []
     last = ""  # last emitted character
     pending_space = False
     for ch in text:
-        if _is_modifier(ch):
+        cls = classes[ch]
+        if cls == _MODIFIER:
             continue
-        if is_emoji_char(ch):
+        if cls == _EMOJI:
             alias = aliases.get(ch)
             if alias is None:
                 alias = UNKNOWN_EMOJI_ALIAS

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpusError, SchemaViolationError
+from . import _atomic
+from .errors import EmptyCorpusError, MalformedJsonError, SchemaViolationError
 from .textprep import TokenStream
 
 
@@ -122,17 +123,26 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
             for term, index in model.vocabulary.items()
         ],
     }
-    Path(path).write_text(json.dumps(obj, ensure_ascii=False, indent=2), encoding="utf-8")
+    _atomic.write_text(path, json.dumps(obj, ensure_ascii=False, indent=2))
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedJsonError(f"invalid TF-IDF JSON in {path}: {exc.msg}", offset=exc.pos) from exc
+    if not isinstance(obj, dict):
+        raise SchemaViolationError("TF-IDF model must be a JSON object", str(path))
     for key in ("doc_count", "terms"):
         if key not in obj:
             raise SchemaViolationError(f"missing {key!r} in TF-IDF model", str(path))
-    vocabulary: dict[str, int] = {}
-    idf = np.empty(len(obj["terms"]))
-    for item in sorted(obj["terms"], key=lambda t: t["index"]):
-        vocabulary[item["term"]] = item["index"]
-        idf[item["index"]] = item["idf"]
+    try:
+        terms = sorted(obj["terms"], key=lambda item: item["index"])
+        vocabulary = {item["term"]: item["index"] for item in terms}
+        idf = np.array([float(item["idf"]) for item in terms])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaViolationError(f"malformed TF-IDF term: {exc!r}", str(path)) from exc
+    indices = list(vocabulary.values())
+    if indices != list(range(len(terms))) or not all(type(i) is int for i in indices):
+        raise SchemaViolationError("TF-IDF terms must be distinct with indices 0..n-1", str(path))
     return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=obj["doc_count"])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import _resources
+from . import _atomic, _resources
 from .errors import BadTokenError, ConfigError, EmptyCorpusError, EmptyVocabError
 
 UNK = "[UNK]"
@@ -82,7 +82,7 @@ def load_vocab(path: str | Path) -> WordPieceVocab:
 
 def save_vocab(vocab: WordPieceVocab, path: str | Path) -> None:
     ordered = sorted(vocab.tokens, key=vocab.tokens.__getitem__)
-    Path(path).write_text("\n".join(ordered) + "\n", encoding="utf-8")
+    _atomic.write_text(path, "\n".join(ordered) + "\n")
 
 
 def default_vocab() -> WordPieceVocab:

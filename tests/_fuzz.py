@@ -35,3 +35,25 @@ def random_text(rng: random.Random, max_words: int = 12) -> str:
 def fuzz_texts(n: int, seed: int) -> list[str]:
     rng = random.Random(seed)
     return [random_text(rng) for _ in range(n)]
+
+
+#: Unicode whitespace the text steps must split on like ``str.split``:
+#: NBSP, the file separator, an em space and the ideographic space.
+WHITESPACE = [" ", "  ", "\t", "\n", "\r\n", "\u00a0", "\x1c", "\u2003", "\u3000", " \u00a0\t"]
+#: Emoji modifiers: ZWJ, VS16, a skin tone and the keycap combiner.
+MODIFIERS = ["\u200d", "\ufe0f", "\U0001F3FD", "\u20e3"]
+#: Emoji outside the main block, flags, an unknown one and placeholders.
+MORE_EMOJI = ["\u2615", "\u2b50", "\U0001F1FA\U0001F1F8", "\U0001FAE8", ":skull:", ":face_with_tears_of_joy:", ":x:"]
+
+
+def messy_text(rng: random.Random, max_pieces: int = 10) -> str:
+    """Pieces from every pool, fused or separated by whitespace runs,
+    with optional leading and trailing runs."""
+    pools = [WORDS, EMOJI, EMOTICONS, MODIFIERS, MORE_EMOJI, PUNCT_TAILS]
+    out = [rng.choice(WHITESPACE) if rng.random() < 0.3 else ""]
+    for _ in range(rng.randint(0, max_pieces)):
+        out.append(rng.choice(rng.choice(pools)))
+        out.append(rng.choice(WHITESPACE) if rng.random() < 0.6 else "")
+    if rng.random() < 0.3:
+        out.append(rng.choice(WHITESPACE))
+    return "".join(out)

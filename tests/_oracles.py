@@ -7,6 +7,7 @@ into the code paths it verifies.
 
 from __future__ import annotations
 
+import unicodedata
 from fractions import Fraction
 from math import log, sqrt
 
@@ -110,3 +111,148 @@ def metric_identities(tp: int, fp: int, fn: int, tn: int) -> dict[str, float]:
 
 def l2_norm(values) -> float:
     return sqrt(sum(v * v for v in values))
+
+
+# ---------------------------------------------------------------------------
+# Text preprocessing as it was before the character-class table: the
+# per-character range scans and the hand-written whitespace split. The
+# emoji alias and emoticon tables are passed in, since they are data.
+
+ORACLE_EMOJI_RANGES = (
+    (0x1F000, 0x1FAFF),
+    (0x2600, 0x27BF),
+    (0x2B00, 0x2BFF),
+    (0x1F1E6, 0x1F1FF),
+)
+ORACLE_EMOJI_MODIFIERS = frozenset({0x200D, 0xFE0E, 0xFE0F, 0x20E3}) | frozenset(
+    range(0x1F3FB, 0x1F400)
+)
+
+
+def oracle_is_emoji_char(ch: str) -> bool:
+    cp = ord(ch)
+    if cp in ORACLE_EMOJI_MODIFIERS:
+        return False
+    return any(lo <= cp <= hi for lo, hi in ORACLE_EMOJI_RANGES)
+
+
+def oracle_is_modifier(ch: str) -> bool:
+    return ord(ch) in ORACLE_EMOJI_MODIFIERS
+
+
+def oracle_is_punct_char(ch: str) -> bool:
+    if oracle_is_emoji_char(ch) or oracle_is_modifier(ch):
+        return False
+    cat = unicodedata.category(ch)
+    return cat.startswith("P") or cat.startswith("S") or cat == "Cf"
+
+
+def _oracle_is_alias_placeholder(token: str) -> bool:
+    if len(token) < 3 or token[0] != ":" or token[-1] != ":":
+        return False
+    return all(c.isalnum() or c in "_+-" for c in token[1:-1])
+
+
+def _oracle_split_keep_spaces(text: str) -> list[str]:
+    """Alternating [chunk, space, chunk, ...] split preserving whitespace."""
+    parts: list[str] = []
+    buf: list[str] = []
+    in_space = False
+    for ch in text:
+        if ch.isspace() != in_space:
+            parts.append("".join(buf))
+            buf = []
+            in_space = not in_space
+        buf.append(ch)
+    parts.append("".join(buf))
+    return parts
+
+
+def oracle_normalize_emoticons(text: str, entries) -> str:
+    out: list[str] = []
+    for i, part in enumerate(_oracle_split_keep_spaces(text)):
+        if i % 2 == 0 and part in entries:
+            out.append(f":{entries[part]}:")
+        else:
+            out.append(part)
+    return "".join(out)
+
+
+def oracle_encode_emojis(text: str, plain: bool, aliases, unknown: str) -> str:
+    """``plain`` selects bare aliases (ML mode), else ``:alias:``."""
+    if plain:
+        parts = _oracle_split_keep_spaces(text)
+        for i in range(0, len(parts), 2):
+            if _oracle_is_alias_placeholder(parts[i]):
+                parts[i] = parts[i][1:-1]
+        text = "".join(parts)
+    out: list[str] = []
+    last = ""
+    pending_space = False
+    for ch in text:
+        if oracle_is_modifier(ch):
+            continue
+        if oracle_is_emoji_char(ch):
+            alias = aliases.get(ch, unknown)
+            rendered = alias if plain else f":{alias}:"
+            if last and not last.isspace():
+                out.append(" ")
+            out.append(rendered)
+            last = rendered[-1]
+            pending_space = True
+            continue
+        if pending_space and not ch.isspace():
+            out.append(" ")
+        pending_space = False
+        out.append(ch)
+        last = ch
+    return "".join(out)
+
+
+def _oracle_split_edges(segment: str) -> list[str]:
+    i, j = 0, len(segment)
+    while i < j and oracle_is_punct_char(segment[i]):
+        i += 1
+    while j > i and oracle_is_punct_char(segment[j - 1]):
+        j -= 1
+    if i == j:
+        return [segment]
+    out = []
+    if i:
+        out.append(segment[:i])
+    out.append(segment[i:j])
+    if j < len(segment):
+        out.append(segment[j:])
+    return out
+
+
+def oracle_tokenize(text: str) -> tuple[str, ...]:
+    tokens: list[str] = []
+    for chunk in text.split():
+        if _oracle_is_alias_placeholder(chunk):
+            tokens.append(chunk)
+            continue
+        segment_start = 0
+        segments: list[str] = []
+        emoji_positions: list[int] = []
+        for idx, ch in enumerate(chunk):
+            if oracle_is_emoji_char(ch):
+                if idx > segment_start:
+                    segments.append(chunk[segment_start:idx])
+                emoji_positions.append(len(segments))
+                segments.append(ch)
+                segment_start = idx + 1
+            elif oracle_is_modifier(ch):
+                if idx > segment_start:
+                    segments.append(chunk[segment_start:idx])
+                if emoji_positions and emoji_positions[-1] == len(segments) - 1:
+                    segments[-1] += ch
+                segment_start = idx + 1
+        if segment_start < len(chunk):
+            segments.append(chunk[segment_start:])
+        for pos, segment in enumerate(segments):
+            if pos in emoji_positions:
+                tokens.append(segment)
+            else:
+                tokens.extend(_oracle_split_edges(segment))
+    return tuple(tokens)

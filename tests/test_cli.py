@@ -63,6 +63,13 @@ class TestIngest:
         assert main(["ingest", str(tree_path), "--labels", str(labels), "--out", str(out)]) == 0
         assert "2 labeled (1 offensive / 1 not offensive), 1 unlabeled" in capsys.readouterr().out
 
+    def test_labels_not_json_exits_3(self, tmp_path, tree_path, capsys):
+        labels = tmp_path / "labels.json"
+        labels.write_text('{"c1": 1', encoding="utf-8")
+        out = tmp_path / "dataset.json"
+        assert main(["ingest", str(tree_path), "--labels", str(labels), "--out", str(out)]) == 3
+        assert_one_line_error(capsys)
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["ingest", str(tmp_path / "absent.json"), "--out", str(tmp_path / "d.json")])
         assert code == 2
@@ -286,9 +293,10 @@ def assert_one_line_error(capsys) -> None:
 class TestRunDirValidation:
     """A damaged run directory is a data error (exit 3), never a traceback."""
 
-    def eval_code(self, run_dir: Path, dataset: Path, capsys) -> int:
+    def eval_code(self, run_dir: Path, dataset: Path, capsys, full: bool = True) -> int:
         capsys.readouterr()
-        return main(["eval", "--run", str(run_dir), "--dataset", str(dataset), "--full"])
+        argv = ["eval", "--run", str(run_dir), "--dataset", str(dataset)]
+        return main([*argv, "--full"] if full else argv)
 
     @pytest.mark.parametrize(
         "config",
@@ -328,6 +336,59 @@ class TestRunDirValidation:
             model["vocab_size"], model["terms"] = 10, model["terms"][:10]
         write_json(run_dir / "model.json", model)
         assert self.eval_code(run_dir, dataset, capsys) == 3
+        assert_one_line_error(capsys)
+
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda tfidf: tfidf["terms"][3].pop("idf"),
+            lambda tfidf: tfidf["terms"][3].pop("index"),
+            lambda tfidf: tfidf["terms"][3].update(index=0),
+            lambda tfidf: tfidf["terms"][3].update(index=-1),
+            lambda tfidf: tfidf["terms"][3].update(idf="high"),
+            lambda tfidf: tfidf.update(terms=[["term", 0, 1.0]]),
+        ],
+        ids=["no_idf", "no_index", "duplicate_index", "negative_index", "idf_not_number", "term_not_object"],
+    )
+    def test_damaged_tfidf_exits_3(self, tmp_path, separable_paths, capsys, damage):
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        tfidf = json.loads((run_dir / "tfidf.json").read_text(encoding="utf-8"))
+        damage(tfidf)
+        write_json(run_dir / "tfidf.json", tfidf)
+        assert self.eval_code(run_dir, dataset, capsys) == 3
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("content", ['{"doc_count": 1, "terms": [', "5"], ids=["not_json", "not_object"])
+    def test_tfidf_not_an_object_exits_3(self, tmp_path, separable_paths, capsys, content):
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        (run_dir / "tfidf.json").write_text(content, encoding="utf-8")
+        assert self.eval_code(run_dir, dataset, capsys) == 3
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda report: report.pop("cycles"),
+            lambda report: report.pop("best_cycle_index"),
+            lambda report: report["cycles"][report["best_cycle_index"]].pop("seed"),
+            lambda report: report.update(best_cycle_index=7),
+            lambda report: report["cycles"][report["best_cycle_index"]].update(seed="5"),
+        ],
+        ids=["no_cycles", "no_best_cycle_index", "no_seed", "index_out_of_range", "seed_not_int"],
+    )
+    def test_damaged_train_report_exits_3(self, tmp_path, separable_paths, capsys, damage):
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        report = json.loads((run_dir / "train_report.json").read_text(encoding="utf-8"))
+        damage(report)
+        write_json(run_dir / "train_report.json", report)
+        assert self.eval_code(run_dir, dataset, capsys, full=False) == 3
+        assert_one_line_error(capsys)
+
+    def test_train_report_not_json_exits_3(self, tmp_path, separable_paths, capsys):
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        (run_dir / "train_report.json").write_text('{"cycles": [', encoding="utf-8")
+        assert self.eval_code(run_dir, dataset, capsys, full=False) == 3
         assert_one_line_error(capsys)
 
 

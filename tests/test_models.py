@@ -9,7 +9,8 @@ import random
 import numpy as np
 import pytest
 
-from modkit.corpus import Label, LabeledDataset
+from modkit import models
+from modkit.corpus import Label, LabeledDataset, split
 from modkit.errors import (
     BadAlphaError,
     MalformedJsonError,
@@ -35,7 +36,7 @@ from modkit.models import (
     train_nb,
 )
 from modkit.evaluate import ConfusionMatrix, metrics
-from modkit.textprep import PreprocessConfig, Step, TokenStream
+from modkit.textprep import ALL_STEPS, PreprocessConfig, Step, TokenStream, run_pipeline
 from modkit.vectorize import fit, transform_all
 from _oracles import central_difference_gradient, nb_log_joint_oracle
 from _sparse import csr, dense, entries
@@ -375,6 +376,56 @@ class TestRunCycles:
         )
         trained = run_cycles(separable_dataset(), config, n_cycles=1, base_seed=1)
         assert trained.report.best.test.f1 == 1.0
+
+
+def noisy_dataset(n: int = 50, seed: int = 4) -> LabeledDataset:
+    """Class words plus shared noise, and one token unique to each comment,
+    so every fold holds tokens no other fold has."""
+    rng = random.Random(seed)
+    entries = []
+    for i in range(n):
+        label = OFF if rng.random() < 0.5 else NOT
+        cue = "vile" if (label is OFF) == (rng.random() < 0.8) else "kind"
+        noise = " ".join(rng.choice(["ok", "words", "here", "Now!", "then"]) for _ in range(3))
+        entries.append((f"c{i}", f"{cue} {noise} only{i}", label))
+    return LabeledDataset(entries=tuple(entries))
+
+
+class TestPreprocessOnce:
+    CONFIG = CycleConfig(model="nb", preprocess=PreprocessConfig(steps=ALL_STEPS))
+
+    def test_each_comment_preprocessed_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return run_pipeline(text, *args, **kwargs)
+
+        monkeypatch.setattr(models, "run_pipeline", counting)
+        data = noisy_dataset()
+        run_cycles(data, self.CONFIG, n_cycles=5, base_seed=0)
+        assert sorted(calls) == sorted(data.texts())
+
+    def test_vocabulary_is_the_best_train_fold_in_first_seen_order(self):
+        data = noisy_dataset()
+        trained = run_cycles(data, self.CONFIG, n_cycles=5, base_seed=0)
+        # neither the first nor the last cycle, so keeping the wrong
+        # cycle's featurizer would show
+        assert 0 < trained.report.best_cycle_index < 4
+        train_set, val_set, test_set = split(data, self.CONFIG.ratios, trained.report.best.seed)
+
+        def first_seen(part: LabeledDataset) -> list[str]:
+            order: dict[str, None] = {}
+            for text in part.texts():
+                order.update(dict.fromkeys(run_pipeline(text, self.CONFIG.preprocess).tokens))
+            return list(order)
+
+        train_terms = first_seen(train_set)
+        assert list(trained.tfidf.vocabulary) == train_terms
+        assert list(trained.tfidf.vocabulary.values()) == list(range(len(train_terms)))
+        held_out_only = set(first_seen(val_set) + first_seen(test_set)) - set(train_terms)
+        assert held_out_only and not held_out_only & set(trained.tfidf.vocabulary)
+        assert trained.tfidf.doc_count == len(train_set)
 
 
 class TestPersistence:

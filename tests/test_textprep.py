@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
 
+from modkit import textprep
 from modkit.textprep import (
     ALL_STEPS,
     EmojiMode,
@@ -31,7 +33,15 @@ from modkit.textprep import (
     tokenize,
 )
 
-from _fuzz import fuzz_texts
+from _fuzz import fuzz_texts, messy_text
+from _oracles import (
+    oracle_encode_emojis,
+    oracle_is_emoji_char,
+    oracle_is_modifier,
+    oracle_is_punct_char,
+    oracle_normalize_emoticons,
+    oracle_tokenize,
+)
 
 
 class TestTokenize:
@@ -306,3 +316,48 @@ class TestStopList:
         assert "the" not in stoplist.base
         monkeypatch.delenv("MODKIT_DATA_DIR")
         assert "the" in default_stoplist()
+
+
+class TestCharacterTable:
+    """The class table and the regex whitespace split give exactly what
+    the per-character range scans and the hand-written split gave."""
+
+    def test_every_code_point_classified_as_before(self):
+        mismatches = []
+        for block in range(0, 0x110000, 0x10000):
+            try:
+                for cp in range(block, block + 0x10000):
+                    ch = chr(cp)
+                    cls = textprep._CHAR_CLASS[ch]
+                    got = (
+                        is_emoji_char(ch),
+                        cls == textprep._MODIFIER,
+                        cls == textprep._PUNCT,
+                        textprep._SPACE_RUNS.fullmatch(ch) is not None,
+                    )
+                    want = (
+                        oracle_is_emoji_char(ch),
+                        oracle_is_modifier(ch),
+                        oracle_is_punct_char(ch),
+                        ch.isspace(),
+                    )
+                    if got != want:
+                        mismatches.append((hex(cp), got, want))
+            finally:
+                textprep._CHAR_CLASS.clear()  # hold one block at a time, not 1.1M entries
+        assert mismatches == []
+
+    def test_string_steps_match_the_reference_on_fuzz(self):
+        rng = random.Random(20240830)
+        emoticons = default_emoticon_map().entries
+        aliases = default_emoji_aliases()
+        for _ in range(3000):
+            text = messy_text(rng)
+            for variant in (text, text.lower(), oracle_normalize_emoticons(text, emoticons)):
+                assert tokenize(variant).tokens == oracle_tokenize(variant), repr(variant)
+                assert normalize_emoticons(variant) == oracle_normalize_emoticons(variant, emoticons)
+                for mode in EmojiMode:
+                    expected = oracle_encode_emojis(
+                        variant, mode is EmojiMode.ML_PLAIN, aliases, UNKNOWN_EMOJI_ALIAS
+                    )
+                    assert encode_emojis(variant, mode) == expected, (repr(variant), mode)
