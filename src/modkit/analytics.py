@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -120,12 +120,25 @@ def length_histogram(
 
 def _emoji_aliases_in(text: str, aliases: Mapping[str, str]) -> list[str]:
     """Aliases of raw emoji code points plus any whitespace-delimited
-    ``:alias:`` placeholders (emoticons already converted upstream)."""
-    found = [aliases.get(ch, UNKNOWN_EMOJI_ALIAS) for ch in text if is_emoji_char(ch)]
-    for chunk in text.split():
-        if is_alias_placeholder(chunk):
-            found.append(chunk[1:-1])
+    ``:alias:`` placeholders (emoticons already converted upstream).
+    All-ASCII text skips the character scan: no emoji is below U+2600."""
+    found = [] if text.isascii() else [
+        aliases.get(ch, UNKNOWN_EMOJI_ALIAS) for ch in text if is_emoji_char(ch)
+    ]
+    found.extend(chunk[1:-1] for chunk in text.split() if is_alias_placeholder(chunk))
     return found
+
+
+def _ranked_totals(alias_lists: Iterable[list[str]], cap: int | None) -> list[tuple[str, int]]:
+    """Per-alias totals, at most ``cap`` per alias per comment, ranked
+    (count desc, alias asc)."""
+    if cap is not None and cap < 1:
+        raise ConfigError(f"cap must be a positive integer or None, got {cap}")
+    totals: Counter[str] = Counter()
+    for found in filter(None, alias_lists):
+        for alias, count in Counter(found).items():
+            totals[alias] += count if cap is None else min(count, cap)
+    return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def emoji_frequency(
@@ -139,16 +152,9 @@ def emoji_frequency(
     comment, damping single-comment outliers (the fifty-bananas problem)
     without dropping the comment.
     """
-    if cap is not None and cap < 1:
-        raise ConfigError(f"cap must be a positive integer or None, got {cap}")
     if aliases is None:
         aliases = default_emoji_aliases()
-    totals: Counter[str] = Counter()
-    for text in texts:
-        per_comment = Counter(_emoji_aliases_in(text, aliases))
-        for alias, count in per_comment.items():
-            totals[alias] += count if cap is None else min(count, cap)
-    return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+    return _ranked_totals((_emoji_aliases_in(text, aliases) for text in texts), cap)
 
 
 def contains_emoji(text: str) -> bool:
@@ -159,29 +165,8 @@ def contains_emoji(text: str) -> bool:
 
 def emoji_presence(dataset: LabeledDataset) -> EmojiStats:
     """Fraction of comments with at least one emoji, overall and per
-    class. Computed in exact rational arithmetic, rounded to 4 places."""
-    if len(dataset.entries) == 0:
-        raise EmptyDatasetError("emoji presence needs a non-empty dataset")
-
-    def fraction(hits: int, total: int) -> float:
-        if total == 0:
-            return 0.0
-        return float(round(Fraction(hits, total), 4))
-
-    n_off = n_not = hit_off = hit_not = 0
-    for _cid, text, label in dataset.entries:
-        has = contains_emoji(text)
-        if label is Label.OFFENSIVE:
-            n_off += 1
-            hit_off += has
-        else:
-            n_not += 1
-            hit_not += has
-    return EmojiStats(
-        presence_overall=fraction(hit_off + hit_not, n_off + n_not),
-        presence_offensive=fraction(hit_off, n_off),
-        presence_nonoffensive=fraction(hit_not, n_not),
-    )
+    class, as :func:`emoji_stats` computes it."""
+    return replace(emoji_stats(dataset), frequency=())
 
 
 def emoji_stats(
@@ -189,14 +174,34 @@ def emoji_stats(
     cap: int | None = None,
     aliases: Mapping[str, str] | None = None,
 ) -> EmojiStats:
-    """Frequency ranking plus presence fractions in one pass-friendly call."""
-    presence = emoji_presence(dataset)
-    freq = emoji_frequency(dataset.texts(), cap=cap, aliases=aliases)
+    """Frequency ranking plus presence fractions from one alias scan per
+    comment; a comment contains an emoji exactly when its alias list is
+    non-empty. Presence is computed in exact rational arithmetic and
+    rounded to 4 places."""
+    if len(dataset.entries) == 0:
+        raise EmptyDatasetError("emoji presence needs a non-empty dataset")
+    if aliases is None:
+        aliases = default_emoji_aliases()
+
+    def fraction(hits: int, total: int) -> float:
+        if total == 0:
+            return 0.0
+        return float(round(Fraction(hits, total), 4))
+
+    found = [_emoji_aliases_in(text, aliases) for _cid, text, _label in dataset.entries]
+    n_off = n_not = hit_off = hit_not = 0
+    for (_cid, _text, label), in_comment in zip(dataset.entries, found):
+        if label is Label.OFFENSIVE:
+            n_off += 1
+            hit_off += bool(in_comment)
+        else:
+            n_not += 1
+            hit_not += bool(in_comment)
     return EmojiStats(
-        frequency=tuple(freq),
-        presence_overall=presence.presence_overall,
-        presence_offensive=presence.presence_offensive,
-        presence_nonoffensive=presence.presence_nonoffensive,
+        frequency=tuple(_ranked_totals(found, cap)),
+        presence_overall=fraction(hit_off + hit_not, n_off + n_not),
+        presence_offensive=fraction(hit_off, n_off),
+        presence_nonoffensive=fraction(hit_not, n_not),
         per_comment_cap=cap,
     )
 

@@ -145,6 +145,17 @@ class LabeledDataset:
 # Parsing and serialization
 
 
+def _json_loads(data: str | bytes, what: str):
+    """``json.loads`` with invalid and too deeply nested JSON both
+    raised as :class:`MalformedJsonError` prefixed by ``what``."""
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise MalformedJsonError(f"{what}: {exc.msg}", offset=exc.pos) from exc
+    except RecursionError as exc:
+        raise MalformedJsonError(f"{what}: nesting too deep") from exc
+
+
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaViolationError(f"missing required field {key!r}", path)
@@ -188,10 +199,7 @@ def parse_comment_tree(data: bytes | str) -> CommentTree:
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedJsonError(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
+    obj = _json_loads(data, "invalid JSON")
     if not isinstance(obj, dict):
         raise SchemaViolationError("top level must be an object", "$")
     post_id = _require(obj, "post_id", "$")
@@ -200,9 +208,12 @@ def parse_comment_tree(data: bytes | str) -> CommentTree:
     if not isinstance(comments, list):
         raise SchemaViolationError("comments must be an array", "$.comments")
     seen: set[str] = set()
-    roots = tuple(
-        _parse_node(c, f"$.comments[{i}]", 0, seen) for i, c in enumerate(comments)
-    )
+    try:
+        roots = tuple(
+            _parse_node(c, f"$.comments[{i}]", 0, seen) for i, c in enumerate(comments)
+        )
+    except RecursionError as exc:
+        raise MalformedJsonError("comment tree nesting too deep") from exc
     return CommentTree(post_id=str(post_id), post_author=str(post_author), roots=roots)
 
 
@@ -369,18 +380,14 @@ def lexicon_flag(
     is reported at most once per comment. Comments without hits are
     omitted from the result.
     """
-    patterns = [
-        (
-            entry,
-            re.compile(
-                rf"(?<!{_WORD_CHAR}){re.escape(entry.term)}(?!{_WORD_CHAR})",
-                re.IGNORECASE,
-            ),
-        )
-        for entry in lexicon
-    ]
+    patterns = [(entry, _whole_words([entry])) for entry in lexicon]
+    # Matches exactly when some per-term pattern does: every branch shares
+    # the lookbehind, and a failed lookahead backtracks into the next one.
+    any_term = _whole_words(lexicon)
     hits: dict[str, list[tuple[str, LexiconCategory]]] = {}
     for comment in comments:
+        if not any_term.search(comment.text):
+            continue
         found = [
             (entry.term, entry.category)
             for entry, pattern in patterns
@@ -391,16 +398,19 @@ def lexicon_flag(
     return hits
 
 
+def _whole_words(entries: Sequence[LexiconEntry]) -> re.Pattern:
+    """Case-insensitive whole-word match of any of the entries' terms."""
+    terms = "|".join(re.escape(entry.term) for entry in entries)
+    return re.compile(rf"(?<!{_WORD_CHAR})(?:{terms})(?!{_WORD_CHAR})", re.IGNORECASE)
+
+
 # ---------------------------------------------------------------------------
 # File formats
 
 
 def load_labels(path: str | Path) -> dict[str, Label]:
     """Read a label file: JSON object mapping comment_id -> 0 or 1."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedJsonError(f"invalid label JSON in {path}: {exc.msg}", offset=exc.pos) from exc
+    raw = _json_loads(Path(path).read_text(encoding="utf-8"), f"invalid label JSON in {path}")
     if not isinstance(raw, dict):
         raise SchemaViolationError("label file must be a JSON object", str(path))
     labels: dict[str, Label] = {}
@@ -447,21 +457,29 @@ def dataset_to_json(dataset: LabeledDataset) -> str:
 
 
 def dataset_from_json(data: str | bytes) -> LabeledDataset:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedJsonError(f"invalid dataset JSON: {exc.msg}", offset=exc.pos) from exc
+    obj = _json_loads(data, "invalid dataset JSON")
     if not isinstance(obj, dict) or "entries" not in obj:
         raise SchemaViolationError("dataset file must be an object with 'entries'", "$")
+    if not isinstance(obj["entries"], list):
+        raise SchemaViolationError("entries must be an array", "$.entries")
     entries = []
     for i, e in enumerate(obj["entries"]):
+        path = f"$.entries[{i}]"
+        if not isinstance(e, dict):
+            raise SchemaViolationError("entry must be an object", path)
         for key in ("id", "text", "label"):
             if key not in e:
-                raise SchemaViolationError(f"missing {key!r}", f"$.entries[{i}]")
+                raise SchemaViolationError(f"missing {key!r}", path)
+        if not isinstance(e["id"], str) or not e["id"]:
+            raise SchemaViolationError("id must be a non-empty string", f"{path}.id")
+        if not isinstance(e["text"], str):
+            raise SchemaViolationError("text must be a string", f"{path}.text")
         if e["label"] not in (0, 1):
-            raise SchemaViolationError("label must be 0 or 1", f"$.entries[{i}].label")
+            raise SchemaViolationError("label must be 0 or 1", f"{path}.label")
         entries.append((e["id"], e["text"], Label(e["label"])))
     provenance = obj.get("provenance") or None
+    if provenance is not None and not isinstance(provenance, dict):
+        raise SchemaViolationError("provenance must be an object", "$.provenance")
     return LabeledDataset(entries=tuple(entries), provenance=provenance)
 
 

@@ -57,3 +57,12 @@ def messy_text(rng: random.Random, max_pieces: int = 10) -> str:
     if rng.random() < 0.3:
         out.append(rng.choice(WHITESPACE))
     return "".join(out)
+
+
+def reply_chain(depth: int) -> str:
+    """JSON of a comment tree whose comments c0..c{depth-1} each reply to
+    the previous one, written by hand: ``json.dumps`` itself recurses."""
+    opened = "".join(
+        f'{{"id": "c{i}", "author": "u", "text": "reply {i}", "replies": [' for i in range(depth)
+    )
+    return '{"post_id": "p", "post_author": "op", "comments": [' + opened + "]}" * depth + "]}"

@@ -7,6 +7,7 @@ into the code paths it verifies.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from fractions import Fraction
 from math import log, sqrt
@@ -256,3 +257,76 @@ def oracle_tokenize(text: str) -> tuple[str, ...]:
             else:
                 tokens.extend(_oracle_split_edges(segment))
     return tuple(tokens)
+
+
+# ---------------------------------------------------------------------------
+# Lexicon flagging as it was before the single alternation: one
+# whole-word pattern per term, searched on every comment.
+
+
+def oracle_lexicon_flag(comments, lexicon) -> dict:
+    patterns = [
+        (entry, re.compile(rf"(?<![^\W_]){re.escape(entry.term)}(?![^\W_])", re.IGNORECASE))
+        for entry in lexicon
+    ]
+    hits = {}
+    for comment in comments:
+        found = [
+            (entry.term, entry.category)
+            for entry, pattern in patterns
+            if pattern.search(comment.text)
+        ]
+        if found:
+            hits[comment.id] = found
+    return hits
+
+
+# ---------------------------------------------------------------------------
+# Emoji statistics as they were before the single alias scan: presence
+# and frequency each scan every comment, character by character.
+
+
+def _oracle_emoji_aliases_in(text: str, aliases, unknown: str) -> list[str]:
+    found = [aliases.get(ch, unknown) for ch in text if oracle_is_emoji_char(ch)]
+    for chunk in text.split():
+        if _oracle_is_alias_placeholder(chunk):
+            found.append(chunk[1:-1])
+    return found
+
+
+def oracle_emoji_frequency(texts, cap, aliases, unknown: str) -> list[tuple[str, int]]:
+    totals: dict[str, int] = {}
+    for text in texts:
+        per_comment: dict[str, int] = {}
+        for alias in _oracle_emoji_aliases_in(text, aliases, unknown):
+            per_comment[alias] = per_comment.get(alias, 0) + 1
+        for alias, count in per_comment.items():
+            totals[alias] = totals.get(alias, 0) + (count if cap is None else min(count, cap))
+    return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def oracle_contains_emoji(text: str) -> bool:
+    return any(oracle_is_emoji_char(ch) for ch in text) or any(
+        _oracle_is_alias_placeholder(chunk) for chunk in text.split()
+    )
+
+
+def oracle_emoji_presence(entries) -> tuple[float, float, float]:
+    """(overall, offensive, not offensive) for ``(id, text, is_offensive)``
+    entries, exact fractions rounded to 4 places."""
+
+    def fraction(hits: int, total: int) -> float:
+        return float(round(Fraction(hits, total), 4)) if total else 0.0
+
+    n_off = n_not = hit_off = hit_not = 0
+    for _cid, text, offensive in entries:
+        has = oracle_contains_emoji(text)
+        if offensive:
+            n_off, hit_off = n_off + 1, hit_off + has
+        else:
+            n_not, hit_not = n_not + 1, hit_not + has
+    return (
+        fraction(hit_off + hit_not, n_off + n_not),
+        fraction(hit_off, n_off),
+        fraction(hit_not, n_not),
+    )

@@ -17,10 +17,29 @@ from modkit.analytics import (
     ngram_counts,
 )
 from modkit.corpus import Label, LabeledDataset
-from modkit.errors import BadBucketWidthError, BadNError, EmptyDatasetError, EmptyTableError
-from modkit.textprep import TokenStream
+from modkit.errors import (
+    BadBucketWidthError,
+    BadNError,
+    ConfigError,
+    EmptyDatasetError,
+    EmptyTableError,
+)
+from modkit.textprep import (
+    UNKNOWN_EMOJI_ALIAS,
+    TokenStream,
+    default_emoji_aliases,
+    is_emoji_char,
+    normalize_emoticons,
+)
 
-from _oracles import brute_ngrams, brute_top_k
+from _fuzz import messy_text
+from _oracles import (
+    brute_ngrams,
+    brute_top_k,
+    oracle_emoji_frequency,
+    oracle_emoji_presence,
+    oracle_is_emoji_char,
+)
 
 
 def stream(*tokens: str) -> TokenStream:
@@ -154,6 +173,61 @@ class TestEmojiPresence:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
             emoji_presence(LabeledDataset(entries=()))
+
+
+def fuzz_emoji_dataset() -> LabeledDataset:
+    """3,000 messy comments of both labels after emoticon normalization,
+    plus all-ASCII comments that carry only ``:alias:`` placeholders."""
+    rng = random.Random(97)
+    texts = [normalize_emoticons(messy_text(rng)) for _ in range(3000)]
+    texts += ["nice :skull: :x:", ":)", "plain ascii", ":not a placeholder:"]
+    labels = [Label.OFFENSIVE if rng.random() < 0.3 else Label.NOT_OFFENSIVE for _ in texts]
+    return LabeledDataset(
+        entries=tuple((f"c{i}", text, label) for i, (text, label) in enumerate(zip(texts, labels)))
+    )
+
+
+def presence_of(stats) -> tuple[float, float, float]:
+    return stats.presence_overall, stats.presence_offensive, stats.presence_nonoffensive
+
+
+class TestEmojiStatsSingleScan:
+    """``emoji_stats`` scans each comment once and gives what presence
+    and frequency, each scanning every comment, gave before."""
+
+    @pytest.mark.parametrize("cap", [None, 1, 2])
+    def test_matches_the_two_scan_reference(self, cap):
+        dataset = fuzz_emoji_dataset()
+        aliases = default_emoji_aliases()
+        texts = dataset.texts()
+        ascii_with_placeholders = [
+            t for t in texts if t.isascii() and oracle_emoji_frequency([t], None, {}, "")
+        ]
+        assert len(ascii_with_placeholders) > 20
+        frequency = oracle_emoji_frequency(texts, cap, aliases, UNKNOWN_EMOJI_ALIAS)
+        presence = oracle_emoji_presence(
+            (cid, text, label is Label.OFFENSIVE) for cid, text, label in dataset.entries
+        )
+        stats = emoji_stats(dataset, cap=cap)
+        assert stats.frequency == tuple(frequency)
+        assert presence_of(stats) == presence
+        assert stats.per_comment_cap == cap
+        assert emoji_frequency(texts, cap=cap) == frequency
+        only_presence = emoji_presence(dataset)
+        assert presence_of(only_presence) == presence
+        assert (only_presence.frequency, only_presence.per_comment_cap) == ((), None)
+        assert 0 < presence[0] < 1
+
+    def test_no_emoji_below_u2600(self):
+        """The premise of skipping the character scan on ASCII text."""
+        assert not any(oracle_is_emoji_char(chr(cp)) for cp in range(0x2600))
+        assert not any(is_emoji_char(chr(cp)) for cp in range(0x80))
+
+    def test_bad_cap_rejected(self):
+        with pytest.raises(ConfigError):
+            emoji_stats(presence_dataset(), cap=0)
+        with pytest.raises(ConfigError):
+            emoji_frequency(["x"], cap=0)
 
 
 class TestCloudWeights:

@@ -9,6 +9,8 @@ import pytest
 
 from modkit.cli import main
 
+from _fuzz import reply_chain
+
 TREE = {
     "post_id": "p1",
     "post_author": "op",
@@ -288,6 +290,60 @@ def assert_one_line_error(capsys) -> None:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+class TestMalformedDatasets:
+    """A dataset file of the wrong shape is a data error (exit 3) with one
+    line naming the offending entry, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, content, where",
+        [
+            ("balance", {"entries": [5]}, "$.entries[0]"),
+            ("analyze", {"entries": [{"id": "a", "text": 5, "label": 1}]}, "$.entries[0].text"),
+            ("balance", {"entries": {}}, "$.entries"),
+            ("analyze", {"entries": [{"id": "", "text": "x", "label": 0}]}, "$.entries[0].id"),
+            ("balance", {"entries": [{"id": 3, "text": "x", "label": 0}]}, "$.entries[0].id"),
+            ("balance", {"entries": [], "provenance": [1]}, "$.provenance"),
+        ],
+    )
+    def test_wrong_types_exit_3(self, tmp_path, capsys, command, content, where):
+        dataset = write_json(tmp_path / "dataset.json", content)
+        argv = [command, "--dataset", str(dataset), "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"(at {where})" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_too_deeply_nested_dataset_exits_3(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text('{"entries": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+        assert main(["balance", "--dataset", str(dataset), "--out", str(tmp_path / "b.json")]) == 3
+        assert_one_line_error(capsys)
+
+
+class TestDeepReplyChains:
+    def test_600_deep_chain_exits_3(self, tmp_path, capsys):
+        tree = tmp_path / "tree.json"
+        tree.write_text(reply_chain(600), encoding="utf-8")
+        assert main(["ingest", str(tree), "--out", str(tmp_path / "d.json")]) == 3
+        assert_one_line_error(capsys)
+
+    def test_300_deep_chain_ingests_in_order(self, tmp_path):
+        tree = tmp_path / "tree.json"
+        tree.write_text(reply_chain(300), encoding="utf-8")
+        labels = write_json(tmp_path / "labels.json", {f"c{i}": i % 2 for i in range(300)})
+        out = tmp_path / "d.json"
+        assert main(["ingest", str(tree), "--labels", str(labels), "--out", str(out)]) == 0
+        entries = json.loads(out.read_text(encoding="utf-8"))["entries"]
+        assert [e["id"] for e in entries] == [f"c{i}" for i in range(300)]
+
+    def test_deeply_nested_labels_exit_3(self, tmp_path, tree_path, capsys):
+        labels = tmp_path / "labels.json"
+        labels.write_text('{"c1": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+        argv = ["ingest", str(tree_path), "--labels", str(labels), "--out", str(tmp_path / "d.json")]
+        assert main(argv) == 3
+        assert_one_line_error(capsys)
 
 
 class TestRunDirValidation:

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from modkit import corpus
 from modkit.corpus import (
     Comment,
     Label,
@@ -31,7 +32,8 @@ from modkit.errors import (
     UnknownCommentIdError,
 )
 
-from _oracles import reference_shuffle
+from _fuzz import messy_text, random_text, reply_chain
+from _oracles import oracle_lexicon_flag, reference_shuffle
 
 
 def make_dataset(n_off: int, n_not: int) -> LabeledDataset:
@@ -95,6 +97,23 @@ class TestParse:
             ensure_ascii=False,
         ).encode("utf-8")
         assert flatten(parse_comment_tree(raw))[0].text == "hi 😂"
+
+    def test_300_deep_reply_chain(self):
+        tree = parse_comment_tree(reply_chain(300))
+        assert tree.node_count() == 300
+        comments = flatten(tree)
+        assert [c.id for c in comments] == [f"c{i}" for i in range(300)]
+        assert [c.depth for c in comments] == list(range(300))
+
+    def test_decoded_but_too_deep_to_walk(self, monkeypatch):
+        """Newer decoders may accept more nesting than the walk can recurse."""
+        node: dict | None = None
+        for i in reversed(range(5000)):
+            node = {"id": f"c{i}", "author": "u", "text": "x", "replies": [node] if node else []}
+        decoded = {"post_id": "p", "post_author": "a", "comments": [node]}
+        monkeypatch.setattr(corpus, "_json_loads", lambda data, what: decoded)
+        with pytest.raises(MalformedJsonError, match="nesting too deep"):
+            parse_comment_tree("{}")
 
 
 def random_tree_obj(rng: random.Random, max_depth: int = 5, budget: int = 200) -> dict:
@@ -317,3 +336,68 @@ class TestLexiconFlag:
     def test_underscore_is_a_boundary(self):
         hits = lexicon_flag([Comment(id="c", author="u", text="x_retard_x")], self.LEXICON)
         assert "c" in hits
+
+
+FUZZ_LEXICON = [
+    LexiconEntry(term, category)
+    for term, category in [
+        ("idiot", LexiconCategory.DEROGATORY),
+        ("shut up", LexiconCategory.THREATENING),
+        ("loser", LexiconCategory.DEROGATORY),
+        ("up", LexiconCategory.WATCHWORD),
+        ("c++", LexiconCategory.WATCHWORD),
+        ("go back", LexiconCategory.DISCRIMINATORY),
+        ("dumb", LexiconCategory.DEROGATORY),
+    ]
+]
+#: Spellings spliced into fuzz texts: exact, mixed case, inside longer
+#: words, against ``_`` and digits, ``ſ``/``İ`` (IGNORECASE matches
+#: them, ``str.lower`` does not), multi-word and overlapping terms, and
+#: a term with regex metacharacters.
+SPLICES = [
+    "idiot", "IDIOT", "iDiOt", "idiots", "xidiot", "_idiot", "idiot_", "7idiot", "idiot42",
+    "loſer", "LOſER", "İdiot", "İDIOT", "shut up", "SHUT UP", "Shut up!", "shutup", "shut  up",
+    "up", "Up", "upside", "setup", "c++", "C++", "c+++", "xc++", "c++x", "(c++)", "c+",
+    "go back", "GO BACK", "go backwards", "dumb", "DUMB", "dumber", "é_dumb", "dumbé",
+]
+
+
+def spliced_text(rng: random.Random) -> str:
+    text = messy_text(rng) if rng.random() < 0.5 else random_text(rng)
+    for _ in range(rng.randint(0, 3)):
+        at = rng.choice([0, len(text), rng.randint(0, len(text))])
+        text = text[:at] + rng.choice(SPLICES) + text[at:]
+    return text
+
+
+class TestLexiconAlternation:
+    """One alternation over all terms finds exactly the comments that the
+    per-term patterns find; those still decide the reported terms."""
+
+    def test_matches_per_term_patterns_on_fuzz(self):
+        rng = random.Random(41)
+        comments = [Comment(id=f"c{i}", author="u", text=spliced_text(rng)) for i in range(3000)]
+        for lexicon in (FUZZ_LEXICON, FUZZ_LEXICON[::-1], FUZZ_LEXICON[2:5], FUZZ_LEXICON[4:5], []):
+            expected = oracle_lexicon_flag(comments, lexicon)
+            assert lexicon_flag(comments, lexicon) == expected
+            if lexicon:
+                assert 0 < len(expected) < len(comments)
+        multi = oracle_lexicon_flag(comments, FUZZ_LEXICON)
+        assert any(len(found) > 1 for found in multi.values())
+        any_term = corpus._whole_words(FUZZ_LEXICON)
+        assert {c.id for c in comments if any_term.search(c.text)} == set(multi)
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ("you loſer", ["loser"]),
+            ("İdiot.", ["idiot"]),
+            ("SHUT UP now", ["shut up", "up"]),
+            ("I write C++.", ["c++"]),
+            ("idiots and xidiot", []),
+            ("dumb_idiot9 c++x", ["dumb"]),
+        ],
+    )
+    def test_terms_reported_in_lexicon_order(self, text, terms):
+        hits = lexicon_flag([Comment(id="c", author="u", text=text)], FUZZ_LEXICON)
+        assert [term for term, _ in hits.get("c", [])] == terms
