@@ -157,12 +157,6 @@ def emoji_frequency(
     return _ranked_totals((_emoji_aliases_in(text, aliases) for text in texts), cap)
 
 
-def contains_emoji(text: str) -> bool:
-    return any(is_emoji_char(ch) for ch in text) or any(
-        is_alias_placeholder(chunk) for chunk in text.split()
-    )
-
-
 def emoji_presence(dataset: LabeledDataset) -> EmojiStats:
     """Fraction of comments with at least one emoji, overall and per
     class, as :func:`emoji_stats` computes it."""

@@ -20,12 +20,20 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__, _atomic, analytics, corpus, evaluate, models, textprep, vectorize
-from .errors import ConfigError, MalformedJsonError, ModkitError, SchemaViolationError
+from .errors import (
+    ConfigError,
+    DatasetMismatchError,
+    MalformedConfigError,
+    ModkitError,
+    SchemaViolationError,
+    is_number,
+    load_json,
+)
 
 DEFAULT_STEPS = (
     "lowercasing",
@@ -52,9 +60,11 @@ class RunConfig:
     out: str = "runs"
     variant_name: str = ""
 
-    def hash(self) -> str:
+    def hash(self, dataset_sha256: str) -> str:
+        """Run identity: every field but ``out``, the dataset by content sha256."""
         payload = asdict(self)
-        payload.pop("out")  # output location does not change the experiment
+        payload.pop("out")
+        payload["dataset"] = dataset_sha256
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         )
@@ -66,10 +76,7 @@ def _load_config_file(path: str) -> dict:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
+    obj = load_json(raw, f"config {path} is not valid JSON", MalformedConfigError)
     if not isinstance(obj, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return obj
@@ -81,9 +88,11 @@ def _apply_set_overrides(config: dict, overrides: Sequence[str]) -> None:
         if not sep:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value
+            parsed = load_json(value, f"--set {key}", MalformedConfigError)
+        except MalformedConfigError as exc:
+            if not isinstance(exc.__cause__, json.JSONDecodeError):
+                raise
+            parsed = value  # not JSON: the plain string
         target = config
         parts = key.split(".")
         for part in parts[:-1]:
@@ -106,17 +115,28 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return _run_config(config)
 
 
+def _fits(value, default) -> bool:
+    """Whether a config value has its field default's type (arrays itemwise)."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(item, default[0]) for item in value)
+    if isinstance(default, float):
+        return is_number(value)
+    return type(value) is type(default)
+
+
 def _run_config(config: dict) -> RunConfig:
-    """RunConfig from a key/value mapping; ConfigError on unknown keys
-    or values outside the accepted choices."""
+    """RunConfig from a key/value mapping; ConfigError on unknown keys,
+    values of the wrong type or values outside the accepted choices."""
     unknown = set(config) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     config = dict(config)
-    if "steps" in config:
-        config["steps"] = tuple(config["steps"])
-    if "ratios" in config:
-        config["ratios"] = tuple(config["ratios"])
+    for field in fields(RunConfig):
+        if field.name in config:
+            if not _fits(config[field.name], field.default):
+                raise ConfigError(f"config {field.name!r} is unlike its default {field.default!r}")
+            if isinstance(field.default, tuple):
+                config[field.name] = tuple(config[field.name])
     run_config = RunConfig(**config)
     if run_config.model not in ("nb", "lr"):
         raise ConfigError(f"model must be 'nb' or 'lr', got {run_config.model!r}")
@@ -216,14 +236,8 @@ def cmd_balance(args: argparse.Namespace) -> int:
     return 0
 
 
-_ANALYZE_BASE_STEPS = frozenset(
-    {
-        textprep.Step.LOWERCASING,
-        textprep.Step.EMOJI_ENCODING,
-        textprep.Step.PUNCTUATION_REMOVAL,
-        textprep.Step.LEMMATIZATION,
-    }
-)
+#: analyze's steps before stop-word removal, by name: importing cli runs no textprep code
+_ANALYZE_BASE_STEPS = ("lowercasing", "emoji_encoding", "punctuation_removal", "lemmatization")
 
 _NGRAM_NAMES = {1: "uni", 2: "bi", 3: "tri"}
 
@@ -240,11 +254,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     offensive = [
         (cid, text) for cid, text, label in dataset.entries if label is corpus.Label.OFFENSIVE
     ]
+    base_steps = frozenset(map(textprep.Step, _ANALYZE_BASE_STEPS))
     variants = {
-        "before": textprep.PreprocessConfig(steps=_ANALYZE_BASE_STEPS),
-        "after": textprep.PreprocessConfig(
-            steps=_ANALYZE_BASE_STEPS | {textprep.Step.STOPWORD_REMOVAL}
-        ),
+        "before": textprep.PreprocessConfig(steps=base_steps),
+        "after": textprep.PreprocessConfig(steps=base_steps | {textprep.Step.STOPWORD_REMOVAL}),
     }
     for suffix, preprocess in variants.items():
         streams = [
@@ -284,8 +297,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     if not config.dataset:
         raise ConfigError("a dataset file is required (--dataset or config)")
-    dataset = corpus.load_dataset(_require_file(config.dataset, "dataset file"))
-    run_dir = Path(config.out) / config.hash()
+    dataset_path = _require_file(config.dataset, "dataset file")
+    dataset = corpus.load_dataset(dataset_path)
+    dataset_sha256 = _sha256(dataset_path)
+    run_dir = Path(config.out) / config.hash(dataset_sha256)
     run_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     trained = models.run_cycles(
@@ -322,6 +337,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     artifact_names = ("tfidf.json", "model.json", "train_report.json")
     manifest = {
         "config": asdict(config),
+        "dataset_sha256": dataset_sha256,
         "version": __version__,
         "checksums": {name: _sha256(run_dir / name) for name in artifact_names},
         "timings": {"train_seconds": train_seconds},
@@ -333,12 +349,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_run(run_dir: Path) -> tuple[RunConfig, vectorize.TfidfModel, models.NBModel | models.LRModel, dict]:
     manifest_path = _require_file(run_dir / "manifest.json", "run manifest")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaViolationError(
-            f"manifest is not valid JSON: {exc.msg}", str(manifest_path)
-        ) from exc
+    manifest = load_json(
+        manifest_path.read_text(encoding="utf-8"), f"invalid manifest JSON in {manifest_path}"
+    )
     config_obj = manifest.get("config") if isinstance(manifest, dict) else None
     if not isinstance(config_obj, dict):
         raise SchemaViolationError("manifest has no config object", str(manifest_path))
@@ -353,12 +366,9 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, vectorize.TfidfModel, models.NB
 
 def _best_cycle_seed(report_path: Path) -> int:
     """Split seed of the best cycle recorded in a run's train report."""
-    try:
-        report = json.loads(_read_text(report_path, "train report"))
-    except json.JSONDecodeError as exc:
-        raise MalformedJsonError(
-            f"train report {report_path} is not valid JSON: {exc.msg}", offset=exc.pos
-        ) from exc
+    report = load_json(
+        _read_text(report_path, "train report"), f"invalid train report JSON in {report_path}"
+    )
     try:
         cycles, best = report["cycles"], report["best_cycle_index"]
         if type(best) is not int or not 0 <= best < len(cycles):
@@ -373,13 +383,19 @@ def _best_cycle_seed(report_path: Path) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
-    config, tfidf, model, _manifest = _load_run(run_dir)
-    dataset = corpus.load_dataset(_require_file(args.dataset, "dataset file"))
+    config, tfidf, model, manifest = _load_run(run_dir)
+    dataset_path = _require_file(args.dataset, "dataset file")
+    dataset = corpus.load_dataset(dataset_path)
     cycle_config = _cycle_config(config)
     if args.full:
         subset = dataset
         scope = "full dataset"
     else:
+        if _sha256(dataset_path) != manifest.get("dataset_sha256"):
+            raise DatasetMismatchError(
+                f"{dataset_path} is not the dataset {run_dir} was trained on "
+                "(sha256 differs from the manifest); use --full to score another dataset"
+            )
         best_seed = _best_cycle_seed(run_dir / "train_report.json")
         _, _, subset = corpus.split(dataset, config.ratios, best_seed)
         scope = f"test fold of best cycle (seed={best_seed})"
@@ -398,7 +414,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     variants: list[evaluate.MetricsReport] = []
     for input_path in args.inputs:
         variants.extend(
-            evaluate.parse_report_json(_read_text(input_path, "report file"))
+            evaluate.parse_report_json(_read_text(input_path, "report file"), str(input_path))
         )
     if args.reference:
         variants.extend(evaluate.load_reference_scores())

@@ -25,6 +25,7 @@ from .errors import (
     MalformedJsonError,
     SchemaViolationError,
     UnknownCommentIdError,
+    load_json,
 )
 from ._rng import sample_without_replacement, shuffled
 
@@ -145,17 +146,6 @@ class LabeledDataset:
 # Parsing and serialization
 
 
-def _json_loads(data: str | bytes, what: str):
-    """``json.loads`` with invalid and too deeply nested JSON both
-    raised as :class:`MalformedJsonError` prefixed by ``what``."""
-    try:
-        return json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedJsonError(f"{what}: {exc.msg}", offset=exc.pos) from exc
-    except RecursionError as exc:
-        raise MalformedJsonError(f"{what}: nesting too deep") from exc
-
-
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaViolationError(f"missing required field {key!r}", path)
@@ -199,12 +189,14 @@ def parse_comment_tree(data: bytes | str) -> CommentTree:
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    obj = _json_loads(data, "invalid JSON")
+    obj = load_json(data, "invalid JSON")
     if not isinstance(obj, dict):
         raise SchemaViolationError("top level must be an object", "$")
     post_id = _require(obj, "post_id", "$")
     post_author = _require(obj, "post_author", "$")
     comments = _require(obj, "comments", "$")
+    if not isinstance(post_id, str) or not isinstance(post_author, str):
+        raise SchemaViolationError("post_id and post_author must be strings", "$")
     if not isinstance(comments, list):
         raise SchemaViolationError("comments must be an array", "$.comments")
     seen: set[str] = set()
@@ -214,7 +206,7 @@ def parse_comment_tree(data: bytes | str) -> CommentTree:
         )
     except RecursionError as exc:
         raise MalformedJsonError("comment tree nesting too deep") from exc
-    return CommentTree(post_id=str(post_id), post_author=str(post_author), roots=roots)
+    return CommentTree(post_id=post_id, post_author=post_author, roots=roots)
 
 
 def _node_to_obj(node: CommentNode) -> dict:
@@ -410,12 +402,12 @@ def _whole_words(entries: Sequence[LexiconEntry]) -> re.Pattern:
 
 def load_labels(path: str | Path) -> dict[str, Label]:
     """Read a label file: JSON object mapping comment_id -> 0 or 1."""
-    raw = _json_loads(Path(path).read_text(encoding="utf-8"), f"invalid label JSON in {path}")
+    raw = load_json(Path(path).read_text(encoding="utf-8"), f"invalid label JSON in {path}")
     if not isinstance(raw, dict):
         raise SchemaViolationError("label file must be a JSON object", str(path))
     labels: dict[str, Label] = {}
     for cid, value in raw.items():
-        if value not in (0, 1):
+        if isinstance(value, bool) or value not in (0, 1):
             raise SchemaViolationError(
                 f"label for {cid!r} must be 0 or 1, got {value!r}", str(path)
             )
@@ -457,7 +449,7 @@ def dataset_to_json(dataset: LabeledDataset) -> str:
 
 
 def dataset_from_json(data: str | bytes) -> LabeledDataset:
-    obj = _json_loads(data, "invalid dataset JSON")
+    obj = load_json(data, "invalid dataset JSON")
     if not isinstance(obj, dict) or "entries" not in obj:
         raise SchemaViolationError("dataset file must be an object with 'entries'", "$")
     if not isinstance(obj["entries"], list):
@@ -474,12 +466,15 @@ def dataset_from_json(data: str | bytes) -> LabeledDataset:
             raise SchemaViolationError("id must be a non-empty string", f"{path}.id")
         if not isinstance(e["text"], str):
             raise SchemaViolationError("text must be a string", f"{path}.text")
-        if e["label"] not in (0, 1):
+        if isinstance(e["label"], bool) or e["label"] not in (0, 1):
             raise SchemaViolationError("label must be 0 or 1", f"{path}.label")
         entries.append((e["id"], e["text"], Label(e["label"])))
     provenance = obj.get("provenance") or None
     if provenance is not None and not isinstance(provenance, dict):
         raise SchemaViolationError("provenance must be an object", "$.provenance")
+    for cid, post_id in (provenance or {}).items():
+        if not isinstance(post_id, str):
+            raise SchemaViolationError("post id must be a string", f"$.provenance.{cid}")
     return LabeledDataset(entries=tuple(entries), provenance=provenance)
 
 

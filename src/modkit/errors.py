@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modkit modules.
+"""Exception hierarchy shared by all modkit modules, and their JSON loader.
 
 Every error carries an ``exit_code`` used by the command-line front end:
 2 for usage/configuration problems, 3 for data problems, 4 for numeric
@@ -6,6 +6,9 @@ failures.
 """
 
 from __future__ import annotations
+
+import json
+import sys
 
 
 class ModkitError(Exception):
@@ -28,12 +31,20 @@ class MalformedJsonError(ModkitError):
         self.offset = offset
 
 
+class MalformedConfigError(ConfigError, MalformedJsonError):
+    """A configuration value is not valid JSON (a usage error, exit 2)."""
+
+
 class SchemaViolationError(ModkitError):
     """JSON parsed but does not match the comment-tree schema."""
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{message} (at {path})" if path else message)
         self.path = path
+
+
+class DatasetMismatchError(ModkitError):
+    """The dataset is not the one the run was trained on."""
 
 
 class DuplicateIdError(ModkitError):
@@ -100,3 +111,19 @@ class EmptyVocabError(ModkitError):
 
 class BadTokenError(ModkitError, ValueError):
     """Vocabulary token is empty or contains whitespace."""
+
+
+def is_number(value) -> bool:
+    """A finite JSON number within the float range; a bool is no number."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def load_json(data: str | bytes, what: str, error: type[MalformedJsonError] = MalformedJsonError):
+    """``json.loads`` with invalid and too deeply nested JSON both raised
+    as ``error``, its message prefixed by ``what``."""
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what}: {exc.msg}", offset=exc.pos) from exc
+    except RecursionError as exc:
+        raise error(f"{what}: nesting too deep") from exc

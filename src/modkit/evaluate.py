@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import _resources
 from .corpus import Label
-from .errors import EmptyEvalError, LengthMismatchError
+from .errors import EmptyEvalError, LengthMismatchError, SchemaViolationError, is_number, load_json
 
 
 @dataclass(frozen=True)
@@ -122,40 +122,38 @@ def metrics(matrix: ConfusionMatrix, variant_name: str = "") -> MetricsReport:
 # Report rendering
 
 
+#: Variant field order in report JSON: these cells under "matrix", then these scores.
+_CELLS = ("tp", "fp", "fn", "tn")
+_SCORES = ("f1", "accuracy", "precision", "recall", "specificity")
+
+
 def report_to_dict(report: MetricsReport) -> dict:
     return {
         "name": report.variant_name,
-        "matrix": {
-            "tp": report.matrix.tp,
-            "fp": report.matrix.fp,
-            "fn": report.matrix.fn,
-            "tn": report.matrix.tn,
-        },
-        "f1": report.f1,
-        "accuracy": report.accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "specificity": report.specificity,
+        "matrix": {key: getattr(report.matrix, key) for key in _CELLS},
+        **{key: getattr(report, key) for key in _SCORES},
         "degenerate": report.degenerate,
     }
 
 
-def report_from_dict(obj: dict) -> MetricsReport:
-    matrix = ConfusionMatrix(
-        tp=obj["matrix"]["tp"],
-        fp=obj["matrix"]["fp"],
-        fn=obj["matrix"]["fn"],
-        tn=obj["matrix"]["tn"],
-    )
+def report_from_dict(obj, path: str) -> MetricsReport:
+    """Inverse of :func:`report_to_dict`; :class:`SchemaViolationError`
+    at ``path`` when a field is missing or of the wrong type."""
+    matrix = obj.get("matrix") if isinstance(obj, dict) else None
+    if not isinstance(matrix, dict):
+        raise SchemaViolationError("a variant must be an object with a 'matrix' object", path)
+    cells = {key: matrix.get(key) for key in _CELLS}
+    scores = {key: obj.get(key) for key in _SCORES}
+    name, degenerate = obj.get("name", ""), obj.get("degenerate", False)
+    if not (
+        all(type(value) is int and value >= 0 for value in cells.values())
+        and all(map(is_number, scores.values()))
+        and isinstance(name, str)
+        and isinstance(degenerate, bool)
+    ):
+        raise SchemaViolationError("a variant field is missing or of the wrong type", path)
     return MetricsReport(
-        f1=obj["f1"],
-        accuracy=obj["accuracy"],
-        precision=obj["precision"],
-        recall=obj["recall"],
-        specificity=obj["specificity"],
-        matrix=matrix,
-        variant_name=obj.get("name", ""),
-        degenerate=obj.get("degenerate", False),
+        matrix=ConfusionMatrix(**cells), variant_name=name, degenerate=degenerate, **scores
     )
 
 
@@ -188,15 +186,8 @@ def render_text_table(variants: Sequence[MetricsReport]) -> str:
     rows = [
         (
             v.variant_name or "(unnamed)",
-            str(v.matrix.tp),
-            str(v.matrix.fp),
-            str(v.matrix.fn),
-            str(v.matrix.tn),
-            f"{v.f1:.4f}",
-            f"{v.accuracy:.4f}",
-            f"{v.precision:.4f}",
-            f"{v.recall:.4f}",
-            f"{v.specificity:.4f}",
+            *(str(getattr(v.matrix, key)) for key in _CELLS),
+            *(f"{getattr(v, key):.4f}" for key in _SCORES),
         )
         for v in variants
     ]
@@ -213,9 +204,15 @@ def render_text_table(variants: Sequence[MetricsReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report_json(data: str) -> list[MetricsReport]:
-    obj = json.loads(data)
-    return [report_from_dict(v) for v in obj.get("variants", [])]
+def parse_report_json(data: str, source: str = "report") -> list[MetricsReport]:
+    """Variants of a report written by :func:`render_json`. Invalid JSON
+    raises :class:`MalformedJsonError`, any other shape
+    :class:`SchemaViolationError`; ``source`` names the input in both."""
+    obj = load_json(data, f"invalid JSON in {source}")
+    variants = obj.get("variants", []) if isinstance(obj, dict) else None
+    if not isinstance(variants, list):
+        raise SchemaViolationError(f"{source} must be an object with a 'variants' array", "$")
+    return [report_from_dict(v, f"$.variants[{i}] of {source}") for i, v in enumerate(variants)]
 
 
 def load_reference_scores(path: str | Path | None = None) -> list[MetricsReport]:
@@ -226,7 +223,7 @@ def load_reference_scores(path: str | Path | None = None) -> list[MetricsReport]
     identities.
     """
     if path is not None:
-        return parse_report_json(Path(path).read_text(encoding="utf-8"))
+        return parse_report_json(Path(path).read_text(encoding="utf-8"), str(path))
     return _resources.cached(
         "reference_scores",
         lambda p: parse_report_json((p / "reference_scores.json").read_text(encoding="utf-8")),

@@ -27,13 +27,14 @@ from .corpus import LabeledDataset, Label, split
 from .errors import (
     BadAlphaError,
     ConfigError,
-    MalformedJsonError,
     NonFiniteLossError,
     SchemaViolationError,
     SingleClassError,
+    is_number,
+    load_json,
 )
 from .evaluate import MetricsReport, confusion, metrics
-from .textprep import PreprocessConfig, StopList, TokenStream, run_pipeline
+from .textprep import PreprocessConfig, Step, StopList, TokenStream, run_pipeline
 from .vectorize import CSRMatrix, TfidfModel, fit, transform_all
 
 # Class index convention: column 0 = NOT_OFFENSIVE, column 1 = OFFENSIVE.
@@ -353,8 +354,6 @@ def select_best_cycle(results: Sequence[CycleResult]) -> int:
 
 
 def default_variant_name(config: CycleConfig) -> str:
-    from .textprep import Step
-
     base = "Naive Bayes" if config.model == "nb" else "Logistic Regression"
     suffix = "Emojis" if Step.EMOJI_ENCODING in config.preprocess.steps else "Default"
     return f"{base} {suffix}"
@@ -397,37 +396,38 @@ def save_model(model: NBModel | LRModel, path: str | Path) -> None:
     _atomic.write_text(path, json.dumps(obj, indent=2))
 
 
-_MODEL_KEYS = {
-    "nb": ("alpha", "vocab_size", "log_prior", "terms"),
-    "lr": ("bias", "weights", "hyperparams"),
-}
-
-
 def load_model(path: str | Path) -> NBModel | LRModel:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedJsonError(f"invalid model JSON in {path}: {exc.msg}", offset=exc.pos) from exc
+    obj = load_json(Path(path).read_text(encoding="utf-8"), f"invalid model JSON in {path}")
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind not in _MODEL_KEYS:
+    if kind not in ("nb", "lr"):
         raise SchemaViolationError(f"unknown model kind {kind!r}", str(path))
-    missing = [key for key in _MODEL_KEYS[kind] if key not in obj]
-    if missing:
-        raise SchemaViolationError(f"{kind} model lacks {missing}", str(path))
     try:
         if kind == "nb":
-            log_likelihood = np.zeros((2, obj["vocab_size"]))
-            for item in obj["terms"]:
-                log_likelihood[_OFF, item["index"]] = item["log_likelihood_off"]
-                log_likelihood[_NOT, item["index"]] = item["log_likelihood_not"]
+            terms = obj["terms"]
+            indices = [item["index"] for item in terms]
+            off = [item["log_likelihood_off"] for item in terms]
+            not_off = [item["log_likelihood_not"] for item in terms]
+            prior = obj["log_prior"]["offensive"], obj["log_prior"]["not_offensive"]
+            if (
+                obj["vocab_size"] != len(terms)
+                or indices != list(range(len(terms)))
+                or not all(type(i) is int for i in indices)
+                or not all(map(is_number, [*off, *not_off, *prior, obj["alpha"]]))
+            ):
+                raise ValueError("terms need indices 0..vocab_size-1 in order and number values")
+            log_likelihood = np.zeros((2, len(terms)))
+            log_likelihood[_OFF], log_likelihood[_NOT] = off, not_off
             log_prior = np.zeros(2)
-            log_prior[_OFF] = obj["log_prior"]["offensive"]
-            log_prior[_NOT] = obj["log_prior"]["not_offensive"]
+            log_prior[_OFF], log_prior[_NOT] = prior
             return NBModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=obj["alpha"])
-        hyper = obj["hyperparams"]
+        hyper, weights, bias = obj["hyperparams"], obj["weights"], obj["bias"]
+        if type(hyper["epochs"]) is not int or not all(
+            map(is_number, [*weights, bias, hyper["l2"], hyper["learning_rate"]])
+        ):
+            raise ValueError("weights, bias and hyperparameters must be numbers")
         return LRModel(
-            weights=np.array(obj["weights"], dtype=float),
-            bias=float(obj["bias"]),
+            weights=np.array(weights, dtype=float),
+            bias=float(bias),
             l2=hyper["l2"],
             learning_rate=hyper["learning_rate"],
             epochs=hyper["epochs"],

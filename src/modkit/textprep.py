@@ -418,14 +418,6 @@ def load_stoplist(path: str | Path, extensions: Iterable[str] = STOPWORD_EXTENSI
     return StopList(base=frozenset(words), extensions=tuple(extensions))
 
 
-def load_emoticon_map(path: str | Path) -> EmoticonMap:
-    return EmoticonMap(entries=_read_tsv_map(path))
-
-
-def load_emoji_aliases(path: str | Path) -> dict[str, str]:
-    return _read_tsv_map(path)
-
-
 def load_lemma_dictionary(words_path: str | Path, rules_path: str | Path) -> LemmaDictionary:
     exceptions = _read_tsv_map(words_path)
     rules: list[tuple[str, str, int]] = []
@@ -456,13 +448,13 @@ def default_stoplist() -> StopList:
 
 
 def default_emoticon_map() -> EmoticonMap:
-    return _resources.cached("emoticons", lambda p: load_emoticon_map(p / "emoticons.tsv"))
+    return _resources.cached(
+        "emoticons", lambda p: EmoticonMap(entries=_read_tsv_map(p / "emoticons.tsv"))
+    )
 
 
 def default_emoji_aliases() -> dict[str, str]:
-    return _resources.cached(
-        "emoji_aliases", lambda p: load_emoji_aliases(p / "emoji_aliases.tsv")
-    )
+    return _resources.cached("emoji_aliases", lambda p: _read_tsv_map(p / "emoji_aliases.tsv"))
 
 
 def default_lemma_dictionary() -> LemmaDictionary:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _atomic
-from .errors import EmptyCorpusError, MalformedJsonError, SchemaViolationError
+from .errors import EmptyCorpusError, SchemaViolationError, is_number, load_json
 from .textprep import TokenStream
 
 
@@ -127,22 +127,28 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedJsonError(f"invalid TF-IDF JSON in {path}: {exc.msg}", offset=exc.pos) from exc
+    obj = load_json(Path(path).read_text(encoding="utf-8"), f"invalid TF-IDF JSON in {path}")
     if not isinstance(obj, dict):
         raise SchemaViolationError("TF-IDF model must be a JSON object", str(path))
-    for key in ("doc_count", "terms"):
-        if key not in obj:
-            raise SchemaViolationError(f"missing {key!r} in TF-IDF model", str(path))
     try:
         terms = sorted(obj["terms"], key=lambda item: item["index"])
         vocabulary = {item["term"]: item["index"] for item in terms}
-        idf = np.array([float(item["idf"]) for item in terms])
+        idf = [item["idf"] for item in terms]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolationError(f"malformed TF-IDF term: {exc!r}", str(path)) from exc
     indices = list(vocabulary.values())
-    if indices != list(range(len(terms))) or not all(type(i) is int for i in indices):
-        raise SchemaViolationError("TF-IDF terms must be distinct with indices 0..n-1", str(path))
-    return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=obj["doc_count"])
+    if (
+        indices != list(range(len(terms)))
+        or not all(type(i) is int for i in indices)
+        or not all(isinstance(term, str) for term in vocabulary)
+        or not all(map(is_number, idf))
+        or type(obj.get("doc_count")) is not int
+    ):
+        raise SchemaViolationError(
+            "TF-IDF needs distinct string terms with indices 0..n-1, number idf values "
+            "and an integer doc_count",
+            str(path),
+        )
+    return TfidfModel(
+        vocabulary=vocabulary, idf=np.array(idf, dtype=float), doc_count=obj["doc_count"]
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -228,6 +229,46 @@ class TestTrain:
         assert main(argv) == 4
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "seed=" + "[" * 5000 + "]" * 5000, "seed=1.5", "seed=true", "steps=[1]", "alpha=NaN",
+            "alpha=" + "9" * 400, 'ratios="x"',
+        ],
+        ids=["deep", "float_seed", "bool_seed", "step_not_string", "nan_alpha", "huge_alpha", "ratios_not_array"],
+    )
+    def test_bad_set_value_exits_2(self, tmp_path, separable_paths, capsys, override):
+        dataset = run_ingest(tmp_path, separable_paths)
+        capsys.readouterr()
+        argv = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "r"), "--set", override]
+        assert main(argv) == 2
+        assert_one_line_error(capsys)
+
+    def test_too_deeply_nested_config_exits_2(self, tmp_path, separable_paths, capsys):
+        dataset = run_ingest(tmp_path, separable_paths)
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+        capsys.readouterr()
+        argv = ["train", "--config", str(config), "--dataset", str(dataset), "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        assert_one_line_error(capsys)
+
+    def test_run_hash_follows_dataset_content_not_path(self, tmp_path, separable_paths):
+        dataset = run_ingest(tmp_path, separable_paths)
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(dataset.read_bytes())
+        other = tmp_path / "other.json"
+        other.write_text(dataset.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        names = []
+        for path in (dataset, copy, other):
+            out = tmp_path / f"runs_{path.stem}"
+            assert main(["train", "--dataset", str(path), "--out", str(out)]) == 0
+            (run_dir,) = out.iterdir()
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert manifest["dataset_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            names.append(run_dir.name)
+        assert names[0] == names[1] != names[2]
+
     def test_unknown_config_key_exits_2(self, tmp_path, separable_paths):
         dataset = run_ingest(tmp_path, separable_paths)
         code = main(
@@ -278,6 +319,14 @@ class TestEval:
         main(["eval", "--run", str(run_dir), "--dataset", str(dataset)])
         eval_report = json.loads((run_dir / "eval_report.json").read_text())
         assert eval_report["variants"][0]["name"] == "Naive Bayes Default"
+
+    def test_test_fold_of_another_dataset_exits_3(self, tmp_path, separable_paths, capsys):
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        other = write_json(tmp_path / "other.json", json.loads(dataset.read_text(encoding="utf-8")))
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run_dir), "--dataset", str(other)]) == 3
+        assert "--full" in capsys.readouterr().err
+        assert main(["eval", "--run", str(run_dir), "--dataset", str(other), "--full"]) == 0
 
     def test_empty_dataset_is_data_error(self, tmp_path, separable_paths):
         run_dir, _ = train_run(tmp_path, separable_paths)
@@ -395,6 +444,14 @@ class TestRunDirValidation:
         assert_one_line_error(capsys)
 
 
+    def test_model_size_beyond_its_terms_exits_3(self, tmp_path, separable_paths, capsys):
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        model = json.loads((run_dir / "model.json").read_text())
+        model["vocab_size"] = 10**12  # must be rejected before anything is allocated
+        write_json(run_dir / "model.json", model)
+        assert self.eval_code(run_dir, dataset, capsys) == 3
+        assert_one_line_error(capsys)
+
     @pytest.mark.parametrize(
         "damage",
         [
@@ -404,8 +461,12 @@ class TestRunDirValidation:
             lambda tfidf: tfidf["terms"][3].update(index=-1),
             lambda tfidf: tfidf["terms"][3].update(idf="high"),
             lambda tfidf: tfidf.update(terms=[["term", 0, 1.0]]),
+            lambda tfidf: tfidf["terms"][3].update(idf=10**400),
         ],
-        ids=["no_idf", "no_index", "duplicate_index", "negative_index", "idf_not_number", "term_not_object"],
+        ids=[
+            "no_idf", "no_index", "duplicate_index", "negative_index", "idf_not_number", "term_not_object",
+            "idf_beyond_float",
+        ],
     )
     def test_damaged_tfidf_exits_3(self, tmp_path, separable_paths, capsys, damage):
         run_dir, dataset = train_run(tmp_path, separable_paths)
@@ -467,6 +528,37 @@ class TestReport:
         obj = json.loads(out_base.with_suffix(".json").read_text())
         assert len(obj["variants"]) == 9
         assert out_base.with_suffix(".txt").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"variants": [',
+            "[1,2]",
+            '{"variants": 5}',
+            '{"variants": [{"name": "x"}]}',
+            '{"variants": [{"matrix": {"tp": 1, "fp": 0, "fn": 0, "tn": -1}}]}',
+            '{"variants": [' + "[" * 5000 + "]" * 5000 + "]}",
+            '{"variants": [{"matrix": {"tp": 1, "fp": 0, "fn": 0, "tn": 1}, "f1": 1' + "0" * 400
+            + ', "accuracy": 1, "precision": 1, "recall": 1, "specificity": 1}]}',
+        ],
+        ids=["truncated", "not_object", "variants_not_array", "no_matrix", "negative_cell", "deep", "huge_score"],
+    )
+    def test_bad_input_exits_3(self, tmp_path, capsys, content):
+        (tmp_path / "in.json").write_text(content, encoding="utf-8")
+        argv = ["report", "--inputs", str(tmp_path / "in.json"), "--out", str(tmp_path / "r")]
+        assert main(argv) == 3
+        assert_one_line_error(capsys)
+
+    def test_wrong_score_type_exits_3(self, tmp_path, separable_paths, capsys):
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        main(["eval", "--run", str(run_dir), "--dataset", str(dataset)])
+        report = json.loads((run_dir / "eval_report.json").read_text())
+        report["variants"][0]["f1"] = "high"
+        write_json(tmp_path / "in.json", report)
+        capsys.readouterr()
+        argv = ["report", "--inputs", str(tmp_path / "in.json"), "--out", str(tmp_path / "r")]
+        assert main(argv) == 3
+        assert "$.variants[0]" in capsys.readouterr().err
 
     def test_nothing_to_report_exits_2(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "r")]) == 2

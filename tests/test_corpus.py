@@ -111,7 +111,7 @@ class TestParse:
         for i in reversed(range(5000)):
             node = {"id": f"c{i}", "author": "u", "text": "x", "replies": [node] if node else []}
         decoded = {"post_id": "p", "post_author": "a", "comments": [node]}
-        monkeypatch.setattr(corpus, "_json_loads", lambda data, what: decoded)
+        monkeypatch.setattr(corpus, "load_json", lambda data, what: decoded)
         with pytest.raises(MalformedJsonError, match="nesting too deep"):
             parse_comment_tree("{}")
 

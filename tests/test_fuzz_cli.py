@@ -1,0 +1,196 @@
+"""Seeded fuzz test of ``main()``: every kind of input, corrupted by
+truncation, by a value of the wrong type or by deep nesting, ends with
+exit code 2 (usage), 3 (data) or 4 (numeric) and one ``error:`` line,
+never a traceback.
+
+A case is (input kind, corruption, seed). The seed picks where to cut
+the text, which JSON node to replace and with what; a failure message
+names all three so the case can be replayed.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import random
+import shutil
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+
+from modkit.cli import main
+
+#: Far past the JSON decoder's recursion limit on every supported Python.
+DEEP = 100_000
+DEEP_MARK = "@@deep@@"
+SEEDS = range(10)
+#: One value of each JSON kind; a wrong type is one of another kind.
+VALUES = (None, True, 7, -2.5, "x", [], {})
+
+TREE = {
+    "post_id": "p1",
+    "post_author": "op",
+    "comments": [
+        {
+            "id": "c1", "author": "u1", "text": "ur so dumb lol 😂", "timestamp": "2024-01-01",
+            "replies": [{"id": "c2", "author": "u2", "text": "shut up :)", "replies": []}],
+        },
+        {"id": "c3", "author": "u3", "text": "nice cats", "replies": []},
+    ],
+}
+CONFIG = {
+    "seed": 3, "model": "nb", "emoji_mode": "ml", "alpha": 1.0, "learning_rate": 0.1,
+    "epochs": 5, "l2": 0.0001, "ratios": [0.8, 0.1, 0.1], "n_cycles": 1, "stoplist": "",
+    "steps": ["lowercasing", "punctuation_removal"], "variant_name": "fuzz",
+}
+
+
+def kind_of(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def node_paths(obj, path=()):
+    """Paths of every node of a decoded JSON document, root first."""
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from node_paths(value, (*path, key))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from node_paths(value, (*path, i))
+
+
+def replaced(obj, path, value):
+    if not path:
+        return value
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return obj
+
+
+def lookup(obj, path):
+    for step in path:
+        obj = obj[step]
+    return obj
+
+
+def corrupt(text: str, how: str, rng: random.Random) -> tuple[str, tuple]:
+    """The corrupted text and the path of the node replaced (``()`` for a cut)."""
+    if how == "truncate":
+        return text[: rng.randrange(1, len(text))], ()
+    obj = json.loads(text)
+    path = rng.choice(list(node_paths(obj)))
+    if how == "wrong_type":
+        old = kind_of(lookup(obj, path))
+        value = rng.choice([v for v in VALUES if kind_of(v) != old])
+        return json.dumps(replaced(obj, path, value), ensure_ascii=False), path
+    deep = json.dumps(replaced(obj, path, DEEP_MARK), ensure_ascii=False)
+    return deep.replace(json.dumps(DEEP_MARK), "[" * DEEP + "]" * DEEP), path
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One kind of input: the file (in a copy of the base directory) that
+    is corrupted, and the command that reads it. Nodes under ``unread``
+    (path prefixes, ``None`` matching any key) are fields the command
+    does not read, so a wrong type there may also pass."""
+
+    name: str
+    file: str
+    argv: str  # ``{w}`` stands for the work directory
+    unread: tuple[tuple, ...] = ()
+
+    def command(self, work: Path) -> list[str]:
+        return [part.format(w=work) for part in self.argv.split()]
+
+    def reads(self, path: tuple) -> bool:
+        return not any(
+            len(path) >= len(prefix) and all(p in (None, q) for p, q in zip(prefix, path))
+            for prefix in self.unread
+        )
+
+
+EVAL = "eval --run {w}/run --dataset {w}/dataset.json"
+KINDS = [
+    Kind("tree", "tree.json", "ingest {w}/tree.json --out {w}/d.json"),
+    Kind("labels", "labels.json", "ingest {w}/tree.json --labels {w}/labels.json --out {w}/d.json"),
+    Kind("dataset", "dataset.json", "balance --dataset {w}/dataset.json --out {w}/b.json"),
+    Kind("config", "config.json", "train --config {w}/config.json --dataset {w}/dataset.json --out {w}/r"),
+    Kind("report", "report.json", "report --inputs {w}/report.json --out {w}/merged"),
+    Kind("manifest", "run/manifest.json", EVAL, unread=(("checksums",), ("version",), ("timings",))),
+    Kind("tfidf", "run/tfidf.json", EVAL),
+    Kind("model_nb", "run/model.json", EVAL),
+    Kind("model_lr", "run_lr/model.json", "eval --run {w}/run_lr --dataset {w}/dataset.json"),
+    Kind(
+        "train_report", "run/train_report.json", EVAL,
+        unread=(("variant_name",), ("cycles", None, "validation"), ("cycles", None, "test")),
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory, separable_paths) -> Path:
+    """Valid inputs of every kind: a tree, labels, a dataset, a config, a
+    report and the run directories of one NB and one LR training."""
+    work = tmp_path_factory.mktemp("fuzz_base")
+    trees, labels = separable_paths
+    (work / "tree.json").write_text(json.dumps(TREE, ensure_ascii=False), encoding="utf-8")
+    (work / "labels.json").write_text(json.dumps({"c1": 1, "c2": 0, "c3": 0}), encoding="utf-8")
+    (work / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
+    dataset = str(work / "dataset.json")
+    assert main(["ingest", *map(str, trees), "--labels", str(labels), "--out", dataset]) == 0
+    for model, name in (("nb", "run"), ("lr", "run_lr")):
+        out = work / f"runs_{model}"
+        assert main(["train", "--dataset", dataset, "--out", str(out), "--model", model]) == 0
+        next(out.iterdir()).rename(work / name)
+        out.rmdir()
+    assert main(["eval", "--run", str(work / "run"), "--dataset", dataset]) == 0
+    shutil.copy(work / "run" / "eval_report.json", work / "report.json")
+    return work
+
+
+def check_one_line_error(code: int, err: str, case: str, may_pass: bool = False) -> None:
+    assert "Traceback" not in err, case
+    if code == 0 and may_pass:
+        return
+    assert code in (2, 3, 4), f"{case}: exit {code}"
+    assert err.startswith("error: ") and err.count("\n") == 1, f"{case}: {err[:300]!r}"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("how", ["truncate", "wrong_type", "deep"])
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_corrupted_file(tmp_path, capsys, base, kind, how, seed):
+    work = tmp_path / "work"
+    shutil.copytree(base, work)
+    target = work / kind.file
+    rng = random.Random(f"{kind.name}/{how}/{seed}")
+    text, path = corrupt(target.read_text(encoding="utf-8"), how, rng)
+    target.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main(kind.command(work))
+    case = f"{kind.name} {how} seed={seed} at {list(path)}"
+    may_pass = how == "wrong_type" and not kind.reads(path)
+    check_one_line_error(code, capsys.readouterr().err, case, may_pass)
+
+
+#: --set overrides whose value any cut leaves invalid: an array, or a
+#: string with a closed set of accepted values.
+CUTTABLE = ("model", "emoji_mode", "steps", "ratios")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("how", ["truncate", "wrong_type", "deep"])
+def test_corrupted_set_value(tmp_path, capsys, base, how, seed):
+    rng = random.Random(f"set/{how}/{seed}")
+    key = rng.choice(CUTTABLE if how == "truncate" else sorted(CONFIG))
+    value, path = corrupt(json.dumps(CONFIG[key]), how, rng)
+    argv = ["train", "--dataset", str(base / "dataset.json"), "--out", str(tmp_path / "runs")]
+    capsys.readouterr()
+    code = main([*argv, "--set", f"{key}={value}"])
+    case = f"--set {key} {how} seed={seed} at {list(path)}"
+    check_one_line_error(code, capsys.readouterr().err, case)
