@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from . import _atomic
+from . import _atomic, textprep
 from .corpus import Comment, Label, LabeledDataset
 from .errors import (
     BadBucketWidthError,
@@ -30,7 +30,6 @@ from .textprep import (
     UNKNOWN_EMOJI_ALIAS,
     default_emoji_aliases,
     is_alias_placeholder,
-    is_emoji_char,
 )
 
 
@@ -118,14 +117,24 @@ def length_histogram(
     return LengthHistogram(bucket_width=bucket_width, buckets=dict(buckets))
 
 
-def _emoji_aliases_in(text: str, aliases: Mapping[str, str]) -> list[str]:
-    """Aliases of raw emoji code points plus any whitespace-delimited
-    ``:alias:`` placeholders (emoticons already converted upstream).
-    All-ASCII text skips the character scan: no emoji is below U+2600."""
-    found = [] if text.isascii() else [
-        aliases.get(ch, UNKNOWN_EMOJI_ALIAS) for ch in text if is_emoji_char(ch)
-    ]
-    found.extend(chunk[1:-1] for chunk in text.split() if is_alias_placeholder(chunk))
+def _emoji_aliases_in(
+    text: str, aliases: Mapping[str, str], emoticons: Mapping[str, str]
+) -> list[str]:
+    """Aliases of the raw emoji and ``:alias:`` placeholders in the
+    whitespace-delimited chunks of ``text``, an ``emoticons`` key read as
+    its placeholder (emoticon aliases hold no whitespace). A placeholder
+    or an all-ASCII chunk holds no emoji: none is below U+0080."""
+    classes, emoji = textprep._CHAR_CLASS, textprep._EMOJI
+    found = []
+    for chunk in text.split():
+        if chunk in emoticons:
+            chunk = f":{emoticons[chunk]}:"
+        if is_alias_placeholder(chunk):
+            found.append(chunk[1:-1])
+        elif not chunk.isascii():
+            found.extend(
+                aliases.get(ch, UNKNOWN_EMOJI_ALIAS) for ch in chunk if classes[ch] == emoji
+            )
     return found
 
 
@@ -154,7 +163,7 @@ def emoji_frequency(
     """
     if aliases is None:
         aliases = default_emoji_aliases()
-    return _ranked_totals((_emoji_aliases_in(text, aliases) for text in texts), cap)
+    return _ranked_totals((_emoji_aliases_in(text, aliases, {}) for text in texts), cap)
 
 
 def emoji_presence(dataset: LabeledDataset) -> EmojiStats:
@@ -167,11 +176,17 @@ def emoji_stats(
     dataset: LabeledDataset,
     cap: int | None = None,
     aliases: Mapping[str, str] | None = None,
+    emoticons: Mapping[str, str] | None = None,
 ) -> EmojiStats:
     """Frequency ranking plus presence fractions from one alias scan per
     comment; a comment contains an emoji exactly when its alias list is
     non-empty. Presence is computed in exact rational arithmetic and
-    rounded to 4 places."""
+    rounded to 4 places.
+
+    With ``emoticons`` (an emoticon -> alias table such as
+    ``default_emoticon_map().entries``) each whitespace-delimited chunk
+    that is a key counts as its alias, exactly as after
+    ``normalize_emoticons``; without it emoticons are not counted."""
     if len(dataset.entries) == 0:
         raise EmptyDatasetError("emoji presence needs a non-empty dataset")
     if aliases is None:
@@ -182,7 +197,8 @@ def emoji_stats(
             return 0.0
         return float(round(Fraction(hits, total), 4))
 
-    found = [_emoji_aliases_in(text, aliases) for _cid, text, _label in dataset.entries]
+    emoticons = emoticons or {}
+    found = [_emoji_aliases_in(text, aliases, emoticons) for _cid, text, _label in dataset.entries]
     n_off = n_not = hit_off = hit_not = 0
     for (_cid, _text, label), in_comment in zip(dataset.entries, found):
         if label is Label.OFFENSIVE:

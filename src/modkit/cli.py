@@ -26,6 +26,7 @@ from typing import Sequence
 
 from . import __version__, _atomic, analytics, corpus, evaluate, models, textprep, vectorize
 from .errors import (
+    ChecksumMismatchError,
     ConfigError,
     DatasetMismatchError,
     MalformedConfigError,
@@ -60,11 +61,13 @@ class RunConfig:
     out: str = "runs"
     variant_name: str = ""
 
-    def hash(self, dataset_sha256: str) -> str:
-        """Run identity: every field but ``out``, the dataset by content sha256."""
+    def hash(self, dataset_sha256: str, stoplist_sha256: str) -> str:
+        """Run identity: every field but ``out``, the dataset and the stop
+        list by content sha256 (``""`` for no stop-list file)."""
         payload = asdict(self)
         payload.pop("out")
         payload["dataset"] = dataset_sha256
+        payload["stoplist"] = stoplist_sha256
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         )
@@ -187,6 +190,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+#: Files of a run directory that its manifest checksums.
+_ARTIFACTS = ("tfidf.json", "model.json", "train_report.json")
+
+
+def _check_sha256(path: Path, recorded, manifest_path: Path) -> None:
+    """Exit 3 unless ``path`` hashes to the sha256 its manifest recorded."""
+    if not isinstance(recorded, str):
+        raise SchemaViolationError(f"no sha256 recorded for {path.name}", str(manifest_path))
+    if _sha256(path) != recorded:
+        raise ChecksumMismatchError(f"{path} differs from the sha256 recorded in {manifest_path}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -277,18 +292,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         analytics.length_histogram([t for _, t in offensive], args.bucket_width),
         out_dir / "length_offensive.csv",
     )
-    # emoticons are converted to their emoji counterparts before the
-    # emoji usage charts are aggregated
-    normalized = corpus.LabeledDataset(
-        entries=tuple(
-            (cid, textprep.normalize_emoticons(text), label)
-            for cid, text, label in dataset.entries
-        ),
-        provenance=dataset.provenance,
+    # emoticons count as their emoji counterparts in the emoji usage charts
+    emoji_stats = analytics.emoji_stats(
+        dataset, cap=args.cap, emoticons=textprep.default_emoticon_map().entries
     )
-    analytics.export_chart_data(
-        analytics.emoji_stats(normalized, cap=args.cap), out_dir / "emoji_stats.csv"
-    )
+    analytics.export_chart_data(emoji_stats, out_dir / "emoji_stats.csv")
     print(f"wrote {6 + 2 + 1} chart files to {out_dir}")
     return 0
 
@@ -300,7 +308,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset_path = _require_file(config.dataset, "dataset file")
     dataset = corpus.load_dataset(dataset_path)
     dataset_sha256 = _sha256(dataset_path)
-    run_dir = Path(config.out) / config.hash(dataset_sha256)
+    stoplist_sha256 = (
+        _sha256(_require_file(config.stoplist, "stop-list file")) if config.stoplist else ""
+    )
+    run_dir = Path(config.out) / config.hash(dataset_sha256, stoplist_sha256)
     run_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     trained = models.run_cycles(
@@ -334,12 +345,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         ],
     }
     _atomic.write_text(run_dir / "train_report.json", json.dumps(report_obj, indent=2))
-    artifact_names = ("tfidf.json", "model.json", "train_report.json")
     manifest = {
         "config": asdict(config),
         "dataset_sha256": dataset_sha256,
+        "stoplist_sha256": stoplist_sha256 or None,
         "version": __version__,
-        "checksums": {name: _sha256(run_dir / name) for name in artifact_names},
+        "checksums": {name: _sha256(run_dir / name) for name in _ARTIFACTS},
         "timings": {"train_seconds": train_seconds},
     }
     _atomic.write_text(run_dir / "manifest.json", json.dumps(manifest, indent=2))
@@ -359,8 +370,17 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, vectorize.TfidfModel, models.NB
         config = _run_config(config_obj)
     except (ConfigError, TypeError) as exc:
         raise SchemaViolationError(f"bad run config: {exc}", str(manifest_path)) from exc
-    tfidf = vectorize.load_tfidf(_require_file(run_dir / "tfidf.json", "TF-IDF model"))
-    model = models.load_model(_require_file(run_dir / "model.json", "model file"))
+    checksums = manifest.get("checksums")
+    if not isinstance(checksums, dict):
+        raise SchemaViolationError("manifest has no checksums object", str(manifest_path))
+    for name in _ARTIFACTS:
+        path = _require_file(run_dir / name, "run artifact")
+        _check_sha256(path, checksums.get(name), manifest_path)
+    if config.stoplist:
+        stoplist = _require_file(config.stoplist, "stop-list file")
+        _check_sha256(stoplist, manifest.get("stoplist_sha256"), manifest_path)
+    tfidf = vectorize.load_tfidf(run_dir / "tfidf.json")
+    model = models.load_model(run_dir / "model.json")
     return config, tfidf, model, manifest
 
 

@@ -47,6 +47,10 @@ class DatasetMismatchError(ModkitError):
     """The dataset is not the one the run was trained on."""
 
 
+class ChecksumMismatchError(ModkitError):
+    """A file differs from the sha256 a run manifest recorded for it."""
+
+
 class DuplicateIdError(ModkitError):
     """A comment id occurs more than once in one tree."""
 

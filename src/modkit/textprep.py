@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -92,8 +92,18 @@ class StopList:
 
 @dataclass(frozen=True)
 class LemmaDictionary:
+    """Exception table and ordered suffix rules.
+
+    ``memo`` holds the lemma of every word this instance has lemmatized.
+    It belongs to the instance: a dictionary loaded from other tables
+    (another ``MODKIT_DATA_DIR``) or made by ``dataclasses.replace``
+    starts with an empty memo. The tables must not be mutated once the
+    instance is in use.
+    """
+
     exceptions: Mapping[str, str]
     suffix_rules: tuple[tuple[str, str, int], ...]
+    memo: dict[str, str] = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -213,6 +223,9 @@ def tokenize(text: str, source_id: str = "") -> TokenStream:
         if is_alias_placeholder(chunk):
             tokens.append(chunk)
             continue
+        if chunk.isascii():  # no emoji or modifier below U+0080
+            tokens.extend(_split_edges(chunk))
+            continue
         start = 0
         after_emoji = False  # tokens[-1] is an emoji of this chunk
         for idx, ch in enumerate(chunk):
@@ -289,13 +302,19 @@ def lemmatize(stream: TokenStream, dictionary: LemmaDictionary | None = None) ->
     """Map tokens to their dictionary base form.
 
     Exceptions are consulted first, then the ordered suffix rules;
-    tokens that match nothing pass through unchanged.
+    tokens that match nothing pass through unchanged. Each distinct word
+    is worked out once per dictionary instance and kept in its ``memo``.
     """
     if dictionary is None:
         dictionary = default_lemma_dictionary()
-    return TokenStream(
-        tuple(_lemmatize_word(t, dictionary) for t in stream.tokens), stream.source_id
-    )
+    memo = dictionary.memo
+    lemmas = []
+    for token in stream.tokens:
+        lemma = memo.get(token)
+        if lemma is None:
+            lemma = memo[token] = _lemmatize_word(token, dictionary)
+        lemmas.append(lemma)
+    return TokenStream(tuple(lemmas), stream.source_id)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +355,8 @@ def encode_emojis(
         parts = _SPACE_RUNS.split(text)
         parts[::2] = [p[1:-1] if is_alias_placeholder(p) else p for p in parts[::2]]
         text = "".join(parts)
+    if text.isascii():  # no emoji or modifier below U+0080
+        return text
     classes = _CHAR_CLASS
     out: list[str] = []
     last = ""  # last emitted character

@@ -1,8 +1,11 @@
-"""Seeded generators for fuzz-style tests."""
+"""Seeded generators and run-directory helpers for fuzz-style tests."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 WORDS = [
     "Ur", "DUMB", "dumb", "shut", "up", "people", "know", "LOL", "y'all",
@@ -66,3 +69,13 @@ def reply_chain(depth: int) -> str:
         f'{{"id": "c{i}", "author": "u", "text": "reply {i}", "replies": [' for i in range(depth)
     )
     return '{"post_id": "p", "post_author": "op", "comments": [' + opened + "]}" * depth + "]}"
+
+
+def reseal(run_dir: Path) -> None:
+    """Record the artifacts' current sha256 in a run directory's manifest,
+    so damage inside an artifact reaches its loader."""
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for name in manifest["checksums"]:
+        manifest["checksums"][name] = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+    path.write_text(json.dumps(manifest), encoding="utf-8")

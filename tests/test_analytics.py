@@ -28,6 +28,7 @@ from modkit.textprep import (
     UNKNOWN_EMOJI_ALIAS,
     TokenStream,
     default_emoji_aliases,
+    default_emoticon_map,
     is_emoji_char,
     normalize_emoticons,
 )
@@ -39,6 +40,7 @@ from _oracles import (
     oracle_emoji_frequency,
     oracle_emoji_presence,
     oracle_is_emoji_char,
+    oracle_normalize_emoticons,
 )
 
 
@@ -217,6 +219,50 @@ class TestEmojiStatsSingleScan:
         assert presence_of(only_presence) == presence
         assert (only_presence.frequency, only_presence.per_comment_cap) == ((), None)
         assert 0 < presence[0] < 1
+
+    @pytest.mark.parametrize("cap", [None, 1, 2])
+    @pytest.mark.parametrize("table", ["bundled", "override"])
+    def test_emoticons_count_as_after_normalization(self, cap, table):
+        """With ``emoticons`` the one scan gives what emoticon
+        normalization followed by the two-scan reference gives, on raw
+        comments: fuzz texts, placeholders already present, emoticons
+        fused with or next to raw emoji, and override keys that hold an
+        emoji or look like a placeholder themselves, or whose alias makes
+        no placeholder."""
+        emoticons = dict(default_emoticon_map().entries)
+        if table == "override":
+            emoticons.update(
+                {"<😂": "joy_heart", "💀💀": "two_skulls", ":x:": "kiss", ":)": "not.a.placeholder"}
+            )
+        rng = random.Random(101)
+        texts = [messy_text(rng) for _ in range(3000)] + [
+            ":) 😂", ":)😂", "😂:)", ":D :skull:", "nice :skull: :x:", ":-) :-)\t:-)",
+            "<😂 x", "😂 <😂", "💀💀 💀", "  :(  ", "plain ascii",
+        ]
+        labels = [Label.OFFENSIVE if rng.random() < 0.3 else Label.NOT_OFFENSIVE for _ in texts]
+        dataset = LabeledDataset(
+            entries=tuple((f"c{i}", t, label) for i, (t, label) in enumerate(zip(texts, labels)))
+        )
+        aliases = default_emoji_aliases()
+        normalized = [oracle_normalize_emoticons(text, emoticons) for text in texts]
+        assert sum(n != t for n, t in zip(normalized, texts)) > 500
+        frequency = oracle_emoji_frequency(normalized, cap, aliases, UNKNOWN_EMOJI_ALIAS)
+        presence = oracle_emoji_presence(
+            (cid, norm, label is Label.OFFENSIVE)
+            for (cid, _text, label), norm in zip(dataset.entries, normalized)
+        )
+        stats = emoji_stats(dataset, cap=cap, emoticons=emoticons)
+        assert stats.frequency == tuple(frequency)
+        assert presence_of(stats) == presence
+        if table == "override":
+            assert {"joy_heart", "two_skulls", "kiss"} <= dict(frequency).keys()
+            assert "not.a.placeholder" not in dict(frequency)
+
+    def test_emoticon_key_with_an_emoji_counts_only_as_its_alias(self):
+        dataset = LabeledDataset(entries=(("a", "<😂 <😂", Label.OFFENSIVE),))
+        stats = emoji_stats(dataset, emoticons={"<😂": "joy_heart"})
+        assert stats.frequency == (("joy_heart", 2),)
+        assert emoji_stats(dataset).frequency == (("face_with_tears_of_joy", 2),)
 
     def test_no_emoji_below_u2600(self):
         """The premise of skipping the character scan on ASCII text."""

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from modkit.cli import main
+from modkit.cli import RunConfig, main
 
-from _fuzz import reply_chain
+from _fuzz import reply_chain, reseal
 
 TREE = {
     "post_id": "p1",
@@ -269,6 +269,29 @@ class TestTrain:
             names.append(run_dir.name)
         assert names[0] == names[1] != names[2]
 
+    def test_run_hash_follows_stoplist_content_not_path(self, tmp_path, separable_paths):
+        dataset = run_ingest(tmp_path, separable_paths)
+        stoplist, copy = tmp_path / "stop.txt", tmp_path / "stop_copy.txt"
+        stoplist.write_text("the\nnice\n", encoding="utf-8")
+        copy.write_bytes(stoplist.read_bytes())
+        names = []
+        for i, (path, content) in enumerate([(stoplist, None), (copy, None), (stoplist, "the\n")]):
+            if content is not None:
+                path.write_text(content, encoding="utf-8")
+            out = tmp_path / f"runs_{i}"
+            argv = ["train", "--dataset", str(dataset), "--out", str(out), "--stoplist", str(path)]
+            assert main(argv) == 0
+            (run_dir,) = out.iterdir()
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert manifest["stoplist_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            names.append(run_dir.name)
+        assert names[0] == names[1] != names[2]
+
+    def test_run_hash_without_stoplist_unchanged(self):
+        """Hashing the stop list by content left runs without one where they were."""
+        assert RunConfig().hash("0" * 64, "") == "f1c4d22bf3d3"
+        assert RunConfig(model="lr", seed=5).hash("ab" * 32, "") == "31c4a67f4c98"
+
     def test_unknown_config_key_exits_2(self, tmp_path, separable_paths):
         dataset = run_ingest(tmp_path, separable_paths)
         code = main(
@@ -396,7 +419,10 @@ class TestDeepReplyChains:
 
 
 class TestRunDirValidation:
-    """A damaged run directory is a data error (exit 3), never a traceback."""
+    """A damaged run directory is a data error (exit 3), never a traceback.
+
+    Tests of damage inside an artifact reseal the manifest first, so that
+    the artifact's loader, not its checksum, has to catch the damage."""
 
     def eval_code(self, run_dir: Path, dataset: Path, capsys, full: bool = True) -> int:
         capsys.readouterr()
@@ -428,6 +454,7 @@ class TestRunDirValidation:
         model = json.loads((run_dir / "model.json").read_text())
         del model[key]
         write_json(run_dir / "model.json", model)
+        reseal(run_dir)
         assert self.eval_code(run_dir, dataset, capsys) == 3
         assert_one_line_error(capsys)
 
@@ -440,6 +467,7 @@ class TestRunDirValidation:
         else:
             model["vocab_size"], model["terms"] = 10, model["terms"][:10]
         write_json(run_dir / "model.json", model)
+        reseal(run_dir)
         assert self.eval_code(run_dir, dataset, capsys) == 3
         assert_one_line_error(capsys)
 
@@ -449,6 +477,7 @@ class TestRunDirValidation:
         model = json.loads((run_dir / "model.json").read_text())
         model["vocab_size"] = 10**12  # must be rejected before anything is allocated
         write_json(run_dir / "model.json", model)
+        reseal(run_dir)
         assert self.eval_code(run_dir, dataset, capsys) == 3
         assert_one_line_error(capsys)
 
@@ -473,6 +502,7 @@ class TestRunDirValidation:
         tfidf = json.loads((run_dir / "tfidf.json").read_text(encoding="utf-8"))
         damage(tfidf)
         write_json(run_dir / "tfidf.json", tfidf)
+        reseal(run_dir)
         assert self.eval_code(run_dir, dataset, capsys) == 3
         assert_one_line_error(capsys)
 
@@ -480,6 +510,7 @@ class TestRunDirValidation:
     def test_tfidf_not_an_object_exits_3(self, tmp_path, separable_paths, capsys, content):
         run_dir, dataset = train_run(tmp_path, separable_paths)
         (run_dir / "tfidf.json").write_text(content, encoding="utf-8")
+        reseal(run_dir)
         assert self.eval_code(run_dir, dataset, capsys) == 3
         assert_one_line_error(capsys)
 
@@ -499,12 +530,14 @@ class TestRunDirValidation:
         report = json.loads((run_dir / "train_report.json").read_text(encoding="utf-8"))
         damage(report)
         write_json(run_dir / "train_report.json", report)
+        reseal(run_dir)
         assert self.eval_code(run_dir, dataset, capsys, full=False) == 3
         assert_one_line_error(capsys)
 
     def test_train_report_not_json_exits_3(self, tmp_path, separable_paths, capsys):
         run_dir, dataset = train_run(tmp_path, separable_paths)
         (run_dir / "train_report.json").write_text('{"cycles": [', encoding="utf-8")
+        reseal(run_dir)
         assert self.eval_code(run_dir, dataset, capsys, full=False) == 3
         assert_one_line_error(capsys)
 

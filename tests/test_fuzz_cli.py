@@ -5,7 +5,10 @@ never a traceback.
 
 A case is (input kind, corruption, seed). The seed picks where to cut
 the text, which JSON node to replace and with what; a failure message
-names all three so the case can be replayed.
+names all three so the case can be replayed. A corrupted run artifact
+is resealed in its manifest, so its loader has to catch the damage; an
+artifact or stop list that differs from its recorded sha256 has cases of
+its own.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from pathlib import Path
 import pytest
 
 from modkit.cli import main
+
+from _fuzz import reseal
 
 #: Far past the JSON decoder's recursion limit on every supported Python.
 DEEP = 100_000
@@ -121,7 +126,7 @@ KINDS = [
     Kind("dataset", "dataset.json", "balance --dataset {w}/dataset.json --out {w}/b.json"),
     Kind("config", "config.json", "train --config {w}/config.json --dataset {w}/dataset.json --out {w}/r"),
     Kind("report", "report.json", "report --inputs {w}/report.json --out {w}/merged"),
-    Kind("manifest", "run/manifest.json", EVAL, unread=(("checksums",), ("version",), ("timings",))),
+    Kind("manifest", "run/manifest.json", EVAL, unread=(("stoplist_sha256",), ("version",), ("timings",))),
     Kind("tfidf", "run/tfidf.json", EVAL),
     Kind("model_nb", "run/model.json", EVAL),
     Kind("model_lr", "run_lr/model.json", "eval --run {w}/run_lr --dataset {w}/dataset.json"),
@@ -171,6 +176,8 @@ def test_corrupted_file(tmp_path, capsys, base, kind, how, seed):
     rng = random.Random(f"{kind.name}/{how}/{seed}")
     text, path = corrupt(target.read_text(encoding="utf-8"), how, rng)
     target.write_text(text, encoding="utf-8")
+    if target.name != "manifest.json" and target.parent.name.startswith("run"):
+        reseal(target.parent)
     capsys.readouterr()
     code = main(kind.command(work))
     case = f"{kind.name} {how} seed={seed} at {list(path)}"
@@ -194,3 +201,57 @@ def test_corrupted_set_value(tmp_path, capsys, base, how, seed):
     code = main([*argv, "--set", f"{key}={value}"])
     case = f"--set {key} {how} seed={seed} at {list(path)}"
     check_one_line_error(code, capsys.readouterr().err, case)
+
+
+def test_artifact_from_another_run_exits_3(tmp_path, capsys, base):
+    """An LR model copied into an NB run is a valid model file, but not
+    the one the manifest recorded."""
+    work = tmp_path / "work"
+    shutil.copytree(base, work)
+    shutil.copy(work / "run_lr" / "model.json", work / "run" / "model.json")
+    capsys.readouterr()
+    code = main(["eval", "--run", str(work / "run"), "--dataset", str(work / "dataset.json")])
+    err = capsys.readouterr().err
+    check_one_line_error(code, err, "LR model in an NB run")
+    assert code == 3 and "model.json differs from the sha256" in err
+
+
+def test_changed_stoplist_exits_3(tmp_path, capsys, base):
+    """A run trained with --stoplist records the file's sha256; eval of
+    the run once the file at that path has changed is a data error."""
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("the\nnice\n", encoding="utf-8")
+    dataset, out = str(base / "dataset.json"), tmp_path / "runs"
+    assert main(["train", "--dataset", dataset, "--out", str(out), "--stoplist", str(stoplist)]) == 0
+    (run_dir,) = out.iterdir()
+    assert main(["eval", "--run", str(run_dir), "--dataset", dataset]) == 0
+    stoplist.write_text("the\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["eval", "--run", str(run_dir), "--dataset", dataset])
+    err = capsys.readouterr().err
+    check_one_line_error(code, err, "changed stop list")
+    assert code == 3 and "stop.txt differs from the sha256" in err
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda m: m.pop("checksums"),
+        lambda m: m.update(checksums=[]),
+        lambda m: m["checksums"].pop("tfidf.json"),
+        lambda m: m["checksums"].update({"model.json": 5}),
+        lambda m: m["checksums"].update({"train_report.json": "0" * 64}),
+    ],
+    ids=["no_checksums", "checksums_not_object", "no_tfidf_sum", "model_sum_not_string", "report_sum_wrong"],
+)
+def test_bad_checksums_exit_3(tmp_path, capsys, base, damage):
+    work = tmp_path / "work"
+    shutil.copytree(base, work)
+    path = work / "run" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    damage(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["eval", "--run", str(work / "run"), "--dataset", str(work / "dataset.json"), "--full"])
+    check_one_line_error(code, capsys.readouterr().err, "bad checksums")
+    assert code == 3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -33,7 +34,7 @@ from modkit.textprep import (
     tokenize,
 )
 
-from _fuzz import fuzz_texts, messy_text
+from _fuzz import WORDS, fuzz_texts, messy_text
 from _oracles import (
     oracle_encode_emojis,
     oracle_is_emoji_char,
@@ -176,6 +177,41 @@ class TestLemmatize:
             stream = lowercase(tokenize(text))
             once = lemmatize(stream, dictionary)
             assert lemmatize(once, dictionary).tokens == once.tokens
+
+    def test_memo_matches_the_rules(self):
+        """Cold and warm, the memo gives what the rules give for every
+        table key, every table value and every fuzz word."""
+        data = textprep._resources.data_dir()
+        dictionary = textprep.load_lemma_dictionary(
+            data / "lemma_exceptions.tsv", data / "lemma_rules.tsv"
+        )
+        fuzz_words = {t for text in fuzz_texts(300, 47) for t in tokenize(text.lower()).tokens}
+        words = sorted(
+            set(dictionary.exceptions) | set(dictionary.exceptions.values()) | set(WORDS) | fuzz_words
+        )
+        expected = tuple(textprep._lemmatize_word(w, dictionary) for w in words)
+        assert dictionary.memo == {}
+        for _ in range(2):
+            assert lemmatize(TokenStream(tuple(words)), dictionary).tokens == expected
+        assert dictionary.memo == dict(zip(words, expected))
+        assert expected != tuple(words)
+
+    def test_memo_belongs_to_the_dictionary(self, tmp_path, monkeypatch):
+        """Tables without rules or exceptions give other lemmas in the same
+        process, and the bundled tables give theirs again afterwards; so
+        does a copy of the bundled dictionary without its rules."""
+        words = TokenStream(("cats", "writing", "blessings"))
+        lemmas = lemmatize(words).tokens
+        assert lemmas != words.tokens
+        (tmp_path / "lemma_exceptions.tsv").write_text("", encoding="utf-8")
+        (tmp_path / "lemma_rules.tsv").write_text("", encoding="utf-8")
+        monkeypatch.setenv("MODKIT_DATA_DIR", str(tmp_path))
+        assert lemmatize(words).tokens == words.tokens
+        monkeypatch.delenv("MODKIT_DATA_DIR")
+        assert lemmatize(words).tokens == lemmas
+        no_rules = dataclasses.replace(default_lemma_dictionary(), suffix_rules=())
+        assert no_rules.memo == {}
+        assert lemmatize(words, no_rules).tokens == ("cats", "write", "blessings")
 
 
 class TestNormalizeEmoticons:
@@ -348,12 +384,17 @@ class TestCharacterTable:
         assert mismatches == []
 
     def test_string_steps_match_the_reference_on_fuzz(self):
+        """Also the premise of the ASCII fast paths: the fuzz texts hold
+        many all-ASCII texts and chunks, and many that are not."""
         rng = random.Random(20240830)
         emoticons = default_emoticon_map().entries
         aliases = default_emoji_aliases()
+        seen = Counter()
         for _ in range(3000):
             text = messy_text(rng)
             for variant in (text, text.lower(), oracle_normalize_emoticons(text, emoticons)):
+                seen["ascii text" if variant.isascii() else "other text"] += 1
+                seen.update("ascii chunk" if c.isascii() else "other chunk" for c in variant.split())
                 assert tokenize(variant).tokens == oracle_tokenize(variant), repr(variant)
                 assert normalize_emoticons(variant) == oracle_normalize_emoticons(variant, emoticons)
                 for mode in EmojiMode:
@@ -361,3 +402,4 @@ class TestCharacterTable:
                         variant, mode is EmojiMode.ML_PLAIN, aliases, UNKNOWN_EMOJI_ALIAS
                     )
                     assert encode_emojis(variant, mode) == expected, (repr(variant), mode)
+        assert min(seen.values()) > 1000 and len(seen) == 4, seen
