@@ -4,19 +4,28 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Iterable
 
 
-def write_text(path: str | Path, content: str) -> None:
-    """Write ``content`` as UTF-8 to ``path`` (newlines untranslated).
+def write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated ``chunks`` as UTF-8 to ``path`` (newlines
+    untranslated), without holding them in memory at once.
 
     The bytes go to a sibling ``.tmp`` file that is then renamed over
-    ``path``, so a reader, or a write that fails part way, never leaves
-    a truncated file: ``path`` holds either its old or its new content.
+    ``path``, so a reader, or a write that fails part way (the chunks'
+    generator included), never leaves a truncated file: ``path`` holds
+    either its old or its new content, and the ``.tmp`` file is removed.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(content.encode("utf-8"))
+        with open(tmp, "w", encoding="utf-8", newline="") as out:
+            out.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_text(path: str | Path, content: str) -> None:
+    """Write ``content`` as UTF-8 to ``path``; see :func:`write_chunks`."""
+    write_chunks(path, (content,))

@@ -34,6 +34,7 @@ from .errors import (
     SchemaViolationError,
     is_number,
     load_json,
+    read_json_text,
 )
 
 DEFAULT_STEPS = (
@@ -76,7 +77,7 @@ class RunConfig:
 
 def _load_config_file(path: str) -> dict:
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = read_json_text(path, MalformedConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     obj = load_json(raw, f"config {path} is not valid JSON", MalformedConfigError)
@@ -96,6 +97,10 @@ def _apply_set_overrides(config: dict, overrides: Sequence[str]) -> None:
             if not isinstance(exc.__cause__, json.JSONDecodeError):
                 raise
             parsed = value  # not JSON: the plain string
+        try:  # argv holds undecodable bytes as lone surrogates, and JSON can escape them
+            json.dumps(parsed, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"--set {key}: value holds a lone surrogate") from None
         target = config
         parts = key.split(".")
         for part in parts[:-1]:
@@ -182,8 +187,8 @@ def _require_file(path: str | Path, what: str) -> Path:
     return path
 
 
-def _read_text(path: str | Path, what: str) -> str:
-    return _require_file(path, what).read_text(encoding="utf-8")
+def _read_json_text(path: str | Path, what: str) -> str:
+    return read_json_text(_require_file(path, what))
 
 
 def _sha256(path: Path) -> str:
@@ -210,7 +215,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     all_comments: list[corpus.Comment] = []
     provenance: dict[str, str] = {}
     for tree_path in args.trees:
-        data = _read_text(tree_path, "comment-tree file")
+        data = _read_json_text(tree_path, "comment-tree file")
         tree = corpus.parse_comment_tree(data)
         for comment in corpus.flatten(tree):
             all_comments.append(comment)
@@ -230,11 +235,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         lexicon = corpus.load_lexicon(_require_file(args.lexicon, "lexicon file"))
         hits = corpus.lexicon_flag(unique, lexicon)
         hits_path = Path(args.out).with_name(Path(args.out).stem + "_lexicon_hits.json")
-        hits_obj = {
-            cid: [[term, category.value] for term, category in found]
-            for cid, found in hits.items()
-        }
-        _atomic.write_text(hits_path, json.dumps(hits_obj, indent=2, ensure_ascii=False))
+        corpus.save_lexicon_hits(hits, hits_path)
         print(f"{len(hits)} comments matched the lexicon -> {hits_path}")
     return 0
 
@@ -361,7 +362,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _load_run(run_dir: Path) -> tuple[RunConfig, vectorize.TfidfModel, models.NBModel | models.LRModel, dict]:
     manifest_path = _require_file(run_dir / "manifest.json", "run manifest")
     manifest = load_json(
-        manifest_path.read_text(encoding="utf-8"), f"invalid manifest JSON in {manifest_path}"
+        read_json_text(manifest_path), f"invalid manifest JSON in {manifest_path}"
     )
     config_obj = manifest.get("config") if isinstance(manifest, dict) else None
     if not isinstance(config_obj, dict):
@@ -387,7 +388,7 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, vectorize.TfidfModel, models.NB
 def _best_cycle_seed(report_path: Path) -> int:
     """Split seed of the best cycle recorded in a run's train report."""
     report = load_json(
-        _read_text(report_path, "train report"), f"invalid train report JSON in {report_path}"
+        _read_json_text(report_path, "train report"), f"invalid train report JSON in {report_path}"
     )
     try:
         cycles, best = report["cycles"], report["best_cycle_index"]
@@ -434,7 +435,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     variants: list[evaluate.MetricsReport] = []
     for input_path in args.inputs:
         variants.extend(
-            evaluate.parse_report_json(_read_text(input_path, "report file"), str(input_path))
+            evaluate.parse_report_json(_read_json_text(input_path, "report file"), str(input_path))
         )
     if args.reference:
         variants.extend(evaluate.load_reference_scores())

@@ -14,8 +14,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _atomic
 from .errors import (
@@ -26,6 +27,7 @@ from .errors import (
     SchemaViolationError,
     UnknownCommentIdError,
     load_json,
+    read_json_text,
 )
 from ._rng import sample_without_replacement, shuffled
 
@@ -396,22 +398,57 @@ def _whole_words(entries: Sequence[LexiconEntry]) -> re.Pattern:
     return re.compile(rf"(?<!{_WORD_CHAR})(?:{terms})(?!{_WORD_CHAR})", re.IGNORECASE)
 
 
+def _lexicon_hits_chunks(hits: Mapping[str, list[tuple[str, LexiconCategory]]]) -> Iterator[str]:
+    """The text of ``json.dumps`` (``ensure_ascii=False, indent=2``) of
+    ``{comment_id: [[term, category], ...]}``, one comment per chunk; every
+    list of hits is non-empty, as :func:`lexicon_flag` returns them."""
+    encode = encode_basestring
+    if not hits:
+        yield "{}"
+        return
+    separator = "{"
+    for cid, found in hits.items():
+        pairs = ",".join(
+            f"\n    [\n      {encode(term)},\n      {encode(category.value)}\n    ]"
+            for term, category in found
+        )
+        yield f"{separator}\n  {encode(cid)}: [{pairs}\n  ]"
+        separator = ","
+    yield "\n}"
+
+
+def save_lexicon_hits(
+    hits: Mapping[str, list[tuple[str, LexiconCategory]]], path: str | Path
+) -> None:
+    """Write :func:`lexicon_flag`'s result as ``{comment_id: [[term, category], ...]}``."""
+    _atomic.write_chunks(path, _lexicon_hits_chunks(hits))
+
+
 # ---------------------------------------------------------------------------
 # File formats
+
+#: The label of each accepted JSON label value, looked up by the value's
+#: type and then the value: 0, 1, 0.0 and 1.0. ``true`` and ``false``
+#: equal 1 and 0 but have type bool, so they are refused.
+_LABEL_OF_VALUE = {0: Label.NOT_OFFENSIVE, 1: Label.OFFENSIVE}
+_LABELS = {int: _LABEL_OF_VALUE, float: _LABEL_OF_VALUE}
+#: How each label is written: its value (an enum's ``.value`` is a slow property).
+_LABEL_JSON = {label: str(label.value) for label in Label}
 
 
 def load_labels(path: str | Path) -> dict[str, Label]:
     """Read a label file: JSON object mapping comment_id -> 0 or 1."""
-    raw = load_json(Path(path).read_text(encoding="utf-8"), f"invalid label JSON in {path}")
+    raw = load_json(read_json_text(path), f"invalid label JSON in {path}")
     if not isinstance(raw, dict):
         raise SchemaViolationError("label file must be a JSON object", str(path))
     labels: dict[str, Label] = {}
     for cid, value in raw.items():
-        if isinstance(value, bool) or value not in (0, 1):
+        try:
+            labels[cid] = _LABELS[type(value)][value]
+        except KeyError:
             raise SchemaViolationError(
                 f"label for {cid!r} must be 0 or 1, got {value!r}", str(path)
-            )
-        labels[cid] = Label(value)
+            ) from None
     return labels
 
 
@@ -437,15 +474,48 @@ def load_lexicon(path: str | Path) -> list[LexiconEntry]:
     return entries
 
 
+def _dataset_chunks(dataset: LabeledDataset) -> Iterator[str]:
+    """The text of ``json.dumps`` (``ensure_ascii=False, indent=2``) of the
+    dataset's JSON object, one entry per chunk and the provenance in one,
+    with the indentation written out and each string escaped by the
+    encoder ``json.dumps`` itself uses."""
+    encode, label_json = encode_basestring, _LABEL_JSON
+    yield '{\n  "entries": ['
+    separator = "\n"
+    for cid, text, label in dataset.entries:
+        yield (
+            f'{separator}    {{\n      "id": {encode(cid)},\n      "text": {encode(text)},'
+            f'\n      "label": {label_json[label]}\n    }}'
+        )
+        separator = ",\n"
+    yield '\n  ],\n  "provenance": {' if dataset.entries else '],\n  "provenance": {'
+    provenance = dataset.provenance or {}
+    if provenance:
+        yield ",".join(f"\n    {encode(cid)}: {encode(pid)}" for cid, pid in provenance.items())
+        yield "\n  }\n}"
+    else:
+        yield "}\n}"
+
+
 def dataset_to_json(dataset: LabeledDataset) -> str:
-    obj = {
-        "entries": [
-            {"id": cid, "text": text, "label": label.value}
-            for cid, text, label in dataset.entries
-        ],
-        "provenance": dict(dataset.provenance) if dataset.provenance else {},
-    }
-    return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=False)
+    """The dataset file's text: ``json.dumps(obj, ensure_ascii=False, indent=2)``
+    of ``{"entries": [{"id", "text", "label"}...], "provenance": {...}}``."""
+    return "".join(_dataset_chunks(dataset))
+
+
+def _entry_error(entry, i: int) -> SchemaViolationError:
+    """The first problem of an entry the fast path of :func:`dataset_from_json` refused."""
+    path = f"$.entries[{i}]"
+    if not isinstance(entry, dict):
+        return SchemaViolationError("entry must be an object", path)
+    for key in ("id", "text", "label"):
+        if key not in entry:
+            return SchemaViolationError(f"missing {key!r}", path)
+    if not isinstance(entry["id"], str) or not entry["id"]:
+        return SchemaViolationError("id must be a non-empty string", f"{path}.id")
+    if not isinstance(entry["text"], str):
+        return SchemaViolationError("text must be a string", f"{path}.text")
+    return SchemaViolationError("label must be 0 or 1", f"{path}.label")
 
 
 def dataset_from_json(data: str | bytes) -> LabeledDataset:
@@ -456,19 +526,14 @@ def dataset_from_json(data: str | bytes) -> LabeledDataset:
         raise SchemaViolationError("entries must be an array", "$.entries")
     entries = []
     for i, e in enumerate(obj["entries"]):
-        path = f"$.entries[{i}]"
-        if not isinstance(e, dict):
-            raise SchemaViolationError("entry must be an object", path)
-        for key in ("id", "text", "label"):
-            if key not in e:
-                raise SchemaViolationError(f"missing {key!r}", path)
-        if not isinstance(e["id"], str) or not e["id"]:
-            raise SchemaViolationError("id must be a non-empty string", f"{path}.id")
-        if not isinstance(e["text"], str):
-            raise SchemaViolationError("text must be a string", f"{path}.text")
-        if isinstance(e["label"], bool) or e["label"] not in (0, 1):
-            raise SchemaViolationError("label must be 0 or 1", f"{path}.label")
-        entries.append((e["id"], e["text"], Label(e["label"])))
+        try:
+            cid, text, value = e["id"], e["text"], e["label"]
+            label = _LABELS[type(value)][value]
+        except (KeyError, TypeError):
+            raise _entry_error(e, i) from None
+        if type(cid) is not str or not cid or type(text) is not str:
+            raise _entry_error(e, i)
+        entries.append((cid, text, label))
     provenance = obj.get("provenance") or None
     if provenance is not None and not isinstance(provenance, dict):
         raise SchemaViolationError("provenance must be an object", "$.provenance")
@@ -479,8 +544,8 @@ def dataset_from_json(data: str | bytes) -> LabeledDataset:
 
 
 def save_dataset(dataset: LabeledDataset, path: str | Path) -> None:
-    _atomic.write_text(path, dataset_to_json(dataset))
+    _atomic.write_chunks(path, _dataset_chunks(dataset))
 
 
 def load_dataset(path: str | Path) -> LabeledDataset:
-    return dataset_from_json(Path(path).read_text(encoding="utf-8"))
+    return dataset_from_json(read_json_text(path))

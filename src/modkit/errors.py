@@ -8,7 +8,9 @@ failures.
 from __future__ import annotations
 
 import json
+import re
 import sys
+from pathlib import Path
 
 
 class ModkitError(Exception):
@@ -131,3 +133,36 @@ def load_json(data: str | bytes, what: str, error: type[MalformedJsonError] = Ma
         raise error(f"{what}: {exc.msg}", offset=exc.pos) from exc
     except RecursionError as exc:
         raise error(f"{what}: nesting too deep") from exc
+
+
+#: Scanned left to right through JSON text: an escaped backslash, an
+#: escaped surrogate pair, or (group 1) an escaped surrogate outside a
+#: pair. Consuming escaped backslashes keeps the JSON text ``\\ud800``
+#: (an escaped backslash, then ``ud800``) from reading as an escape.
+_SURROGATE_ESCAPES = re.compile(
+    r"\\\\|\\u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+    r"|(\\u[dD][89a-fA-F][0-9a-fA-F]{2})"
+)
+#: What every surrogate escape starts with. A search for this literal
+#: prefix runs far faster than a scan with the alternation above, so
+#: only a text that has one is scanned.
+_SURROGATE_ESCAPE_START = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def read_json_text(path: str | Path, error: type[MalformedJsonError] = MalformedJsonError) -> str:
+    """The text of a JSON file, read as UTF-8.
+
+    Bytes that are not UTF-8, and a ``\\uD800``-``\\uDFFF`` escape outside
+    a surrogate pair (a string no UTF-8 file can hold, so no output could
+    be written from it), raise ``error`` naming the file.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    if _SURROGATE_ESCAPE_START.search(text):
+        for match in _SURROGATE_ESCAPES.finditer(text):
+            if match.group(1):
+                escape, at = match.group(1), match.start()
+                raise error(f"{path} has a lone surrogate escape {escape} at character {at}")
+    return text

@@ -32,6 +32,7 @@ from .errors import (
     SingleClassError,
     is_number,
     load_json,
+    read_json_text,
 )
 from .evaluate import MetricsReport, confusion, metrics
 from .textprep import PreprocessConfig, Step, StopList, TokenStream, run_pipeline
@@ -118,26 +119,21 @@ class LRModel:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # two-branch form never exponentiates a positive argument
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _loss_at(z: np.ndarray, weights: np.ndarray, y: np.ndarray, l2: float) -> float:
     # log(1 + e^z) - y*z  ==  -[y log p + (1-y) log(1-p)]
     per_example = np.logaddexp(0.0, z) - y * z
-    return float(per_example.mean() + 0.5 * l2 * (weights @ weights))
+    return float(np.add.reduce(per_example) / len(per_example) + 0.5 * l2 * (weights @ weights))
 
 
 def _gradients_at(
     z: np.ndarray, weights: np.ndarray, X: CSRMatrix | np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
     residual = _sigmoid(z) - y
-    return (residual @ X) / len(y) + l2 * weights, float(residual.mean())
+    return (residual @ X) / len(y) + l2 * weights, float(np.add.reduce(residual) / len(residual))
 
 
 def lr_loss(
@@ -397,7 +393,7 @@ def save_model(model: NBModel | LRModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> NBModel | LRModel:
-    obj = load_json(Path(path).read_text(encoding="utf-8"), f"invalid model JSON in {path}")
+    obj = load_json(read_json_text(path), f"invalid model JSON in {path}")
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind not in ("nb", "lr"):
         raise SchemaViolationError(f"unknown model kind {kind!r}", str(path))

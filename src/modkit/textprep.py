@@ -116,6 +116,8 @@ class EmoticonMap:
                 raise ValueError(f"letters-only emoticon key not allowed: {key!r}")
             if alias != alias.lower():
                 raise ValueError(f"emoticon alias must be lowercase: {alias!r}")
+            if not is_alias_placeholder(f":{alias}:"):
+                raise ValueError(f"emoticon alias must be a placeholder body: {alias!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _atomic
-from .errors import EmptyCorpusError, SchemaViolationError, is_number, load_json
+from .errors import EmptyCorpusError, SchemaViolationError, is_number, load_json, read_json_text
 from .textprep import TokenStream
 
 
@@ -127,7 +127,7 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
-    obj = load_json(Path(path).read_text(encoding="utf-8"), f"invalid TF-IDF JSON in {path}")
+    obj = load_json(read_json_text(path), f"invalid TF-IDF JSON in {path}")
     if not isinstance(obj, dict):
         raise SchemaViolationError("TF-IDF model must be a JSON object", str(path))
     try:

@@ -10,7 +10,7 @@ number of pieces a corpus fragments into, which the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,7 +33,18 @@ DEFAULT_MAX_LENGTH = 150
 
 @dataclass(frozen=True)
 class WordPieceVocab:
+    """Token -> id table.
+
+    ``memo`` holds the pieces of every word this instance has segmented.
+    It belongs to the instance: a vocabulary made by :func:`augment_vocab`
+    or :func:`load_vocab` starts with an empty memo. ``tokens`` must not
+    be mutated once the instance is in use.
+    """
+
     tokens: dict[str, int]
+    memo: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         for special in SPECIALS:
@@ -113,6 +124,14 @@ def _segment_word(word: str, vocab: WordPieceVocab) -> list[str]:
     return pieces
 
 
+def _pieces(word: str, vocab: WordPieceVocab) -> tuple[str, ...]:
+    """:func:`_segment_word` of ``word``, memoized in ``vocab.memo``."""
+    pieces = vocab.memo.get(word)
+    if pieces is None:
+        pieces = vocab.memo[word] = tuple(_segment_word(word, vocab))
+    return pieces
+
+
 def wordpiece_encode(
     text: str,
     vocab: WordPieceVocab | None = None,
@@ -134,7 +153,7 @@ def wordpiece_encode(
         raise ConfigError(f"max_length must be >= 2, got {max_length}")
     pieces: list[str] = [CLS]
     for word in text.split():
-        pieces.extend(_segment_word(word, vocab))
+        pieces.extend(_pieces(word, vocab))
     truncated = False
     if len(pieces) + 1 > max_length:
         pieces = pieces[: max_length - 1]
@@ -189,10 +208,10 @@ def fragmentation_rate(
     split_words = 0
     for text in corpus:
         for word in text.split():
-            pieces = _segment_word(word, vocab)
+            pieces = _pieces(word, vocab)
             total_words += 1
             total_pieces += len(pieces)
-            if len(pieces) >= 2 or pieces == [UNK]:
+            if len(pieces) >= 2 or pieces == (UNK,):
                 split_words += 1
     if total_words == 0:
         raise EmptyCorpusError("fragmentation rate needs at least one word")

@@ -30,6 +30,7 @@ from modkit.errors import (
     MalformedJsonError,
     SchemaViolationError,
     UnknownCommentIdError,
+    read_json_text,
 )
 
 from _fuzz import messy_text, random_text, reply_chain
@@ -401,3 +402,222 @@ class TestLexiconAlternation:
     def test_terms_reported_in_lexicon_order(self, text, terms):
         hits = lexicon_flag([Comment(id="c", author="u", text=text)], FUZZ_LEXICON)
         assert [term for term, _ in hits.get("c", [])] == terms
+
+
+# ---------------------------------------------------------------------------
+# Dataset and lexicon-hit files
+
+#: Characters every JSON string writer must get right: quotes,
+#: backslashes, each control character, DEL, NBSP, the line and
+#: paragraph separators, a BOM and non-BMP emoji.
+AWKWARD = [
+    '"', "\\", "/", *map(chr, range(0x20)), "\x7f", "\u00a0", "\u2028", "\u2029", "\ufeff",
+    "😂", "\U0001FAE8",
+]
+
+
+def awkward_text(rng: random.Random) -> str:
+    text = messy_text(rng)
+    for _ in range(rng.randint(0, 4)):
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(AWKWARD) + text[at:]
+    return text
+
+
+def fuzz_dataset(n: int, seed: int, provenance: bool = True) -> LabeledDataset:
+    rng = random.Random(seed)
+    ids = [f"c{i}{rng.choice(AWKWARD)}" if rng.random() < 0.2 else f"c{i}" for i in range(n)]
+    entries = tuple(
+        (cid, awkward_text(rng), rng.choice([Label.OFFENSIVE, Label.NOT_OFFENSIVE])) for cid in ids
+    )
+    prov = {cid: f"p{rng.randint(0, 9)}{rng.choice(AWKWARD)}" for cid in ids if rng.random() < 0.7}
+    return LabeledDataset(entries=entries, provenance=prov if provenance else None)
+
+
+def reference_dataset_json(dataset: LabeledDataset) -> str:
+    """What ``dataset_to_json`` wrote when it built the JSON object and
+    passed it to ``json.dumps``."""
+    obj = {
+        "entries": [
+            {"id": cid, "text": text, "label": label.value} for cid, text, label in dataset.entries
+        ],
+        "provenance": dict(dataset.provenance) if dataset.provenance else {},
+    }
+    return json.dumps(obj, ensure_ascii=False, indent=2)
+
+
+class TestDatasetWriter:
+    def test_fuzz_entries_match_json_dumps(self, tmp_path):
+        dataset = fuzz_dataset(3000, 5)
+        text = corpus.dataset_to_json(dataset)
+        assert text == reference_dataset_json(dataset)
+        assert all(ch in text for ch in ("\\u0000", "\\u001f", "\\\"", "\\\\", "\u00a0", "😂"))
+        corpus.save_dataset(dataset, tmp_path / "d.json")
+        assert (tmp_path / "d.json").read_bytes() == text.encode("utf-8")
+        assert corpus.load_dataset(tmp_path / "d.json") == dataset
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("provenance", [None, {}, "some", "all"])
+    def test_small_and_empty_cases_match_json_dumps(self, tmp_path, n, provenance):
+        entries = tuple((f"c{i}", f"text {i}", Label(i % 2)) for i in range(n))
+        if provenance == "some":
+            provenance = {"c0": "p0"} if n else {}
+        elif provenance == "all":
+            provenance = {f"c{i}": f"p{i}" for i in range(n)}
+        dataset = LabeledDataset(entries=entries, provenance=provenance)
+        assert corpus.dataset_to_json(dataset) == reference_dataset_json(dataset)
+        corpus.save_dataset(dataset, tmp_path / "d.json")
+        assert (tmp_path / "d.json").read_bytes() == reference_dataset_json(dataset).encode("utf-8")
+
+    def test_lone_surrogate_text_matches_json_dumps(self):
+        dataset = LabeledDataset(
+            entries=(("c1", "a\udc00", Label.OFFENSIVE), ("\ud800", "b", Label.NOT_OFFENSIVE))
+        )
+        assert corpus.dataset_to_json(dataset) == reference_dataset_json(dataset)
+
+
+def reference_hits_json(hits) -> str:
+    """What ``ingest`` wrote when it passed the hits to ``json.dumps``."""
+    obj = {cid: [[term, category.value] for term, category in found] for cid, found in hits.items()}
+    return json.dumps(obj, indent=2, ensure_ascii=False)
+
+
+class TestLexiconHitsWriter:
+    def test_fuzz_hits_match_json_dumps(self, tmp_path):
+        rng = random.Random(43)
+        comments = [
+            Comment(f"c{i}{rng.choice(AWKWARD)}", "u", spliced_text(rng) + rng.choice(AWKWARD))
+            for i in range(3000)
+        ]
+        lexicon = FUZZ_LEXICON + [LexiconEntry('say "hi"', LexiconCategory.WATCHWORD)]
+        hits = lexicon_flag(comments, lexicon)
+        assert len(hits) > 1000 and any(len(found) > 1 for found in hits.values())
+        corpus.save_lexicon_hits(hits, tmp_path / "hits.json")
+        assert (tmp_path / "hits.json").read_bytes() == reference_hits_json(hits).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "hits",
+        [
+            {},
+            {"c1": [("idiot", LexiconCategory.DEROGATORY)]},
+            {
+                "a\\\"\n😂": [('q"\\', LexiconCategory.WATCHWORD), ("up", LexiconCategory.WATCHWORD)],
+                "b": [("x", LexiconCategory.THREATENING)],
+            },
+        ],
+        ids=["empty", "one", "escapes"],
+    )
+    def test_small_cases_match_json_dumps(self, tmp_path, hits):
+        corpus.save_lexicon_hits(hits, tmp_path / "hits.json")
+        assert (tmp_path / "hits.json").read_bytes() == reference_hits_json(hits).encode("utf-8")
+
+
+def entries_json(*entries) -> str:
+    return json.dumps({"entries": list(entries)})
+
+
+class TestDatasetLoader:
+    @pytest.mark.parametrize(
+        "value, label",
+        [
+            (0, Label.NOT_OFFENSIVE), (1, Label.OFFENSIVE), (0.0, Label.NOT_OFFENSIVE),
+            (1.0, Label.OFFENSIVE), (-0.0, Label.NOT_OFFENSIVE),
+        ],
+    )
+    def test_accepted_label_values(self, tmp_path, value, label):
+        dataset = corpus.dataset_from_json(entries_json({"id": "a", "text": "t", "label": value}))
+        assert dataset.entries == (("a", "t", label),)
+        labels_path = tmp_path / "labels.json"
+        labels_path.write_text(json.dumps({"a": value}), encoding="utf-8")
+        assert corpus.load_labels(labels_path) == {"a": label}
+
+    @pytest.mark.parametrize("value", [True, False, 2, -1, 0.5, "1", None, [], {}, [1]])
+    def test_refused_label_values(self, tmp_path, value):
+        with pytest.raises(SchemaViolationError) as info:
+            corpus.dataset_from_json(entries_json({"id": "a", "text": "t", "label": value}))
+        assert str(info.value) == "label must be 0 or 1 (at $.entries[0].label)"
+        labels_path = tmp_path / "labels.json"
+        labels_path.write_text(json.dumps({"a": 1, "b": value}), encoding="utf-8")
+        with pytest.raises(SchemaViolationError) as info:
+            corpus.load_labels(labels_path)
+        assert str(info.value) == f"label for 'b' must be 0 or 1, got {value!r} (at {labels_path})"
+
+    def test_nan_label_refused(self):
+        with pytest.raises(SchemaViolationError, match="label must be 0 or 1"):
+            corpus.dataset_from_json('{"entries": [{"id": "a", "text": "t", "label": NaN}]}')
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ([], "entry must be an object (at $.entries[1])"),
+            ("x", "entry must be an object (at $.entries[1])"),
+            (None, "entry must be an object (at $.entries[1])"),
+            ({"text": "t", "label": 0}, "missing 'id' (at $.entries[1])"),
+            ({"id": "b", "label": 0}, "missing 'text' (at $.entries[1])"),
+            ({"id": "b", "text": "t"}, "missing 'label' (at $.entries[1])"),
+            ({"label": 7}, "missing 'id' (at $.entries[1])"),
+            ({"id": "", "text": "t", "label": 0}, "id must be a non-empty string (at $.entries[1].id)"),
+            ({"id": 5, "text": "t", "label": 9}, "id must be a non-empty string (at $.entries[1].id)"),
+            ({"id": "b", "text": None, "label": 0}, "text must be a string (at $.entries[1].text)"),
+            ({"id": "b", "text": [], "label": True}, "text must be a string (at $.entries[1].text)"),
+            ({"id": "b", "text": "t", "label": [0]}, "label must be 0 or 1 (at $.entries[1].label)"),
+        ],
+    )
+    def test_bad_entry_messages(self, entry, message):
+        good = {"id": "a", "text": "t", "label": 1}
+        with pytest.raises(SchemaViolationError) as info:
+            corpus.dataset_from_json(entries_json(good, entry, good))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ("[]", "dataset file must be an object with 'entries' (at $)"),
+            ("{}", "dataset file must be an object with 'entries' (at $)"),
+            ('{"entries": {}}', "entries must be an array (at $.entries)"),
+            ('{"entries": [], "provenance": [1]}', "provenance must be an object (at $.provenance)"),
+            ('{"entries": [], "provenance": {"a": "p", "b": 3}}', "post id must be a string (at $.provenance.b)"),
+        ],
+    )
+    def test_bad_file_messages(self, data, message):
+        with pytest.raises(SchemaViolationError) as info:
+            corpus.dataset_from_json(data)
+        assert str(info.value) == message
+
+
+class TestReadJsonText:
+    @pytest.mark.parametrize(
+        "bad", [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf4\x90\x80\x80"]
+    )
+    def test_undecodable_bytes_name_the_file(self, tmp_path, bad):
+        path = tmp_path / "in.json"
+        path.write_bytes(b'{"a": "x' + bad + b'"}')
+        with pytest.raises(MalformedJsonError, match=f"{path} is not UTF-8: .* at byte 8$"):
+            read_json_text(path)
+
+    @pytest.mark.parametrize(
+        "escape",
+        [
+            "\\ud800", "\\udc00", "\\uDBFF", "\\uDfFf", "\\udc00\\ud800", "\\ud800x\\udc00",
+            "\\\\\\ud800", "\\ud83d\\ud83d\\ude02",
+        ],
+    )
+    def test_lone_surrogate_escape_names_the_file(self, tmp_path, escape):
+        path = tmp_path / "in.json"
+        path.write_text('{"a": ["ok \\ud83d\\ude02", "' + escape + '"]}', encoding="utf-8")
+        with pytest.raises(MalformedJsonError, match=f"{path} has a lone surrogate escape"):
+            read_json_text(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\\ud83d\\ude02", "\\uD83D\\uDE02", "\\\\ud800", "\\\\\\\\udc00",
+            "\\u00e9\\ud7ff\\ue000", "\\\\\\ud83d\\ude02",
+        ],
+    )
+    def test_paired_and_escaped_backslash_text_is_kept(self, tmp_path, text):
+        path = tmp_path / "in.json"
+        content = '{"a": "' + text + '"}'
+        path.write_text(content, encoding="utf-8")
+        assert read_json_text(path) == content
+        json.loads(content)["a"].encode("utf-8")  # what the file holds can be written

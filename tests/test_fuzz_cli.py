@@ -1,7 +1,9 @@
 """Seeded fuzz test of ``main()``: every kind of input, corrupted by
-truncation, by a value of the wrong type or by deep nesting, ends with
-exit code 2 (usage), 3 (data) or 4 (numeric) and one ``error:`` line,
-never a traceback.
+truncation, by a value of the wrong type, by deep nesting, by bytes that
+are not UTF-8 or by a lone surrogate escape, ends with exit code 2
+(usage), 3 (data) or 4 (numeric) and one ``error:`` line, never a
+traceback. The last two name the file and exit 2 for a config file, 3
+for any other.
 
 A case is (input kind, corruption, seed). The seed picks where to cut
 the text, which JSON node to replace and with what; a failure message
@@ -29,6 +31,12 @@ from _fuzz import reseal
 #: Far past the JSON decoder's recursion limit on every supported Python.
 DEEP = 100_000
 DEEP_MARK = "@@deep@@"
+#: Byte runs no UTF-8 decoder accepts: a bad start byte, a cut sequence,
+#: an encoded surrogate, an overlong slash and a code point past U+10FFFF.
+NOT_UTF8 = (b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf4\x90\x80\x80")
+#: Strings holding a surrogate outside a pair, which JSON can escape but
+#: no UTF-8 output can hold.
+LONE_SURROGATES = ("\udc00", "a\ud800", "\udbff!", "\udc00\ud800", "😂\ud83d")
 SEEDS = range(10)
 #: One value of each JSON kind; a wrong type is one of another kind.
 VALUES = (None, True, 7, -2.5, "x", [], {})
@@ -83,18 +91,26 @@ def lookup(obj, path):
     return obj
 
 
-def corrupt(text: str, how: str, rng: random.Random) -> tuple[str, tuple]:
-    """The corrupted text and the path of the node replaced (``()`` for a cut)."""
+def corrupt(text: str, how: str, rng: random.Random) -> tuple[bytes, tuple]:
+    """The corrupted file content and the path of the node replaced
+    (``()`` for a cut or inserted bytes)."""
     if how == "truncate":
-        return text[: rng.randrange(1, len(text))], ()
+        return text[: rng.randrange(1, len(text))].encode("utf-8"), ()
+    if how == "not_utf8":
+        raw = text.encode("utf-8")
+        at = rng.randrange(len(raw) + 1)
+        return raw[:at] + rng.choice(NOT_UTF8) + raw[at:], ()
     obj = json.loads(text)
     path = rng.choice(list(node_paths(obj)))
     if how == "wrong_type":
         old = kind_of(lookup(obj, path))
         value = rng.choice([v for v in VALUES if kind_of(v) != old])
-        return json.dumps(replaced(obj, path, value), ensure_ascii=False), path
-    deep = json.dumps(replaced(obj, path, DEEP_MARK), ensure_ascii=False)
-    return deep.replace(json.dumps(DEEP_MARK), "[" * DEEP + "]" * DEEP), path
+        return json.dumps(replaced(obj, path, value), ensure_ascii=False).encode("utf-8"), path
+    marked = json.dumps(replaced(obj, path, DEEP_MARK), ensure_ascii=False)
+    if how == "lone_surrogate":  # json.dumps escapes the surrogate as \uXXXX
+        escaped = json.dumps(rng.choice(LONE_SURROGATES))
+        return marked.replace(json.dumps(DEEP_MARK), escaped).encode("utf-8"), path
+    return marked.replace(json.dumps(DEEP_MARK), "[" * DEEP + "]" * DEEP).encode("utf-8"), path
 
 
 @dataclass(frozen=True)
@@ -167,22 +183,26 @@ def check_one_line_error(code: int, err: str, case: str, may_pass: bool = False)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("how", ["truncate", "wrong_type", "deep"])
+@pytest.mark.parametrize("how", ["truncate", "wrong_type", "deep", "not_utf8", "lone_surrogate"])
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
 def test_corrupted_file(tmp_path, capsys, base, kind, how, seed):
     work = tmp_path / "work"
     shutil.copytree(base, work)
     target = work / kind.file
     rng = random.Random(f"{kind.name}/{how}/{seed}")
-    text, path = corrupt(target.read_text(encoding="utf-8"), how, rng)
-    target.write_text(text, encoding="utf-8")
+    data, path = corrupt(target.read_text(encoding="utf-8"), how, rng)
+    target.write_bytes(data)
     if target.name != "manifest.json" and target.parent.name.startswith("run"):
         reseal(target.parent)
     capsys.readouterr()
     code = main(kind.command(work))
+    err = capsys.readouterr().err
     case = f"{kind.name} {how} seed={seed} at {list(path)}"
     may_pass = how == "wrong_type" and not kind.reads(path)
-    check_one_line_error(code, capsys.readouterr().err, case, may_pass)
+    check_one_line_error(code, err, case, may_pass)
+    if how in ("not_utf8", "lone_surrogate"):
+        assert code == (2 if kind.name == "config" else 3), f"{case}: exit {code}"
+        assert f"error: {target} " in err, f"{case}: {err!r}"
 
 
 #: --set overrides whose value any cut leaves invalid: an array, or a
@@ -191,16 +211,19 @@ CUTTABLE = ("model", "emoji_mode", "steps", "ratios")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("how", ["truncate", "wrong_type", "deep"])
+@pytest.mark.parametrize("how", ["truncate", "wrong_type", "deep", "not_utf8", "lone_surrogate"])
 def test_corrupted_set_value(tmp_path, capsys, base, how, seed):
     rng = random.Random(f"set/{how}/{seed}")
     key = rng.choice(CUTTABLE if how == "truncate" else sorted(CONFIG))
-    value, path = corrupt(json.dumps(CONFIG[key]), how, rng)
+    raw, path = corrupt(json.dumps(CONFIG[key]), how, rng)
+    value = raw.decode("utf-8", "surrogateescape")  # as Python decodes argv
     argv = ["train", "--dataset", str(base / "dataset.json"), "--out", str(tmp_path / "runs")]
     capsys.readouterr()
     code = main([*argv, "--set", f"{key}={value}"])
     case = f"--set {key} {how} seed={seed} at {list(path)}"
     check_one_line_error(code, capsys.readouterr().err, case)
+    if how in ("not_utf8", "lone_surrogate"):
+        assert code == 2, f"{case}: exit {code}"
 
 
 def test_artifact_from_another_run_exits_3(tmp_path, capsys, base):
@@ -255,3 +278,32 @@ def test_bad_checksums_exit_3(tmp_path, capsys, base, damage):
     code = main(["eval", "--run", str(work / "run"), "--dataset", str(work / "dataset.json"), "--full"])
     check_one_line_error(code, capsys.readouterr().err, "bad checksums")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        ("ingest {w}/tree.json --out {w}/d.json", "d.json"),
+        ("balance --dataset {w}/dataset.json --out {w}/b.json", "b.json"),
+        ("analyze --dataset {w}/dataset.json --out {w}/charts", "charts"),
+    ],
+    ids=["ingest", "balance", "analyze"],
+)
+def test_lone_surrogate_text_writes_nothing(tmp_path, capsys, base, argv, out):
+    """A comment text holding a lone surrogate is refused when its file
+    is read, before any output exists."""
+    work = tmp_path / "work"
+    shutil.copytree(base, work)
+    for name, edit in (
+        ("tree.json", lambda obj: obj["comments"][1].update(text="nice \udc00 cats")),
+        ("dataset.json", lambda obj: obj["entries"][-1].update(text="\ud800")),
+    ):
+        obj = json.loads((work / name).read_text(encoding="utf-8"))
+        edit(obj)
+        (work / name).write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    code = main([part.format(w=work) for part in argv.split()])
+    err = capsys.readouterr().err
+    check_one_line_error(code, err, argv)
+    assert code == 3 and "lone surrogate" in err
+    assert not (work / out).exists()

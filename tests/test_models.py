@@ -247,6 +247,23 @@ def tfidf_matrix(seed: int, n_docs: int = 80):
 class TestAgainstReferences:
     """The CSR paths against a per-entry loop and against dense arrays."""
 
+    def test_sigmoid_bit_identical_to_masked_two_branch_form(self):
+        """``np.where`` over both branches gives, bit for bit, what filling
+        the z >= 0 and z < 0 positions separately gave, ±0 and ±inf
+        included; NaN stays NaN (its sign bit may differ)."""
+        rng = np.random.default_rng(7)
+        z = np.concatenate([
+            rng.normal(0, 5, 5000), rng.normal(0, 400, 500),
+            [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 746.0, -746.0, np.inf, -np.inf],
+        ])
+        expected = np.empty_like(z)
+        pos = z >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        expected[~pos] = ez / (1.0 + ez)
+        assert models._sigmoid(z).tobytes() == expected.tobytes()
+        assert np.isnan(models._sigmoid(np.array([np.nan, 1.0]))[0])
+
     def test_nb_mass_and_likelihoods_bit_identical_to_loop(self):
         for seed in (1, 2, 3):
             X, y = tfidf_matrix(seed)

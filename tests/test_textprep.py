@@ -24,6 +24,7 @@ from modkit.textprep import (
     default_lemma_dictionary,
     default_stoplist,
     encode_emojis,
+    is_alias_placeholder,
     is_emoji_char,
     lemmatize,
     lowercase,
@@ -231,6 +232,15 @@ class TestNormalizeEmoticons:
     def test_letters_only_key_rejected(self):
         with pytest.raises(ValueError):
             EmoticonMap({"xd": "grinning_squinting_face"})
+
+    @pytest.mark.parametrize("alias", ["not.a.placeholder", "two words", "", "a:b", "smile!"])
+    def test_alias_that_makes_no_placeholder_rejected(self, alias):
+        with pytest.raises(ValueError, match="placeholder body"):
+            EmoticonMap({":)": alias})
+
+    def test_bundled_aliases_make_placeholders(self):
+        aliases = default_emoticon_map().entries.values()
+        assert aliases and all(is_alias_placeholder(f":{alias}:") for alias in aliases)
 
 
 class TestEncodeEmojis:

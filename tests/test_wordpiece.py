@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from modkit import wordpiece
 from modkit.errors import BadTokenError, EmptyVocabError
 from modkit.wordpiece import (
     CLS,
@@ -20,6 +21,8 @@ from modkit.wordpiece import (
     save_vocab,
     wordpiece_encode,
 )
+
+from _fuzz import WORDS, fuzz_texts, messy_text
 
 
 def vocab_of(*extra: str) -> WordPieceVocab:
@@ -192,3 +195,31 @@ class TestMonotonicity:
             rate = fragmentation_rate(slang_corpus, augment_vocab(vocab, picks))
             assert rate.pieces_per_word <= base.pieces_per_word + 1e-12
             assert rate.split_word_fraction <= base.split_word_fraction + 1e-12
+
+
+class TestMemo:
+    def test_memo_matches_cold_segmentation(self):
+        """Before and after augmentation, cold and warm, encoding and
+        fragmentation give what ``_segment_word`` gives for every
+        vocabulary token, every word of ``WORDS`` and every fuzz word."""
+        base = load_vocab(wordpiece._resources.data_dir() / "wordpiece_vocab.txt")
+        rng = random.Random(59)
+        fuzz_words = {w for text in fuzz_texts(300, 53) for w in f"{text} {text.lower()}".split()}
+        fuzz_words |= {w for _ in range(300) for w in messy_text(rng).split()}
+        words = sorted(set(base.tokens) | set(WORDS) | fuzz_words | {"x" * 101})
+        text = " ".join(words)
+        new_tokens = [":face_with_tears_of_joy:", "lol", "y'all", "karen", "simp"]
+        augmented = augment_vocab(base, new_tokens)
+        for vocab in (base, augmented):
+            assert vocab.memo == {}
+            cold = {w: tuple(wordpiece._segment_word(w, vocab)) for w in words}
+            pieces = [p for w in words for p in cold[w]]
+            split = sum(len(cold[w]) >= 2 or cold[w] == (UNK,) for w in words)
+            for _ in range(2):
+                encoding = wordpiece_encode(text, vocab, max_length=len(pieces) + 2)
+                assert encoding.tokens == (CLS, *pieces, SEP) and not encoding.truncated
+                rate = fragmentation_rate([text], vocab)
+                assert tuple(rate) == (len(pieces) / len(words), split / len(words))
+            assert vocab.memo == cold
+        assert base.memo != augmented.memo
+        assert all(type(pieces) is tuple for pieces in augmented.memo.values())
