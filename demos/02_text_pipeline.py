@@ -33,23 +33,24 @@ encoded = encode_emojis(with_aliases, EmojiMode.ML_PLAIN)
 print("emojis encoded (ml):", encoded)
 print("emojis encoded (bert):", encode_emojis(with_aliases, EmojiMode.BERT_DELIMITED))
 
-stream = tokenize(encoded)
-print("\ntokens:", " | ".join(stream.tokens))
+tokens = tokenize(encoded)
+print("\ntokens:", " | ".join(tokens))
 
-no_punct = remove_punctuation(stream)
-print("punctuation removed:", " | ".join(no_punct.tokens))
+no_punct = remove_punctuation(tokens)
+print("punctuation removed:", " | ".join(no_punct))
 
 no_stop = remove_stopwords(no_punct)
-print("stop words removed:", " | ".join(no_stop.tokens))
+print("stop words removed:", " | ".join(no_stop))
 # note: "ur" is gone because the bundled stop list carries the shorthand
 # extensions u, ur, cause, gonna, im, gon, cant
 
 lemmas = lemmatize(no_stop)
-print("lemmatized:", " | ".join(lemmas.tokens))
+print("lemmatized:", " | ".join(lemmas))
 
-# run_pipeline is exactly that composition.
+# run_pipeline is exactly that composition; it wraps the final tuple in a
+# TokenStream.
 config = PreprocessConfig()  # all five steps, ML-plain emoji aliases
-assert run_pipeline(text, config).tokens == lemmas.tokens
+assert run_pipeline(text, config).tokens == lemmas
 print("\nrun_pipeline(all five steps) ->", run_pipeline(text, config).tokens)
 
 # Any subset works; unselected steps are skipped.

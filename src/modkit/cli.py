@@ -101,13 +101,7 @@ def _apply_set_overrides(config: dict, overrides: Sequence[str]) -> None:
             json.dumps(parsed, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
             raise ConfigError(f"--set {key}: value holds a lone surrogate") from None
-        target = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-            if not isinstance(target, dict):
-                raise ConfigError(f"cannot set {key!r}: {part!r} is not an object")
-        target[parts[-1]] = parsed
+        config[key] = parsed
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -222,6 +216,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             provenance[comment.id] = tree.post_id
     unique = corpus.dedupe(all_comments)
     labels = corpus.load_labels(_require_file(args.labels, "label file")) if args.labels else {}
+    lexicon = None
+    if args.lexicon:
+        lexicon = corpus.load_lexicon(_require_file(args.lexicon, "lexicon file"))
     known = {c.id for c in unique}
     labels = {cid: lab for cid, lab in labels.items() if cid in known or args.strict_labels}
     dataset, unlabeled = corpus.apply_labels(unique, labels, provenance)
@@ -231,8 +228,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"{len(dataset)} labeled ({dataset.n_offensive} offensive / "
         f"{dataset.n_not_offensive} not offensive), {unlabeled} unlabeled excluded"
     )
-    if args.lexicon:
-        lexicon = corpus.load_lexicon(_require_file(args.lexicon, "lexicon file"))
+    if lexicon is not None:
         hits = corpus.lexicon_flag(unique, lexicon)
         hits_path = Path(args.out).with_name(Path(args.out).stem + "_lexicon_hits.json")
         corpus.save_lexicon_hits(hits, hits_path)
@@ -260,13 +256,11 @@ _NGRAM_NAMES = {1: "uni", 2: "bi", 3: "tri"}
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     dataset = corpus.load_dataset(_require_file(args.dataset, "dataset file"))
+    stoplist = None
+    if args.stoplist:
+        stoplist = textprep.load_stoplist(_require_file(args.stoplist, "stop-list file"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stoplist = (
-        textprep.load_stoplist(_require_file(args.stoplist, "stop-list file"))
-        if args.stoplist
-        else None
-    )
     offensive = [
         (cid, text) for cid, text, label in dataset.entries if label is corpus.Label.OFFENSIVE
     ]
@@ -275,9 +269,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "before": textprep.PreprocessConfig(steps=base_steps),
         "after": textprep.PreprocessConfig(steps=base_steps | {textprep.Step.STOPWORD_REMOVAL}),
     }
+    tables = textprep._step_tables(variants["after"], stoplist)  # every table both variants read
     for suffix, preprocess in variants.items():
         streams = [
-            textprep.run_pipeline(text, preprocess, stoplist=stoplist, source_id=cid)
+            textprep.run_pipeline(text, preprocess, source_id=cid, **tables)
             for cid, text in offensive
         ]
         for n, name in _NGRAM_NAMES.items():
@@ -295,7 +290,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     # emoticons count as their emoji counterparts in the emoji usage charts
     emoji_stats = analytics.emoji_stats(
-        dataset, cap=args.cap, emoticons=textprep.default_emoticon_map().entries
+        dataset, cap=args.cap, aliases=tables["aliases"], emoticons=tables["emoticon_map"].entries
     )
     analytics.export_chart_data(emoji_stats, out_dir / "emoji_stats.csv")
     print(f"wrote {6 + 2 + 1} chart files to {out_dir}")
@@ -312,11 +307,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     stoplist_sha256 = (
         _sha256(_require_file(config.stoplist, "stop-list file")) if config.stoplist else ""
     )
+    cycle_config = _cycle_config(config)
     run_dir = Path(config.out) / config.hash(dataset_sha256, stoplist_sha256)
     run_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     trained = models.run_cycles(
-        dataset, _cycle_config(config), n_cycles=config.n_cycles, base_seed=config.seed
+        dataset, cycle_config, n_cycles=config.n_cycles, base_seed=config.seed
     )
     train_seconds = time.perf_counter() - started
     report = trained.report

@@ -28,6 +28,7 @@ from .errors import (
     UnknownCommentIdError,
     load_json,
     read_json_text,
+    read_text,
 )
 from ._rng import sample_without_replacement, shuffled
 
@@ -308,16 +309,10 @@ def balance(dataset: LabeledDataset, seed: int) -> LabeledDataset:
             f"not_offensive={len(not_ids)})"
         )
     k = min(len(off_ids), len(not_ids))
-    keep = set(off_ids if len(off_ids) <= k else sample_without_replacement(off_ids, k, seed))
-    if len(not_ids) <= k:
-        keep.update(not_ids)
-    else:
-        keep.update(sample_without_replacement(not_ids, k, seed))
-    entries = tuple(e for e in dataset.entries if e[0] in keep)
-    prov = None
-    if dataset.provenance is not None:
-        prov = {cid: pid for cid, pid in dataset.provenance.items() if cid in keep}
-    return LabeledDataset(entries=entries, provenance=prov)
+    keep: set[str] = set()
+    for ids in (off_ids, not_ids):
+        keep.update(ids if len(ids) <= k else sample_without_replacement(ids, k, seed))
+    return _subset(dataset, keep)
 
 
 def split(
@@ -338,24 +333,23 @@ def split(
         raise BadRatiosError(f"ratios must sum to 1, got {sum(ratios)}")
     n = len(dataset.entries)
     order = shuffled(dataset.ids(), seed)
-    n_train = math.floor(n * ratios[0] + 1e-9)
     n_val = math.floor(n * ratios[1] + 1e-9)
     n_test = math.floor(n * ratios[2] + 1e-9)
-    n_train += n - (n_train + n_val + n_test)
-    groups = (
-        set(order[:n_train]),
-        set(order[n_train : n_train + n_val]),
-        set(order[n_train + n_val :]),
+    n_train = n - n_val - n_test
+    return (
+        _subset(dataset, set(order[:n_train])),
+        _subset(dataset, set(order[n_train : n - n_test])),
+        _subset(dataset, set(order[n - n_test :])),
     )
 
-    def take(ids: set[str]) -> LabeledDataset:
-        entries = tuple(e for e in dataset.entries if e[0] in ids)
-        prov = None
-        if dataset.provenance is not None:
-            prov = {c: p for c, p in dataset.provenance.items() if c in ids}
-        return LabeledDataset(entries=entries, provenance=prov)
 
-    return take(groups[0]), take(groups[1]), take(groups[2])
+def _subset(dataset: LabeledDataset, ids: set[str]) -> LabeledDataset:
+    """The entries whose id is in ``ids`` and their provenance, in ``dataset``'s order."""
+    entries = tuple(e for e in dataset.entries if e[0] in ids)
+    prov = None
+    if dataset.provenance is not None:
+        prov = {cid: pid for cid, pid in dataset.provenance.items() if cid in ids}
+    return LabeledDataset(entries=entries, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +449,7 @@ def load_labels(path: str | Path) -> dict[str, Label]:
 def load_lexicon(path: str | Path) -> list[LexiconEntry]:
     """Read a lexicon file: UTF-8 lines of ``term<TAB>category``."""
     entries: list[LexiconEntry] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

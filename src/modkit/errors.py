@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modkit modules, and their JSON loader.
+"""Exception hierarchy shared by all modkit modules, and their file and JSON loaders.
 
 Every error carries an ``exit_code`` used by the command-line front end:
 2 for usage/configuration problems, 3 for data problems, 4 for numeric
@@ -149,17 +149,20 @@ _SURROGATE_ESCAPES = re.compile(
 _SURROGATE_ESCAPE_START = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def read_json_text(path: str | Path, error: type[MalformedJsonError] = MalformedJsonError) -> str:
-    """The text of a JSON file, read as UTF-8.
-
-    Bytes that are not UTF-8, and a ``\\uD800``-``\\uDFFF`` escape outside
-    a surrogate pair (a string no UTF-8 file can hold, so no output could
-    be written from it), raise ``error`` naming the file.
-    """
+def read_text(path: str | Path, error: type[ModkitError] = ModkitError) -> str:
+    """The text of a file, read as UTF-8; bytes that are not UTF-8 raise
+    ``error`` naming the file."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+
+
+def read_json_text(path: str | Path, error: type[MalformedJsonError] = MalformedJsonError) -> str:
+    """:func:`read_text` of a JSON file; a ``\\uD800``-``\\uDFFF`` escape
+    outside a surrogate pair (a string no UTF-8 file can hold, so no output
+    could be written from it) also raises ``error`` naming the file."""
+    text = read_text(path, error)
     if _SURROGATE_ESCAPE_START.search(text):
         for match in _SURROGATE_ESCAPES.finditer(text):
             if match.group(1):

@@ -35,7 +35,7 @@ from .errors import (
     read_json_text,
 )
 from .evaluate import MetricsReport, confusion, metrics
-from .textprep import PreprocessConfig, Step, StopList, TokenStream, run_pipeline
+from .textprep import PreprocessConfig, Step, StopList, TokenStream, _step_tables, run_pipeline
 from .vectorize import CSRMatrix, TfidfModel, fit, transform_all
 
 # Class index convention: column 0 = NOT_OFFENSIVE, column 1 = OFFENSIVE.
@@ -258,8 +258,9 @@ class TrainedArtifacts:
 
 
 def _preprocess_all(dataset: LabeledDataset, config: CycleConfig) -> list[TokenStream]:
+    tables = _step_tables(config.preprocess, config.stoplist)
     return [
-        run_pipeline(text, config.preprocess, stoplist=config.stoplist, source_id=cid)
+        run_pipeline(text, config.preprocess, source_id=cid, **tables)
         for cid, text, _ in dataset.entries
     ]
 

@@ -9,6 +9,9 @@ them and the stop list only ever has to match lowercase tokens.
 
 Emojis are never treated as punctuation: raw emoji code points and
 ``:alias:`` placeholders survive punctuation removal untouched.
+
+Token steps take and return a plain ``tuple[str, ...]``; only
+:func:`run_pipeline` wraps its result, in one :class:`TokenStream`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import _resources
+from .errors import read_text
 
 #: Shorthand words appended to the baseline stop list by default.
 STOPWORD_EXTENSIONS: tuple[str, ...] = ("u", "ur", "cause", "gonna", "im", "gon", "cant")
@@ -60,6 +64,11 @@ class PreprocessConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", frozenset(self.steps))
+        for step in self.steps:
+            if not isinstance(step, Step):
+                raise ValueError(f"unknown pipeline step: {step!r}")
+        if not isinstance(self.emoji_mode, EmojiMode):
+            raise ValueError(f"unknown emoji mode: {self.emoji_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +80,6 @@ class TokenStream:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if any(t == "" for t in self.tokens):
             raise ValueError("empty-string tokens are not allowed")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,7 @@ def _split_edges(segment: str) -> list[str]:
     return [part for part in (segment[:i], segment[i:j], segment[j:]) if part]
 
 
-def tokenize(text: str, source_id: str = "") -> TokenStream:
+def tokenize(text: str) -> tuple[str, ...]:
     """Split on Unicode whitespace; emit edge punctuation and emoji code
     points as their own tokens.
 
@@ -245,40 +248,38 @@ def tokenize(text: str, source_id: str = "") -> TokenStream:
             start = idx + 1
         if start < len(chunk):
             tokens.extend(_split_edges(chunk[start:]))
-    return TokenStream(tokens=tuple(tokens), source_id=source_id)
+    return tuple(tokens)
 
 
 # ---------------------------------------------------------------------------
 # Token-level steps
 
 
-def lowercase(stream: TokenStream) -> TokenStream:
-    return TokenStream(tuple(t.lower() for t in stream.tokens), stream.source_id)
+def lowercase(tokens: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(t.lower() for t in tokens)
 
 
-def remove_punctuation(stream: TokenStream) -> TokenStream:
+def remove_punctuation(tokens: tuple[str, ...]) -> tuple[str, ...]:
     """Drop all-punctuation tokens and strip punctuation off token edges.
 
     Emoji tokens and ``:alias:`` placeholders pass through unchanged;
     interior punctuation (apostrophes, underscores) is preserved.
     """
     out: list[str] = []
-    for token in stream.tokens:
+    for token in tokens:
         if is_emoji_token(token) or is_alias_placeholder(token):
             out.append(token)
             continue
         i, j = _punct_bounds(token)
         if i < j:
             out.append(token[i:j])
-    return TokenStream(tuple(out), stream.source_id)
+    return tuple(out)
 
 
-def remove_stopwords(stream: TokenStream, stoplist: StopList | None = None) -> TokenStream:
+def remove_stopwords(tokens: tuple[str, ...], stoplist: StopList | None = None) -> tuple[str, ...]:
     if stoplist is None:
         stoplist = default_stoplist()
-    return TokenStream(
-        tuple(t for t in stream.tokens if t not in stoplist), stream.source_id
-    )
+    return tuple(t for t in tokens if t not in stoplist)
 
 
 def _lemmatize_word(word: str, dictionary: LemmaDictionary) -> str:
@@ -300,7 +301,9 @@ def _lemmatize_word(word: str, dictionary: LemmaDictionary) -> str:
     return current
 
 
-def lemmatize(stream: TokenStream, dictionary: LemmaDictionary | None = None) -> TokenStream:
+def lemmatize(
+    tokens: tuple[str, ...], dictionary: LemmaDictionary | None = None
+) -> tuple[str, ...]:
     """Map tokens to their dictionary base form.
 
     Exceptions are consulted first, then the ordered suffix rules;
@@ -311,12 +314,12 @@ def lemmatize(stream: TokenStream, dictionary: LemmaDictionary | None = None) ->
         dictionary = default_lemma_dictionary()
     memo = dictionary.memo
     lemmas = []
-    for token in stream.tokens:
+    for token in tokens:
         lemma = memo.get(token)
         if lemma is None:
             lemma = memo[token] = _lemmatize_word(token, dictionary)
         lemmas.append(lemma)
-    return TokenStream(tuple(lemmas), stream.source_id)
+    return tuple(lemmas)
 
 
 # ---------------------------------------------------------------------------
@@ -406,25 +409,36 @@ def run_pipeline(
 
     Lowercasing and emoji encoding run on the raw string (before
     tokenization); punctuation, stop-word and lemma steps run on the
-    token stream. The result equals composing the individual operations
-    by hand.
+    token tuple. The result equals composing the individual operations
+    by hand. A table left ``None`` is looked up by its step on every
+    call, so callers preprocessing many comments pass the tables in.
     """
-    for step in config.steps:
-        if not isinstance(step, Step):
-            raise ValueError(f"unknown pipeline step: {step!r}")
     if Step.LOWERCASING in config.steps:
         text = text.lower()
     if Step.EMOJI_ENCODING in config.steps:
         text = normalize_emoticons(text, emoticon_map)
         text = encode_emojis(text, config.emoji_mode, aliases, unknown_counter)
-    stream = tokenize(text, source_id)
+    tokens = tokenize(text)
     if Step.PUNCTUATION_REMOVAL in config.steps:
-        stream = remove_punctuation(stream)
+        tokens = remove_punctuation(tokens)
     if Step.STOPWORD_REMOVAL in config.steps:
-        stream = remove_stopwords(stream, stoplist)
+        tokens = remove_stopwords(tokens, stoplist)
     if Step.LEMMATIZATION in config.steps:
-        stream = lemmatize(stream, dictionary)
-    return stream
+        tokens = lemmatize(tokens, dictionary)
+    return TokenStream(tokens, source_id)
+
+
+def _step_tables(config: PreprocessConfig, stoplist: StopList | None = None) -> dict:
+    """:func:`run_pipeline`'s table arguments for ``config``: the tables
+    its steps read and no others, ``stoplist`` or the default stop list."""
+    tables: dict = {}
+    if Step.STOPWORD_REMOVAL in config.steps:
+        tables["stoplist"] = default_stoplist() if stoplist is None else stoplist
+    if Step.LEMMATIZATION in config.steps:
+        tables["dictionary"] = default_lemma_dictionary()
+    if Step.EMOJI_ENCODING in config.steps:
+        tables.update(emoticon_map=default_emoticon_map(), aliases=default_emoji_aliases())
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +446,9 @@ def run_pipeline(
 
 
 def load_stoplist(path: str | Path, extensions: Iterable[str] = STOPWORD_EXTENSIONS) -> StopList:
-    """Stop-list file: one word per line, '#' comments allowed."""
+    """Stop-list file: UTF-8, one word per line, '#' comments allowed."""
     words = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             words.append(line.lower())

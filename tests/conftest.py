@@ -11,6 +11,19 @@ sys.path.insert(0, str(TESTS_DIR))
 DATA_DIR = TESTS_DIR / "data"
 
 
+@pytest.fixture
+def table_lookups(monkeypatch) -> list[str]:
+    """The key of every data-table lookup made while the test runs."""
+    from modkit import _resources
+
+    lookups: list[str] = []
+    cached = _resources.cached
+    monkeypatch.setattr(
+        _resources, "cached", lambda key, loader: lookups.append(key) or cached(key, loader)
+    )
+    return lookups
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from modkit.cli import RunConfig, main
+from modkit.corpus import Label, LabeledDataset, save_dataset
 
 from _fuzz import reply_chain, reseal
 
@@ -152,6 +153,18 @@ class TestAnalyze:
             if (plain / name).read_bytes() != (capped / name).read_bytes()
         }
         assert differing == {"emoji_stats.csv"}
+
+    def test_tables_looked_up_a_fixed_number_of_times(self, tmp_path, table_lookups):
+        """The data tables are looked up once per command, not per comment."""
+        counts = []
+        for n in (10, 100):
+            entries = tuple((f"c{i}", f"Ur so dumb :) 😂 writing {i}", Label(i % 2)) for i in range(n))
+            dataset = tmp_path / f"dataset{n}.json"
+            save_dataset(LabeledDataset(entries=entries), dataset)
+            table_lookups.clear()
+            assert main(["analyze", "--dataset", str(dataset), "--out", str(tmp_path / f"c{n}")]) == 0
+            counts.append(len(table_lookups))
+        assert counts[0] == counts[1] > 0
 
 
 class TestTrain:
@@ -298,6 +311,14 @@ class TestTrain:
             ["train", "--dataset", str(dataset), "--out", str(tmp_path / "r"), "--set", "bogus=1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("override", ["seed.x=1", "foo.bar=1"])
+    def test_dotted_key_is_one_unknown_key(self, tmp_path, separable_paths, capsys, override):
+        dataset = run_ingest(tmp_path, separable_paths)
+        capsys.readouterr()
+        argv = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "r"), "--set", override]
+        assert main(argv) == 2
+        assert f"unknown config keys: [{override.partition('=')[0]!r}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, value", [("lexicon", "terms.tsv"), ("vocab", "vocab.txt"), ("cap", 3), ("threads", 2)]

@@ -280,6 +280,36 @@ def test_bad_checksums_exit_3(tmp_path, capsys, base, damage):
     assert code == 3
 
 
+LEXICON = ("terms.tsv", "dumb\tderogatory\n")
+STOPLIST = ("stop.txt", "the\nnice\n")
+
+
+@pytest.mark.parametrize("bad", NOT_UTF8, ids=lambda b: b.hex())
+@pytest.mark.parametrize(
+    "file, argv, out",
+    [
+        (LEXICON, "ingest {w}/tree.json --lexicon {w}/terms.tsv --out {w}/d.json", "d.json"),
+        (STOPLIST, "analyze --dataset {w}/dataset.json --stoplist {w}/stop.txt --out {w}/c", "c"),
+        (STOPLIST, "train --dataset {w}/dataset.json --stoplist {w}/stop.txt --out {w}/r", "r"),
+    ],
+    ids=["ingest_lexicon", "analyze_stoplist", "train_stoplist"],
+)
+def test_text_file_not_utf8_writes_nothing(tmp_path, capsys, base, file, argv, out, bad):
+    """A lexicon or stop list holding bytes that are not UTF-8 is refused
+    with one line naming it, before any output exists."""
+    work = tmp_path / "work"
+    shutil.copytree(base, work)
+    name, text = file
+    raw = text.encode("utf-8")
+    (work / name).write_bytes(raw[:3] + bad + raw[3:])
+    capsys.readouterr()
+    code = main([part.format(w=work) for part in argv.split()])
+    err = capsys.readouterr().err
+    check_one_line_error(code, err, argv)
+    assert code == 3 and f"error: {work / name} is not UTF-8" in err, err
+    assert not (work / out).exists()
+
+
 @pytest.mark.parametrize(
     "argv, out",
     [

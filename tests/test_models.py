@@ -423,6 +423,23 @@ class TestPreprocessOnce:
         run_cycles(data, self.CONFIG, n_cycles=5, base_seed=0)
         assert sorted(calls) == sorted(data.texts())
 
+    def test_tables_looked_up_a_fixed_number_of_times(self, table_lookups):
+        """The data tables are looked up once per run, not per comment."""
+        counts = []
+        for n in (50, 200):
+            table_lookups.clear()
+            run_cycles(noisy_dataset(n), self.CONFIG, n_cycles=2, base_seed=0)
+            counts.append(len(table_lookups))
+        assert counts[0] == counts[1] > 0
+
+    def test_data_dir_needs_only_the_tables_the_steps_read(self, tmp_path, monkeypatch):
+        (tmp_path / "stopwords.txt").write_text("ok\n", encoding="utf-8")
+        monkeypatch.setenv("MODKIT_DATA_DIR", str(tmp_path))
+        steps = frozenset({Step.LOWERCASING, Step.STOPWORD_REMOVAL})
+        config = CycleConfig(model="nb", preprocess=PreprocessConfig(steps=steps))
+        trained = run_cycles(noisy_dataset(), config, n_cycles=1, base_seed=0)
+        assert "ok" not in trained.tfidf.vocabulary and "vile" in trained.tfidf.vocabulary
+
     def test_vocabulary_is_the_best_train_fold_in_first_seen_order(self):
         data = noisy_dataset()
         trained = run_cycles(data, self.CONFIG, n_cycles=5, base_seed=0)

@@ -17,7 +17,6 @@ from modkit.textprep import (
     STOPWORD_EXTENSIONS,
     Step,
     StopList,
-    TokenStream,
     UNKNOWN_EMOJI_ALIAS,
     default_emoji_aliases,
     default_emoticon_map,
@@ -48,34 +47,34 @@ from _oracles import (
 
 class TestTokenize:
     def test_trailing_punctuation_split(self):
-        assert tokenize("shut up!").tokens == ("shut", "up", "!")
+        assert tokenize("shut up!") == ("shut", "up", "!")
 
     def test_empty(self):
-        assert tokenize("").tokens == ()
+        assert tokenize("") == ()
 
     def test_emoji_is_own_token(self):
-        assert tokenize("LOL 😂").tokens == ("LOL", "😂")
+        assert tokenize("LOL 😂") == ("LOL", "😂")
 
     def test_adjacent_emoji_split(self):
-        assert tokenize("lol😂😂ok").tokens == ("lol", "😂", "😂", "ok")
+        assert tokenize("lol😂😂ok") == ("lol", "😂", "😂", "ok")
 
     def test_punctuation_run_stays_one_token(self):
-        assert tokenize("dumb !!!").tokens == ("dumb", "!!!")
-        assert tokenize("up!!!").tokens == ("up", "!!!")
+        assert tokenize("dumb !!!") == ("dumb", "!!!")
+        assert tokenize("up!!!") == ("up", "!!!")
 
     def test_interior_apostrophe_kept(self):
-        assert tokenize("y'all").tokens == ("y'all",)
+        assert tokenize("y'all") == ("y'all",)
 
     def test_leading_and_trailing(self):
-        assert tokenize("'quote'").tokens == ("'", "quote", "'")
+        assert tokenize("'quote'") == ("'", "quote", "'")
 
     def test_alias_placeholder_kept_whole(self):
-        assert tokenize(":face_with_tears_of_joy:").tokens == (":face_with_tears_of_joy:",)
+        assert tokenize(":face_with_tears_of_joy:") == (":face_with_tears_of_joy:",)
 
     def test_chunks_reconstruct(self):
         for text in fuzz_texts(300, 23):
             for chunk in text.split():
-                rebuilt = "".join(tokenize(chunk).tokens)
+                rebuilt = "".join(tokenize(chunk))
                 # emoji modifiers may be dropped; everything else survives
                 stripped = "".join(
                     ch for ch in chunk if ord(ch) not in (0x200D, 0xFE0E, 0xFE0F)
@@ -84,59 +83,59 @@ class TestTokenize:
 
     def test_never_empty_tokens(self):
         for text in fuzz_texts(300, 5):
-            assert all(tok for tok in tokenize(text).tokens)
+            assert all(tok for tok in tokenize(text))
 
 
 class TestLowercase:
     def test_basic(self):
-        assert lowercase(TokenStream(("LOL",))).tokens == ("lol",)
+        assert lowercase(("LOL",)) == ("lol",)
 
     def test_emoji_untouched(self):
-        assert lowercase(TokenStream(("😂",))).tokens == ("😂",)
+        assert lowercase(("😂",)) == ("😂",)
 
     def test_name(self):
-        assert lowercase(TokenStream(("Karen",))).tokens == ("karen",)
+        assert lowercase(("Karen",)) == ("karen",)
 
     def test_idempotent(self):
         for text in fuzz_texts(200, 31):
             stream = tokenize(text)
             once = lowercase(stream)
-            assert lowercase(once).tokens == once.tokens
+            assert lowercase(once) == once
 
 
 class TestRemovePunctuation:
     def test_pure_punct_dropped(self):
-        assert remove_punctuation(TokenStream(("dumb", "!!!"))).tokens == ("dumb",)
+        assert remove_punctuation(("dumb", "!!!")) == ("dumb",)
 
     def test_interior_apostrophe_survives(self):
-        assert remove_punctuation(TokenStream(("y'all",))).tokens == ("y'all",)
+        assert remove_punctuation(("y'all",)) == ("y'all",)
 
     def test_emoji_preserved(self):
-        assert remove_punctuation(TokenStream(("😂",))).tokens == ("😂",)
+        assert remove_punctuation(("😂",)) == ("😂",)
 
     def test_alias_placeholder_preserved(self):
-        stream = TokenStream((":face_with_tears_of_joy:", "!!"))
-        assert remove_punctuation(stream).tokens == (":face_with_tears_of_joy:",)
+        stream = (":face_with_tears_of_joy:", "!!")
+        assert remove_punctuation(stream) == (":face_with_tears_of_joy:",)
 
     def test_edge_stripping(self):
-        assert remove_punctuation(TokenStream(("'dumb!'",))).tokens == ("dumb",)
+        assert remove_punctuation(("'dumb!'",)) == ("dumb",)
 
     def test_idempotent(self):
         for text in fuzz_texts(200, 37):
             once = remove_punctuation(tokenize(text))
-            assert remove_punctuation(once).tokens == once.tokens
+            assert remove_punctuation(once) == once
 
 
 class TestRemoveStopwords:
     def test_extension_word_removed(self):
-        assert remove_stopwords(TokenStream(("ur", "dumb"))).tokens == ("dumb",)
+        assert remove_stopwords(("ur", "dumb")) == ("dumb",)
 
     def test_extension_members(self):
-        stream = TokenStream(("im", "gonna", "cause", "drama"))
-        assert remove_stopwords(stream).tokens == ("drama",)
+        stream = ("im", "gonna", "cause", "drama")
+        assert remove_stopwords(stream) == ("drama",)
 
     def test_empty(self):
-        assert remove_stopwords(TokenStream(())).tokens == ()
+        assert remove_stopwords(()) == ()
 
     def test_default_extensions_are_the_seven_shorthands(self):
         assert STOPWORD_EXTENSIONS == ("u", "ur", "cause", "gonna", "im", "gon", "cant")
@@ -149,35 +148,35 @@ class TestRemoveStopwords:
         for text in fuzz_texts(200, 41):
             stream = lowercase(tokenize(text))
             once = remove_stopwords(stream, stoplist)
-            assert remove_stopwords(once, stoplist).tokens == once.tokens
-            it = iter(stream.tokens)
-            assert all(tok in it for tok in once.tokens)  # subsequence
+            assert remove_stopwords(once, stoplist) == once
+            it = iter(stream)
+            assert all(tok in it for tok in once)  # subsequence
 
 
 class TestLemmatize:
     def test_writing_to_write(self):
-        assert lemmatize(TokenStream(("writing",))).tokens == ("write",)
+        assert lemmatize(("writing",)) == ("write",)
 
     def test_lemma_is_fixed(self):
-        assert lemmatize(TokenStream(("write",))).tokens == ("write",)
+        assert lemmatize(("write",)) == ("write",)
 
     def test_plural_s_rule(self):
-        assert lemmatize(TokenStream(("cats",))).tokens == ("cat",)
+        assert lemmatize(("cats",)) == ("cat",)
 
     def test_min_stem_blocks_short_words(self):
-        assert lemmatize(TokenStream(("was", "is", "bus"))).tokens == ("was", "is", "bus")
+        assert lemmatize(("was", "is", "bus")) == ("was", "is", "bus")
 
     def test_exception_values_are_fixed_points(self):
         dictionary = default_lemma_dictionary()
         for value in set(dictionary.exceptions.values()):
-            assert lemmatize(TokenStream((value,))).tokens == (value,)
+            assert lemmatize((value,)) == (value,)
 
     def test_idempotent(self):
         dictionary = default_lemma_dictionary()
         for text in fuzz_texts(300, 43):
             stream = lowercase(tokenize(text))
             once = lemmatize(stream, dictionary)
-            assert lemmatize(once, dictionary).tokens == once.tokens
+            assert lemmatize(once, dictionary) == once
 
     def test_memo_matches_the_rules(self):
         """Cold and warm, the memo gives what the rules give for every
@@ -186,14 +185,14 @@ class TestLemmatize:
         dictionary = textprep.load_lemma_dictionary(
             data / "lemma_exceptions.tsv", data / "lemma_rules.tsv"
         )
-        fuzz_words = {t for text in fuzz_texts(300, 47) for t in tokenize(text.lower()).tokens}
+        fuzz_words = {t for text in fuzz_texts(300, 47) for t in tokenize(text.lower())}
         words = sorted(
             set(dictionary.exceptions) | set(dictionary.exceptions.values()) | set(WORDS) | fuzz_words
         )
         expected = tuple(textprep._lemmatize_word(w, dictionary) for w in words)
         assert dictionary.memo == {}
         for _ in range(2):
-            assert lemmatize(TokenStream(tuple(words)), dictionary).tokens == expected
+            assert lemmatize(tuple(words), dictionary) == expected
         assert dictionary.memo == dict(zip(words, expected))
         assert expected != tuple(words)
 
@@ -201,18 +200,18 @@ class TestLemmatize:
         """Tables without rules or exceptions give other lemmas in the same
         process, and the bundled tables give theirs again afterwards; so
         does a copy of the bundled dictionary without its rules."""
-        words = TokenStream(("cats", "writing", "blessings"))
-        lemmas = lemmatize(words).tokens
-        assert lemmas != words.tokens
+        words = ("cats", "writing", "blessings")
+        lemmas = lemmatize(words)
+        assert lemmas != words
         (tmp_path / "lemma_exceptions.tsv").write_text("", encoding="utf-8")
         (tmp_path / "lemma_rules.tsv").write_text("", encoding="utf-8")
         monkeypatch.setenv("MODKIT_DATA_DIR", str(tmp_path))
-        assert lemmatize(words).tokens == words.tokens
+        assert lemmatize(words) == words
         monkeypatch.delenv("MODKIT_DATA_DIR")
-        assert lemmatize(words).tokens == lemmas
+        assert lemmatize(words) == lemmas
         no_rules = dataclasses.replace(default_lemma_dictionary(), suffix_rules=())
         assert no_rules.memo == {}
-        assert lemmatize(words, no_rules).tokens == ("cats", "write", "blessings")
+        assert lemmatize(words, no_rules) == ("cats", "write", "blessings")
 
 
 class TestNormalizeEmoticons:
@@ -304,7 +303,7 @@ def compose_by_hand(text: str, config: PreprocessConfig) -> tuple[str, ...]:
         stream = remove_stopwords(stream)
     if Step.LEMMATIZATION in config.steps:
         stream = lemmatize(stream)
-    return stream.tokens
+    return stream
 
 
 class TestRunPipeline:
@@ -315,7 +314,7 @@ class TestRunPipeline:
     def test_no_steps_is_tokenize_only(self):
         text = "Ur DUMB!! 😂"
         stream = run_pipeline(text, PreprocessConfig(steps=frozenset()))
-        assert stream.tokens == tokenize(text).tokens
+        assert stream.tokens == tokenize(text)
 
     def test_stopwords_and_lowercasing(self):
         config = PreprocessConfig(steps=frozenset({Step.STOPWORD_REMOVAL, Step.LOWERCASING}))
@@ -347,6 +346,27 @@ class TestRunPipeline:
         for i, text in enumerate(fuzz_texts(300, 59)):
             for config in configs:
                 assert all(tok for tok in run_pipeline(text, config).tokens)
+
+
+class TestPreprocessConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"emoji_mode": "ml"},
+            {"emoji_mode": "bert"},
+            {"emoji_mode": None},
+            {"steps": frozenset({"lowercasing"})},
+            {"steps": ALL_STEPS | {"lemmatization"}},
+        ],
+        ids=["mode_ml_string", "mode_bert_string", "mode_none", "step_string", "one_step_string"],
+    )
+    def test_value_of_another_type_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError, match="unknown"):
+            PreprocessConfig(**kwargs)
+
+    def test_steps_given_as_any_iterable_become_a_frozenset(self):
+        config = PreprocessConfig(steps=[Step.LOWERCASING, Step.LOWERCASING])
+        assert config.steps == frozenset({Step.LOWERCASING})
 
 
 class TestStopList:
@@ -405,7 +425,7 @@ class TestCharacterTable:
             for variant in (text, text.lower(), oracle_normalize_emoticons(text, emoticons)):
                 seen["ascii text" if variant.isascii() else "other text"] += 1
                 seen.update("ascii chunk" if c.isascii() else "other chunk" for c in variant.split())
-                assert tokenize(variant).tokens == oracle_tokenize(variant), repr(variant)
+                assert tokenize(variant) == oracle_tokenize(variant), repr(variant)
                 assert normalize_emoticons(variant) == oracle_normalize_emoticons(variant, emoticons)
                 for mode in EmojiMode:
                     expected = oracle_encode_emojis(
