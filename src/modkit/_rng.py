@@ -8,25 +8,32 @@ randomization or numpy version.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 _MASK64 = (1 << 64) - 1
 
 T = TypeVar("T")
 
 
+def _splitmix64(seed: int) -> Iterator[int]:
+    """The splitmix64 stream (Steele, Lea & Flood mixing constants), with
+    its state in a local: drawing from it makes no method call."""
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
 class SplitMix64:
-    """Minimal splitmix64 generator (Steele, Lea & Flood mixing constants)."""
+    """Minimal splitmix64 generator over :func:`_splitmix64`."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._draws = _splitmix64(seed)
 
     def next_uint64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return next(self._draws)
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound). Modulo bias is < 2**-50 for the
@@ -37,15 +44,16 @@ class SplitMix64:
 
 
 def shuffled(items: Iterable[T], seed: int) -> list[T]:
-    """Fisher-Yates shuffle of ``sorted(items)`` using a seeded SplitMix64.
+    """Fisher-Yates shuffle of ``sorted(items)`` driven by the seeded
+    splitmix64 stream: step i swaps in the element at ``draw % (i + 1)``,
+    as ``SplitMix64(seed).below(i + 1)`` would pick it.
 
     Items are sorted first so the result depends only on the set of items
     and the seed, never on input order.
     """
     out = sorted(items)  # type: ignore[type-var]
-    rng = SplitMix64(seed)
-    for i in range(len(out) - 1, 0, -1):
-        j = rng.below(i + 1)
+    for i, draw in zip(range(len(out) - 1, 0, -1), _splitmix64(seed)):
+        j = draw % (i + 1)
         out[i], out[j] = out[j], out[i]
     return out
 

@@ -259,17 +259,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     stoplist = None
     if args.stoplist:
         stoplist = textprep.load_stoplist(_require_file(args.stoplist, "stop-list file"))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    offensive = [
-        (cid, text) for cid, text, label in dataset.entries if label is corpus.Label.OFFENSIVE
-    ]
     base_steps = frozenset(map(textprep.Step, _ANALYZE_BASE_STEPS))
     variants = {
         "before": textprep.PreprocessConfig(steps=base_steps),
         "after": textprep.PreprocessConfig(steps=base_steps | {textprep.Step.STOPWORD_REMOVAL}),
     }
     tables = textprep._step_tables(variants["after"], stoplist)  # every table both variants read
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    offensive = [
+        (cid, text) for cid, text, label in dataset.entries if label is corpus.Label.OFFENSIVE
+    ]
     for suffix, preprocess in variants.items():
         streams = [
             textprep.run_pipeline(text, preprocess, source_id=cid, **tables)
@@ -308,13 +308,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         _sha256(_require_file(config.stoplist, "stop-list file")) if config.stoplist else ""
     )
     cycle_config = _cycle_config(config)
-    run_dir = Path(config.out) / config.hash(dataset_sha256, stoplist_sha256)
-    run_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     trained = models.run_cycles(
         dataset, cycle_config, n_cycles=config.n_cycles, base_seed=config.seed
     )
     train_seconds = time.perf_counter() - started
+    # created only once training succeeded, so a failed run leaves no directory
+    run_dir = Path(config.out) / config.hash(dataset_sha256, stoplist_sha256)
+    run_dir.mkdir(parents=True, exist_ok=True)
     report = trained.report
     for i, cycle in enumerate(report.cycles):
         marker = " *" if i == report.best_cycle_index else ""

@@ -15,7 +15,14 @@ from typing import Sequence
 
 from . import _resources
 from .corpus import Label
-from .errors import EmptyEvalError, LengthMismatchError, SchemaViolationError, is_number, load_json
+from .errors import (
+    EmptyEvalError,
+    LengthMismatchError,
+    SchemaViolationError,
+    is_number,
+    load_json,
+    read_json_text,
+)
 
 
 @dataclass(frozen=True)
@@ -223,8 +230,7 @@ def load_reference_scores(path: str | Path | None = None) -> list[MetricsReport]
     identities.
     """
     if path is not None:
-        return parse_report_json(Path(path).read_text(encoding="utf-8"), str(path))
+        return parse_report_json(read_json_text(path), str(path))
     return _resources.cached(
-        "reference_scores",
-        lambda p: parse_report_json((p / "reference_scores.json").read_text(encoding="utf-8")),
+        "reference_scores", lambda p: load_reference_scores(p / "reference_scores.json")
     )

@@ -15,10 +15,9 @@ reported test metrics.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -120,20 +119,13 @@ class LRModel:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # two-branch form never exponentiates a positive argument
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)
 
 
-def _loss_at(z: np.ndarray, weights: np.ndarray, y: np.ndarray, l2: float) -> float:
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     # log(1 + e^z) - y*z  ==  -[y log p + (1-y) log(1-p)]
-    per_example = np.logaddexp(0.0, z) - y * z
-    return float(np.add.reduce(per_example) / len(per_example) + 0.5 * l2 * (weights @ weights))
-
-
-def _gradients_at(
-    z: np.ndarray, weights: np.ndarray, X: CSRMatrix | np.ndarray, y: np.ndarray, l2: float
-) -> tuple[np.ndarray, float]:
-    residual = _sigmoid(z) - y
-    return (residual @ X) / len(y) + l2 * weights, float(np.add.reduce(residual) / len(residual))
+    return np.logaddexp(0.0, z) - y * z
 
 
 def lr_loss(
@@ -141,16 +133,17 @@ def lr_loss(
 ) -> float:
     """Mean cross-entropy + (l2/2)*||w||^2, numerically stable.
 
-    The bias is not regularized. Training passes a CSRMatrix; the
-    gradient check passes dense arrays.
+    The bias is not regularized. The gradient check passes dense arrays.
     """
-    return _loss_at(X @ weights + bias, weights, y, l2)
+    per_example = _cross_entropy(X @ weights + bias, y)
+    return float(np.add.reduce(per_example) / len(per_example) + 0.5 * l2 * (weights @ weights))
 
 
 def lr_gradients(
     weights: np.ndarray, bias: float, X: CSRMatrix | np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
-    return _gradients_at(X @ weights + bias, weights, X, y, l2)
+    residual = _sigmoid(X @ weights + bias) - y
+    return (residual @ X) / len(y) + l2 * weights, float(np.add.reduce(residual) / len(residual))
 
 
 def train_lr(
@@ -163,44 +156,88 @@ def train_lr(
     """Full-batch gradient descent from zero-initialized weights.
 
     Zero initialization plus full batches make training deterministic.
-    Each epoch computes the margins z = Xw + b once: they give the loss
-    after the previous step and the gradient of the next.
+    This is the one-fold case of :func:`_train_lr_folds`, which trains
+    every cycle of :func:`run_cycles` at once.
     """
-    if len(X) != len(y):
-        raise ValueError("X and y must have equal length")
-    if len(X) == 0:
-        raise SingleClassError("training set is empty")
-    labels = _as_label_array(y).astype(float)
-    if labels.min() == labels.max():
-        raise SingleClassError("both classes must be present in the training set")
+    return _train_lr_folds([(X, y)], learning_rate, epochs, l2)[0]
+
+
+def _train_lr_folds(
+    folds: Sequence[tuple[CSRMatrix, Sequence[Label]]],
+    learning_rate: float,
+    epochs: int,
+    l2: float,
+) -> list[LRModel]:
+    """One model per (X, y) fold, from one descent over all of them.
+
+    The folds' matrices are stacked block-diagonally, so fold j's rows
+    meet only fold j's weights and every epoch is one set of numpy calls
+    for all folds. Each epoch computes the margins z = Xw + b once: they
+    give the loss after the previous step and the gradient of the next.
+    Products, sigmoid and updates are elementwise or summed in storage
+    order within a fold; the bias gradient and the loss are summed per
+    fold over its contiguous slice, and the L2 term is the fold's own
+    ``w @ w``. So each model, its ``loss_history`` included, equals
+    bit for bit the descent on its fold alone. A loss that is not finite
+    in any fold raises :class:`NonFiniteLossError`.
+    """
+    labels = []
+    for X, y in folds:
+        if len(X) != len(y):
+            raise ValueError("X and y must have equal length")
+        if len(X) == 0:
+            raise SingleClassError("training set is empty")
+        labels.append(_as_label_array(y).astype(float))
+        if labels[-1].min() == labels[-1].max():
+            raise SingleClassError("both classes must be present in the training set")
     if learning_rate <= 0 or epochs < 1 or l2 < 0:
         raise ConfigError("learning_rate must be > 0, epochs >= 1, l2 >= 0")
+    X = CSRMatrix.block_diagonal([X for X, _ in folds])
+    y = np.concatenate(labels)
+    n_rows = np.array([len(fold) for fold in labels])
+    widths = [fold.n_cols for fold, _ in folds]
+    n_of_column = np.repeat(n_rows, widths).astype(float)
+    stops = np.cumsum(n_rows).tolist()
+    row_slices = [slice(a, b) for a, b in zip([0, *stops], stops)]
     weights = np.zeros(X.n_cols)
-    bias = 0.0
+    bias = np.zeros(len(folds))
+    fold_weights = np.split(weights, np.cumsum(widths)[:-1])  # views: weights changes in place
+
+    def fold_sums(values: np.ndarray) -> np.ndarray:
+        return np.array([np.add.reduce(values[rows]) for rows in row_slices])
+
+    def losses(z: np.ndarray) -> np.ndarray:
+        squares = np.array([w @ w for w in fold_weights])
+        return fold_sums(_cross_entropy(z, y)) / n_rows + 0.5 * l2 * squares
+
     # divergence is detected via the finiteness check, so numpy's own
     # overflow warnings on that path are just noise
     with np.errstate(over="ignore", invalid="ignore"):
-        z = X @ weights + bias
-        history = [_loss_at(z, weights, labels, l2)]
+        z = X @ weights + bias.repeat(n_rows)
+        history = [losses(z)]
         for _ in range(epochs):
-            grad_w, grad_b = _gradients_at(z, weights, X, labels, l2)
+            residual = _sigmoid(z) - y
+            grad_w = (residual @ X) / n_of_column + l2 * weights
+            grad_b = fold_sums(residual) / n_rows
             weights -= learning_rate * grad_w
             bias -= learning_rate * grad_b
-            z = X @ weights + bias
-            loss = _loss_at(z, weights, labels, l2)
-            if not math.isfinite(loss):
-                raise NonFiniteLossError(
-                    "training loss diverged; lower the learning rate"
-                )
+            z = X @ weights + bias.repeat(n_rows)
+            loss = losses(z)
+            if not np.isfinite(loss).all():
+                raise NonFiniteLossError("training loss diverged; lower the learning rate")
             history.append(loss)
-    return LRModel(
-        weights=weights,
-        bias=bias,
-        l2=l2,
-        learning_rate=learning_rate,
-        epochs=epochs,
-        loss_history=tuple(history),
-    )
+    history_of = np.array(history).T.tolist()
+    return [
+        LRModel(
+            weights=w.copy(),
+            bias=b,
+            l2=l2,
+            learning_rate=learning_rate,
+            epochs=epochs,
+            loss_history=tuple(losses_j),
+        )
+        for w, b, losses_j in zip(fold_weights, bias.tolist(), history_of)
+    ]
 
 
 def predict_lr(model: LRModel, X: CSRMatrix) -> tuple[list[Label], np.ndarray]:
@@ -265,31 +302,20 @@ def _preprocess_all(dataset: LabeledDataset, config: CycleConfig) -> list[TokenS
     ]
 
 
-def _train_one(
-    streams: Sequence[TokenStream], y: Sequence[Label], config: CycleConfig
-) -> tuple[TfidfModel, NBModel | LRModel]:
-    tfidf = fit(streams)
-    X = transform_all(tfidf, streams)
+def _train_all(
+    folds: Sequence[tuple[CSRMatrix, Sequence[Label]]], config: CycleConfig
+) -> list[NBModel | LRModel]:
+    """One model per (X, y) training fold."""
     if config.model == "nb":
-        model: NBModel | LRModel = train_nb(X, y, alpha=config.alpha)
-    elif config.model == "lr":
-        model = train_lr(
-            X, y, learning_rate=config.learning_rate, epochs=config.epochs, l2=config.l2
-        )
-    else:
-        raise ConfigError(f"unknown model kind {config.model!r}")
-    return tfidf, model
+        return [train_nb(X, y, alpha=config.alpha) for X, y in folds]
+    if config.model == "lr":
+        return _train_lr_folds(folds, config.learning_rate, config.epochs, config.l2)
+    raise ConfigError(f"unknown model kind {config.model!r}")
 
 
-def _score(
-    tfidf: TfidfModel,
-    model: NBModel | LRModel,
-    streams: Sequence[TokenStream],
-    y: Sequence[Label],
-    name: str,
-) -> MetricsReport:
+def _score(model: NBModel | LRModel, X: CSRMatrix, y: Sequence[Label], name: str) -> MetricsReport:
     predict = predict_nb if isinstance(model, NBModel) else predict_lr
-    y_pred, _ = predict(model, transform_all(tfidf, streams))
+    y_pred, _ = predict(model, X)
     return metrics(confusion(y, y_pred), variant_name=name)
 
 
@@ -300,7 +326,8 @@ def evaluate_on(
     config: CycleConfig,
     variant_name: str = "",
 ) -> MetricsReport:
-    return _score(tfidf, model, _preprocess_all(dataset, config), dataset.labels(), variant_name)
+    X = transform_all(tfidf, _preprocess_all(dataset, config))
+    return _score(model, X, dataset.labels(), variant_name)
 
 
 def run_cycles(
@@ -316,29 +343,35 @@ def run_cycles(
     Test metrics are computed for every cycle but only the best cycle's
     are authoritative. Every comment is preprocessed once per run; each
     cycle fits TF-IDF on its own train fold only.
+
+    All cycles are split, fitted and transformed first. NB then trains
+    per cycle, and LR trains every cycle in one shared descent (see
+    :func:`_train_lr_folds`) whose models equal, bit for bit, those of
+    :func:`train_lr` on each cycle's train fold.
     """
     if n_cycles < 1:
         raise ConfigError(f"n_cycles must be >= 1, got {n_cycles}")
     stream_of = dict(zip(dataset.ids(), _preprocess_all(dataset, config)))
 
-    def fold(part: LabeledDataset) -> tuple[list[TokenStream], list[Label]]:
-        return [stream_of[cid] for cid in part.ids()], part.labels()
+    def streams(part: LabeledDataset) -> list[TokenStream]:
+        return [stream_of[cid] for cid in part.ids()]
 
-    results: list[CycleResult] = []
-    artifacts: list[tuple[TfidfModel, NBModel | LRModel]] = []
+    seeds = range(base_seed, base_seed + n_cycles)
+    featurizers, folds = [], []  # per cycle: its TF-IDF; its train, validation and test (X, y)
+    for seed in seeds:
+        parts = split(dataset, config.ratios, seed)
+        tfidf = fit(streams(parts[0]))
+        featurizers.append(tfidf)
+        folds.append([(transform_all(tfidf, streams(part)), part.labels()) for part in parts])
+    trained = _train_all([train for train, _, _ in folds], config)
     name = config.variant_name or default_variant_name(config)
-    for i in range(n_cycles):
-        seed = base_seed + i
-        train_set, val_set, test_set = split(dataset, config.ratios, seed)
-        tfidf, model = _train_one(*fold(train_set), config)
-        val_report = _score(tfidf, model, *fold(val_set), name)
-        test_report = _score(tfidf, model, *fold(test_set), name)
-        results.append(CycleResult(seed=seed, validation=val_report, test=test_report))
-        artifacts.append((tfidf, model))
+    results = [
+        CycleResult(seed, validation=_score(model, *val, name), test=_score(model, *test, name))
+        for seed, model, (_, val, test) in zip(seeds, trained, folds)
+    ]
     best = select_best_cycle(results)
     report = TrainReport(cycles=tuple(results), best_cycle_index=best, variant_name=name)
-    tfidf, model = artifacts[best]
-    return TrainedArtifacts(tfidf=tfidf, model=model, report=report)
+    return TrainedArtifacts(tfidf=featurizers[best], model=trained[best], report=report)
 
 
 def select_best_cycle(results: Sequence[CycleResult]) -> int:
@@ -360,37 +393,43 @@ def default_variant_name(config: CycleConfig) -> str:
 # Persistence
 
 
-def save_model(model: NBModel | LRModel, path: str | Path) -> None:
+def _model_chunks(model: NBModel | LRModel) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2)`` of the model file's
+    object: NB one term per chunk, LR its weights in one. Array values
+    are finite floats, which ``json.dumps`` writes as their ``repr``;
+    scalars are written by ``json.dumps`` itself."""
+    scalar = json.dumps
     if isinstance(model, NBModel):
-        obj = {
-            "kind": "nb",
-            "alpha": model.alpha,
-            "vocab_size": model.vocab_size,
-            "log_prior": {
-                "offensive": float(model.log_prior[_OFF]),
-                "not_offensive": float(model.log_prior[_NOT]),
-            },
-            "terms": [
-                {
-                    "index": i,
-                    "log_likelihood_off": float(model.log_likelihood[_OFF, i]),
-                    "log_likelihood_not": float(model.log_likelihood[_NOT, i]),
-                }
-                for i in range(model.vocab_size)
-            ],
-        }
-    else:
-        obj = {
-            "kind": "lr",
-            "bias": model.bias,
-            "weights": model.weights.tolist(),
-            "hyperparams": {
-                "learning_rate": model.learning_rate,
-                "epochs": model.epochs,
-                "l2": model.l2,
-            },
-        }
-    _atomic.write_text(path, json.dumps(obj, indent=2))
+        prior = model.log_prior.tolist()
+        yield (
+            f'{{\n  "kind": "nb",\n  "alpha": {scalar(model.alpha)},'
+            f'\n  "vocab_size": {model.vocab_size},\n  "log_prior": {{'
+            f'\n    "offensive": {prior[_OFF]!r},\n    "not_offensive": {prior[_NOT]!r}'
+            '\n  },\n  "terms": ['
+        )
+        off, not_off = model.log_likelihood[_OFF].tolist(), model.log_likelihood[_NOT].tolist()
+        separator = "\n"
+        for i, (ll_off, ll_not) in enumerate(zip(off, not_off)):
+            yield (
+                f'{separator}    {{\n      "index": {i},\n      "log_likelihood_off": {ll_off!r},'
+                f'\n      "log_likelihood_not": {ll_not!r}\n    }}'
+            )
+            separator = ",\n"
+        yield "\n  ]\n}" if off else "]\n}"
+        return
+    weights = model.weights.tolist()
+    yield f'{{\n  "kind": "lr",\n  "bias": {scalar(model.bias)},\n  "weights": ['
+    yield "\n    " + ",\n    ".join(map(repr, weights)) + "\n  ]" if weights else "]"
+    yield (
+        f',\n  "hyperparams": {{\n    "learning_rate": {scalar(model.learning_rate)},'
+        f'\n    "epochs": {scalar(model.epochs)},\n    "l2": {scalar(model.l2)}\n  }}\n}}'
+    )
+
+
+def save_model(model: NBModel | LRModel, path: str | Path) -> None:
+    """Write ``{"kind": "nb", "alpha", "vocab_size", "log_prior", "terms"}``
+    or ``{"kind": "lr", "bias", "weights", "hyperparams"}``."""
+    _atomic.write_chunks(path, _model_chunks(model))
 
 
 def load_model(path: str | Path) -> NBModel | LRModel:

@@ -22,10 +22,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import _resources
-from .errors import read_text
+from .errors import SchemaViolationError, read_text
 
 #: Shorthand words appended to the baseline stop list by default.
 STOPWORD_EXTENSIONS: tuple[str, ...] = ("u", "ur", "cause", "gonna", "im", "gon", "cant")
@@ -456,28 +456,36 @@ def load_stoplist(path: str | Path, extensions: Iterable[str] = STOPWORD_EXTENSI
 
 
 def load_lemma_dictionary(words_path: str | Path, rules_path: str | Path) -> LemmaDictionary:
+    """Exceptions: ``word<TAB>lemma`` lines; rules: ``suffix<TAB>replacement<TAB>min_stem``."""
     exceptions = _read_tsv_map(words_path)
     rules: list[tuple[str, str, int]] = []
-    for line in Path(rules_path).read_text(encoding="utf-8").splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in _table_lines(rules_path):
         parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"bad suffix rule line: {line!r}")
-        rules.append((parts[0], parts[1], int(parts[2])))
+        try:
+            suffix, replacement, min_stem = parts
+            rules.append((suffix, replacement, int(min_stem)))
+        except ValueError:
+            raise SchemaViolationError(
+                f"expected suffix<TAB>replacement<TAB>min_stem on line {lineno}", str(rules_path)
+            ) from None
     return LemmaDictionary(exceptions=exceptions, suffix_rules=tuple(rules))
 
 
 def _read_tsv_map(path: str | Path) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in _table_lines(path):
         key, sep, value = line.partition("\t")
         if not sep:
-            raise ValueError(f"expected key<TAB>value in {path}: {line!r}")
+            raise SchemaViolationError(f"expected key<TAB>value on line {lineno}", str(path))
         mapping[key] = value
     return mapping
+
+
+def _table_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of a UTF-8 table file, blank and ``#`` lines skipped."""
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        if line.strip() and not line.startswith("#"):
+            yield lineno, line
 
 
 def default_stoplist() -> StopList:

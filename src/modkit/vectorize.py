@@ -8,13 +8,14 @@ models never see negative feature mass.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, repeat
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,17 +46,32 @@ class CSRMatrix:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
+    @classmethod
+    def block_diagonal(cls, blocks: Sequence[CSRMatrix]) -> CSRMatrix:
+        """The blocks' rows in order, each block's columns after those of
+        the blocks before it; every row keeps its entries and their order."""
+        nnz = [0, *accumulate(len(block.data) for block in blocks)]
+        width = [0, *accumulate(block.n_cols for block in blocks)]
+        return cls(
+            indptr=np.concatenate([[0], *(b.indptr[1:] + start for b, start in zip(blocks, nnz))]),
+            indices=np.concatenate([b.indices + start for b, start in zip(blocks, width)]),
+            data=np.concatenate([b.data for b in blocks]),
+            n_cols=width[-1],
+        )
+
     @cached_property
     def _rows(self) -> np.ndarray:
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """X @ v for a vector of length n_cols."""
-        return np.bincount(self._rows, weights=self.data * v[self.indices], minlength=len(self))
+        products = self.data * v.take(self.indices)
+        return np.bincount(self._rows, weights=products, minlength=len(self))
 
     def __rmatmul__(self, r: np.ndarray) -> np.ndarray:
         """r @ X for a vector of length n_rows."""
-        return np.bincount(self.indices, weights=self.data * r[self._rows], minlength=self.n_cols)
+        products = self.data * r.take(self._rows)
+        return np.bincount(self.indices, weights=products, minlength=self.n_cols)
 
 
 @dataclass(frozen=True)
@@ -92,38 +108,53 @@ def fit(corpus: Sequence[TokenStream]) -> TfidfModel:
 
 def transform_all(model: TfidfModel, corpus: Sequence[TokenStream]) -> CSRMatrix:
     """One row per stream: raw tf x idf, L2-normalized; out-of-vocabulary
-    tokens are ignored, so a stream without known tokens is an empty row."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[np.ndarray] = []
-    for stream in corpus:
-        counts = Counter(
-            index for index in map(model.vocabulary.get, stream.tokens) if index is not None
-        )
-        if counts:
-            columns = sorted(counts)
-            weights = np.array([counts[i] * model.idf[i] for i in columns])
-            weights /= np.linalg.norm(weights)
-            indices.extend(columns)
-            data.append(weights)
-        indptr.append(len(indices))
-    return CSRMatrix(
-        indptr=np.array(indptr),
-        indices=np.array(indices, dtype=np.intp),
-        data=np.concatenate(data) if data else np.zeros(0),
-        n_cols=model.vocab_size,
+    tokens are ignored, so a stream without known tokens is an empty row.
+
+    Every token maps to its column once, and ``np.unique`` over
+    ``row * n_cols + column`` gives each row's columns in order with their
+    counts. Each row is divided by ``sqrt(x @ x)``, the norm
+    ``np.linalg.norm`` takes, so the rows are those of a per-document
+    loop bit for bit.
+    """
+    n_rows, n_cols = len(corpus), model.vocab_size
+    columns = np.fromiter(
+        map(model.vocabulary.get, chain.from_iterable(s.tokens for s in corpus), repeat(-1)),
+        dtype=np.intp,
     )
+    rows = np.repeat(np.arange(n_rows), [len(s.tokens) for s in corpus])
+    known = columns >= 0
+    keys, counts = np.unique(rows[known] * n_cols + columns[known], return_counts=True)
+    row_of, indices = np.divmod(keys, n_cols)
+    data = counts * model.idf[indices]
+    indptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row_of, minlength=n_rows), out=indptr[1:])
+    bounds = indptr.tolist()
+    norms = np.sqrt([data[a:b] @ data[a:b] for a, b in zip(bounds, bounds[1:])])
+    data /= np.repeat(norms, np.diff(indptr))
+    return CSRMatrix(indptr=indptr, indices=indices, data=data, n_cols=n_cols)
+
+
+def _tfidf_chunks(model: TfidfModel) -> Iterator[str]:
+    """The text of ``json.dumps`` (``ensure_ascii=False, indent=2``) of the
+    TF-IDF file's object, one term per chunk, each term escaped by the
+    encoder ``json.dumps`` uses; each idf is a finite float, which
+    ``json.dumps`` writes as its ``repr``."""
+    encode, idf = encode_basestring, model.idf.tolist()
+    yield f'{{\n  "doc_count": {model.doc_count},\n  "terms": ['
+    separator = "\n"
+    for term, index in model.vocabulary.items():
+        yield (
+            f'{separator}    {{\n      "term": {encode(term)},\n      "index": {index},'
+            f'\n      "idf": {idf[index]!r}\n    }}'
+        )
+        separator = ",\n"
+    yield "\n  ]\n}" if model.vocabulary else "]\n}"
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
-    obj = {
-        "doc_count": model.doc_count,
-        "terms": [
-            {"term": term, "index": index, "idf": model.idf[index]}
-            for term, index in model.vocabulary.items()
-        ],
-    }
-    _atomic.write_text(path, json.dumps(obj, ensure_ascii=False, indent=2))
+    """Write ``{"doc_count", "terms": [{"term", "index", "idf"}...]}``,
+    terms in vocabulary order."""
+    _atomic.write_chunks(path, _tfidf_chunks(model))
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:

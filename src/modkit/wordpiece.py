@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import _atomic, _resources
-from .errors import BadTokenError, ConfigError, EmptyCorpusError, EmptyVocabError
+from .errors import BadTokenError, ConfigError, EmptyCorpusError, EmptyVocabError, read_text
 
 UNK = "[UNK]"
 CLS = "[CLS]"
@@ -81,7 +81,7 @@ class Encoding:
 def load_vocab(path: str | Path) -> WordPieceVocab:
     """Vocabulary file: one token per line; line number = id."""
     tokens: dict[str, int] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         token = line.rstrip("\n")
         if not token:
             continue

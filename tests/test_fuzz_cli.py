@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import modkit
 from modkit.cli import main
 
 from _fuzz import reseal
@@ -336,4 +337,40 @@ def test_lone_surrogate_text_writes_nothing(tmp_path, capsys, base, argv, out):
     err = capsys.readouterr().err
     check_one_line_error(code, err, argv)
     assert code == 3 and "lone surrogate" in err
+    assert not (work / out).exists()
+
+
+ANALYZE = "analyze --dataset {w}/dataset.json --out {w}/c"
+TRAIN = "train --dataset {w}/dataset.json --out {w}/r"
+REPORT = "report --reference --out {w}/rep/report"
+
+
+@pytest.mark.parametrize(
+    "table, tail, argv, out, message",
+    [
+        ("emoji_aliases.tsv", b"\xff\tbad\n", ANALYZE, "c", "is not UTF-8"),
+        ("lemma_exceptions.tsv", b"notab\n", TRAIN, "r", "key<TAB>value on line"),
+        ("lemma_rules.tsv", b"ing\t\tnan\n", TRAIN, "r", "min_stem on line"),
+        ("reference_scores.json", b"\xff", REPORT, "rep", "is not UTF-8"),
+    ],
+    ids=["analyze_aliases_not_utf8", "train_exceptions_no_tab", "train_rules_bad_min_stem",
+         "report_reference_not_utf8"],
+)
+def test_bad_data_table_writes_nothing(
+    tmp_path, capsys, base, monkeypatch, table, tail, argv, out, message
+):
+    """A data table under MODKIT_DATA_DIR that is not UTF-8 or holds a
+    malformed line is refused with one line naming it, before any output
+    exists."""
+    work, tables = tmp_path / "work", tmp_path / "tables"
+    shutil.copytree(base, work)
+    shutil.copytree(Path(modkit.__file__).parent / "data", tables)
+    with open(tables / table, "ab") as f:
+        f.write(tail)
+    monkeypatch.setenv("MODKIT_DATA_DIR", str(tables))
+    capsys.readouterr()
+    code = main([part.format(w=work) for part in argv.split()])
+    err = capsys.readouterr().err
+    check_one_line_error(code, err, argv)
+    assert code == 3 and f"{tables / table}" in err and message in err, err
     assert not (work / out).exists()

@@ -320,6 +320,70 @@ class TestAgainstReferences:
                 predict(model, narrow)
 
 
+def per_fold_descent(X, y, learning_rate=0.1, epochs=500, l2=1e-4):
+    """Reference descent on one fold through the public loss and gradient,
+    the arithmetic of a standalone ``train_lr``: weights, bias, losses."""
+    labels = np.array([1.0 if t is OFF else 0.0 for t in y])
+    weights, bias = np.zeros(X.n_cols), 0.0
+    history = [lr_loss(weights, bias, X, labels, l2)]
+    for _ in range(epochs):
+        grad_w, grad_b = lr_gradients(weights, bias, X, labels, l2)
+        weights -= learning_rate * grad_w
+        bias -= learning_rate * grad_b
+        history.append(lr_loss(weights, bias, X, labels, l2))
+    return weights, bias, tuple(history)
+
+
+def lr_folds() -> list[tuple]:
+    """Folds of different widths and sizes; the last has an empty row and
+    columns no row uses."""
+    folds = [tfidf_matrix(seed, n_docs) for seed, n_docs in ((11, 80), (12, 6), (13, 15))]
+    sparse = csr([{0: 1.0}, {}, {0: -0.5, 2: 0.25}, {2: 1.0}, {}], 5)
+    return [*folds, (sparse, [OFF, NOT, OFF, NOT, OFF])]
+
+
+class TestSharedDescent:
+    """All cycles' LR folds trained by one descent, against each fold alone."""
+
+    def test_every_fold_bit_identical_to_its_own_descent(self):
+        folds = lr_folds()
+        assert len({X.n_cols for X, _ in folds}) == len(folds)
+        shared = models._train_lr_folds(folds, 0.1, 500, 1e-4)
+        for (X, y), model in zip(folds, shared):
+            weights, bias, history = per_fold_descent(X, y)
+            alone = train_lr(X, y)
+            for got in (model, alone):
+                assert got.weights.tobytes() == weights.tobytes()
+                assert got.bias.hex() == bias.hex()
+                assert got.loss_history == history
+                assert (got.learning_rate, got.epochs, got.l2) == (0.1, 500, 1e-4)
+
+    def test_run_cycles_lr_models_are_the_per_cycle_descents(self):
+        data, config = noisy_dataset(60), CycleConfig(model="lr", epochs=60)
+        trained = run_cycles(data, config, n_cycles=3, base_seed=0)
+        train_set, _, _ = split(data, config.ratios, trained.report.best.seed)
+        streams = [run_pipeline(text, config.preprocess) for text in train_set.texts()]
+        weights, bias, _ = per_fold_descent(
+            transform_all(fit(streams), streams), train_set.labels(), epochs=60
+        )
+        assert trained.model.weights.tobytes() == weights.tobytes()
+        assert trained.model.bias == bias
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_one_diverging_fold_raises(self, position):
+        folds = [tfidf_matrix(15), tfidf_matrix(16)]
+        folds.insert(position, (csr([{0: 1e200}, {0: -1e200}]), [OFF, NOT]))
+        for X, y in folds[:position] + folds[position + 1:]:
+            train_lr(X, y, epochs=20)  # the others converge alone
+        with pytest.raises(NonFiniteLossError):
+            models._train_lr_folds(folds, 0.1, 20, 1e-4)
+
+    def test_single_class_fold_rejected(self):
+        folds = [tfidf_matrix(14), (csr([{0: 1.0}] * 2), [OFF, OFF])]
+        with pytest.raises(SingleClassError):
+            models._train_lr_folds(folds, 0.1, 5, 1e-4)
+
+
 class TestSelectBestCycle:
     @staticmethod
     def cycle(seed: int, f1: float, accuracy: float) -> CycleResult:
@@ -514,3 +578,59 @@ class TestPersistence:
         path.write_text('{"kind": "lr",', encoding="utf-8")
         with pytest.raises(MalformedJsonError):
             load_model(path)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["nb", "lr"])
+    def test_file_is_json_dumps_text(self, tmp_path, kind, seed):
+        """The streamed file is the text of ``json.dumps(obj, indent=2)``
+        byte for byte, with no terms or weights too, and loads back."""
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 60)) if seed else 0
+        values = rng.normal(0, 10.0 ** rng.integers(-300, 300), size=(2, width))
+        values[:, ::7], values[:, 3::7] = -0.0, 5e-324  # a signed zero, the least subnormal
+        if kind == "nb":
+            model = NBModel(
+                log_prior=-rng.random(2), log_likelihood=values, alpha=[1, 0.5, 1e-9, 3.0][seed]
+            )
+            obj = {
+                "kind": "nb",
+                "alpha": model.alpha,
+                "vocab_size": model.vocab_size,
+                "log_prior": {
+                    "offensive": float(model.log_prior[1]),
+                    "not_offensive": float(model.log_prior[0]),
+                },
+                "terms": [
+                    {
+                        "index": i,
+                        "log_likelihood_off": float(model.log_likelihood[1, i]),
+                        "log_likelihood_not": float(model.log_likelihood[0, i]),
+                    }
+                    for i in range(model.vocab_size)
+                ],
+            }
+        else:
+            model = LRModel(
+                weights=values[0], bias=float(values[0, 0]) if width else 0.0,
+                l2=[1e-4, 0, 0.5, 1e-12][seed], learning_rate=0.1, epochs=[500, 1, 7, 10**6][seed],
+            )
+            obj = {
+                "kind": "lr",
+                "bias": model.bias,
+                "weights": model.weights.tolist(),
+                "hyperparams": {
+                    "learning_rate": model.learning_rate, "epochs": model.epochs, "l2": model.l2,
+                },
+            }
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes() == json.dumps(obj, indent=2).encode("ascii")
+        loaded = load_model(path)
+        assert isinstance(loaded, type(model))
+        if kind == "nb":
+            assert loaded.log_likelihood.tobytes() == model.log_likelihood.tobytes()
+            assert loaded.log_prior.tobytes() == model.log_prior.tobytes()
+            assert loaded.alpha == model.alpha
+        else:
+            assert loaded.weights.tobytes() == model.weights.tobytes()
+            assert (loaded.bias, loaded.l2, loaded.epochs) == (model.bias, model.l2, model.epochs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ import pytest
 
 from modkit.errors import EmptyCorpusError
 from modkit.textprep import TokenStream
-from modkit.vectorize import fit, load_tfidf, save_tfidf, transform_all
+from modkit.vectorize import CSRMatrix, TfidfModel, fit, load_tfidf, save_tfidf, transform_all
 
 from _sparse import csr, dense, entries
 
@@ -53,6 +54,27 @@ class TestFit:
         ]
         model = fit(corpus)
         assert all(value >= 1.0 for value in model.idf)
+
+
+def per_document_transform(model, corpus) -> CSRMatrix:
+    """Reference rows, one document at a time: counts times idf in column
+    order, divided by ``np.linalg.norm`` of that row alone."""
+    indptr, indices, data = [0], [], []
+    for doc in corpus:
+        counts = Counter(model.vocabulary[t] for t in doc.tokens if t in model.vocabulary)
+        if counts:
+            columns = sorted(counts)
+            weights = np.array([counts[i] * model.idf[i] for i in columns])
+            weights /= np.linalg.norm(weights)
+            indices.extend(columns)
+            data.append(weights)
+        indptr.append(len(indices))
+    return CSRMatrix(
+        indptr=np.array(indptr),
+        indices=np.array(indices, dtype=np.intp),
+        data=np.concatenate(data) if data else np.zeros(0),
+        n_cols=model.vocab_size,
+    )
 
 
 def transform_one(model, doc: TokenStream) -> list[tuple[int, float]]:
@@ -123,23 +145,29 @@ class TestTransform:
                 assert abs(w1 - w2) < 1e-9
 
     def test_rows_match_per_document_loop(self):
-        """Each row is the per-document arithmetic: counts times idf in
-        column order, divided by the norm of that row alone."""
-        rng = random.Random(29)
-        corpus = [
-            stream(*(rng.choice("abcdefghij") for _ in range(rng.randint(0, 15))))
-            for _ in range(60)
-        ]
-        model = fit(corpus[:40])
-        X = transform_all(model, corpus)
-        assert len(X) == len(corpus)
-        for row, doc in enumerate(corpus):
-            counts = Counter(model.vocabulary[t] for t in doc.tokens if t in model.vocabulary)
-            columns = sorted(counts)
-            weights = np.array([counts[i] * model.idf[i] for i in columns])
-            if columns:
-                weights /= np.linalg.norm(weights)
-            assert entries(X, row) == list(zip(columns, weights.tolist()))
+        """indptr, indices and data equal, byte for byte, the arrays of a
+        per-document loop, over streams that are empty, hold only
+        out-of-vocabulary tokens, repeat tokens or hold more distinct
+        tokens than BLAS sums in one unrolled block."""
+        words = "abcdefghijklmnopqrstuvwxyz"
+        for seed in (29, 30, 31):
+            rng = random.Random(seed)
+            corpus = [
+                stream(*(rng.choice(words) for _ in range(rng.randint(0, 40)))) for _ in range(60)
+            ]
+            corpus += [stream(), stream("OOV", "zzz"), stream("a", "a", "a"), stream(*words)]
+            rng.shuffle(corpus)
+            model = fit(corpus[:40])
+            X, expected = transform_all(model, corpus), per_document_transform(model, corpus)
+            assert X.n_cols == model.vocab_size
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(X, name), getattr(expected, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (seed, name)
+
+    def test_empty_vocabulary_gives_empty_rows(self):
+        model = fit([stream(), stream()])
+        X = transform_all(model, [stream("a"), stream()])
+        assert X.n_cols == 0 and X.indptr.tolist() == [0, 0, 0] and len(X.data) == 0
 
     def test_empty_corpus_gives_no_rows(self):
         X = transform_all(fit(CORPUS), [])
@@ -184,6 +212,16 @@ class TestCSRMatrix:
         assert (X @ v).tolist() == Xv.tolist()
         assert (r @ X).tolist() == rX.tolist()
 
+    def test_block_diagonal_places_each_block_after_the_last(self):
+        rng = random.Random(41)
+        blocks = [random_csr(rng, 4, 3), csr([{}, {1: 2.0}], 5), random_csr(rng, 3, 1)]
+        X = CSRMatrix.block_diagonal(blocks)
+        expected = np.zeros((9, 9))
+        expected[0:4, 0:3], expected[4:6, 3:8], expected[6:9, 8:9] = map(dense, blocks)
+        assert (len(X), X.n_cols) == (9, 9)
+        assert dense(X).tolist() == expected.tolist()
+        assert X.data.tolist() == [v for block in blocks for v in block.data.tolist()]
+
     def test_empty_rows_and_columns(self):
         X = csr([{}, {2: 1.5}, {}], 4)
         assert (X @ np.array([1.0, 2.0, 3.0, 4.0])).tolist() == [0.0, 4.5, 0.0]
@@ -201,3 +239,32 @@ class TestPersistence:
         assert loaded.idf.tolist() == model.idf.tolist()
         original = transform_one(model, stream("a", "b"))
         assert transform_one(loaded, stream("a", "b")) == original
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_file_is_json_dumps_text(self, tmp_path, seed):
+        """The streamed file is the text of ``json.dumps`` byte for byte,
+        for terms with quotes, backslashes, control and non-BMP characters
+        and for an empty vocabulary, and it loads back unchanged."""
+        rng = random.Random(seed)
+        pool = ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\xa0", "é", "😂", "𝕏", "a", " "]
+        n_terms = rng.randint(1, 40) if seed else 0
+        terms = {"".join(rng.choices(pool, k=rng.randint(1, 6))) for _ in range(n_terms)}
+        idf = [rng.choice([1.0, 5e-324, 1e-300, 1.7976931348623157e308, -0.0])
+               if rng.random() < 0.2 else rng.uniform(1, 12) for _ in terms]
+        model = TfidfModel(
+            vocabulary={term: i for i, term in enumerate(terms)},
+            idf=np.array(idf, dtype=float),
+            doc_count=rng.randint(1, 10**6),
+        )
+        obj = {
+            "doc_count": model.doc_count,
+            "terms": [
+                {"term": t, "index": i, "idf": model.idf[i]} for t, i in model.vocabulary.items()
+            ],
+        }
+        path = tmp_path / "tfidf.json"
+        save_tfidf(model, path)
+        assert path.read_bytes() == json.dumps(obj, ensure_ascii=False, indent=2).encode("utf-8")
+        loaded = load_tfidf(path)
+        assert loaded.vocabulary == model.vocabulary and loaded.doc_count == model.doc_count
+        assert loaded.idf.tobytes() == model.idf.tobytes()

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from modkit import wordpiece
-from modkit.errors import BadTokenError, EmptyVocabError
+from modkit.errors import BadTokenError, EmptyVocabError, ModkitError
 from modkit.wordpiece import (
     CLS,
     PAD,
@@ -176,6 +176,12 @@ class TestVocabFile:
         path = tmp_path / "vocab.txt"
         path.write_text("[PAD]\n[CLS]\n[SEP]\nboom\n", encoding="utf-8")
         with pytest.raises(EmptyVocabError):
+            load_vocab(path)
+
+    def test_not_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"[PAD]\n[UNK]\n[CLS]\n[SEP]\nbo\xffom\n")
+        with pytest.raises(ModkitError, match="vocab.txt is not UTF-8"):
             load_vocab(path)
 
     def test_bundled_vocab_excludes_demo_slang(self):
