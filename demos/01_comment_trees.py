@@ -46,7 +46,7 @@ raw = json.dumps(
 )
 
 tree = parse_comment_tree(raw)
-print(f"parsed {tree.node_count()} comments from post {tree.post_id!r}")
+print(f"parsed {len(tree.comments)} comments from post {tree.post_id!r}")
 
 comments = flatten(tree)
 for c in comments:

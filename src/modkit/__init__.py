@@ -20,10 +20,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "_rng": (),
     "corpus": (
-        "ANNOTATION_CRITERIA", "AnnotationCriteria", "Comment", "CommentNode", "CommentTree",
-        "Label", "LabeledDataset", "LexiconCategory", "LexiconEntry", "apply_labels", "balance",
-        "dedupe", "flatten", "lexicon_flag", "load_dataset", "load_labels", "load_lexicon",
-        "parse_comment_tree", "save_dataset", "serialize_comment_tree", "split",
+        "Comment", "CommentTree", "Label", "LabeledDataset", "LexiconCategory", "LexiconEntry",
+        "apply_labels", "balance", "dedupe", "flatten", "lexicon_flag", "load_dataset",
+        "load_labels", "load_lexicon", "parse_comment_tree", "save_dataset",
+        "serialize_comment_tree", "split",
     ),
     "textprep": (
         "EmojiMode", "EmoticonMap", "LemmaDictionary", "PreprocessConfig", "Step", "StopList",

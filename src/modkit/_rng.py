@@ -26,27 +26,10 @@ def _splitmix64(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
-class SplitMix64:
-    """Minimal splitmix64 generator over :func:`_splitmix64`."""
-
-    def __init__(self, seed: int):
-        self._draws = _splitmix64(seed)
-
-    def next_uint64(self) -> int:
-        return next(self._draws)
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound). Modulo bias is < 2**-50 for the
-        bounds used here and, crucially, deterministic."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_uint64() % bound
-
-
 def shuffled(items: Iterable[T], seed: int) -> list[T]:
     """Fisher-Yates shuffle of ``sorted(items)`` driven by the seeded
-    splitmix64 stream: step i swaps in the element at ``draw % (i + 1)``,
-    as ``SplitMix64(seed).below(i + 1)`` would pick it.
+    splitmix64 stream: step i swaps in the element at ``draw % (i + 1)``.
+    The modulo bias of a step is below ``(i + 1) / 2**64``, and deterministic.
 
     Items are sorted first so the result depends only on the set of items
     and the seed, never on input order.

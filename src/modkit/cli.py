@@ -128,7 +128,8 @@ def _fits(value, default) -> bool:
 
 def _run_config(config: dict) -> RunConfig:
     """RunConfig from a key/value mapping; ConfigError on unknown keys,
-    values of the wrong type or values outside the accepted choices."""
+    values of the wrong type, values outside the accepted choices, unknown
+    preprocessing steps and ratios that are not a train/validation/test split."""
     unknown = set(config) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -144,6 +145,8 @@ def _run_config(config: dict) -> RunConfig:
         raise ConfigError(f"model must be 'nb' or 'lr', got {run_config.model!r}")
     if run_config.emoji_mode not in ("ml", "bert"):
         raise ConfigError(f"emoji-mode must be 'ml' or 'bert', got {run_config.emoji_mode!r}")
+    _preprocess_config(run_config)
+    corpus.check_ratios(run_config.ratios)
     return run_config
 
 

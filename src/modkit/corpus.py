@@ -47,26 +47,6 @@ class LexiconCategory(Enum):
     WATCHWORD = "watchword"
 
 
-#: The three criteria every labeling session is annotated with.
-ANNOTATION_CRITERIA: tuple[str, str, str] = (
-    "Insults or threats targeted towards an individual or a group",
-    "Inappropriate language, insults, or threats",
-    "Explicit or implicit targeting of people based on ethnicity, gender, "
-    "sexual orientation, religious belief, or other common characteristics",
-)
-
-
-@dataclass(frozen=True)
-class AnnotationCriteria:
-    """Documentation metadata attached to a labeling session."""
-
-    criteria: tuple[str, ...] = ANNOTATION_CRITERIA
-
-    def __post_init__(self):
-        if len(self.criteria) != 3:
-            raise ValueError("exactly three annotation criteria are required")
-
-
 @dataclass(frozen=True)
 class Comment:
     id: str
@@ -77,22 +57,14 @@ class Comment:
 
 
 @dataclass(frozen=True)
-class CommentNode:
-    comment: Comment
-    children: tuple["CommentNode", ...] = ()
-
-
-@dataclass(frozen=True)
 class CommentTree:
+    """A post's comments in pre-order, parent before replies, each with
+    its reply depth: a comment's parent is the nearest earlier comment one
+    level shallower."""
+
     post_id: str
     post_author: str
-    roots: tuple[CommentNode, ...] = ()
-
-    def node_count(self) -> int:
-        def count(node: CommentNode) -> int:
-            return 1 + sum(count(c) for c in node.children)
-
-        return sum(count(r) for r in self.roots)
+    comments: tuple[Comment, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -155,7 +127,15 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _parse_node(obj, path: str, depth: int, seen_ids: set[str]) -> CommentNode:
+#: Reply depth at which a tree is refused: about where Python 3.11's JSON
+#: decoder stops, so that newer, deeper decoders accept no deeper tree.
+_MAX_DEPTH = 490
+
+
+def _parse_node(obj, path: str, depth: int, seen_ids: set[str], out: list[Comment]) -> None:
+    """Append the comment ``obj`` and then its replies, in pre-order, to ``out``."""
+    if depth == _MAX_DEPTH:
+        raise MalformedJsonError("comment tree nesting too deep")
     if not isinstance(obj, dict):
         raise SchemaViolationError("comment must be an object", path)
     cid = _require(obj, "id", path)
@@ -176,12 +156,9 @@ def _parse_node(obj, path: str, depth: int, seen_ids: set[str]) -> CommentNode:
     replies = obj.get("replies", [])
     if not isinstance(replies, list):
         raise SchemaViolationError("replies must be an array", f"{path}.replies")
-    children = tuple(
-        _parse_node(child, f"{path}.replies[{i}]", depth + 1, seen_ids)
-        for i, child in enumerate(replies)
-    )
-    comment = Comment(id=cid, author=author, text=text, timestamp=timestamp, depth=depth)
-    return CommentNode(comment=comment, children=children)
+    out.append(Comment(id=cid, author=author, text=text, timestamp=timestamp, depth=depth))
+    for i, child in enumerate(replies):
+        _parse_node(child, f"{path}.replies[{i}]", depth + 1, seen_ids, out)
 
 
 def parse_comment_tree(data: bytes | str) -> CommentTree:
@@ -197,55 +174,45 @@ def parse_comment_tree(data: bytes | str) -> CommentTree:
         raise SchemaViolationError("top level must be an object", "$")
     post_id = _require(obj, "post_id", "$")
     post_author = _require(obj, "post_author", "$")
-    comments = _require(obj, "comments", "$")
+    roots = _require(obj, "comments", "$")
     if not isinstance(post_id, str) or not isinstance(post_author, str):
         raise SchemaViolationError("post_id and post_author must be strings", "$")
-    if not isinstance(comments, list):
+    if not isinstance(roots, list):
         raise SchemaViolationError("comments must be an array", "$.comments")
+    comments: list[Comment] = []
     seen: set[str] = set()
     try:
-        roots = tuple(
-            _parse_node(c, f"$.comments[{i}]", 0, seen) for i, c in enumerate(comments)
-        )
+        for i, root in enumerate(roots):
+            _parse_node(root, f"$.comments[{i}]", 0, seen, comments)
     except RecursionError as exc:
         raise MalformedJsonError("comment tree nesting too deep") from exc
-    return CommentTree(post_id=post_id, post_author=post_author, roots=roots)
-
-
-def _node_to_obj(node: CommentNode) -> dict:
-    obj: dict = {
-        "id": node.comment.id,
-        "author": node.comment.author,
-        "text": node.comment.text,
-    }
-    if node.comment.timestamp is not None:
-        obj["timestamp"] = node.comment.timestamp
-    obj["replies"] = [_node_to_obj(c) for c in node.children]
-    return obj
+    return CommentTree(post_id=post_id, post_author=post_author, comments=tuple(comments))
 
 
 def serialize_comment_tree(tree: CommentTree) -> bytes:
-    """Inverse of :func:`parse_comment_tree` (structural round trip)."""
-    obj = {
-        "post_id": tree.post_id,
-        "post_author": tree.post_author,
-        "comments": [_node_to_obj(r) for r in tree.roots],
-    }
-    return json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    """Inverse of :func:`parse_comment_tree` (structural round trip).
+
+    The depths must be as :func:`parse_comment_tree` produces them: the
+    first comment at depth 0, each later one at most one level deeper
+    than the comment before it.
+    """
+    roots: list[dict] = []
+    replies_at = [roots]  # replies_at[d]: the list a comment at depth d joins
+    for comment in tree.comments:
+        obj: dict = {"id": comment.id, "author": comment.author, "text": comment.text}
+        if comment.timestamp is not None:
+            obj["timestamp"] = comment.timestamp
+        obj["replies"] = []
+        del replies_at[comment.depth + 1 :]
+        replies_at[comment.depth].append(obj)
+        replies_at.append(obj["replies"])
+    tree_obj = {"post_id": tree.post_id, "post_author": tree.post_author, "comments": roots}
+    return json.dumps(tree_obj, ensure_ascii=False).encode("utf-8")
 
 
 def flatten(tree: CommentTree) -> list[Comment]:
-    """Pre-order walk: parent before children, siblings in stored order."""
-    out: list[Comment] = []
-
-    def walk(node: CommentNode):
-        out.append(node.comment)
-        for child in node.children:
-            walk(child)
-
-    for root in tree.roots:
-        walk(root)
-    return out
+    """The tree's comments in pre-order: parent before replies, siblings in stored order."""
+    return list(tree.comments)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +282,14 @@ def balance(dataset: LabeledDataset, seed: int) -> LabeledDataset:
     return _subset(dataset, keep)
 
 
+def check_ratios(ratios: Sequence[float]) -> None:
+    """:class:`BadRatiosError` unless ``ratios`` are three non-negative fractions summing to 1."""
+    if len(ratios) != 3 or any(r < 0 for r in ratios):
+        raise BadRatiosError(f"ratios must be three non-negative fractions, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise BadRatiosError(f"ratios must sum to 1, got {sum(ratios)}")
+
+
 def split(
     dataset: LabeledDataset,
     ratios: tuple[float, float, float],
@@ -327,10 +302,7 @@ def split(
     train. The 1e-9 nudge below keeps floor() stable when n * ratio is an
     integer that float rounding lands just under.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise BadRatiosError(f"ratios must be three non-negative fractions, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise BadRatiosError(f"ratios must sum to 1, got {sum(ratios)}")
+    check_ratios(ratios)
     n = len(dataset.entries)
     order = shuffled(dataset.ids(), seed)
     n_val = math.floor(n * ratios[1] + 1e-9)
@@ -489,12 +461,6 @@ def _dataset_chunks(dataset: LabeledDataset) -> Iterator[str]:
         yield "\n  }\n}"
     else:
         yield "}\n}"
-
-
-def dataset_to_json(dataset: LabeledDataset) -> str:
-    """The dataset file's text: ``json.dumps(obj, ensure_ascii=False, indent=2)``
-    of ``{"entries": [{"id", "text", "label"}...], "provenance": {...}}``."""
-    return "".join(_dataset_chunks(dataset))
 
 
 def _entry_error(entry, i: int) -> SchemaViolationError:

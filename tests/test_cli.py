@@ -312,6 +312,25 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ('steps=["bogus"]', "unknown preprocessing step: 'bogus'"),
+            ("ratios=[0.5,0.5,0.5]", "ratios must sum to 1, got 1.5"),
+            ("ratios=[0.5,0.5]", "ratios must be three non-negative fractions"),
+        ],
+    )
+    def test_bad_steps_or_ratios_exit_2_before_reading_the_dataset(
+        self, tmp_path, capsys, override, message
+    ):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text("{", encoding="utf-8")  # reading it would exit 3
+        argv = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "r"), "--set", override]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("override", ["seed.x=1", "foo.bar=1"])
     def test_dotted_key_is_one_unknown_key(self, tmp_path, separable_paths, capsys, override):
         dataset = run_ingest(tmp_path, separable_paths)
@@ -452,7 +471,10 @@ class TestRunDirValidation:
 
     @pytest.mark.parametrize(
         "config",
-        [{"seed": 1, "lexicon": ""}, {"model": "svm"}, {"steps": 5}, None, ["seed"]],
+        [
+            {"seed": 1, "lexicon": ""}, {"model": "svm"}, {"steps": 5}, {"steps": ["bogus"]},
+            {"ratios": [0.5, 0.5, 0.5]}, None, ["seed"],
+        ],
     )
     def test_bad_manifest_config_exits_3(self, tmp_path, separable_paths, capsys, config):
         run_dir, dataset = train_run(tmp_path, separable_paths)

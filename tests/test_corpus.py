@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
+import sys
 
 import pytest
 
@@ -49,7 +51,7 @@ class TestParse:
             '{"post_id":"p1","post_author":"a","comments":'
             '[{"id":"c1","author":"u1","text":"hi","replies":[]}]}'
         )
-        assert tree.node_count() == 1
+        assert len(tree.comments) == 1
         assert flatten(tree)[0].depth == 0
 
     def test_nested_reply_depth_and_order(self):
@@ -58,7 +60,7 @@ class TestParse:
             '[{"id":"c1","author":"u1","text":"hi","replies":'
             '[{"id":"c2","author":"u2","text":"yo","replies":[]}]}]}'
         )
-        assert tree.node_count() == 2
+        assert len(tree.comments) == 2
         comments = flatten(tree)
         assert [c.id for c in comments] == ["c1", "c2"]
         assert [c.depth for c in comments] == [0, 1]
@@ -101,7 +103,7 @@ class TestParse:
 
     def test_300_deep_reply_chain(self):
         tree = parse_comment_tree(reply_chain(300))
-        assert tree.node_count() == 300
+        assert len(tree.comments) == 300
         comments = flatten(tree)
         assert [c.id for c in comments] == [f"c{i}" for i in range(300)]
         assert [c.depth for c in comments] == list(range(300))
@@ -115,6 +117,39 @@ class TestParse:
         monkeypatch.setattr(corpus, "load_json", lambda data, what: decoded)
         with pytest.raises(MalformedJsonError, match="nesting too deep"):
             parse_comment_tree("{}")
+
+    @pytest.mark.parametrize("depth", [corpus._MAX_DEPTH, corpus._MAX_DEPTH + 1])
+    def test_reply_depth_cap(self, monkeypatch, depth):
+        """However deep the decoder goes, chains of up to ``_MAX_DEPTH``
+        comments parse and longer ones are refused."""
+        decoded = decoded_chain(depth)
+        monkeypatch.setattr(corpus, "load_json", lambda data, what: decoded)
+        if depth > corpus._MAX_DEPTH:
+            with pytest.raises(MalformedJsonError, match="comment tree nesting too deep"):
+                parse_comment_tree("{}")
+        else:
+            assert [c.depth for c in parse_comment_tree("{}").comments] == list(range(depth))
+
+    def test_walk_out_of_stack_is_malformed(self, monkeypatch):
+        """Called with little stack left, the walk's RecursionError becomes
+        a MalformedJsonError."""
+        decoded = decoded_chain(300)
+        monkeypatch.setattr(corpus, "load_json", lambda data, what: decoded)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            with pytest.raises(MalformedJsonError, match="comment tree nesting too deep"):
+                parse_comment_tree("{}")
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+def decoded_chain(depth: int) -> dict:
+    """The decoded JSON of :func:`reply_chain`, built without recursion."""
+    node: dict | None = None
+    for i in reversed(range(depth)):
+        node = {"id": f"c{i}", "author": "u", "text": f"reply {i}", "replies": [node] if node else []}
+    return {"post_id": "p", "post_author": "op", "comments": [node]}
 
 
 def random_tree_obj(rng: random.Random, max_depth: int = 5, budget: int = 200) -> dict:
@@ -148,22 +183,99 @@ class TestRoundTrip:
             again = parse_comment_tree(serialize_comment_tree(tree))
             assert again == tree
 
-    def test_flatten_matches_node_count_and_order(self):
+    def test_comments_are_the_preorder_walk_of_the_json(self):
         rng = random.Random(7)
         for _ in range(50):
-            tree = parse_comment_tree(json.dumps(random_tree_obj(rng), ensure_ascii=False))
-            comments = flatten(tree)
-            assert len(comments) == tree.node_count()
-            position = {c.id: i for i, c in enumerate(comments)}
+            obj = random_tree_obj(rng)
+            slots = comment_slots(obj["comments"])
+            for siblings, i in rng.sample(slots, min(5, len(slots))):
+                siblings[i]["timestamp"] = f"2022-04-01T00:00:{rng.randint(0, 59):02d}"
+            tree = parse_comment_tree(json.dumps(obj, ensure_ascii=False))
+            assert flatten(tree) == list(tree.comments)
+            assert [
+                (c.id, c.author, c.text, c.timestamp, c.depth) for c in tree.comments
+            ] == reference_preorder(obj["comments"])
 
-            def check(node, parent_pos=None):
-                if parent_pos is not None:
-                    assert position[node.comment.id] > parent_pos
-                for child in node.children:
-                    check(child, position[node.comment.id])
 
-            for root in tree.roots:
-                check(root)
+def comment_slots(siblings: list) -> list[tuple[list, int]]:
+    """(siblings, index) of every comment object under ``siblings``, in pre-order."""
+    out = []
+    for i, node in enumerate(siblings):
+        out.append((siblings, i))
+        out.extend(comment_slots(node["replies"]))
+    return out
+
+
+def reference_preorder(nodes: list, depth: int = 0) -> list[tuple]:
+    """(id, author, text, timestamp, depth) of each comment object, parent
+    before its replies, siblings in stored order."""
+    out = []
+    for node in nodes:
+        out.append((node["id"], node["author"], node["text"], node.get("timestamp"), depth))
+        out.extend(reference_preorder(node["replies"], depth + 1))
+    return out
+
+
+#: Ways to make a comment object invalid; one returning NOT_A_COMMENT
+#: has the comment replaced by an array. ``other`` is another comment of
+#: the same tree (or the same one).
+NOT_A_COMMENT = object()
+CORRUPTIONS = [
+    lambda node, other: node.pop("text"),
+    lambda node, other: node.pop("author"),
+    lambda node, other: node.update(id=7),
+    lambda node, other: node.update(id=""),
+    lambda node, other: node.update(author=None),
+    lambda node, other: node.update(text=["x"]),
+    lambda node, other: node.update(timestamp=5),
+    lambda node, other: node.update(replies="none"),
+    lambda node, other: node.update(id=other["id"]),
+    lambda node, other: NOT_A_COMMENT,
+]
+
+
+def corrupted_tree(seed: int) -> dict:
+    """A random tree of three or more comments, two of them (drawn
+    from the seed) made invalid by corruption ``seed % len(CORRUPTIONS)``."""
+    rng = random.Random(seed)
+    slots: list[tuple[list, int]] = []
+    while len(slots) < 3:
+        obj = random_tree_obj(rng)
+        slots = comment_slots(obj["comments"])
+    corrupt = CORRUPTIONS[seed % len(CORRUPTIONS)]
+    for siblings, i in rng.sample(slots, 2):
+        other_siblings, j = rng.choice(slots)
+        if corrupt(siblings[i], other_siblings[j]) is NOT_A_COMMENT:
+            siblings[i] = ["not", "a", "comment"]
+    return obj
+
+
+#: The error of the first invalid comment of each corrupted tree: type,
+#: message and path, as recorded from the tree-building parser.
+CORRUPTED_TREE_ERRORS = {
+    0: (SchemaViolationError, "missing required field 'text'", "$.comments[0].replies[1].replies[1].replies[0].replies[0]"),
+    1: (SchemaViolationError, "missing required field 'author'", "$.comments[0].replies[2].replies[0].replies[1].replies[0]"),
+    2: (SchemaViolationError, "id must be a non-empty string", "$.comments[1].id"),
+    3: (SchemaViolationError, "id must be a non-empty string", "$.comments[0].replies[0].replies[1].replies[0].replies[2].id"),
+    4: (SchemaViolationError, "author must be a string", "$.comments[0].replies[0].replies[1].replies[0].replies[0].author"),
+    5: (SchemaViolationError, "text must be a string", "$.comments[1].replies[0].replies[0].replies[0].replies[1].text"),
+    6: (SchemaViolationError, "timestamp must be a string", "$.comments[3].replies[0].replies[0].replies[0].replies[1].replies[0].timestamp"),
+    7: (SchemaViolationError, "replies must be an array", "$.comments[1].replies[0].replies[0].replies[1].replies[1].replies"),
+    8: (DuplicateIdError, "duplicate comment id: 'n28-3'", None),
+    9: (SchemaViolationError, "comment must be an object", "$.comments[0].replies[0].replies[0].replies[2].replies[1]"),
+    10: (SchemaViolationError, "missing required field 'text'", "$.comments[2].replies[1].replies[0].replies[1].replies[0].replies[1]"),
+    11: (SchemaViolationError, "missing required field 'author'", "$.comments[0].replies[0].replies[0]"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORRUPTED_TREE_ERRORS))
+def test_first_invalid_comment_decides_the_error(seed):
+    error, message, path = CORRUPTED_TREE_ERRORS[seed]
+    with pytest.raises(error) as info:
+        parse_comment_tree(json.dumps(corrupted_tree(seed)))
+    assert type(info.value) is error
+    assert str(info.value) == (f"{message} (at {path})" if path else message)
+    assert getattr(info.value, "path", None) == path
 
 
 class TestFlatten:
@@ -435,8 +547,7 @@ def fuzz_dataset(n: int, seed: int, provenance: bool = True) -> LabeledDataset:
 
 
 def reference_dataset_json(dataset: LabeledDataset) -> str:
-    """What ``dataset_to_json`` wrote when it built the JSON object and
-    passed it to ``json.dumps``."""
+    """The dataset file's text as ``json.dumps`` writes its JSON object."""
     obj = {
         "entries": [
             {"id": cid, "text": text, "label": label.value} for cid, text, label in dataset.entries
@@ -449,11 +560,10 @@ def reference_dataset_json(dataset: LabeledDataset) -> str:
 class TestDatasetWriter:
     def test_fuzz_entries_match_json_dumps(self, tmp_path):
         dataset = fuzz_dataset(3000, 5)
-        text = corpus.dataset_to_json(dataset)
+        corpus.save_dataset(dataset, tmp_path / "d.json")
+        text = (tmp_path / "d.json").read_bytes().decode("utf-8")
         assert text == reference_dataset_json(dataset)
         assert all(ch in text for ch in ("\\u0000", "\\u001f", "\\\"", "\\\\", "\u00a0", "😂"))
-        corpus.save_dataset(dataset, tmp_path / "d.json")
-        assert (tmp_path / "d.json").read_bytes() == text.encode("utf-8")
         assert corpus.load_dataset(tmp_path / "d.json") == dataset
 
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -465,15 +575,19 @@ class TestDatasetWriter:
         elif provenance == "all":
             provenance = {f"c{i}": f"p{i}" for i in range(n)}
         dataset = LabeledDataset(entries=entries, provenance=provenance)
-        assert corpus.dataset_to_json(dataset) == reference_dataset_json(dataset)
         corpus.save_dataset(dataset, tmp_path / "d.json")
         assert (tmp_path / "d.json").read_bytes() == reference_dataset_json(dataset).encode("utf-8")
 
-    def test_lone_surrogate_text_matches_json_dumps(self):
+    def test_lone_surrogate_text_matches_json_dumps(self, tmp_path):
+        """The text is what ``json.dumps`` returns, which UTF-8 cannot
+        encode either: nothing is written."""
         dataset = LabeledDataset(
             entries=(("c1", "a\udc00", Label.OFFENSIVE), ("\ud800", "b", Label.NOT_OFFENSIVE))
         )
-        assert corpus.dataset_to_json(dataset) == reference_dataset_json(dataset)
+        assert "".join(corpus._dataset_chunks(dataset)) == reference_dataset_json(dataset)
+        with pytest.raises(UnicodeEncodeError):
+            corpus.save_dataset(dataset, tmp_path / "d.json")
+        assert list(tmp_path.iterdir()) == []
 
 
 def reference_hits_json(hits) -> str:

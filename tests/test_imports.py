@@ -48,10 +48,10 @@ EAGER = {"cli", "errors", "_atomic"}
 #: Every name ``modkit`` re-exported when it imported its submodules eagerly.
 EXPORTED = {
     "corpus": (
-        "ANNOTATION_CRITERIA", "AnnotationCriteria", "Comment", "CommentNode", "CommentTree",
-        "Label", "LabeledDataset", "LexiconCategory", "LexiconEntry", "apply_labels", "balance",
-        "dedupe", "flatten", "lexicon_flag", "load_dataset", "load_labels", "load_lexicon",
-        "parse_comment_tree", "save_dataset", "serialize_comment_tree", "split",
+        "Comment", "CommentTree", "Label", "LabeledDataset", "LexiconCategory", "LexiconEntry",
+        "apply_labels", "balance", "dedupe", "flatten", "lexicon_flag", "load_dataset",
+        "load_labels", "load_lexicon", "parse_comment_tree", "save_dataset",
+        "serialize_comment_tree", "split",
     ),
     "textprep": (
         "EmojiMode", "EmoticonMap", "LemmaDictionary", "PreprocessConfig", "Step", "StopList",

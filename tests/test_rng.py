@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 
 from modkit import corpus
-from modkit._rng import SplitMix64, shuffled
+from modkit._rng import _splitmix64, shuffled
 from modkit.errors import read_json_text
 
 SPLITMIX64 = {
@@ -20,8 +20,8 @@ SPLITMIX64 = {
 
 @pytest.mark.parametrize("seed", SPLITMIX64)
 def test_splitmix64_first_outputs(seed):
-    rng = SplitMix64(seed)
-    assert tuple(rng.next_uint64() for _ in range(4)) == SPLITMIX64[seed]
+    draws = _splitmix64(seed)
+    assert tuple(next(draws) for _ in range(4)) == SPLITMIX64[seed]
 
 
 def test_shuffled_range():

@@ -24,6 +24,7 @@ DATA = ROOT / "tests" / "data"
 sys.path.insert(0, str(ROOT / "src"))
 
 from modkit import textprep  # noqa: E402
+from modkit._rng import _splitmix64  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # Small handcrafted fixture (10 comments, nested, emojis, emoticons)
@@ -90,23 +91,6 @@ mirov fusan vorim rafus nivom sovar marov nofer vimor resuf
 """.split()
 
 
-class Mix64:
-    MASK = (1 << 64) - 1
-
-    def __init__(self, seed):
-        self.state = seed & self.MASK
-
-    def next(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
-        return z ^ (z >> 31)
-
-    def below(self, bound):
-        return self.next() % bound
-
-
 def validate_pools():
     stoplist = textprep.default_stoplist()
     lemmas = textprep.default_lemma_dictionary()
@@ -121,7 +105,7 @@ def validate_pools():
 
 def write_separable():
     validate_pools()
-    rng = Mix64(20220401)
+    draws = _splitmix64(20220401)
     labels: dict[str, int] = {}
     index = 0
     for part in range(4):
@@ -131,8 +115,8 @@ def write_separable():
             cid = f"s{index:03d}"
             offensive = index % 2 == 1
             pool = OFFENSIVE_POOL if offensive else CLEAN_POOL
-            n_words = 4 + rng.below(5)
-            text = " ".join(pool[rng.below(len(pool))] for _ in range(n_words))
+            n_words = 4 + next(draws) % 5
+            text = " ".join(pool[next(draws) % len(pool)] for _ in range(n_words))
             labels[cid] = 1 if offensive else 0
             comments.append(
                 {"id": cid, "author": f"user{index % 17}", "text": text, "replies": []}
