@@ -37,20 +37,13 @@ from .textprep import (
 class NgramTable:
     n: int
     rows: tuple[tuple[str, int], ...]
-    stopwords_removed: bool = False
     total_windows: int = 0
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 @dataclass(frozen=True)
 class LengthHistogram:
     bucket_width: int
     buckets: Mapping[int, int]
-
-    def total(self) -> int:
-        return sum(self.buckets.values())
 
 
 @dataclass(frozen=True)
@@ -67,12 +60,7 @@ class CloudWeights:
     terms: Mapping[str, float]
 
 
-def ngram_counts(
-    corpus: Sequence[TokenStream],
-    n: int,
-    top_k: int,
-    stopwords_removed: bool = False,
-) -> NgramTable:
+def ngram_counts(corpus: Sequence[TokenStream], n: int, top_k: int) -> NgramTable:
     """Top-k contiguous n-grams over the corpus.
 
     Windows are counted within each stream only. Ranking is by count
@@ -91,12 +79,7 @@ def ngram_counts(
         for i in range(windows):
             counts[" ".join(tokens[i : i + n])] += 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    return NgramTable(
-        n=n,
-        rows=tuple(ranked),
-        stopwords_removed=stopwords_removed,
-        total_windows=total_windows,
-    )
+    return NgramTable(n=n, rows=tuple(ranked), total_windows=total_windows)
 
 
 def length_histogram(

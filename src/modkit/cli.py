@@ -222,8 +222,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     lexicon = None
     if args.lexicon:
         lexicon = corpus.load_lexicon(_require_file(args.lexicon, "lexicon file"))
-    known = {c.id for c in unique}
-    labels = {cid: lab for cid, lab in labels.items() if cid in known or args.strict_labels}
+    known = {c.id for c in unique}  # labels on dropped duplicates are dropped too
+    if args.strict_labels:  # keep labels on ids in no tree, for apply_labels to refuse
+        known |= labels.keys() - provenance.keys()
+    labels = {cid: lab for cid, lab in labels.items() if cid in known}
     dataset, unlabeled = corpus.apply_labels(unique, labels, provenance)
     corpus.save_dataset(dataset, args.out)
     print(
@@ -279,9 +281,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for cid, text in offensive
         ]
         for n, name in _NGRAM_NAMES.items():
-            table = analytics.ngram_counts(
-                streams, n, args.top_k, stopwords_removed=(suffix == "after")
-            )
+            table = analytics.ngram_counts(streams, n, args.top_k)
             analytics.export_chart_data(table, out_dir / f"ngrams_{name}_{suffix}.csv")
     analytics.export_chart_data(
         analytics.length_histogram(dataset.texts(), args.bucket_width),

@@ -34,7 +34,7 @@ from .errors import (
     read_json_text,
 )
 from .evaluate import MetricsReport, confusion, metrics
-from .textprep import PreprocessConfig, Step, StopList, TokenStream, _step_tables, run_pipeline
+from .textprep import PreprocessConfig, Step, TokenStream, _step_tables, run_pipeline
 from .vectorize import CSRMatrix, TfidfModel, fit, transform_all
 
 # Class index convention: column 0 = NOT_OFFENSIVE, column 1 = OFFENSIVE.
@@ -264,7 +264,7 @@ class CycleConfig:
     l2: float = 1e-4
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     variant_name: str = ""
-    stoplist: StopList | None = None
+    stoplist: frozenset[str] | None = None
 
 
 @dataclass(frozen=True)

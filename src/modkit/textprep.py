@@ -83,17 +83,6 @@ class TokenStream:
 
 
 @dataclass(frozen=True)
-class StopList:
-    """Baseline word set plus ordered shorthand extensions."""
-
-    base: frozenset[str]
-    extensions: tuple[str, ...] = STOPWORD_EXTENSIONS
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.base or word in self.extensions
-
-
-@dataclass(frozen=True)
 class LemmaDictionary:
     """Exception table and ordered suffix rules.
 
@@ -276,7 +265,9 @@ def remove_punctuation(tokens: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def remove_stopwords(tokens: tuple[str, ...], stoplist: StopList | None = None) -> tuple[str, ...]:
+def remove_stopwords(
+    tokens: tuple[str, ...], stoplist: frozenset[str] | None = None
+) -> tuple[str, ...]:
     if stoplist is None:
         stoplist = default_stoplist()
     return tuple(t for t in tokens if t not in stoplist)
@@ -398,7 +389,7 @@ def encode_emojis(
 def run_pipeline(
     text: str,
     config: PreprocessConfig,
-    stoplist: StopList | None = None,
+    stoplist: frozenset[str] | None = None,
     dictionary: LemmaDictionary | None = None,
     emoticon_map: EmoticonMap | None = None,
     aliases: Mapping[str, str] | None = None,
@@ -428,7 +419,7 @@ def run_pipeline(
     return TokenStream(tokens, source_id)
 
 
-def _step_tables(config: PreprocessConfig, stoplist: StopList | None = None) -> dict:
+def _step_tables(config: PreprocessConfig, stoplist: frozenset[str] | None = None) -> dict:
     """:func:`run_pipeline`'s table arguments for ``config``: the tables
     its steps read and no others, ``stoplist`` or the default stop list."""
     tables: dict = {}
@@ -445,14 +436,17 @@ def _step_tables(config: PreprocessConfig, stoplist: StopList | None = None) -> 
 # Bundled resource loading
 
 
-def load_stoplist(path: str | Path, extensions: Iterable[str] = STOPWORD_EXTENSIONS) -> StopList:
-    """Stop-list file: UTF-8, one word per line, '#' comments allowed."""
-    words = []
+def load_stoplist(
+    path: str | Path, extensions: Iterable[str] = STOPWORD_EXTENSIONS
+) -> frozenset[str]:
+    """The words of a stop-list file (UTF-8, one word per line, '#'
+    comments allowed), lowercased, plus ``extensions`` as given."""
+    words = list(extensions)
     for line in read_text(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             words.append(line.lower())
-    return StopList(base=frozenset(words), extensions=tuple(extensions))
+    return frozenset(words)
 
 
 def load_lemma_dictionary(words_path: str | Path, rules_path: str | Path) -> LemmaDictionary:
@@ -488,7 +482,7 @@ def _table_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def default_stoplist() -> StopList:
+def default_stoplist() -> frozenset[str]:
     return _resources.cached("stoplist", lambda p: load_stoplist(p / "stopwords.txt"))
 
 

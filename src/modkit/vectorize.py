@@ -9,7 +9,6 @@ models never see negative feature mass.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -85,24 +84,39 @@ class TfidfModel:
         return len(self.vocabulary)
 
 
+def _term_counts(
+    vocabulary: dict[str, int], corpus: Sequence[TokenStream]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and counts of every (stream, known term) pair, in
+    row then column order; out-of-vocabulary tokens are ignored.
+
+    Every token maps to its column once, and ``np.unique`` over
+    ``row * n_cols + column`` gives each row's columns in order with their
+    counts.
+    """
+    n_cols = len(vocabulary)
+    columns = np.fromiter(
+        map(vocabulary.get, chain.from_iterable(s.tokens for s in corpus), repeat(-1)),
+        dtype=np.intp,
+    )
+    rows = np.repeat(np.arange(len(corpus)), [len(s.tokens) for s in corpus])
+    known = columns >= 0
+    keys, counts = np.unique(rows[known] * n_cols + columns[known], return_counts=True)
+    row_of, indices = np.divmod(keys, n_cols)
+    return row_of, indices, counts
+
+
 def fit(corpus: Sequence[TokenStream]) -> TfidfModel:
-    """Learn vocabulary (first-appearance order) and smoothed idf."""
+    """Learn vocabulary (first-appearance order) and smoothed idf; a
+    term's document frequency is the number of streams it has a count in."""
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot fit TF-IDF on an empty corpus")
-    vocabulary: dict[str, int] = {}
-    df: Counter[str] = Counter()
-    for stream in corpus:
-        seen: set[str] = set()
-        for token in stream.tokens:
-            if token not in vocabulary:
-                vocabulary[token] = len(vocabulary)
-            if token not in seen:
-                seen.add(token)
-                df[token] += 1
+    terms = dict.fromkeys(chain.from_iterable(s.tokens for s in corpus))
+    vocabulary = {term: index for index, term in enumerate(terms)}
+    _, columns, _ = _term_counts(vocabulary, corpus)
     n = len(corpus)
-    idf = np.empty(len(vocabulary))
-    for term, index in vocabulary.items():
-        idf[index] = math.log((1 + n) / (1 + df[term])) + 1.0
+    df = np.bincount(columns, minlength=len(vocabulary)).tolist()
+    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df], dtype=float)
     return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n)
 
 
@@ -110,28 +124,18 @@ def transform_all(model: TfidfModel, corpus: Sequence[TokenStream]) -> CSRMatrix
     """One row per stream: raw tf x idf, L2-normalized; out-of-vocabulary
     tokens are ignored, so a stream without known tokens is an empty row.
 
-    Every token maps to its column once, and ``np.unique`` over
-    ``row * n_cols + column`` gives each row's columns in order with their
-    counts. Each row is divided by ``sqrt(x @ x)``, the norm
-    ``np.linalg.norm`` takes, so the rows are those of a per-document
-    loop bit for bit.
+    Each row is divided by ``sqrt(x @ x)``, the norm ``np.linalg.norm``
+    takes, so the rows are those of a per-document loop bit for bit.
     """
-    n_rows, n_cols = len(corpus), model.vocab_size
-    columns = np.fromiter(
-        map(model.vocabulary.get, chain.from_iterable(s.tokens for s in corpus), repeat(-1)),
-        dtype=np.intp,
-    )
-    rows = np.repeat(np.arange(n_rows), [len(s.tokens) for s in corpus])
-    known = columns >= 0
-    keys, counts = np.unique(rows[known] * n_cols + columns[known], return_counts=True)
-    row_of, indices = np.divmod(keys, n_cols)
+    n_rows = len(corpus)
+    row_of, indices, counts = _term_counts(model.vocabulary, corpus)
     data = counts * model.idf[indices]
     indptr = np.zeros(n_rows + 1, dtype=np.intp)
     np.cumsum(np.bincount(row_of, minlength=n_rows), out=indptr[1:])
     bounds = indptr.tolist()
     norms = np.sqrt([data[a:b] @ data[a:b] for a, b in zip(bounds, bounds[1:])])
     data /= np.repeat(norms, np.diff(indptr))
-    return CSRMatrix(indptr=indptr, indices=indices, data=data, n_cols=n_cols)
+    return CSRMatrix(indptr=indptr, indices=indices, data=data, n_cols=model.vocab_size)
 
 
 def _tfidf_chunks(model: TfidfModel) -> Iterator[str]:

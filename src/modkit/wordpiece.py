@@ -136,9 +136,8 @@ def wordpiece_encode(
     text: str,
     vocab: WordPieceVocab | None = None,
     max_length: int = DEFAULT_MAX_LENGTH,
-    pad_to_max: bool = False,
 ) -> Encoding:
-    """Encode preprocessed text into [CLS] pieces... [SEP] (+ padding).
+    """Encode preprocessed text into [CLS] pieces... [SEP].
 
     Expects lowercased input with ``:alias:`` emoji placeholders intact;
     a placeholder registered in the vocabulary emits exactly one token.
@@ -159,8 +158,6 @@ def wordpiece_encode(
         pieces = pieces[: max_length - 1]
         truncated = True
     pieces.append(SEP)
-    if pad_to_max:
-        pieces.extend([PAD] * (max_length - len(pieces)))
     ids = tuple(vocab.id_of(p) for p in pieces)
     return Encoding(ids=ids, tokens=tuple(pieces), truncated=truncated)
 
@@ -186,9 +183,6 @@ class FragmentationRate:
     pieces_per_word: float
     split_word_fraction: float
 
-    def __iter__(self):
-        return iter((self.pieces_per_word, self.split_word_fraction))
-
 
 def fragmentation_rate(
     corpus: Sequence[str],
@@ -197,7 +191,7 @@ def fragmentation_rate(
     """How finely the vocabulary fragments a corpus.
 
     pieces_per_word counts emitted word pieces (an [UNK] emission counts
-    as one piece; [CLS]/[SEP]/[PAD] framing is excluded) divided by
+    as one piece; [CLS]/[SEP] framing is excluded) divided by
     whitespace words. split_word_fraction is the share of words that
     emit two or more pieces or fall back to [UNK].
     """

@@ -114,6 +114,23 @@ def l2_norm(values) -> float:
     return sqrt(sum(v * v for v in values))
 
 
+def oracle_tfidf_fit(docs) -> tuple[list[str], list[float], int]:
+    """TF-IDF fit one token at a time: the vocabulary in first-seen order,
+    each term's smoothed idf ln((1 + N) / (1 + df)) + 1, where df counts
+    the documents the term occurs in, and the document count N."""
+    vocabulary: list[str] = []
+    df: dict[str, int] = {}
+    for tokens in docs:
+        for token in tokens:
+            if token not in df:
+                vocabulary.append(token)
+                df[token] = 0
+        for token in set(tokens):
+            df[token] += 1
+    n = len(docs)
+    return vocabulary, [log((1 + n) / (1 + df[term])) + 1.0 for term in vocabulary], n
+
+
 # ---------------------------------------------------------------------------
 # Text preprocessing as it was before the character-class table: the
 # per-character range scans and the hand-written whitespace split. The

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from modkit.cli import RunConfig, main
-from modkit.corpus import Label, LabeledDataset, save_dataset
+from modkit.corpus import Label, LabeledDataset, load_dataset, save_dataset
 
 from _fuzz import reply_chain, reseal
 
@@ -66,6 +66,34 @@ class TestIngest:
         out = tmp_path / "dataset.json"
         assert main(["ingest", str(tree_path), "--labels", str(labels), "--out", str(out)]) == 0
         assert "2 labeled (1 offensive / 1 not offensive), 1 unlabeled" in capsys.readouterr().out
+
+    def test_strict_labels_accept_a_label_on_a_dropped_duplicate(self, tmp_path, capsys):
+        """The duplicate is in the trees, so --strict-labels accepts its
+        label; like the comment, the label is dropped."""
+        tree = json.loads(json.dumps(TREE))
+        duplicate = {"id": "c4", "author": "u4", "text": " first comment\n", "replies": []}
+        tree["comments"][1]["replies"].append(duplicate)
+        trees = write_json(tmp_path / "tree.json", tree)
+        labels = write_json(tmp_path / "labels.json", {"c1": 1, "c4": 0, "c2": 0})
+        out = tmp_path / "dataset.json"
+        argv = ["ingest", str(trees), "--labels", str(labels), "--out", str(out), "--strict-labels"]
+        assert main(argv) == 0
+        assert [cid for cid, _, _ in load_dataset(out).entries] == ["c1", "c2"]
+        assert "4 total, 3 unique, 2 labeled" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, code", [(["--strict-labels"], 3), ([], 0)], ids=["strict", "lenient"]
+    )
+    def test_label_on_an_id_in_no_tree(self, tmp_path, tree_path, capsys, flags, code):
+        labels = write_json(tmp_path / "labels.json", {"c1": 1, "ghost7": 0})
+        out = tmp_path / "dataset.json"
+        argv = ["ingest", str(tree_path), "--labels", str(labels), "--out", str(out), *flags]
+        assert main(argv) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "'ghost7'" in err and err.count("\n") == 1 and not out.exists()
+        else:
+            assert [cid for cid, _, _ in load_dataset(out).entries] == ["c1"]
 
     def test_labels_not_json_exits_3(self, tmp_path, tree_path, capsys):
         labels = tmp_path / "labels.json"

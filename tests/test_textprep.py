@@ -16,7 +16,6 @@ from modkit.textprep import (
     PreprocessConfig,
     STOPWORD_EXTENSIONS,
     Step,
-    StopList,
     UNKNOWN_EMOJI_ALIAS,
     default_emoji_aliases,
     default_emoticon_map,
@@ -26,6 +25,7 @@ from modkit.textprep import (
     is_alias_placeholder,
     is_emoji_char,
     lemmatize,
+    load_stoplist,
     lowercase,
     normalize_emoticons,
     remove_punctuation,
@@ -371,15 +371,25 @@ class TestPreprocessConfig:
 
 class TestStopList:
     def test_membership_covers_base_and_extensions(self):
-        stoplist = StopList(base=frozenset({"the"}), extensions=("ur",))
+        lines = (textprep._resources._BUNDLED / "stopwords.txt").read_text(encoding="utf-8")
+        words = {w.strip().lower() for w in lines.splitlines()}
+        words = {w for w in words if w and not w.startswith("#")}
+        stoplist = default_stoplist()
+        assert type(stoplist) is frozenset
+        assert stoplist == words | set(STOPWORD_EXTENSIONS)
         assert "the" in stoplist and "ur" in stoplist and "dumb" not in stoplist
+
+    def test_custom_extensions_are_added_as_given(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("# comment\n The \n\nNice\n", encoding="utf-8")
+        assert load_stoplist(path, extensions=("Ur", "lol")) == {"the", "nice", "Ur", "lol"}
+        assert load_stoplist(path, extensions=()) == {"the", "nice"}
+        assert load_stoplist(path) == {"the", "nice", *STOPWORD_EXTENSIONS}
 
     def test_data_dir_env_override(self, tmp_path, monkeypatch):
         (tmp_path / "stopwords.txt").write_text("zonkers\n", encoding="utf-8")
         monkeypatch.setenv("MODKIT_DATA_DIR", str(tmp_path))
-        stoplist = default_stoplist()
-        assert "zonkers" in stoplist
-        assert "the" not in stoplist.base
+        assert default_stoplist() == {"zonkers", *STOPWORD_EXTENSIONS}
         monkeypatch.delenv("MODKIT_DATA_DIR")
         assert "the" in default_stoplist()
 

@@ -14,6 +14,7 @@ from modkit.errors import EmptyCorpusError
 from modkit.textprep import TokenStream
 from modkit.vectorize import CSRMatrix, TfidfModel, fit, load_tfidf, save_tfidf, transform_all
 
+from _oracles import oracle_tfidf_fit
 from _sparse import csr, dense, entries
 
 
@@ -54,6 +55,29 @@ class TestFit:
         ]
         model = fit(corpus)
         assert all(value >= 1.0 for value in model.idf)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_token_loop(self, seed):
+        """Vocabulary order, idf bytes and doc_count equal a plain loop's,
+        over streams that are empty, repeat tokens or hold only tokens no
+        other stream holds, and over corpora with no tokens at all."""
+        rng = random.Random(seed)
+        words = [f"w{i}" for i in range(rng.randint(1, 30))]
+        corpus = [
+            stream(*(rng.choice(words) for _ in range(rng.randint(0, 20))))
+            for _ in range(rng.randint(1, 50))
+        ]
+        corpus += [stream(), stream("x", "x", "x"), stream("only", "only", "once")]
+        rng.shuffle(corpus)
+        no_tokens = [stream()] * rng.randint(1, 9)
+        for docs in (corpus, corpus[: rng.randint(1, 5)], no_tokens):
+            model = fit(docs)
+            vocabulary, idf, n = oracle_tfidf_fit([doc.tokens for doc in docs])
+            assert list(model.vocabulary) == vocabulary
+            assert list(model.vocabulary.values()) == list(range(len(vocabulary)))
+            assert model.idf.dtype == np.float64
+            assert model.idf.tobytes() == np.array(idf, dtype=np.float64).tobytes()
+            assert model.doc_count == n == len(docs)
 
 
 def per_document_transform(model, corpus) -> CSRMatrix:

@@ -10,7 +10,6 @@ from modkit import wordpiece
 from modkit.errors import BadTokenError, EmptyVocabError, ModkitError
 from modkit.wordpiece import (
     CLS,
-    PAD,
     SEP,
     UNK,
     WordPieceVocab,
@@ -65,15 +64,6 @@ class TestEncode:
     def test_no_truncation_flag_when_short(self):
         encoding = wordpiece_encode("a", vocab_of("a"))
         assert not encoding.truncated
-
-    def test_padding_only_on_request(self):
-        vocab = vocab_of("a")
-        plain = wordpiece_encode("a", vocab, max_length=8)
-        padded = wordpiece_encode("a", vocab, max_length=8, pad_to_max=True)
-        assert len(plain) == 3
-        assert len(padded) == 8
-        assert padded.tokens[-1] == PAD
-        assert padded.tokens[2] == SEP
 
     def test_ids_match_tokens(self):
         vocab = vocab_of("boom", "##er")
@@ -137,12 +127,13 @@ class TestFragmentation:
 
     def test_fully_covered_corpus(self):
         rate = fragmentation_rate(["boom boom", "boom"], vocab_of("boom"))
-        assert tuple(rate) == (1.0, 0.0)
+        assert (rate.pieces_per_word, rate.split_word_fraction) == (1.0, 0.0)
 
     def test_saturated_after_augmenting_every_word(self):
         corpus = ["ok boomer", "no cap simp"]
         vocab = augment_vocab(default_vocab(), ["ok", "boomer", "no", "cap", "simp"])
-        assert tuple(fragmentation_rate(corpus, vocab)) == (1.0, 0.0)
+        rate = fragmentation_rate(corpus, vocab)
+        assert (rate.pieces_per_word, rate.split_word_fraction) == (1.0, 0.0)
 
     def test_unknown_counts_as_one_piece(self):
         rate = fragmentation_rate(["zzzz"], vocab_of("boom"))
@@ -225,7 +216,10 @@ class TestMemo:
                 encoding = wordpiece_encode(text, vocab, max_length=len(pieces) + 2)
                 assert encoding.tokens == (CLS, *pieces, SEP) and not encoding.truncated
                 rate = fragmentation_rate([text], vocab)
-                assert tuple(rate) == (len(pieces) / len(words), split / len(words))
+                assert (rate.pieces_per_word, rate.split_word_fraction) == (
+                    len(pieces) / len(words),
+                    split / len(words),
+                )
             assert vocab.memo == cold
         assert base.memo != augmented.memo
         assert all(type(pieces) is tuple for pieces in augmented.memo.values())
