@@ -26,7 +26,7 @@ _EXPORTS = {
         "serialize_comment_tree", "split",
     ),
     "textprep": (
-        "EmojiMode", "EmoticonMap", "LemmaDictionary", "PreprocessConfig", "Step",
+        "EmojiMode", "LemmaDictionary", "PreprocessConfig", "Step",
         "TokenStream", "encode_emojis", "lemmatize", "lowercase", "normalize_emoticons",
         "remove_punctuation", "remove_stopwords", "run_pipeline", "tokenize",
     ),

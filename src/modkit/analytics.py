@@ -18,13 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import _atomic, textprep
 from .corpus import Comment, Label, LabeledDataset
-from .errors import (
-    BadBucketWidthError,
-    BadNError,
-    ConfigError,
-    EmptyDatasetError,
-    EmptyTableError,
-)
+from .errors import ConfigError, ModkitError
 from .textprep import (
     TokenStream,
     UNKNOWN_EMOJI_ALIAS,
@@ -67,9 +61,9 @@ def ngram_counts(corpus: Sequence[TokenStream], n: int, top_k: int) -> NgramTabl
     descending, then gram ascending.
     """
     if n not in (1, 2, 3):
-        raise BadNError(f"n must be 1, 2 or 3, got {n}")
+        raise ConfigError(f"n must be 1, 2 or 3, got {n}")
     if top_k < 1:
-        raise BadNError(f"top_k must be >= 1, got {top_k}")
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
     counts: Counter[str] = Counter()
     total_windows = 0
     for stream in corpus:
@@ -91,7 +85,7 @@ def length_histogram(
     A comment of length L lands in bucket floor(L / width) * width.
     """
     if not isinstance(bucket_width, int) or bucket_width < 1:
-        raise BadBucketWidthError(f"bucket width must be a positive integer, got {bucket_width}")
+        raise ConfigError(f"bucket width must be a positive integer, got {bucket_width}")
     buckets: Counter[int] = Counter()
     for comment in comments:
         text = comment.text if isinstance(comment, Comment) else comment
@@ -167,11 +161,11 @@ def emoji_stats(
     rounded to 4 places.
 
     With ``emoticons`` (an emoticon -> alias table such as
-    ``default_emoticon_map().entries``) each whitespace-delimited chunk
+    ``default_emoticon_map()``) each whitespace-delimited chunk
     that is a key counts as its alias, exactly as after
     ``normalize_emoticons``; without it emoticons are not counted."""
     if len(dataset.entries) == 0:
-        raise EmptyDatasetError("emoji presence needs a non-empty dataset")
+        raise ModkitError("emoji presence needs a non-empty dataset")
     if aliases is None:
         aliases = default_emoji_aliases()
 
@@ -202,7 +196,7 @@ def emoji_stats(
 def cloud_weights(table: NgramTable) -> CloudWeights:
     """Relative weights for a word cloud: count / max count."""
     if not table.rows:
-        raise EmptyTableError("cannot weight an empty table")
+        raise ModkitError("cannot weight an empty table")
     max_count = table.rows[0][1]
     return CloudWeights(terms={gram: count / max_count for gram, count in table.rows})
 

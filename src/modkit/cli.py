@@ -26,9 +26,7 @@ from typing import Sequence
 
 from . import __version__, _atomic, analytics, corpus, evaluate, models, textprep, vectorize
 from .errors import (
-    ChecksumMismatchError,
     ConfigError,
-    DatasetMismatchError,
     MalformedConfigError,
     ModkitError,
     SchemaViolationError,
@@ -201,7 +199,7 @@ def _check_sha256(path: Path, recorded, manifest_path: Path) -> None:
     if not isinstance(recorded, str):
         raise SchemaViolationError(f"no sha256 recorded for {path.name}", str(manifest_path))
     if _sha256(path) != recorded:
-        raise ChecksumMismatchError(f"{path} differs from the sha256 recorded in {manifest_path}")
+        raise ModkitError(f"{path} differs from the sha256 recorded in {manifest_path}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +291,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     # emoticons count as their emoji counterparts in the emoji usage charts
     emoji_stats = analytics.emoji_stats(
-        dataset, cap=args.cap, aliases=tables["aliases"], emoticons=tables["emoticon_map"].entries
+        dataset, cap=args.cap, aliases=tables["aliases"], emoticons=tables["emoticon_map"]
     )
     analytics.export_chart_data(emoji_stats, out_dir / "emoji_stats.csv")
     print(f"wrote {6 + 2 + 1} chart files to {out_dir}")
@@ -413,7 +411,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         scope = "full dataset"
     else:
         if _sha256(dataset_path) != manifest.get("dataset_sha256"):
-            raise DatasetMismatchError(
+            raise ModkitError(
                 f"{dataset_path} is not the dataset {run_dir} was trained on "
                 "(sha256 differs from the manifest); use --full to score another dataset"
             )

@@ -20,12 +20,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _atomic
 from .errors import (
-    BadRatiosError,
-    DuplicateIdError,
-    EmptyClassError,
+    ConfigError,
     MalformedJsonError,
+    ModkitError,
     SchemaViolationError,
-    UnknownCommentIdError,
     load_json,
     read_json_text,
     read_text,
@@ -90,7 +88,7 @@ class LabeledDataset:
         n_off = 0
         for cid, _text, label in self.entries:
             if cid in seen:
-                raise DuplicateIdError(f"duplicate comment id in dataset: {cid!r}")
+                raise ModkitError(f"duplicate comment id in dataset: {cid!r}")
             seen.add(cid)
             if label is Label.OFFENSIVE:
                 n_off += 1
@@ -148,7 +146,7 @@ def _parse_node(obj, path: str, depth: int, seen_ids: set[str], out: list[Commen
     if not isinstance(text, str):
         raise SchemaViolationError("text must be a string", f"{path}.text")
     if cid in seen_ids:
-        raise DuplicateIdError(f"duplicate comment id: {cid!r}")
+        raise ModkitError(f"duplicate comment id: {cid!r}")
     seen_ids.add(cid)
     timestamp = obj.get("timestamp")
     if timestamp is not None and not isinstance(timestamp, str):
@@ -243,13 +241,13 @@ def apply_labels(
     """Join comments with labels; returns (dataset, unlabeled_count).
 
     Unlabeled comments are excluded, never defaulted to NOT_OFFENSIVE.
-    A label for an id absent from ``comments`` raises
-    :class:`UnknownCommentIdError`.
+    A label for an id absent from ``comments`` raises :class:`ModkitError`
+    (exit 3).
     """
     by_id = {c.id: c for c in comments}
     for cid in labels:
         if cid not in by_id:
-            raise UnknownCommentIdError(f"label references unknown comment id {cid!r}")
+            raise ModkitError(f"label references unknown comment id {cid!r}")
     entries = tuple(
         (c.id, c.text, labels[c.id]) for c in comments if c.id in labels
     )
@@ -271,7 +269,7 @@ def balance(dataset: LabeledDataset, seed: int) -> LabeledDataset:
     off_ids = [cid for cid, _, lab in dataset.entries if lab is Label.OFFENSIVE]
     not_ids = [cid for cid, _, lab in dataset.entries if lab is Label.NOT_OFFENSIVE]
     if not off_ids or not not_ids:
-        raise EmptyClassError(
+        raise ModkitError(
             f"both classes must be non-empty (offensive={len(off_ids)}, "
             f"not_offensive={len(not_ids)})"
         )
@@ -283,11 +281,11 @@ def balance(dataset: LabeledDataset, seed: int) -> LabeledDataset:
 
 
 def check_ratios(ratios: Sequence[float]) -> None:
-    """:class:`BadRatiosError` unless ``ratios`` are three non-negative fractions summing to 1."""
+    """:class:`ConfigError` unless ``ratios`` are three non-negative fractions summing to 1."""
     if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise BadRatiosError(f"ratios must be three non-negative fractions, got {ratios}")
+        raise ConfigError(f"ratios must be three non-negative fractions, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
-        raise BadRatiosError(f"ratios must sum to 1, got {sum(ratios)}")
+        raise ConfigError(f"ratios must sum to 1, got {sum(ratios)}")
 
 
 def split(

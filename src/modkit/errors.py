@@ -1,8 +1,14 @@
 """Exception hierarchy shared by all modkit modules, and their file and JSON loaders.
 
-Every error carries an ``exit_code`` used by the command-line front end:
-2 for usage/configuration problems, 3 for data problems, 4 for numeric
-failures.
+Every error carries the ``exit_code`` the command-line front end exits with:
+
+- :class:`ModkitError` (3): a data problem; the base of the others.
+- :class:`ConfigError` (2): a usage or configuration problem.
+- :class:`NonFiniteLossError` (4): a numeric failure in training.
+- :class:`MalformedJsonError` (3): input that is not valid JSON; carries ``offset``.
+- :class:`SchemaViolationError` (3): input whose content breaks its
+  format; carries ``path``.
+- :class:`MalformedConfigError` (2): a configuration value that is not valid JSON.
 """
 
 from __future__ import annotations
@@ -38,85 +44,17 @@ class MalformedConfigError(ConfigError, MalformedJsonError):
 
 
 class SchemaViolationError(ModkitError):
-    """JSON parsed but does not match the comment-tree schema."""
+    """Input that parsed, but whose content breaks the format it must have."""
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{message} (at {path})" if path else message)
         self.path = path
 
 
-class DatasetMismatchError(ModkitError):
-    """The dataset is not the one the run was trained on."""
-
-
-class ChecksumMismatchError(ModkitError):
-    """A file differs from the sha256 a run manifest recorded for it."""
-
-
-class DuplicateIdError(ModkitError):
-    """A comment id occurs more than once in one tree."""
-
-
-class UnknownCommentIdError(ModkitError):
-    """A label refers to a comment id that is not in the corpus."""
-
-
-class EmptyClassError(ModkitError):
-    """Balancing requires at least one entry in each class."""
-
-
-class BadRatiosError(ConfigError, ValueError):
-    """Split ratios are negative or do not sum to 1."""
-
-
-class BadNError(ConfigError, ValueError):
-    """N-gram order outside {1, 2, 3}."""
-
-
-class BadBucketWidthError(ConfigError, ValueError):
-    """Histogram bucket width must be a positive integer."""
-
-
-class EmptyDatasetError(ModkitError):
-    """Operation requires a non-empty dataset."""
-
-
-class EmptyTableError(ModkitError):
-    """Operation requires a non-empty ranking table."""
-
-
-class EmptyCorpusError(ModkitError):
-    """Operation requires a non-empty corpus."""
-
-
-class SingleClassError(ModkitError):
-    """Training requires examples from both classes."""
-
-
-class BadAlphaError(ConfigError, ValueError):
-    """Smoothing constant must be strictly positive."""
-
-
 class NonFiniteLossError(ModkitError):
     """Training loss became NaN or infinite (learning rate too high)."""
 
     exit_code = 4
-
-
-class LengthMismatchError(ModkitError, ValueError):
-    """Paired sequences have different lengths."""
-
-
-class EmptyEvalError(ModkitError):
-    """Evaluation requires at least one example."""
-
-
-class EmptyVocabError(ModkitError):
-    """Tokenizer vocabulary contains no usable tokens."""
-
-
-class BadTokenError(ModkitError, ValueError):
-    """Vocabulary token is empty or contains whitespace."""
 
 
 def is_number(value) -> bool:

@@ -15,14 +15,7 @@ from typing import Sequence
 
 from . import _resources
 from .corpus import Label
-from .errors import (
-    EmptyEvalError,
-    LengthMismatchError,
-    SchemaViolationError,
-    is_number,
-    load_json,
-    read_json_text,
-)
+from .errors import ModkitError, SchemaViolationError, is_number, load_json, read_json_text
 
 
 @dataclass(frozen=True)
@@ -70,11 +63,9 @@ CANONICAL_VARIANTS = (
 def confusion(y_true: Sequence[Label], y_pred: Sequence[Label]) -> ConfusionMatrix:
     """Cell counts with OFFENSIVE as the positive class."""
     if len(y_true) != len(y_pred):
-        raise LengthMismatchError(
-            f"y_true has {len(y_true)} items, y_pred has {len(y_pred)}"
-        )
+        raise ModkitError(f"y_true has {len(y_true)} items, y_pred has {len(y_pred)}")
     if len(y_true) == 0:
-        raise EmptyEvalError("cannot evaluate zero examples")
+        raise ModkitError("cannot evaluate zero examples")
     tp = fp = fn = tn = 0
     for truth, pred in zip(y_true, y_pred):
         if truth is Label.OFFENSIVE:
@@ -94,7 +85,7 @@ def metrics(matrix: ConfusionMatrix, variant_name: str = "") -> MetricsReport:
     """Five metrics from the matrix; 0/0 cases yield 0.0 and set the
     degenerate flag."""
     if matrix.total < 1:
-        raise EmptyEvalError("metrics need at least one evaluated example")
+        raise ModkitError("metrics need at least one evaluated example")
     degenerate = False
 
     def ratio(num: int, den: int) -> float:
@@ -166,7 +157,7 @@ def report_from_dict(obj, path: str) -> MetricsReport:
 
 def render_json(variants: Sequence[MetricsReport]) -> str:
     if not variants:
-        raise EmptyEvalError("report needs at least one variant")
+        raise ModkitError("report needs at least one variant")
     return json.dumps(
         {"variants": [report_to_dict(v) for v in variants]},
         indent=2,
@@ -177,7 +168,7 @@ def render_json(variants: Sequence[MetricsReport]) -> str:
 def render_text_table(variants: Sequence[MetricsReport]) -> str:
     """Aligned table, one row per variant, scores at 4 decimal places."""
     if not variants:
-        raise EmptyEvalError("report needs at least one variant")
+        raise ModkitError("report needs at least one variant")
     headers = (
         "Model variation",
         "TP",

@@ -24,11 +24,10 @@ import numpy as np
 from . import _atomic
 from .corpus import LabeledDataset, Label, split
 from .errors import (
-    BadAlphaError,
     ConfigError,
+    ModkitError,
     NonFiniteLossError,
     SchemaViolationError,
-    SingleClassError,
     is_number,
     load_json,
     read_json_text,
@@ -71,14 +70,14 @@ def train_nb(X: CSRMatrix, y: Sequence[Label], alpha: float = 1.0) -> NBModel:
     Priors are class document fractions.
     """
     if alpha <= 0:
-        raise BadAlphaError(f"alpha must be > 0, got {alpha}")
+        raise ConfigError(f"alpha must be > 0, got {alpha}")
     if len(X) != len(y):
         raise ValueError("X and y must have equal length")
     if len(X) == 0:
-        raise SingleClassError("training set is empty")
+        raise ModkitError("training set is empty")
     labels = _as_label_array(y)
     if labels.min() == labels.max():
-        raise SingleClassError("both classes must be present in the training set")
+        raise ModkitError("both classes must be present in the training set")
     mass = np.stack([(labels == _NOT) @ X, (labels == _OFF) @ X])
     class_counts = np.array([(labels == _NOT).sum(), (labels == _OFF).sum()])
     log_prior = np.log(class_counts / len(X))
@@ -186,10 +185,10 @@ def _train_lr_folds(
         if len(X) != len(y):
             raise ValueError("X and y must have equal length")
         if len(X) == 0:
-            raise SingleClassError("training set is empty")
+            raise ModkitError("training set is empty")
         labels.append(_as_label_array(y).astype(float))
         if labels[-1].min() == labels[-1].max():
-            raise SingleClassError("both classes must be present in the training set")
+            raise ModkitError("both classes must be present in the training set")
     if learning_rate <= 0 or epochs < 1 or l2 < 0:
         raise ConfigError("learning_rate must be > 0, epochs >= 1, l2 >= 0")
     X = CSRMatrix.block_diagonal([X for X, _ in folds])

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import _resources
 from .errors import SchemaViolationError, read_text
@@ -96,20 +96,6 @@ class LemmaDictionary:
     exceptions: Mapping[str, str]
     suffix_rules: tuple[tuple[str, str, int], ...]
     memo: dict[str, str] = field(default_factory=dict, init=False, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class EmoticonMap:
-    entries: Mapping[str, str]
-
-    def __post_init__(self):
-        for key, alias in self.entries.items():
-            if key.isalpha():
-                raise ValueError(f"letters-only emoticon key not allowed: {key!r}")
-            if alias != alias.lower():
-                raise ValueError(f"emoticon alias must be lowercase: {alias!r}")
-            if not is_alias_placeholder(f":{alias}:"):
-                raise ValueError(f"emoticon alias must be a placeholder body: {alias!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +303,14 @@ def lemmatize(
 # String-level steps
 
 
-def normalize_emoticons(text: str, emoticon_map: EmoticonMap | None = None) -> str:
+def normalize_emoticons(text: str, emoticon_map: Mapping[str, str] | None = None) -> str:
     """Replace emoticons bounded by whitespace/string edges with
-    ``:alias:`` placeholders, preferring the longest matching entry."""
+    ``:alias:`` placeholders, preferring the longest matching entry.
+    ``emoticon_map`` maps each emoticon to its alias."""
     if emoticon_map is None:
         emoticon_map = default_emoticon_map()
-    entries = emoticon_map.entries
     parts = _SPACE_RUNS.split(text)
-    parts[::2] = [f":{entries[p]}:" if p in entries else p for p in parts[::2]]
+    parts[::2] = [f":{emoticon_map[p]}:" if p in emoticon_map else p for p in parts[::2]]
     return "".join(parts)
 
 
@@ -391,7 +377,7 @@ def run_pipeline(
     config: PreprocessConfig,
     stoplist: frozenset[str] | None = None,
     dictionary: LemmaDictionary | None = None,
-    emoticon_map: EmoticonMap | None = None,
+    emoticon_map: Mapping[str, str] | None = None,
     aliases: Mapping[str, str] | None = None,
     source_id: str = "",
     unknown_counter: Counter | None = None,
@@ -450,27 +436,55 @@ def load_stoplist(
 
 
 def load_lemma_dictionary(words_path: str | Path, rules_path: str | Path) -> LemmaDictionary:
-    """Exceptions: ``word<TAB>lemma`` lines; rules: ``suffix<TAB>replacement<TAB>min_stem``."""
-    exceptions = _read_tsv_map(words_path)
+    """Exceptions: ``word<TAB>lemma`` lines; rules: ``suffix<TAB>replacement<TAB>min_stem``.
+
+    An entry that could turn a word into the empty string is refused: an
+    empty lemma, or an empty replacement with ``min_stem`` below 1."""
+    exceptions = _read_tsv_map(
+        words_path, lambda word, lemma: "" if lemma else f"empty lemma for {word!r}"
+    )
     rules: list[tuple[str, str, int]] = []
     for lineno, line in _table_lines(rules_path):
         parts = line.split("\t")
         try:
             suffix, replacement, min_stem = parts
-            rules.append((suffix, replacement, int(min_stem)))
+            stem = int(min_stem)
         except ValueError:
             raise SchemaViolationError(
                 f"expected suffix<TAB>replacement<TAB>min_stem on line {lineno}", str(rules_path)
             ) from None
+        if not replacement and stem < 1:
+            raise SchemaViolationError(
+                f"empty replacement needs min_stem >= 1 on line {lineno}", str(rules_path)
+            )
+        rules.append((suffix, replacement, stem))
     return LemmaDictionary(exceptions=exceptions, suffix_rules=tuple(rules))
 
 
-def _read_tsv_map(path: str | Path) -> dict[str, str]:
+def _alias_problem(key: str, alias: str) -> str:
+    return "" if is_alias_placeholder(f":{alias}:") else f"alias {alias!r} is no placeholder body"
+
+
+def _emoticon_problem(key: str, alias: str) -> str:
+    if key.split() != [key]:
+        return f"emoticon key {key!r} is not one whitespace-free chunk"
+    if key.isalpha():
+        return f"letters-only emoticon key {key!r}"
+    if alias != alias.lower():
+        return f"emoticon alias {alias!r} is not lowercase"
+    return _alias_problem(key, alias)
+
+
+def _read_tsv_map(path: str | Path, problem: Callable[[str, str], str]) -> dict[str, str]:
+    """``key<TAB>value`` lines; a line for which ``problem`` returns a
+    non-empty description is refused with it."""
     mapping: dict[str, str] = {}
     for lineno, line in _table_lines(path):
         key, sep, value = line.partition("\t")
         if not sep:
             raise SchemaViolationError(f"expected key<TAB>value on line {lineno}", str(path))
+        if reason := problem(key, value):
+            raise SchemaViolationError(f"{reason} on line {lineno}", str(path))
         mapping[key] = value
     return mapping
 
@@ -486,14 +500,20 @@ def default_stoplist() -> frozenset[str]:
     return _resources.cached("stoplist", lambda p: load_stoplist(p / "stopwords.txt"))
 
 
-def default_emoticon_map() -> EmoticonMap:
+def default_emoticon_map() -> dict[str, str]:
+    """Emoticon -> alias. An emoticon that is letters only (it would
+    replace a word) or not one whitespace-free chunk is refused, and so
+    is an alias that is not a lowercase placeholder body."""
     return _resources.cached(
-        "emoticons", lambda p: EmoticonMap(entries=_read_tsv_map(p / "emoticons.tsv"))
+        "emoticons", lambda p: _read_tsv_map(p / "emoticons.tsv", _emoticon_problem)
     )
 
 
 def default_emoji_aliases() -> dict[str, str]:
-    return _resources.cached("emoji_aliases", lambda p: _read_tsv_map(p / "emoji_aliases.tsv"))
+    """Emoji -> alias; an alias that is not a placeholder body is refused."""
+    return _resources.cached(
+        "emoji_aliases", lambda p: _read_tsv_map(p / "emoji_aliases.tsv", _alias_problem)
+    )
 
 
 def default_lemma_dictionary() -> LemmaDictionary:

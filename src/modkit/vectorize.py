@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _atomic
-from .errors import EmptyCorpusError, SchemaViolationError, is_number, load_json, read_json_text
+from .errors import ModkitError, SchemaViolationError, is_number, load_json, read_json_text
 from .textprep import TokenStream
 
 
@@ -110,7 +110,7 @@ def fit(corpus: Sequence[TokenStream]) -> TfidfModel:
     """Learn vocabulary (first-appearance order) and smoothed idf; a
     term's document frequency is the number of streams it has a count in."""
     if len(corpus) == 0:
-        raise EmptyCorpusError("cannot fit TF-IDF on an empty corpus")
+        raise ModkitError("cannot fit TF-IDF on an empty corpus")
     terms = dict.fromkeys(chain.from_iterable(s.tokens for s in corpus))
     vocabulary = {term: index for index, term in enumerate(terms)}
     _, columns, _ = _term_counts(vocabulary, corpus)

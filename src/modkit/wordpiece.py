@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import _atomic, _resources
-from .errors import BadTokenError, ConfigError, EmptyCorpusError, EmptyVocabError, read_text
+from .errors import ConfigError, ModkitError, read_text
 
 UNK = "[UNK]"
 CLS = "[CLS]"
@@ -49,10 +49,10 @@ class WordPieceVocab:
     def __post_init__(self):
         for special in SPECIALS:
             if special not in self.tokens:
-                raise EmptyVocabError(f"vocabulary missing special token {special}")
+                raise ModkitError(f"vocabulary missing special token {special}")
         ids = sorted(self.tokens.values())
         if ids != list(range(len(ids))):
-            raise EmptyVocabError("token ids must be contiguous from 0")
+            raise ModkitError("token ids must be contiguous from 0")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -86,7 +86,7 @@ def load_vocab(path: str | Path) -> WordPieceVocab:
         if not token:
             continue
         if token in tokens:
-            raise BadTokenError(f"duplicate vocabulary token {token!r}")
+            raise ModkitError(f"duplicate vocabulary token {token!r}")
         tokens[token] = len(tokens)
     return WordPieceVocab(tokens=tokens)
 
@@ -147,7 +147,7 @@ def wordpiece_encode(
     if vocab is None:
         vocab = default_vocab()
     if len(vocab.tokens) <= len(SPECIALS):
-        raise EmptyVocabError("vocabulary has no usable tokens")
+        raise ModkitError("vocabulary has no usable tokens")
     if max_length < 2:
         raise ConfigError(f"max_length must be >= 2, got {max_length}")
     pieces: list[str] = [CLS]
@@ -171,7 +171,7 @@ def augment_vocab(vocab: WordPieceVocab, new_tokens: Iterable[str]) -> WordPiece
     tokens = dict(vocab.tokens)
     for token in new_tokens:
         if not token or any(c.isspace() for c in token):
-            raise BadTokenError(f"invalid vocabulary token {token!r}")
+            raise ModkitError(f"invalid vocabulary token {token!r}")
         token = token.lower()
         if token not in tokens:
             tokens[token] = len(tokens)
@@ -208,7 +208,7 @@ def fragmentation_rate(
             if len(pieces) >= 2 or pieces == (UNK,):
                 split_words += 1
     if total_words == 0:
-        raise EmptyCorpusError("fragmentation rate needs at least one word")
+        raise ModkitError("fragmentation rate needs at least one word")
     return FragmentationRate(
         pieces_per_word=total_pieces / total_words,
         split_word_fraction=split_words / total_words,

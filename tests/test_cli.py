@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from modkit import errors
 from modkit.cli import RunConfig, main
 from modkit.corpus import Label, LabeledDataset, load_dataset, save_dataset
 
@@ -678,3 +679,27 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+def test_errors_defines_six_classes_with_their_exit_codes():
+    """``modkit.errors`` holds one class per exit code, the two that carry
+    where the input went wrong, and the config value that is not JSON,
+    all under ``ModkitError``."""
+    classes = {
+        name: cls for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, BaseException)
+    }
+    assert {name: cls.exit_code for name, cls in classes.items()} == {
+        "ModkitError": 3,
+        "ConfigError": 2,
+        "NonFiniteLossError": 4,
+        "MalformedJsonError": 3,
+        "SchemaViolationError": 3,
+        "MalformedConfigError": 2,
+    }
+    assert all(issubclass(cls, errors.ModkitError) for cls in classes.values())
+    assert issubclass(errors.MalformedConfigError, errors.ConfigError)
+    assert issubclass(errors.MalformedConfigError, errors.MalformedJsonError)
+    assert errors.MalformedJsonError("bad", offset=7).offset == 7
+    located = errors.SchemaViolationError("bad", "$.comments[0]")
+    assert (located.path, str(located)) == ("$.comments[0]", "bad (at $.comments[0])")

@@ -26,12 +26,10 @@ from modkit.corpus import (
     split,
 )
 from modkit.errors import (
-    BadRatiosError,
-    DuplicateIdError,
-    EmptyClassError,
+    ConfigError,
     MalformedJsonError,
+    ModkitError,
     SchemaViolationError,
-    UnknownCommentIdError,
     read_json_text,
 )
 
@@ -83,7 +81,7 @@ class TestParse:
         assert "comments[0]" in str(excinfo.value)
 
     def test_duplicate_id_rejected(self):
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(ModkitError, match="^duplicate comment id: 'c1'$"):
             parse_comment_tree(
                 '{"post_id":"p","post_author":"a","comments":'
                 '[{"id":"c1","author":"u","text":"x","replies":[]},'
@@ -261,7 +259,7 @@ CORRUPTED_TREE_ERRORS = {
     5: (SchemaViolationError, "text must be a string", "$.comments[1].replies[0].replies[0].replies[0].replies[1].text"),
     6: (SchemaViolationError, "timestamp must be a string", "$.comments[3].replies[0].replies[0].replies[0].replies[1].replies[0].timestamp"),
     7: (SchemaViolationError, "replies must be an array", "$.comments[1].replies[0].replies[0].replies[1].replies[1].replies"),
-    8: (DuplicateIdError, "duplicate comment id: 'n28-3'", None),
+    8: (ModkitError, "duplicate comment id: 'n28-3'", None),
     9: (SchemaViolationError, "comment must be an object", "$.comments[0].replies[0].replies[0].replies[2].replies[1]"),
     10: (SchemaViolationError, "missing required field 'text'", "$.comments[2].replies[1].replies[0].replies[1].replies[0].replies[1]"),
     11: (SchemaViolationError, "missing required field 'author'", "$.comments[0].replies[0].replies[0]"),
@@ -353,7 +351,7 @@ class TestApplyLabels:
         assert unlabeled == 1
 
     def test_unknown_id(self):
-        with pytest.raises(UnknownCommentIdError):
+        with pytest.raises(ModkitError, match="^label references unknown comment id 'zzz'$"):
             apply_labels([Comment(id="c0", author="u", text="t")], {"zzz": Label.OFFENSIVE})
 
 
@@ -376,7 +374,9 @@ class TestBalance:
         assert balance(dataset, seed=99).entries == dataset.entries
 
     def test_empty_class(self):
-        with pytest.raises(EmptyClassError):
+        with pytest.raises(
+            ModkitError, match=r"^both classes must be non-empty \(offensive=0, not_offensive=5\)$"
+        ):
             balance(make_dataset(0, 5), seed=0)
 
     def test_subset_and_determinism(self):
@@ -420,9 +420,11 @@ class TestSplit:
         assert [p.entries for p in a] == [p.entries for p in b]
 
     def test_bad_ratios(self):
-        with pytest.raises(BadRatiosError):
+        with pytest.raises(ConfigError, match=r"^ratios must sum to 1, got 1\.5$"):
             split(make_dataset(2, 2), (0.5, 0.5, 0.5), seed=0)
-        with pytest.raises(BadRatiosError):
+        with pytest.raises(
+            ConfigError, match=r"^ratios must be three non-negative fractions, got \(-0\.1, 0\.6, 0\.5\)$"
+        ):
             split(make_dataset(2, 2), (-0.1, 0.6, 0.5), seed=0)
 
 

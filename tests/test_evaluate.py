@@ -8,7 +8,7 @@ import random
 import pytest
 
 from modkit.corpus import Label
-from modkit.errors import EmptyEvalError, LengthMismatchError
+from modkit.errors import ModkitError
 from modkit.evaluate import (
     CANONICAL_VARIANTS,
     ConfusionMatrix,
@@ -40,11 +40,11 @@ class TestConfusion:
         assert (matrix.tp, matrix.fn, matrix.fp, matrix.tn) == (0, 1, 0, 0)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ModkitError, match="^y_true has 1 items, y_pred has 2$"):
             confusion([OFF], [OFF, NOT])
 
     def test_empty(self):
-        with pytest.raises(EmptyEvalError):
+        with pytest.raises(ModkitError, match="^cannot evaluate zero examples$"):
             confusion([], [])
 
 
@@ -151,7 +151,7 @@ class TestReportRendering:
         assert loaded == report
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyEvalError):
+        with pytest.raises(ModkitError, match="^report needs at least one variant$"):
             render_text_table([])
 
 

@@ -352,9 +352,16 @@ REPORT = "report --reference --out {w}/rep/report"
         ("lemma_exceptions.tsv", b"notab\n", TRAIN, "r", "key<TAB>value on line"),
         ("lemma_rules.tsv", b"ing\t\tnan\n", TRAIN, "r", "min_stem on line"),
         ("reference_scores.json", b"\xff", REPORT, "rep", "is not UTF-8"),
+        ("emoticons.tsv", b"xD\tlaughing\n", ANALYZE, "c", "letters-only emoticon key 'xD' on line"),
+        ("emoticons.tsv", b"xD\tlaughing\n", TRAIN + ' --set steps=["emoji_encoding"]', "r",
+         "letters-only emoticon key 'xD' on line"),
+        ("emoji_aliases.tsv", "😀\t\n".encode(), ANALYZE, "c", "alias '' is no placeholder body on line"),
+        ("lemma_exceptions.tsv", b"bagud\t\n", TRAIN + ' --set steps=["lemmatization"]', "r",
+         "empty lemma for 'bagud' on line"),
     ],
     ids=["analyze_aliases_not_utf8", "train_exceptions_no_tab", "train_rules_bad_min_stem",
-         "report_reference_not_utf8"],
+         "report_reference_not_utf8", "analyze_emoticon_letters_only",
+         "train_emoticon_letters_only", "analyze_alias_empty", "train_lemma_empty"],
 )
 def test_bad_data_table_writes_nothing(
     tmp_path, capsys, base, monkeypatch, table, tail, argv, out, message

@@ -12,11 +12,11 @@ import pytest
 from modkit import models
 from modkit.corpus import Label, LabeledDataset, split
 from modkit.errors import (
-    BadAlphaError,
+    ConfigError,
     MalformedJsonError,
+    ModkitError,
     NonFiniteLossError,
     SchemaViolationError,
-    SingleClassError,
 )
 from modkit.models import (
     CycleConfig,
@@ -73,11 +73,11 @@ class TestTrainNB:
         assert labels == [OFF, NOT]
 
     def test_zero_alpha_rejected(self):
-        with pytest.raises(BadAlphaError):
+        with pytest.raises(ConfigError, match=r"^alpha must be > 0, got 0\.0$"):
             train_nb(BAD_GOOD_X, BAD_GOOD_Y, alpha=0.0)
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClassError):
+        with pytest.raises(ModkitError, match="^both classes must be present in the training set$"):
             train_nb(BAD_GOOD_X, [OFF, OFF])
 
     def test_likelihoods_normalize_per_class(self):
@@ -205,7 +205,7 @@ class TestTrainLR:
             train_lr(X, [OFF, NOT], learning_rate=1e6, epochs=200)
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClassError):
+        with pytest.raises(ModkitError, match="^both classes must be present in the training set$"):
             train_lr(csr([{0: 1.0}] * 2), [OFF, OFF])
 
     def test_deterministic(self):
@@ -380,7 +380,7 @@ class TestSharedDescent:
 
     def test_single_class_fold_rejected(self):
         folds = [tfidf_matrix(14), (csr([{0: 1.0}] * 2), [OFF, OFF])]
-        with pytest.raises(SingleClassError):
+        with pytest.raises(ModkitError, match="^both classes must be present in the training set$"):
             models._train_lr_folds(folds, 0.1, 5, 1e-4)
 
 

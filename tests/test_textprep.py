@@ -9,10 +9,10 @@ from collections import Counter
 import pytest
 
 from modkit import textprep
+from modkit.errors import SchemaViolationError
 from modkit.textprep import (
     ALL_STEPS,
     EmojiMode,
-    EmoticonMap,
     PreprocessConfig,
     STOPWORD_EXTENSIONS,
     Step,
@@ -25,6 +25,7 @@ from modkit.textprep import (
     is_alias_placeholder,
     is_emoji_char,
     lemmatize,
+    load_lemma_dictionary,
     load_stoplist,
     lowercase,
     normalize_emoticons,
@@ -214,6 +215,18 @@ class TestLemmatize:
         assert lemmatize(words, no_rules) == ("cats", "write", "blessings")
 
 
+def assert_table_line_refused(tmp_path, monkeypatch, name, line, load, message):
+    """``load`` of a data dir whose table ``name`` holds ``line`` after a
+    comment raises SchemaViolationError matching ``message`` on line 2,
+    naming the file."""
+    path = tmp_path / name
+    path.write_text(f"# comment\n{line}\n", encoding="utf-8")
+    monkeypatch.setenv("MODKIT_DATA_DIR", str(tmp_path))
+    with pytest.raises(SchemaViolationError, match=f"{message} on line 2") as info:
+        load()
+    assert info.value.path == str(path)
+
+
 class TestNormalizeEmoticons:
     def test_simple(self):
         assert normalize_emoticons("ok :)") == "ok :slightly_smiling_face:"
@@ -222,24 +235,77 @@ class TestNormalizeEmoticons:
         assert normalize_emoticons("no emoticons") == "no emoticons"
 
     def test_longest_match_wins(self):
-        emap = EmoticonMap({":)": "slightly_smiling_face", ":))": "beaming_face_with_smiling_eyes"})
+        emap = {":)": "slightly_smiling_face", ":))": "beaming_face_with_smiling_eyes"}
         assert normalize_emoticons(":))", emap) == ":beaming_face_with_smiling_eyes:"
 
     def test_not_replaced_inside_words(self):
         assert normalize_emoticons("ok:)") == "ok:)"
 
-    def test_letters_only_key_rejected(self):
-        with pytest.raises(ValueError):
-            EmoticonMap({"xd": "grinning_squinting_face"})
+    def test_letters_only_key_rejected(self, tmp_path, monkeypatch):
+        assert_table_line_refused(
+            tmp_path, monkeypatch, "emoticons.tsv", "xd\tgrinning_squinting_face",
+            default_emoticon_map, "^letters-only emoticon key 'xd'",
+        )
 
     @pytest.mark.parametrize("alias", ["not.a.placeholder", "two words", "", "a:b", "smile!"])
-    def test_alias_that_makes_no_placeholder_rejected(self, alias):
-        with pytest.raises(ValueError, match="placeholder body"):
-            EmoticonMap({":)": alias})
+    def test_alias_that_makes_no_placeholder_rejected(self, tmp_path, monkeypatch, alias):
+        assert_table_line_refused(
+            tmp_path, monkeypatch, "emoticons.tsv", f":)\t{alias}", default_emoticon_map,
+            f"^alias '{alias}' is no placeholder body",
+        )
 
     def test_bundled_aliases_make_placeholders(self):
-        aliases = default_emoticon_map().entries.values()
+        aliases = default_emoticon_map().values()
         assert aliases and all(is_alias_placeholder(f":{alias}:") for alias in aliases)
+
+
+class TestTableLoaders:
+    """A data-table line the steps cannot use is refused, naming the file
+    and the line."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("XD\tgrinning_squinting_face", "^letters-only emoticon key 'XD'"),
+            ("\tslightly_smiling_face", "^emoticon key '' is not one whitespace-free chunk"),
+            (": )\tslightly_smiling_face", "^emoticon key ': \\)' is not one whitespace-free chunk"),
+            (":)\tSlightly_smiling_face", "^emoticon alias 'Slightly_smiling_face' is not lowercase"),
+        ],
+        ids=["letters_only_upper", "empty_key", "key_with_space", "alias_not_lowercase"],
+    )
+    def test_emoticon_line_refused(self, tmp_path, monkeypatch, line, message):
+        assert_table_line_refused(
+            tmp_path, monkeypatch, "emoticons.tsv", line, default_emoticon_map, message
+        )
+
+    @pytest.mark.parametrize("alias", ["", "two words", "a:b", "smile!"])
+    def test_emoji_alias_that_makes_no_placeholder_refused(self, tmp_path, monkeypatch, alias):
+        assert_table_line_refused(
+            tmp_path, monkeypatch, "emoji_aliases.tsv", f"😀\t{alias}", default_emoji_aliases,
+            f"^alias '{alias}' is no placeholder body",
+        )
+
+    def test_empty_lemma_refused(self, tmp_path, monkeypatch):
+        (tmp_path / "lemma_rules.tsv").write_text("", encoding="utf-8")
+        assert_table_line_refused(
+            tmp_path, monkeypatch, "lemma_exceptions.tsv", "the\t", default_lemma_dictionary,
+            "^empty lemma for 'the'",
+        )
+
+    @pytest.mark.parametrize("min_stem", ["0", "-1"])
+    def test_empty_replacement_below_one_stem_refused(self, tmp_path, monkeypatch, min_stem):
+        (tmp_path / "lemma_exceptions.tsv").write_text("", encoding="utf-8")
+        assert_table_line_refused(
+            tmp_path, monkeypatch, "lemma_rules.tsv", f"s\t\t{min_stem}", default_lemma_dictionary,
+            "^empty replacement needs min_stem >= 1",
+        )
+
+    def test_rules_that_cannot_empty_a_word_accepted(self, tmp_path):
+        (tmp_path / "words.tsv").write_text("", encoding="utf-8")
+        (tmp_path / "rules.tsv").write_text("ies\ty\t0\ns\t\t1\n", encoding="utf-8")
+        dictionary = load_lemma_dictionary(tmp_path / "words.tsv", tmp_path / "rules.tsv")
+        assert dictionary.suffix_rules == (("ies", "y", 0), ("s", "", 1))
+        assert lemmatize(("s", "ies", "cats"), dictionary) == ("s", "y", "cat")
 
 
 class TestEncodeEmojis:
@@ -273,7 +339,7 @@ class TestEncodeEmojis:
         assert len(reverse) == len(aliases)
         for emoji, alias in aliases.items():
             assert aliases[reverse[alias]] == alias
-        for key, alias in default_emoticon_map().entries.items():
+        for key, alias in default_emoticon_map().items():
             assert alias in reverse, f"emoticon {key!r} maps to unknown alias {alias!r}"
 
     def test_skin_tone_modifier_stripped(self):
@@ -427,7 +493,7 @@ class TestCharacterTable:
         """Also the premise of the ASCII fast paths: the fuzz texts hold
         many all-ASCII texts and chunks, and many that are not."""
         rng = random.Random(20240830)
-        emoticons = default_emoticon_map().entries
+        emoticons = default_emoticon_map()
         aliases = default_emoji_aliases()
         seen = Counter()
         for _ in range(3000):

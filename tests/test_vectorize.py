@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from modkit.errors import EmptyCorpusError
+from modkit.errors import ModkitError
 from modkit.textprep import TokenStream
 from modkit.vectorize import CSRMatrix, TfidfModel, fit, load_tfidf, save_tfidf, transform_all
 
@@ -40,7 +40,7 @@ class TestFit:
         assert all(value == 1.0 for value in model.idf)
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(ModkitError, match="^cannot fit TF-IDF on an empty corpus$"):
             fit([])
 
     def test_vocabulary_first_seen_order(self):
