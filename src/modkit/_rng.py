@@ -8,7 +8,7 @@ randomization or numpy version.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 _MASK64 = (1 << 64) - 1
 
@@ -40,9 +40,3 @@ def shuffled(items: Iterable[T], seed: int) -> list[T]:
         out[i], out[j] = out[j], out[i]
     return out
 
-
-def sample_without_replacement(items: Sequence[T], k: int, seed: int) -> list[T]:
-    """First ``k`` elements of the seeded shuffle of ``items``."""
-    if k > len(items):
-        raise ValueError(f"cannot sample {k} from {len(items)} items")
-    return shuffled(items, seed)[:k]

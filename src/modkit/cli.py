@@ -60,13 +60,13 @@ class RunConfig:
     out: str = "runs"
     variant_name: str = ""
 
-    def hash(self, dataset_sha256: str, stoplist_sha256: str) -> str:
-        """Run identity: every field but ``out``, the dataset and the stop
-        list by content sha256 (``""`` for no stop-list file)."""
+    def hash(self, dataset_sha256: str, tables_sha256: str) -> str:
+        """Run identity: every field but ``out`` and ``stoplist``, the
+        dataset by content sha256, and the tables the steps read (the stop
+        list's words included) by :func:`_tables_sha256`."""
         payload = asdict(self)
-        payload.pop("out")
-        payload["dataset"] = dataset_sha256
-        payload["stoplist"] = stoplist_sha256
+        del payload["out"], payload["stoplist"]
+        payload.update(dataset=dataset_sha256, tables_sha256=tables_sha256)
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         )
@@ -194,12 +194,27 @@ def _sha256(path: Path) -> str:
 _ARTIFACTS = ("tfidf.json", "model.json", "train_report.json")
 
 
-def _check_sha256(path: Path, recorded, manifest_path: Path) -> None:
-    """Exit 3 unless ``path`` hashes to the sha256 its manifest recorded."""
+def _check_sha256(what: str, sha256: str, recorded, manifest_path: Path) -> None:
+    """Exit 3 unless ``sha256``, that of ``what``, is the one its manifest recorded."""
     if not isinstance(recorded, str):
-        raise SchemaViolationError(f"no sha256 recorded for {path.name}", str(manifest_path))
-    if _sha256(path) != recorded:
-        raise ModkitError(f"{path} differs from the sha256 recorded in {manifest_path}")
+        raise SchemaViolationError(f"no sha256 recorded for {what}", str(manifest_path))
+    if sha256 != recorded:
+        raise ModkitError(f"{what} differs from the sha256 recorded in {manifest_path}")
+
+
+def _tables_sha256(config: models.CycleConfig) -> str:
+    """sha256 of the tables ``config``'s steps read, as canonical JSON:
+    sets and mappings sorted, the lemma suffix rules in their order. A
+    stop-list file counts by the words it gives, so its comments do not."""
+    tables = textprep._step_tables(config.preprocess, config.stoplist)
+    canonical = json.dumps(
+        tables,
+        sort_keys=True,
+        default=lambda table: (
+            sorted(table) if isinstance(table, frozenset) else [table.exceptions, table.suffix_rules]
+        ),
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +320,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset_path = _require_file(config.dataset, "dataset file")
     dataset = corpus.load_dataset(dataset_path)
     dataset_sha256 = _sha256(dataset_path)
-    stoplist_sha256 = (
-        _sha256(_require_file(config.stoplist, "stop-list file")) if config.stoplist else ""
-    )
     cycle_config = _cycle_config(config)
+    tables_sha256 = _tables_sha256(cycle_config)
     started = time.perf_counter()
     trained = models.run_cycles(
         dataset, cycle_config, n_cycles=config.n_cycles, base_seed=config.seed
     )
     train_seconds = time.perf_counter() - started
     # created only once training succeeded, so a failed run leaves no directory
-    run_dir = Path(config.out) / config.hash(dataset_sha256, stoplist_sha256)
+    run_dir = Path(config.out) / config.hash(dataset_sha256, tables_sha256)
     run_dir.mkdir(parents=True, exist_ok=True)
     report = trained.report
     for i, cycle in enumerate(report.cycles):
@@ -347,7 +360,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest = {
         "config": asdict(config),
         "dataset_sha256": dataset_sha256,
-        "stoplist_sha256": stoplist_sha256 or None,
+        "tables_sha256": tables_sha256,
         "version": __version__,
         "checksums": {name: _sha256(run_dir / name) for name in _ARTIFACTS},
         "timings": {"train_seconds": train_seconds},
@@ -357,7 +370,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_run(run_dir: Path) -> tuple[RunConfig, vectorize.TfidfModel, models.NBModel | models.LRModel, dict]:
+def _load_run(run_dir: Path) -> tuple[models.CycleConfig, vectorize.TfidfModel, models.NBModel | models.LRModel, dict]:
     manifest_path = _require_file(run_dir / "manifest.json", "run manifest")
     manifest = load_json(
         read_json_text(manifest_path), f"invalid manifest JSON in {manifest_path}"
@@ -366,18 +379,18 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, vectorize.TfidfModel, models.NB
     if not isinstance(config_obj, dict):
         raise SchemaViolationError("manifest has no config object", str(manifest_path))
     try:
-        config = _run_config(config_obj)
+        run_config = _run_config(config_obj)
     except (ConfigError, TypeError) as exc:
         raise SchemaViolationError(f"bad run config: {exc}", str(manifest_path)) from exc
+    config = _cycle_config(run_config)
     checksums = manifest.get("checksums")
     if not isinstance(checksums, dict):
         raise SchemaViolationError("manifest has no checksums object", str(manifest_path))
     for name in _ARTIFACTS:
         path = _require_file(run_dir / name, "run artifact")
-        _check_sha256(path, checksums.get(name), manifest_path)
-    if config.stoplist:
-        stoplist = _require_file(config.stoplist, "stop-list file")
-        _check_sha256(stoplist, manifest.get("stoplist_sha256"), manifest_path)
+        _check_sha256(str(path), _sha256(path), checksums.get(name), manifest_path)
+    what = "the content of the tables the steps read"
+    _check_sha256(what, _tables_sha256(config), manifest.get("tables_sha256"), manifest_path)
     tfidf = vectorize.load_tfidf(run_dir / "tfidf.json")
     model = models.load_model(run_dir / "model.json")
     return config, tfidf, model, manifest
@@ -405,7 +418,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config, tfidf, model, manifest = _load_run(run_dir)
     dataset_path = _require_file(args.dataset, "dataset file")
     dataset = corpus.load_dataset(dataset_path)
-    cycle_config = _cycle_config(config)
     if args.full:
         subset = dataset
         scope = "full dataset"
@@ -418,8 +430,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         best_seed = _best_cycle_seed(run_dir / "train_report.json")
         _, _, subset = corpus.split(dataset, config.ratios, best_seed)
         scope = f"test fold of best cycle (seed={best_seed})"
-    name = config.variant_name or models.default_variant_name(cycle_config)
-    report = models.evaluate_on(tfidf, model, subset, cycle_config, variant_name=name)
+    name = config.variant_name or models.default_variant_name(config)
+    report = models.evaluate_on(tfidf, model, subset, config, variant_name=name)
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic.write_text(out_dir / "eval_report.json", evaluate.render_json([report]))

@@ -28,7 +28,7 @@ from .errors import (
     read_json_text,
     read_text,
 )
-from ._rng import sample_without_replacement, shuffled
+from ._rng import shuffled
 
 
 class Label(Enum):
@@ -276,7 +276,7 @@ def balance(dataset: LabeledDataset, seed: int) -> LabeledDataset:
     k = min(len(off_ids), len(not_ids))
     keep: set[str] = set()
     for ids in (off_ids, not_ids):
-        keep.update(ids if len(ids) <= k else sample_without_replacement(ids, k, seed))
+        keep.update(ids if len(ids) <= k else shuffled(ids, seed)[:k])
     return _subset(dataset, keep)
 
 

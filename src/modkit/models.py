@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .vectorize import CSRMatrix, TfidfModel, fit, transform_all
 
 # Class index convention: column 0 = NOT_OFFENSIVE, column 1 = OFFENSIVE.
 _NOT, _OFF = 0, 1
+#: The classes' names in model.json, by index.
+_CLASSES = ("not_offensive", "offensive")
 
 
 def _as_label_array(y: Sequence[Label]) -> np.ndarray:
@@ -392,43 +394,23 @@ def default_variant_name(config: CycleConfig) -> str:
 # Persistence
 
 
-def _model_chunks(model: NBModel | LRModel) -> Iterator[str]:
-    """The text of ``json.dumps(obj, indent=2)`` of the model file's
-    object: NB one term per chunk, LR its weights in one. Array values
-    are finite floats, which ``json.dumps`` writes as their ``repr``;
-    scalars are written by ``json.dumps`` itself."""
-    scalar = json.dumps
-    if isinstance(model, NBModel):
-        prior = model.log_prior.tolist()
-        yield (
-            f'{{\n  "kind": "nb",\n  "alpha": {scalar(model.alpha)},'
-            f'\n  "vocab_size": {model.vocab_size},\n  "log_prior": {{'
-            f'\n    "offensive": {prior[_OFF]!r},\n    "not_offensive": {prior[_NOT]!r}'
-            '\n  },\n  "terms": ['
-        )
-        off, not_off = model.log_likelihood[_OFF].tolist(), model.log_likelihood[_NOT].tolist()
-        separator = "\n"
-        for i, (ll_off, ll_not) in enumerate(zip(off, not_off)):
-            yield (
-                f'{separator}    {{\n      "index": {i},\n      "log_likelihood_off": {ll_off!r},'
-                f'\n      "log_likelihood_not": {ll_not!r}\n    }}'
-            )
-            separator = ",\n"
-        yield "\n  ]\n}" if off else "]\n}"
-        return
-    weights = model.weights.tolist()
-    yield f'{{\n  "kind": "lr",\n  "bias": {scalar(model.bias)},\n  "weights": ['
-    yield "\n    " + ",\n    ".join(map(repr, weights)) + "\n  ]" if weights else "]"
-    yield (
-        f',\n  "hyperparams": {{\n    "learning_rate": {scalar(model.learning_rate)},'
-        f'\n    "epochs": {scalar(model.epochs)},\n    "l2": {scalar(model.l2)}\n  }}\n}}'
-    )
-
-
 def save_model(model: NBModel | LRModel, path: str | Path) -> None:
-    """Write ``{"kind": "nb", "alpha", "vocab_size", "log_prior", "terms"}``
-    or ``{"kind": "lr", "bias", "weights", "hyperparams"}``."""
-    _atomic.write_chunks(path, _model_chunks(model))
+    """Write ``{"kind": "nb", "alpha", "log_prior": {class: prior},
+    "log_likelihood": {class: [one value per term]}}``, the classes being
+    ``not_offensive`` and ``offensive``, or ``{"kind": "lr", "bias",
+    "weights", "hyperparams": {"learning_rate", "epochs", "l2"}}``."""
+    if isinstance(model, NBModel):
+        obj = {
+            "kind": "nb",
+            "alpha": model.alpha,
+            "log_prior": dict(zip(_CLASSES, model.log_prior.tolist())),
+            "log_likelihood": dict(zip(_CLASSES, model.log_likelihood.tolist())),
+        }
+    else:
+        hyper = {"learning_rate": model.learning_rate, "epochs": model.epochs, "l2": model.l2}
+        weights = model.weights.tolist()
+        obj = {"kind": "lr", "bias": model.bias, "weights": weights, "hyperparams": hyper}
+    _atomic.write_text(path, json.dumps(obj, ensure_ascii=False))
 
 
 def load_model(path: str | Path) -> NBModel | LRModel:
@@ -438,23 +420,17 @@ def load_model(path: str | Path) -> NBModel | LRModel:
         raise SchemaViolationError(f"unknown model kind {kind!r}", str(path))
     try:
         if kind == "nb":
-            terms = obj["terms"]
-            indices = [item["index"] for item in terms]
-            off = [item["log_likelihood_off"] for item in terms]
-            not_off = [item["log_likelihood_not"] for item in terms]
-            prior = obj["log_prior"]["offensive"], obj["log_prior"]["not_offensive"]
-            if (
-                obj["vocab_size"] != len(terms)
-                or indices != list(range(len(terms)))
-                or not all(type(i) is int for i in indices)
-                or not all(map(is_number, [*off, *not_off, *prior, obj["alpha"]]))
+            prior = [obj["log_prior"][name] for name in _CLASSES]
+            rows = [obj["log_likelihood"][name] for name in _CLASSES]
+            if not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows) or not all(
+                map(is_number, [*rows[0], *rows[1], *prior, obj["alpha"]])
             ):
-                raise ValueError("terms need indices 0..vocab_size-1 in order and number values")
-            log_likelihood = np.zeros((2, len(terms)))
-            log_likelihood[_OFF], log_likelihood[_NOT] = off, not_off
-            log_prior = np.zeros(2)
-            log_prior[_OFF], log_prior[_NOT] = prior
-            return NBModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=obj["alpha"])
+                raise ValueError("log_likelihood rows need one number per term each")
+            return NBModel(
+                log_prior=np.array(prior, dtype=float),
+                log_likelihood=np.array(rows, dtype=float),
+                alpha=obj["alpha"],
+            )
         hyper, weights, bias = obj["hyperparams"], obj["weights"], obj["bias"]
         if type(hyper["epochs"]) is not int or not all(
             map(is_number, [*weights, bias, hyper["l2"], hyper["learning_rate"]])
@@ -467,5 +443,5 @@ def load_model(path: str | Path) -> NBModel | LRModel:
             learning_rate=hyper["learning_rate"],
             epochs=hyper["epochs"],
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolationError(f"malformed {kind} model: {exc!r}", str(path)) from exc

@@ -8,13 +8,13 @@ models never see negative feature mass.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,52 +138,33 @@ def transform_all(model: TfidfModel, corpus: Sequence[TokenStream]) -> CSRMatrix
     return CSRMatrix(indptr=indptr, indices=indices, data=data, n_cols=model.vocab_size)
 
 
-def _tfidf_chunks(model: TfidfModel) -> Iterator[str]:
-    """The text of ``json.dumps`` (``ensure_ascii=False, indent=2``) of the
-    TF-IDF file's object, one term per chunk, each term escaped by the
-    encoder ``json.dumps`` uses; each idf is a finite float, which
-    ``json.dumps`` writes as its ``repr``."""
-    encode, idf = encode_basestring, model.idf.tolist()
-    yield f'{{\n  "doc_count": {model.doc_count},\n  "terms": ['
-    separator = "\n"
-    for term, index in model.vocabulary.items():
-        yield (
-            f'{separator}    {{\n      "term": {encode(term)},\n      "index": {index},'
-            f'\n      "idf": {idf[index]!r}\n    }}'
-        )
-        separator = ",\n"
-    yield "\n  ]\n}" if model.vocabulary else "]\n}"
-
-
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
-    """Write ``{"doc_count", "terms": [{"term", "index", "idf"}...]}``,
-    terms in vocabulary order."""
-    _atomic.write_chunks(path, _tfidf_chunks(model))
+    """Write ``{"doc_count", "terms": [...], "idf": [...]}``: the terms in
+    column order, and each term's idf at its position."""
+    terms = sorted(model.vocabulary, key=model.vocabulary.__getitem__)
+    obj = {"doc_count": model.doc_count, "terms": terms, "idf": model.idf.tolist()}
+    _atomic.write_text(path, json.dumps(obj, ensure_ascii=False))
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
     obj = load_json(read_json_text(path), f"invalid TF-IDF JSON in {path}")
     if not isinstance(obj, dict):
         raise SchemaViolationError("TF-IDF model must be a JSON object", str(path))
-    try:
-        terms = sorted(obj["terms"], key=lambda item: item["index"])
-        vocabulary = {item["term"]: item["index"] for item in terms}
-        idf = [item["idf"] for item in terms]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolationError(f"malformed TF-IDF term: {exc!r}", str(path)) from exc
-    indices = list(vocabulary.values())
-    if (
-        indices != list(range(len(terms)))
-        or not all(type(i) is int for i in indices)
-        or not all(isinstance(term, str) for term in vocabulary)
-        or not all(map(is_number, idf))
-        or type(obj.get("doc_count")) is not int
+    terms, idf = obj.get("terms"), obj.get("idf")
+    if not (
+        isinstance(terms, list)
+        and isinstance(idf, list)
+        and all(isinstance(term, str) for term in terms)  # before the set: a list is unhashable
+        and len(set(terms)) == len(terms) == len(idf)
+        and all(map(is_number, idf))
+        and type(obj.get("doc_count")) is int
     ):
         raise SchemaViolationError(
-            "TF-IDF needs distinct string terms with indices 0..n-1, number idf values "
-            "and an integer doc_count",
+            "TF-IDF needs distinct string terms, one number idf per term and an integer doc_count",
             str(path),
         )
     return TfidfModel(
-        vocabulary=vocabulary, idf=np.array(idf, dtype=float), doc_count=obj["doc_count"]
+        vocabulary={term: i for i, term in enumerate(terms)},
+        idf=np.array(idf, dtype=float),
+        doc_count=obj["doc_count"],
     )

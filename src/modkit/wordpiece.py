@@ -81,8 +81,7 @@ class Encoding:
 def load_vocab(path: str | Path) -> WordPieceVocab:
     """Vocabulary file: one token per line; line number = id."""
     tokens: dict[str, int] = {}
-    for line in read_text(path).splitlines():
-        token = line.rstrip("\n")
+    for token in read_text(path).splitlines():
         if not token:
             continue
         if token in tokens:

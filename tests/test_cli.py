@@ -312,27 +312,32 @@ class TestTrain:
         assert names[0] == names[1] != names[2]
 
     def test_run_hash_follows_stoplist_content_not_path(self, tmp_path, separable_paths):
+        """A stop list counts by the words it gives: a copy elsewhere and an
+        added comment keep the run directory, a removed word moves it."""
         dataset = run_ingest(tmp_path, separable_paths)
         stoplist, copy = tmp_path / "stop.txt", tmp_path / "stop_copy.txt"
         stoplist.write_text("the\nnice\n", encoding="utf-8")
         copy.write_bytes(stoplist.read_bytes())
-        names = []
-        for i, (path, content) in enumerate([(stoplist, None), (copy, None), (stoplist, "the\n")]):
+        names, digests = [], []
+        cases = [(stoplist, None), (copy, None), (copy, "# a comment\nthe\nnice\n"), (stoplist, "the\n")]
+        for i, (path, content) in enumerate(cases):
             if content is not None:
                 path.write_text(content, encoding="utf-8")
             out = tmp_path / f"runs_{i}"
             argv = ["train", "--dataset", str(dataset), "--out", str(out), "--stoplist", str(path)]
             assert main(argv) == 0
             (run_dir,) = out.iterdir()
-            manifest = json.loads((run_dir / "manifest.json").read_text())
-            assert manifest["stoplist_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            digests.append(json.loads((run_dir / "manifest.json").read_text())["tables_sha256"])
             names.append(run_dir.name)
-        assert names[0] == names[1] != names[2]
+        assert names[0] == names[1] == names[2] != names[3]
+        assert digests[0] == digests[1] == digests[2] != digests[3]
 
     def test_run_hash_without_stoplist_unchanged(self):
-        """Hashing the stop list by content left runs without one where they were."""
-        assert RunConfig().hash("0" * 64, "") == "f1c4d22bf3d3"
-        assert RunConfig(model="lr", seed=5).hash("ab" * 32, "") == "31c4a67f4c98"
+        """Pinned run identities: a change here moves every run directory.
+        The stop-list path and ``out`` are not part of them."""
+        assert RunConfig().hash("0" * 64, "cd" * 32) == "5749d02815fb"
+        assert RunConfig(model="lr", seed=5).hash("ab" * 32, "cd" * 32) == "18f1d34fa859"
+        assert RunConfig(stoplist="x.txt", out="o").hash("0" * 64, "cd" * 32) == "5749d02815fb"
 
     def test_unknown_config_key_exits_2(self, tmp_path, separable_paths):
         dataset = run_ingest(tmp_path, separable_paths)
@@ -520,7 +525,38 @@ class TestRunDirValidation:
         assert self.eval_code(run_dir, dataset, capsys) == 3
         assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("model_kind, key", [("nb", "terms"), ("lr", "weights"), ("lr", "bias")])
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "test_fold"])
+    @pytest.mark.parametrize("part", ["whole_run", "artifacts"])
+    def test_old_format_run_exits_3(self, tmp_path, separable_paths, capsys, part, full):
+        """A run directory written with one object per term, a
+        ``vocab_size`` and a ``stoplist_sha256`` is refused by its manifest,
+        and its artifacts by their loaders once it has a tables digest."""
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        tfidf = json.loads((run_dir / "tfidf.json").read_text(encoding="utf-8"))
+        terms = [
+            {"term": term, "index": i, "idf": idf}
+            for i, (term, idf) in enumerate(zip(tfidf["terms"], tfidf["idf"]))
+        ]
+        write_json(run_dir / "tfidf.json", {"doc_count": tfidf["doc_count"], "terms": terms})
+        model = json.loads((run_dir / "model.json").read_text())
+        rows = model.pop("log_likelihood")
+        model["vocab_size"] = len(rows["offensive"])
+        model["terms"] = [
+            {"index": i, "log_likelihood_off": off, "log_likelihood_not": not_off}
+            for i, (off, not_off) in enumerate(zip(rows["offensive"], rows["not_offensive"]))
+        ]
+        write_json(run_dir / "model.json", model)
+        if part == "whole_run":
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            del manifest["tables_sha256"]
+            write_json(run_dir / "manifest.json", {**manifest, "stoplist_sha256": None})
+        reseal(run_dir)
+        assert self.eval_code(run_dir, dataset, capsys, full) == 3
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "model_kind, key", [("nb", "log_likelihood"), ("lr", "weights"), ("lr", "bias")]
+    )
     def test_model_missing_key_exits_3(self, tmp_path, separable_paths, capsys, model_kind, key):
         run_dir, dataset = train_run(tmp_path, separable_paths, model_kind)
         model = json.loads((run_dir / "model.json").read_text())
@@ -537,17 +573,28 @@ class TestRunDirValidation:
         if model_kind == "lr":
             model["weights"] = model["weights"][:10]
         else:
-            model["vocab_size"], model["terms"] = 10, model["terms"][:10]
+            for row in model["log_likelihood"].values():
+                del row[10:]
         write_json(run_dir / "model.json", model)
         reseal(run_dir)
         assert self.eval_code(run_dir, dataset, capsys) == 3
         assert_one_line_error(capsys)
 
-
     def test_model_size_beyond_its_terms_exits_3(self, tmp_path, separable_paths, capsys):
         run_dir, dataset = train_run(tmp_path, separable_paths)
         model = json.loads((run_dir / "model.json").read_text())
-        model["vocab_size"] = 10**12  # must be rejected before anything is allocated
+        model["log_likelihood"]["offensive"] += [-1.0] * 10  # past the other class's row
+        write_json(run_dir / "model.json", model)
+        reseal(run_dir)
+        assert self.eval_code(run_dir, dataset, capsys) == 3
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("key", ["log_prior", "log_likelihood"])
+    @pytest.mark.parametrize("name", ["not_offensive", "offensive"])
+    def test_model_missing_class_exits_3(self, tmp_path, separable_paths, capsys, key, name):
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        model = json.loads((run_dir / "model.json").read_text())
+        del model[key][name]
         write_json(run_dir / "model.json", model)
         reseal(run_dir)
         assert self.eval_code(run_dir, dataset, capsys) == 3
@@ -556,17 +603,18 @@ class TestRunDirValidation:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda tfidf: tfidf["terms"][3].pop("idf"),
-            lambda tfidf: tfidf["terms"][3].pop("index"),
-            lambda tfidf: tfidf["terms"][3].update(index=0),
-            lambda tfidf: tfidf["terms"][3].update(index=-1),
-            lambda tfidf: tfidf["terms"][3].update(idf="high"),
-            lambda tfidf: tfidf.update(terms=[["term", 0, 1.0]]),
-            lambda tfidf: tfidf["terms"][3].update(idf=10**400),
+            lambda tfidf: tfidf.pop("idf"),
+            lambda tfidf: tfidf.pop("terms"),
+            lambda tfidf: tfidf["idf"].pop(),
+            lambda tfidf: tfidf["terms"].__setitem__(3, tfidf["terms"][0]),
+            lambda tfidf: tfidf["terms"].__setitem__(3, 7),
+            lambda tfidf: tfidf["terms"].__setitem__(3, ["term"]),
+            lambda tfidf: tfidf["idf"].__setitem__(3, "high"),
+            lambda tfidf: tfidf["idf"].__setitem__(3, 10**400),
         ],
         ids=[
-            "no_idf", "no_index", "duplicate_index", "negative_index", "idf_not_number", "term_not_object",
-            "idf_beyond_float",
+            "no_idf", "no_terms", "idf_shorter", "duplicate_term", "term_not_string",
+            "term_is_list", "idf_not_number", "idf_beyond_float",
         ],
     )
     def test_damaged_tfidf_exits_3(self, tmp_path, separable_paths, capsys, damage):

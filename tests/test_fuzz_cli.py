@@ -9,8 +9,8 @@ A case is (input kind, corruption, seed). The seed picks where to cut
 the text, which JSON node to replace and with what; a failure message
 names all three so the case can be replayed. A corrupted run artifact
 is resealed in its manifest, so its loader has to catch the damage; an
-artifact or stop list that differs from its recorded sha256 has cases of
-its own.
+artifact or data tables (a stop list included) that differ from their
+recorded sha256 have cases of their own.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import pytest
 
 import modkit
 from modkit.cli import main
+from modkit.textprep import Step
 
 from _fuzz import reseal
 
@@ -143,7 +144,7 @@ KINDS = [
     Kind("dataset", "dataset.json", "balance --dataset {w}/dataset.json --out {w}/b.json"),
     Kind("config", "config.json", "train --config {w}/config.json --dataset {w}/dataset.json --out {w}/r"),
     Kind("report", "report.json", "report --inputs {w}/report.json --out {w}/merged"),
-    Kind("manifest", "run/manifest.json", EVAL, unread=(("stoplist_sha256",), ("version",), ("timings",))),
+    Kind("manifest", "run/manifest.json", EVAL, unread=(("version",), ("timings",))),
     Kind("tfidf", "run/tfidf.json", EVAL),
     Kind("model_nb", "run/model.json", EVAL),
     Kind("model_lr", "run_lr/model.json", "eval --run {w}/run_lr --dataset {w}/dataset.json"),
@@ -241,8 +242,9 @@ def test_artifact_from_another_run_exits_3(tmp_path, capsys, base):
 
 
 def test_changed_stoplist_exits_3(tmp_path, capsys, base):
-    """A run trained with --stoplist records the file's sha256; eval of
-    the run once the file at that path has changed is a data error."""
+    """A run records the sha256 of the tables its steps read, the words of
+    its --stoplist file included; eval of the run once the file at that
+    path gives other words is a data error."""
     stoplist = tmp_path / "stop.txt"
     stoplist.write_text("the\nnice\n", encoding="utf-8")
     dataset, out = str(base / "dataset.json"), tmp_path / "runs"
@@ -254,7 +256,32 @@ def test_changed_stoplist_exits_3(tmp_path, capsys, base):
     code = main(["eval", "--run", str(run_dir), "--dataset", dataset])
     err = capsys.readouterr().err
     check_one_line_error(code, err, "changed stop list")
-    assert code == 3 and "stop.txt differs from the sha256" in err
+    assert code == 3 and "tables the steps read differs from the sha256" in err
+
+
+def test_changed_data_tables_exit_3(tmp_path, capsys, base, monkeypatch):
+    """Emptied stop-word and suffix-rule tables under MODKIT_DATA_DIR give
+    another run directory, and eval in either mode of a run trained on the
+    bundled tables is a data error under them."""
+    steps = json.dumps([step.value for step in Step])
+    dataset = str(base / "dataset.json")
+    argv = ["train", "--dataset", dataset, "--model", "lr", "--cycles", "5", "--set", f"steps={steps}"]
+    assert main([*argv, "--out", str(tmp_path / "bundled")]) == 0
+    (run_dir,) = (tmp_path / "bundled").iterdir()
+    tables = tmp_path / "tables"
+    shutil.copytree(Path(modkit.__file__).parent / "data", tables)
+    for name in ("stopwords.txt", "lemma_rules.tsv"):
+        (tables / name).write_bytes(b"")
+    monkeypatch.setenv("MODKIT_DATA_DIR", str(tables))
+    assert main([*argv, "--out", str(tmp_path / "emptied")]) == 0
+    (other,) = (tmp_path / "emptied").iterdir()
+    assert other.name != run_dir.name
+    for full in ([], ["--full"]):
+        capsys.readouterr()
+        code = main(["eval", "--run", str(run_dir), "--dataset", dataset, *full])
+        err = capsys.readouterr().err
+        check_one_line_error(code, err, f"emptied tables {full}")
+        assert code == 3 and "tables the steps read differs from the sha256" in err
 
 
 @pytest.mark.parametrize(
@@ -265,8 +292,14 @@ def test_changed_stoplist_exits_3(tmp_path, capsys, base):
         lambda m: m["checksums"].pop("tfidf.json"),
         lambda m: m["checksums"].update({"model.json": 5}),
         lambda m: m["checksums"].update({"train_report.json": "0" * 64}),
+        lambda m: m.pop("tables_sha256"),
+        lambda m: m.update(tables_sha256=5),
+        lambda m: m.update(tables_sha256="0" * 64),
     ],
-    ids=["no_checksums", "checksums_not_object", "no_tfidf_sum", "model_sum_not_string", "report_sum_wrong"],
+    ids=[
+        "no_checksums", "checksums_not_object", "no_tfidf_sum", "model_sum_not_string",
+        "report_sum_wrong", "no_tables_sum", "tables_sum_not_string", "tables_sum_wrong",
+    ],
 )
 def test_bad_checksums_exit_3(tmp_path, capsys, base, damage):
     work = tmp_path / "work"

@@ -560,14 +560,24 @@ class TestPersistence:
                 load_model(path)
 
     def test_malformed_entries_are_schema_violations(self, tmp_path):
+        prior = {"offensive": -1.0, "not_offensive": -1.0}
         path = tmp_path / "model.json"
         for obj in (
             [],
             {"kind": "svm"},
             {"kind": "lr", "bias": 0.0, "weights": ["x"], "hyperparams": {}},
-            {"kind": "nb", "alpha": 1.0, "vocab_size": 1, "log_prior": {}, "terms": []},
-            {"kind": "nb", "alpha": 1.0, "vocab_size": 1, "terms": [{"index": 0}],
-             "log_prior": {"offensive": -1.0, "not_offensive": -1.0}},
+            {"kind": "nb", "alpha": 1.0, "log_prior": {}, "log_likelihood": {}},
+            {"kind": "nb", "alpha": 1.0, "log_prior": prior,
+             "log_likelihood": {"not_offensive": [-1.0], "offensive": [-1.0, -2.0]}},
+            {"kind": "nb", "alpha": 1.0, "log_prior": prior,
+             "log_likelihood": {"not_offensive": {}, "offensive": {}}},
+            {"kind": "nb", "alpha": 1.0, "log_prior": prior,
+             "log_likelihood": {"not_offensive": [-1.0], "offensive": ["x"]}},
+            {"kind": "nb", "alpha": 1.0, "log_prior": [-1.0, -1.0],
+             "log_likelihood": {"not_offensive": [-1.0], "offensive": [-1.0]}},
+            # the format with one object per term, "vocab_size" and "terms"
+            {"kind": "nb", "alpha": 1.0, "vocab_size": 1, "log_prior": prior,
+             "terms": [{"index": 0, "log_likelihood_off": -1.0, "log_likelihood_not": -1.0}]},
         ):
             path.write_text(json.dumps(obj))
             with pytest.raises(SchemaViolationError):
@@ -582,7 +592,7 @@ class TestPersistence:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", ["nb", "lr"])
     def test_file_is_json_dumps_text(self, tmp_path, kind, seed):
-        """The streamed file is the text of ``json.dumps(obj, indent=2)``
+        """The file is the text of ``json.dumps(obj, ensure_ascii=False)``
         byte for byte, with no terms or weights too, and loads back."""
         rng = np.random.default_rng(seed)
         width = int(rng.integers(1, 60)) if seed else 0
@@ -595,19 +605,14 @@ class TestPersistence:
             obj = {
                 "kind": "nb",
                 "alpha": model.alpha,
-                "vocab_size": model.vocab_size,
                 "log_prior": {
-                    "offensive": float(model.log_prior[1]),
                     "not_offensive": float(model.log_prior[0]),
+                    "offensive": float(model.log_prior[1]),
                 },
-                "terms": [
-                    {
-                        "index": i,
-                        "log_likelihood_off": float(model.log_likelihood[1, i]),
-                        "log_likelihood_not": float(model.log_likelihood[0, i]),
-                    }
-                    for i in range(model.vocab_size)
-                ],
+                "log_likelihood": {
+                    "not_offensive": model.log_likelihood[0].tolist(),
+                    "offensive": model.log_likelihood[1].tolist(),
+                },
             }
         else:
             model = LRModel(
@@ -624,7 +629,7 @@ class TestPersistence:
             }
         path = tmp_path / "model.json"
         save_model(model, path)
-        assert path.read_bytes() == json.dumps(obj, indent=2).encode("ascii")
+        assert path.read_bytes() == json.dumps(obj, ensure_ascii=False).encode("utf-8")
         loaded = load_model(path)
         assert isinstance(loaded, type(model))
         if kind == "nb":

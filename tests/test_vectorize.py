@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from modkit.errors import ModkitError
+from modkit.errors import ModkitError, SchemaViolationError
 from modkit.textprep import TokenStream
 from modkit.vectorize import CSRMatrix, TfidfModel, fit, load_tfidf, save_tfidf, transform_all
 
@@ -266,9 +266,10 @@ class TestPersistence:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_file_is_json_dumps_text(self, tmp_path, seed):
-        """The streamed file is the text of ``json.dumps`` byte for byte,
-        for terms with quotes, backslashes, control and non-BMP characters
-        and for an empty vocabulary, and it loads back unchanged."""
+        """The file is the text of ``json.dumps(obj, ensure_ascii=False)``
+        byte for byte, for terms with quotes, backslashes, control and
+        non-BMP characters and for an empty vocabulary, and it loads back
+        unchanged."""
         rng = random.Random(seed)
         pool = ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\xa0", "é", "😂", "𝕏", "a", " "]
         n_terms = rng.randint(1, 40) if seed else 0
@@ -280,15 +281,35 @@ class TestPersistence:
             idf=np.array(idf, dtype=float),
             doc_count=rng.randint(1, 10**6),
         )
-        obj = {
-            "doc_count": model.doc_count,
-            "terms": [
-                {"term": t, "index": i, "idf": model.idf[i]} for t, i in model.vocabulary.items()
-            ],
-        }
+        obj = {"doc_count": model.doc_count, "terms": list(terms), "idf": idf}
         path = tmp_path / "tfidf.json"
         save_tfidf(model, path)
-        assert path.read_bytes() == json.dumps(obj, ensure_ascii=False, indent=2).encode("utf-8")
+        assert path.read_bytes() == json.dumps(obj, ensure_ascii=False).encode("utf-8")
         loaded = load_tfidf(path)
         assert loaded.vocabulary == model.vocabulary and loaded.doc_count == model.doc_count
         assert loaded.idf.tobytes() == model.idf.tobytes()
+
+    def test_terms_are_written_in_column_order(self, tmp_path):
+        model = TfidfModel(vocabulary={"b": 1, "a": 0}, idf=np.array([1.5, 2.5]), doc_count=3)
+        path = tmp_path / "tfidf.json"
+        save_tfidf(model, path)
+        assert json.loads(path.read_text(encoding="utf-8"))["terms"] == ["a", "b"]
+        assert load_tfidf(path).vocabulary == {"a": 0, "b": 1}
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"doc_count": 2.0, "terms": ["a", "b"], "idf": [1.0, 2.0]},
+            {"doc_count": 2, "terms": "ab", "idf": [1.0, 2.0]},
+            {"doc_count": 2, "terms": ["a", "b"], "idf": {"a": 1.0, "b": 2.0}},
+            {"doc_count": 2, "terms": [{"term": "a", "index": 0, "idf": 1.0}]},
+        ],
+        ids=["doc_count_not_int", "terms_not_list", "idf_not_list", "term_objects"],
+    )
+    def test_malformed_file_is_schema_violation(self, tmp_path, obj):
+        """Damage not covered by the run-directory tests of ``eval``; the
+        last is the format that had one object per term."""
+        path = tmp_path / "tfidf.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(SchemaViolationError):
+            load_tfidf(path)
