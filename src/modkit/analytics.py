@@ -13,8 +13,9 @@ import io
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _atomic, textprep
 from .corpus import Comment, Label, LabeledDataset
@@ -94,25 +95,38 @@ def length_histogram(
     return LengthHistogram(bucket_width=bucket_width, buckets=dict(buckets))
 
 
-def _emoji_aliases_in(
-    text: str, aliases: Mapping[str, str], emoticons: Mapping[str, str]
+def _chunk_aliases(
+    chunk: str, aliases: Mapping[str, str], emoticons: Mapping[str, str]
 ) -> list[str]:
-    """Aliases of the raw emoji and ``:alias:`` placeholders in the
-    whitespace-delimited chunks of ``text``, an ``emoticons`` key read as
-    its placeholder (emoticon aliases hold no whitespace). A placeholder
-    or an all-ASCII chunk holds no emoji: none is below U+0080."""
+    """Aliases of the raw emoji or the ``:alias:`` placeholder in one
+    whitespace-free chunk, an ``emoticons`` key read as its placeholder
+    (emoticon aliases hold no whitespace). A placeholder or an all-ASCII
+    chunk holds no emoji: none is below U+0080."""
+    if chunk in emoticons:
+        chunk = f":{emoticons[chunk]}:"
+    if is_alias_placeholder(chunk):
+        return [chunk[1:-1]]
+    if chunk.isascii():
+        return []
     classes, emoji = textprep._CHAR_CLASS, textprep._EMOJI
-    found = []
-    for chunk in text.split():
-        if chunk in emoticons:
-            chunk = f":{emoticons[chunk]}:"
-        if is_alias_placeholder(chunk):
-            found.append(chunk[1:-1])
-        elif not chunk.isascii():
-            found.extend(
-                aliases.get(ch, UNKNOWN_EMOJI_ALIAS) for ch in chunk if classes[ch] == emoji
-            )
-    return found
+    return [aliases.get(ch, UNKNOWN_EMOJI_ALIAS) for ch in chunk if classes[ch] == emoji]
+
+
+def _emoji_alias_lists(
+    texts: Iterable[str], aliases: Mapping[str, str], emoticons: Mapping[str, str]
+) -> Iterator[list[str]]:
+    """Per text, the aliases of its whitespace-delimited chunks in order;
+    those depend on the chunk alone, so each distinct one is worked out once."""
+    memo: dict[str, list[str]] = {}
+    for text in texts:
+        found: list[str] = []
+        for chunk in text.split():
+            in_chunk = memo.get(chunk)
+            if in_chunk is None:
+                in_chunk = memo[chunk] = _chunk_aliases(chunk, aliases, emoticons)
+            if in_chunk:
+                found += in_chunk
+        yield found
 
 
 def _ranked_totals(alias_lists: Iterable[list[str]], cap: int | None) -> list[tuple[str, int]]:
@@ -120,10 +134,13 @@ def _ranked_totals(alias_lists: Iterable[list[str]], cap: int | None) -> list[tu
     (count desc, alias asc)."""
     if cap is not None and cap < 1:
         raise ConfigError(f"cap must be a positive integer or None, got {cap}")
-    totals: Counter[str] = Counter()
-    for found in filter(None, alias_lists):
-        for alias, count in Counter(found).items():
-            totals[alias] += count if cap is None else min(count, cap)
+    if cap is None:  # one count over all comments: the ranking fixes the order
+        totals = Counter(chain.from_iterable(alias_lists))
+    else:
+        totals = Counter()
+        for found in filter(None, alias_lists):
+            for alias, count in Counter(found).items():
+                totals[alias] += min(count, cap)
     return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
@@ -140,7 +157,7 @@ def emoji_frequency(
     """
     if aliases is None:
         aliases = default_emoji_aliases()
-    return _ranked_totals((_emoji_aliases_in(text, aliases, {}) for text in texts), cap)
+    return _ranked_totals(_emoji_alias_lists(texts, aliases, {}), cap)
 
 
 def emoji_presence(dataset: LabeledDataset) -> EmojiStats:
@@ -175,7 +192,7 @@ def emoji_stats(
         return float(round(Fraction(hits, total), 4))
 
     emoticons = emoticons or {}
-    found = [_emoji_aliases_in(text, aliases, emoticons) for _cid, text, _label in dataset.entries]
+    found = list(_emoji_alias_lists((text for _, text, _ in dataset.entries), aliases, emoticons))
     n_off = n_not = hit_off = hit_not = 0
     for (_cid, _text, label), in_comment in zip(dataset.entries, found):
         if label is Label.OFFENSIVE:

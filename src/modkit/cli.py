@@ -159,12 +159,13 @@ def _preprocess_config(config: RunConfig) -> textprep.PreprocessConfig:
 
 
 def _cycle_config(config: RunConfig) -> models.CycleConfig:
-    stoplist = None
-    if config.stoplist:
+    preprocess = _preprocess_config(config)
+    stoplist = None  # read only when a step reads it, as _tables_sha256 counts it
+    if config.stoplist and textprep.Step.STOPWORD_REMOVAL in preprocess.steps:
         stoplist = textprep.load_stoplist(_require_file(config.stoplist, "stop-list file"))
     return models.CycleConfig(
         model=config.model,  # type: ignore[arg-type]
-        preprocess=_preprocess_config(config),
+        preprocess=preprocess,
         alpha=config.alpha,
         learning_rate=config.learning_rate,
         epochs=config.epochs,
@@ -266,8 +267,10 @@ def cmd_balance(args: argparse.Namespace) -> int:
     return 0
 
 
-#: analyze's steps before stop-word removal, by name: importing cli runs no textprep code
-_ANALYZE_BASE_STEPS = ("lowercasing", "emoji_encoding", "punctuation_removal", "lemmatization")
+#: analyze's steps, by name (importing cli runs no textprep code): the string and
+#: punctuation steps once per comment, then each variant's token steps
+_ANALYZE_BASE_STEPS = ("lowercasing", "emoji_encoding", "punctuation_removal")
+_ANALYZE_VARIANTS = {"before": ("lemmatization",), "after": ("stopword_removal", "lemmatization")}
 
 _NGRAM_NAMES = {1: "uni", 2: "bi", 3: "tri"}
 
@@ -277,21 +280,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     stoplist = None
     if args.stoplist:
         stoplist = textprep.load_stoplist(_require_file(args.stoplist, "stop-list file"))
-    base_steps = frozenset(map(textprep.Step, _ANALYZE_BASE_STEPS))
-    variants = {
-        "before": textprep.PreprocessConfig(steps=base_steps),
-        "after": textprep.PreprocessConfig(steps=base_steps | {textprep.Step.STOPWORD_REMOVAL}),
-    }
-    tables = textprep._step_tables(variants["after"], stoplist)  # every table both variants read
+    base = textprep.PreprocessConfig(steps=frozenset(map(textprep.Step, _ANALYZE_BASE_STEPS)))
+    tables = textprep._step_tables(textprep.PreprocessConfig(), stoplist)  # every table read
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     offensive = [
         (cid, text) for cid, text, label in dataset.entries if label is corpus.Label.OFFENSIVE
     ]
-    for suffix, preprocess in variants.items():
+    base_tokens = [
+        (cid, textprep.run_pipeline(text, base, source_id=cid, **tables).tokens)
+        for cid, text in offensive
+    ]
+    for suffix, names in _ANALYZE_VARIANTS.items():
+        steps = frozenset(map(textprep.Step, names))
         streams = [
-            textprep.run_pipeline(text, preprocess, source_id=cid, **tables)
-            for cid, text in offensive
+            textprep.TokenStream(
+                textprep._token_steps(tokens, steps, tables["stoplist"], tables["dictionary"]), cid
+            )
+            for cid, tokens in base_tokens
         ]
         for n, name in _NGRAM_NAMES.items():
             table = analytics.ngram_counts(streams, n, args.top_k)

@@ -84,15 +84,13 @@ class LabeledDataset:
     _n_offensive: int = field(init=False, default=0)
 
     def __post_init__(self):
-        seen: set[str] = set()
-        n_off = 0
-        for cid, _text, label in self.entries:
-            if cid in seen:
-                raise ModkitError(f"duplicate comment id in dataset: {cid!r}")
-            seen.add(cid)
-            if label is Label.OFFENSIVE:
-                n_off += 1
-        object.__setattr__(self, "_n_offensive", n_off)
+        ids = [cid for cid, _, _ in self.entries]
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            repeated = next(cid for cid in ids if cid in seen or seen.add(cid))
+            raise ModkitError(f"duplicate comment id in dataset: {repeated!r}")
+        labels = [label for _, _, label in self.entries]
+        object.__setattr__(self, "_n_offensive", labels.count(Label.OFFENSIVE))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -130,33 +128,44 @@ def _require(obj: dict, key: str, path: str):
 _MAX_DEPTH = 490
 
 
-def _parse_node(obj, path: str, depth: int, seen_ids: set[str], out: list[Comment]) -> None:
-    """Append the comment ``obj`` and then its replies, in pre-order, to ``out``."""
+def _path(trail: list[int]) -> str:
+    """``$.comments[i].replies[j]...`` of the node at ``trail``."""
+    return f"$.comments[{trail[0]}]" + "".join(f".replies[{i}]" for i in trail[1:])
+
+
+def _parse_node(obj, trail: list[int], seen_ids: set[str], out: list[Comment]) -> None:
+    """Append the comment ``obj`` and then its replies, in pre-order, to ``out``.
+    ``trail`` holds its index among the roots, then among each ancestor's
+    replies; JSON decodes to exact types, so ``type(x) is`` checks them."""
+    depth = len(trail) - 1
     if depth == _MAX_DEPTH:
         raise MalformedJsonError("comment tree nesting too deep")
-    if not isinstance(obj, dict):
-        raise SchemaViolationError("comment must be an object", path)
-    cid = _require(obj, "id", path)
-    author = _require(obj, "author", path)
-    text = _require(obj, "text", path)
-    if not isinstance(cid, str) or not cid:
-        raise SchemaViolationError("id must be a non-empty string", f"{path}.id")
-    if not isinstance(author, str):
-        raise SchemaViolationError("author must be a string", f"{path}.author")
-    if not isinstance(text, str):
-        raise SchemaViolationError("text must be a string", f"{path}.text")
+    if type(obj) is not dict:
+        raise SchemaViolationError("comment must be an object", _path(trail))
+    try:  # left to right, so the first missing key of id, author, text
+        cid, author, text = obj["id"], obj["author"], obj["text"]
+    except KeyError as exc:
+        raise SchemaViolationError(f"missing required field {exc.args[0]!r}", _path(trail)) from None
+    if type(cid) is not str or not cid:
+        raise SchemaViolationError("id must be a non-empty string", f"{_path(trail)}.id")
+    if type(author) is not str:
+        raise SchemaViolationError("author must be a string", f"{_path(trail)}.author")
+    if type(text) is not str:
+        raise SchemaViolationError("text must be a string", f"{_path(trail)}.text")
     if cid in seen_ids:
         raise ModkitError(f"duplicate comment id: {cid!r}")
     seen_ids.add(cid)
     timestamp = obj.get("timestamp")
-    if timestamp is not None and not isinstance(timestamp, str):
-        raise SchemaViolationError("timestamp must be a string", f"{path}.timestamp")
+    if timestamp is not None and type(timestamp) is not str:
+        raise SchemaViolationError("timestamp must be a string", f"{_path(trail)}.timestamp")
     replies = obj.get("replies", [])
-    if not isinstance(replies, list):
-        raise SchemaViolationError("replies must be an array", f"{path}.replies")
+    if type(replies) is not list:
+        raise SchemaViolationError("replies must be an array", f"{_path(trail)}.replies")
     out.append(Comment(id=cid, author=author, text=text, timestamp=timestamp, depth=depth))
     for i, child in enumerate(replies):
-        _parse_node(child, f"{path}.replies[{i}]", depth + 1, seen_ids, out)
+        trail.append(i)
+        _parse_node(child, trail, seen_ids, out)
+        trail.pop()
 
 
 def parse_comment_tree(data: bytes | str) -> CommentTree:
@@ -181,7 +190,7 @@ def parse_comment_tree(data: bytes | str) -> CommentTree:
     seen: set[str] = set()
     try:
         for i, root in enumerate(roots):
-            _parse_node(root, f"$.comments[{i}]", 0, seen, comments)
+            _parse_node(root, [i], seen, comments)
     except RecursionError as exc:
         raise MalformedJsonError("comment tree nesting too deep") from exc
     return CommentTree(post_id=post_id, post_author=post_author, comments=tuple(comments))
@@ -326,6 +335,8 @@ def _subset(dataset: LabeledDataset, ids: set[str]) -> LabeledDataset:
 # Lexicon flagging
 
 _WORD_CHAR = r"[^\W_]"  # alphanumeric: \w minus underscore
+#: İ ı ſ: the code points outside ASCII, but K (U+212A), that IGNORECASE folds onto ASCII.
+_FOLD_TRAPS = re.compile("[\u0130\u0131\u017f]")
 
 
 def lexicon_flag(
@@ -342,14 +353,32 @@ def lexicon_flag(
     # Matches exactly when some per-term pattern does: every branch shares
     # the lookbehind, and a failed lookahead backtracks into the next one.
     any_term = _whole_words(lexicon)
+    # When every term is ASCII and a text holds none of _FOLD_TRAPS, a term
+    # matches only at an index where ``text.lower()`` holds its lowercase
+    # form: IGNORECASE folds onto ASCII only from ASCII, K (lowercase k)
+    # and _FOLD_TRAPS, and only İ lowercases to more than one code point.
+    screen = all(entry.term.isascii() for entry in lexicon)
+    terms = [entry.term.lower() for entry in lexicon]
+    any_lowered = re.compile("|".join(map(re.escape, terms)))
     hits: dict[str, list[tuple[str, LexiconCategory]]] = {}
     for comment in comments:
-        if not any_term.search(comment.text):
-            continue
+        text = comment.text
+        if screen and (text.isascii() or not _FOLD_TRAPS.search(text)):
+            lowered = text.lower()
+            if not any_lowered.search(lowered):
+                continue
+            starts = [lowered.find(term) for term in terms]
+        else:
+            # No term matches before the alternation's first match.
+            first = any_term.search(text)
+            if not first:
+                continue
+            starts = [first.start()] * len(terms)
+        # A search from ``at`` still sees ``text[at - 1]`` in its lookbehind.
         found = [
             (entry.term, entry.category)
-            for entry, pattern in patterns
-            if pattern.search(comment.text)
+            for (entry, pattern), at in zip(patterns, starts)
+            if at >= 0 and pattern.search(text, at)
         ]
         if found:
             hits[comment.id] = found

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .evaluate import MetricsReport, confusion, metrics
 from .textprep import PreprocessConfig, Step, TokenStream, _step_tables, run_pipeline
-from .vectorize import CSRMatrix, TfidfModel, fit, transform_all
+from .vectorize import CSRMatrix, TfidfModel, _fit_transform, transform_all
 
 # Class index convention: column 0 = NOT_OFFENSIVE, column 1 = OFFENSIVE.
 _NOT, _OFF = 0, 1
@@ -361,9 +361,10 @@ def run_cycles(
     featurizers, folds = [], []  # per cycle: its TF-IDF; its train, validation and test (X, y)
     for seed in seeds:
         parts = split(dataset, config.ratios, seed)
-        tfidf = fit(streams(parts[0]))
+        tfidf, train_X = _fit_transform(streams(parts[0]))
         featurizers.append(tfidf)
-        folds.append([(transform_all(tfidf, streams(part)), part.labels()) for part in parts])
+        rows = [train_X, *(transform_all(tfidf, streams(part)) for part in parts[1:])]
+        folds.append([(X, part.labels()) for X, part in zip(rows, parts)])
     trained = _train_all([train for train, _, _ in folds], config)
     name = config.variant_name or default_variant_name(config)
     results = [

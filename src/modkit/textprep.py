@@ -395,14 +395,21 @@ def run_pipeline(
     if Step.EMOJI_ENCODING in config.steps:
         text = normalize_emoticons(text, emoticon_map)
         text = encode_emojis(text, config.emoji_mode, aliases, unknown_counter)
-    tokens = tokenize(text)
-    if Step.PUNCTUATION_REMOVAL in config.steps:
+    return TokenStream(_token_steps(tokenize(text), config.steps, stoplist, dictionary), source_id)
+
+
+def _token_steps(
+    tokens: tuple[str, ...], steps: frozenset[Step],
+    stoplist: frozenset[str] | None, dictionary: LemmaDictionary | None,
+) -> tuple[str, ...]:
+    """The token steps of ``steps`` on ``tokens``, in canonical order."""
+    if Step.PUNCTUATION_REMOVAL in steps:
         tokens = remove_punctuation(tokens)
-    if Step.STOPWORD_REMOVAL in config.steps:
+    if Step.STOPWORD_REMOVAL in steps:
         tokens = remove_stopwords(tokens, stoplist)
-    if Step.LEMMATIZATION in config.steps:
+    if Step.LEMMATIZATION in steps:
         tokens = lemmatize(tokens, dictionary)
-    return TokenStream(tokens, source_id)
+    return tokens
 
 
 def _step_tables(config: PreprocessConfig, stoplist: frozenset[str] | None = None) -> dict:

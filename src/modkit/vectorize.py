@@ -84,9 +84,11 @@ class TfidfModel:
         return len(self.vocabulary)
 
 
-def _term_counts(
-    vocabulary: dict[str, int], corpus: Sequence[TokenStream]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+#: Rows, columns and counts of (stream, term) pairs, as :func:`_term_counts` gives them.
+_TermCounts = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _term_counts(vocabulary: dict[str, int], corpus: Sequence[TokenStream]) -> _TermCounts:
     """Rows, columns and counts of every (stream, known term) pair, in
     row then column order; out-of-vocabulary tokens are ignored.
 
@@ -109,27 +111,42 @@ def _term_counts(
 def fit(corpus: Sequence[TokenStream]) -> TfidfModel:
     """Learn vocabulary (first-appearance order) and smoothed idf; a
     term's document frequency is the number of streams it has a count in."""
+    return _fit_counted(corpus)[0]
+
+
+def _fit_counted(corpus: Sequence[TokenStream]) -> tuple[TfidfModel, _TermCounts]:
+    """:func:`fit`'s model and the :func:`_term_counts` of ``corpus`` it comes from."""
     if len(corpus) == 0:
         raise ModkitError("cannot fit TF-IDF on an empty corpus")
     terms = dict.fromkeys(chain.from_iterable(s.tokens for s in corpus))
     vocabulary = {term: index for index, term in enumerate(terms)}
-    _, columns, _ = _term_counts(vocabulary, corpus)
+    counts = _term_counts(vocabulary, corpus)
     n = len(corpus)
-    df = np.bincount(columns, minlength=len(vocabulary)).tolist()
+    df = np.bincount(counts[1], minlength=len(vocabulary)).tolist()
     idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df], dtype=float)
-    return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n)
+    return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n), counts
+
+
+def _fit_transform(corpus: Sequence[TokenStream]) -> tuple[TfidfModel, CSRMatrix]:
+    """``fit(corpus)`` and ``transform_all`` of ``corpus`` by it, from one term count."""
+    model, counts = _fit_counted(corpus)
+    return model, _tfidf_rows(model, len(corpus), counts)
 
 
 def transform_all(model: TfidfModel, corpus: Sequence[TokenStream]) -> CSRMatrix:
     """One row per stream: raw tf x idf, L2-normalized; out-of-vocabulary
-    tokens are ignored, so a stream without known tokens is an empty row.
+    tokens are ignored, so a stream without known tokens is an empty row."""
+    return _tfidf_rows(model, len(corpus), _term_counts(model.vocabulary, corpus))
+
+
+def _tfidf_rows(model: TfidfModel, n_rows: int, counts: _TermCounts) -> CSRMatrix:
+    """The rows of :func:`transform_all` from the streams' :func:`_term_counts`.
 
     Each row is divided by ``sqrt(x @ x)``, the norm ``np.linalg.norm``
     takes, so the rows are those of a per-document loop bit for bit.
     """
-    n_rows = len(corpus)
-    row_of, indices, counts = _term_counts(model.vocabulary, corpus)
-    data = counts * model.idf[indices]
+    row_of, indices, term_counts = counts
+    data = term_counts * model.idf[indices]
     indptr = np.zeros(n_rows + 1, dtype=np.intp)
     np.cumsum(np.bincount(row_of, minlength=n_rows), out=indptr[1:])
     bounds = indptr.tolist()

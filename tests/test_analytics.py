@@ -27,7 +27,7 @@ from modkit.textprep import (
     normalize_emoticons,
 )
 
-from _fuzz import messy_text
+from _fuzz import WHITESPACE, messy_text
 from _oracles import (
     brute_ngrams,
     brute_top_k,
@@ -251,6 +251,39 @@ class TestEmojiStatsSingleScan:
         if table == "override":
             assert {"joy_heart", "two_skulls", "kiss"} <= dict(frequency).keys()
             assert "not.a.placeholder" not in dict(frequency)
+
+    @pytest.mark.parametrize("cap", [None, 1, 2])
+    def test_repeated_chunks_match_the_per_character_oracle(self, cap):
+        """Each distinct chunk is worked out once per call: comments drawn
+        from a small pool of chunks, each chunk in many comments and often
+        twice in one, give the per-character oracle's counts, with and
+        without emoticons."""
+        rng = random.Random(131)
+        pool = sorted({chunk for _ in range(40) for chunk in messy_text(rng).split()})
+        pool += [":)", ":skull:", ":x:", "😂😂", "a😂b", "😂:)", "<3"]
+        texts = [
+            "".join(rng.choice(pool) + rng.choice(WHITESPACE) for _ in range(rng.randint(0, 12)))
+            for _ in range(2000)
+        ]
+        chunks = [chunk for text in texts for chunk in text.split()]
+        assert len(chunks) > 20 * len(set(chunks))
+        assert sum(len(set(t.split())) < len(t.split()) for t in texts) > 300
+        aliases, emoticons = default_emoji_aliases(), default_emoticon_map()
+        expected = oracle_emoji_frequency(texts, cap, aliases, UNKNOWN_EMOJI_ALIAS)
+        assert emoji_frequency(texts, cap=cap) == expected
+        labels = [Label.OFFENSIVE if rng.random() < 0.3 else Label.NOT_OFFENSIVE for _ in texts]
+        dataset = LabeledDataset(
+            entries=tuple((f"c{i}", t, label) for i, (t, label) in enumerate(zip(texts, labels)))
+        )
+        normalized = [oracle_normalize_emoticons(text, emoticons) for text in texts]
+        stats = emoji_stats(dataset, cap=cap, emoticons=emoticons)
+        assert stats.frequency == tuple(
+            oracle_emoji_frequency(normalized, cap, aliases, UNKNOWN_EMOJI_ALIAS)
+        )
+        assert presence_of(stats) == oracle_emoji_presence(
+            (cid, norm, label is Label.OFFENSIVE)
+            for (cid, _text, label), norm in zip(dataset.entries, normalized)
+        )
 
     def test_emoticon_key_with_an_emoji_counts_only_as_its_alias(self):
         dataset = LabeledDataset(entries=(("a", "<😂 <😂", Label.OFFENSIVE),))

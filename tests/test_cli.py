@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from modkit import errors
+import modkit
+from modkit import analytics, errors, textprep
 from modkit.cli import RunConfig, main
 from modkit.corpus import Label, LabeledDataset, load_dataset, save_dataset
 
-from _fuzz import reply_chain, reseal
+from _fuzz import messy_text, random_text, reply_chain, reseal
 
 TREE = {
     "post_id": "p1",
@@ -125,6 +127,17 @@ class TestIngest:
         assert hits == {"c1": [["clown", "derogatory"]]}
 
 
+    def test_lexicon_hits_equal_the_golden_file(self, tmp_path, data_dir, capsys):
+        """``tools/make_fixtures.py`` writes the golden hits with one
+        whole-word ``re.search`` per term."""
+        trees = [data_dir / "fixture10_tree.json", *sorted(data_dir.glob("separable_tree_*.json"))]
+        lexicon = Path(modkit.__file__).parent / "data" / "lexicon_sample.tsv"
+        out = tmp_path / "dataset.json"
+        assert main(["ingest", *map(str, trees), "--lexicon", str(lexicon), "--out", str(out)]) == 0
+        golden = (data_dir / "golden" / "lexicon_hits.json").read_bytes()
+        assert (tmp_path / "dataset_lexicon_hits.json").read_bytes() == golden
+        assert "3 comments matched the lexicon" in capsys.readouterr().out
+
 class TestBalance:
     def test_balances_and_reports(self, tmp_path, tree_path, capsys):
         labels = write_json(tmp_path / "labels.json", {"c1": 1, "c2": 0, "c3": 0})
@@ -182,6 +195,47 @@ class TestAnalyze:
             if (plain / name).read_bytes() != (capped / name).read_bytes()
         }
         assert differing == {"emoji_stats.csv"}
+
+    @pytest.mark.parametrize("stop_words", [None, "the\nso\ndumb\n"])
+    def test_charts_equal_two_independent_pipeline_passes(self, tmp_path, stop_words):
+        """analyze runs each offensive comment once through its string and
+        punctuation steps; its nine CSVs equal those of one whole
+        ``run_pipeline`` pass per variant, on fuzz comments."""
+        rng = random.Random(59)
+        texts = [messy_text(rng) if i % 2 else random_text(rng) for i in range(600)]
+        entries = tuple((f"c{i}", text, Label(rng.random() < 0.5)) for i, text in enumerate(texts))
+        dataset = tmp_path / "dataset.json"
+        save_dataset(LabeledDataset(entries=entries), dataset)
+        out, expected = tmp_path / "charts", tmp_path / "expected"
+        argv = ["analyze", "--dataset", str(dataset), "--out", str(out), "--top-k", "60"]
+        stoplist = None
+        if stop_words is not None:
+            path = tmp_path / "stop.txt"
+            path.write_text(stop_words, encoding="utf-8")
+            argv += ["--stoplist", str(path)]
+            stoplist = textprep.load_stoplist(path)
+        assert main(argv) == 0
+        expected.mkdir()
+        offensive = [text for _, text, label in entries if label is Label.OFFENSIVE]
+        Step = textprep.Step
+        base = {Step.LOWERCASING, Step.EMOJI_ENCODING, Step.PUNCTUATION_REMOVAL, Step.LEMMATIZATION}
+        for suffix, steps in (("before", base), ("after", base | {Step.STOPWORD_REMOVAL})):
+            config = textprep.PreprocessConfig(steps=frozenset(steps))
+            streams = [textprep.run_pipeline(text, config, stoplist=stoplist) for text in offensive]
+            for n, name in ((1, "uni"), (2, "bi"), (3, "tri")):
+                table = analytics.ngram_counts(streams, n, 60)
+                analytics.export_chart_data(table, expected / f"ngrams_{name}_{suffix}.csv")
+        for name, group in (("overall", texts), ("offensive", offensive)):
+            histogram = analytics.length_histogram(group, 10)
+            analytics.export_chart_data(histogram, expected / f"length_{name}.csv")
+        stats = analytics.emoji_stats(
+            LabeledDataset(entries=entries), emoticons=textprep.default_emoticon_map()
+        )
+        analytics.export_chart_data(stats, expected / "emoji_stats.csv")
+        assert {p.name for p in expected.iterdir()} == EXPECTED_CHART_FILES
+        for name in EXPECTED_CHART_FILES:
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+        assert len((out / "ngrams_tri_after.csv").read_text(encoding="utf-8").splitlines()) == 61
 
     def test_tables_looked_up_a_fixed_number_of_times(self, tmp_path, table_lookups):
         """The data tables are looked up once per command, not per comment."""
@@ -424,6 +478,30 @@ class TestEval:
         assert main(["eval", "--run", str(run_dir), "--dataset", str(other)]) == 3
         assert "--full" in capsys.readouterr().err
         assert main(["eval", "--run", str(run_dir), "--dataset", str(other), "--full"]) == 0
+
+    def test_stoplist_read_only_by_a_stop_word_step(self, tmp_path, separable_paths, capsys):
+        """A run without stop-word removal never reads its ``--stoplist``:
+        once the file is gone, train and eval still exit 0 with the same
+        run directory and eval report; a run that reads it exits 2."""
+        dataset = run_ingest(tmp_path, separable_paths)
+        stoplist = tmp_path / "s.txt"
+        stoplist.write_text("the\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        argv = ["train", "--dataset", str(dataset), "--out", str(out), "--stoplist", str(stoplist)]
+        lowercase_only = [*argv, "--set", 'steps=["lowercasing"]']
+        assert main(lowercase_only) == 0
+        (run_dir,) = out.iterdir()
+        eval_argv = ["eval", "--run", str(run_dir), "--dataset", str(dataset)]
+        assert main(eval_argv) == 0
+        report = (run_dir / "eval_report.json").read_bytes()
+        stoplist.unlink()
+        assert main(eval_argv) == 0
+        assert (run_dir / "eval_report.json").read_bytes() == report
+        assert main(lowercase_only) == 0
+        assert [p.name for p in out.iterdir()] == [run_dir.name]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "s.txt" in capsys.readouterr().err
 
     def test_empty_dataset_is_data_error(self, tmp_path, separable_paths):
         run_dir, _ = train_run(tmp_path, separable_paths)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -501,6 +502,54 @@ class TestLexiconAlternation:
         assert any(len(found) > 1 for found in multi.values())
         any_term = corpus._whole_words(FUZZ_LEXICON)
         assert {c.id for c in comments if any_term.search(c.text)} == set(multi)
+
+    def test_screen_matches_per_term_patterns_on_fuzz(self):
+        """The lowercase screen and the search from the first match: all-ASCII
+        texts; texts that fold onto ASCII through K (lowercase k) or hold
+        İ ı ſ; lexicons with a term IGNORECASE folds onto ASCII letters,
+        where the screen must stand down; and first matches of later terms."""
+        rng = random.Random(43)
+        spliced = [spliced_text(rng) for _ in range(2000)]
+        texts = [text.encode("ascii", "ignore").decode() for text in spliced] + spliced + [
+            text.replace("k", "\u212a").replace("K", "\u212a") for text in spliced[:500]
+        ] + ["you LOSER", "loser!", "go back"]
+        comments = [Comment(id=f"c{i}", author="u", text=text) for i, text in enumerate(texts)]
+        assert sum(c.text.isascii() for c in comments) > 2000
+        assert sum("\u212a" in c.text for c in comments) > 50
+        folding = [
+            LexiconEntry("loſer", LexiconCategory.DEROGATORY),
+            LexiconEntry("ıdiot", LexiconCategory.DEROGATORY),
+            LexiconEntry("\u212aaren", LexiconCategory.WATCHWORD),
+        ]
+        karen = LexiconEntry("karen", LexiconCategory.WATCHWORD)
+        for lexicon in (
+            [*FUZZ_LEXICON, karen], [karen, *FUZZ_LEXICON[::-1]], folding, [*FUZZ_LEXICON, *folding],
+        ):
+            expected = oracle_lexicon_flag(comments, lexicon)
+            assert lexicon_flag(comments, lexicon) == expected
+        ascii_hits = oracle_lexicon_flag([c for c in comments if c.text.isascii()], folding)
+        assert {term for found in ascii_hits.values() for term, _ in found} == {e.term for e in folding}
+        assert self.later_term_first(comments, [*FUZZ_LEXICON, karen]) > 20
+
+    @staticmethod
+    def later_term_first(comments, lexicon) -> int:
+        """How many comments hit two terms and match the later one first."""
+        patterns = [corpus._whole_words([entry]) for entry in lexicon]
+        count = 0
+        for comment in comments:
+            starts = [m.start() for m in (p.search(comment.text) for p in patterns) if m]
+            count += len(starts) > 1 and min(starts) < starts[0]
+        return count
+
+    def test_ignorecase_folds_onto_ascii_only_from_the_screened_code_points(self):
+        """The screen's premises, over every code point: IGNORECASE folds onto
+        ASCII only from ASCII, K and ``_FOLD_TRAPS``; K lowercases to k; and
+        only İ lowercases to more than one code point."""
+        ascii_class = re.compile(r"[\x00-\x7f]", re.IGNORECASE)
+        folding = {chr(c) for c in range(0x80, 0x110000) if ascii_class.match(chr(c))}
+        assert folding == {"\u212a", *filter(corpus._FOLD_TRAPS.match, folding)} == set("İıſ\u212a")
+        assert "\u212a".lower() == "k"
+        assert [chr(c) for c in range(0x110000) if len(chr(c).lower()) != 1] == ["İ"]
 
     @pytest.mark.parametrize(
         "text, terms",

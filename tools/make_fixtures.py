@@ -9,6 +9,9 @@ Produces:
   slang_corpus.txt                              slang + emoji-alias lines
   golden/ngrams_{uni,bi,tri}_{before,after}.csv
         n-gram chart data computed by an independent brute-force count
+  golden/lexicon_hits.json
+        `ingest --lexicon` hits of the fixture and separable trees with the
+        bundled lexicon_sample.tsv, one whole-word search per term
 
 Everything is deterministic; re-running must reproduce identical bytes.
 """
@@ -16,6 +19,7 @@ Everything is deterministic; re-running must reproduce identical bytes.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -219,10 +223,55 @@ def write_goldens():
             )
 
 
+# ---------------------------------------------------------------------------
+# Golden lexicon hits via one documented whole-word search per term
+
+LEXICON_SAMPLE = ROOT / "src" / "modkit" / "data" / "lexicon_sample.tsv"
+
+
+def golden_lexicon_trees() -> list[Path]:
+    """The trees of the golden hits, in the order ``ingest`` is given them."""
+    return [DATA / "fixture10_tree.json", *(DATA / f"separable_tree_{i}.json" for i in range(1, 5))]
+
+
+def write_golden_lexicon_hits():
+    """``{comment_id: [[term, category], ...]}`` for the first comment of
+    each whitespace-trimmed text, in pre-order across the trees, listing
+    the terms that occur as a whole word: case-insensitive as
+    ``re.IGNORECASE``, neither preceded nor followed by a letter or digit."""
+    lexicon = []
+    for line in LEXICON_SAMPLE.read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            term, category = line.strip().split("\t")
+            lexicon.append((term.lower(), category))
+    texts: dict[str, tuple[str, str]] = {}  # trimmed text -> (first id, text)
+
+    def walk(nodes):
+        for node in nodes:
+            texts.setdefault(node["text"].strip(), (node["id"], node["text"]))
+            walk(node["replies"])
+
+    for path in golden_lexicon_trees():
+        walk(json.loads(path.read_text(encoding="utf-8"))["comments"])
+    hits = {}
+    for cid, text in texts.values():
+        found = [
+            [term, category]
+            for term, category in lexicon
+            if re.search(rf"(?<![^\W_]){re.escape(term)}(?![^\W_])", text, re.IGNORECASE)
+        ]
+        if found:
+            hits[cid] = found
+    (DATA / "golden" / "lexicon_hits.json").write_text(
+        json.dumps(hits, ensure_ascii=False, indent=2), encoding="utf-8"
+    )
+
+
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     write_fixture10()
     write_separable()
     write_slang_corpus()
     write_goldens()
+    write_golden_lexicon_hits()
     print(f"fixtures written to {DATA}")
