@@ -8,6 +8,7 @@ from modkit import (
     Label,
     LabeledDataset,
     PreprocessConfig,
+    RunConfig,
     fit,
     load_reference_scores,
     predict_lr,
@@ -19,7 +20,6 @@ from modkit import (
     train_nb,
     transform_all,
 )
-from modkit.models import CycleConfig
 
 OFFENSIVE_WORDS = ["pathetic", "clown", "idiot", "dumb", "troll", "loser", "miserable"]
 CLEAN_WORDS = ["helpful", "lovely", "wonderful", "clear", "cute", "fantastic", "happy"]
@@ -61,13 +61,17 @@ for name, predict, model in (("NB", predict_nb, nb), ("LR", predict_lr, lr)):
         print(f"{name} says {label.name} ({p:.3f}) for {text!r}")
 
 # The cycle protocol: re-split 80/10/10 per cycle, train, pick the best
-# cycle by validation F1, report its test metrics.
-trained = run_cycles(
-    dataset,
-    CycleConfig(model="nb", preprocess=config, variant_name="Naive Bayes (this demo)"),
+# cycle by validation F1, report its test metrics. One RunConfig names the
+# model, the steps (here all five, as above) and the cycles' seeds.
+run_config = RunConfig(
+    model="nb",
+    steps=("lowercasing", "emoji_encoding", "punctuation_removal", "stopword_removal", "lemmatization"),
     n_cycles=3,
-    base_seed=2024,
+    seed=2024,
+    variant_name="Naive Bayes (this demo)",
 )
+assert run_config.preprocess == config
+trained = run_cycles(dataset, run_config)
 report = trained.report
 for i, cycle in enumerate(report.cycles):
     star = " <- best" if i == report.best_cycle_index else ""

@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -34,44 +34,6 @@ from .errors import (
     load_json,
     read_json_text,
 )
-
-DEFAULT_STEPS = (
-    "lowercasing",
-    "punctuation_removal",
-    "stopword_removal",
-    "lemmatization",
-)
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    model: str = "nb"
-    steps: tuple[str, ...] = DEFAULT_STEPS
-    emoji_mode: str = "ml"
-    alpha: float = 1.0
-    learning_rate: float = 0.1
-    epochs: int = 500
-    l2: float = 1e-4
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    n_cycles: int = 1
-    dataset: str = ""
-    stoplist: str = ""
-    out: str = "runs"
-    variant_name: str = ""
-
-    def hash(self, dataset_sha256: str, tables_sha256: str) -> str:
-        """Run identity: every field but ``out`` and ``stoplist``, the
-        dataset by content sha256, and the tables the steps read (the stop
-        list's words included) by :func:`_tables_sha256`."""
-        payload = asdict(self)
-        del payload["out"], payload["stoplist"]
-        payload.update(dataset=dataset_sha256, tables_sha256=tables_sha256)
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-        )
-        return digest.hexdigest()[:12]
-
 
 def _load_config_file(path: str) -> dict:
     try:
@@ -102,7 +64,7 @@ def _apply_set_overrides(config: dict, overrides: Sequence[str]) -> None:
         config[key] = parsed
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
+def build_run_config(args: argparse.Namespace) -> models.RunConfig:
     config: dict = {}
     if getattr(args, "config", None):
         config.update(_load_config_file(args.config))
@@ -124,56 +86,28 @@ def _fits(value, default) -> bool:
     return type(value) is type(default)
 
 
-def _run_config(config: dict) -> RunConfig:
-    """RunConfig from a key/value mapping; ConfigError on unknown keys,
-    values of the wrong type, values outside the accepted choices, unknown
-    preprocessing steps and ratios that are not a train/validation/test split."""
-    unknown = set(config) - set(RunConfig.__dataclass_fields__)
+def _run_config(config: dict) -> models.RunConfig:
+    """RunConfig from a key/value mapping. ConfigError on unknown keys and
+    values of the wrong type here, and on values out of range in RunConfig."""
+    defaults = {field.name: field.default for field in fields(models.RunConfig)}
+    unknown = set(config) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     config = dict(config)
-    for field in fields(RunConfig):
-        if field.name in config:
-            if not _fits(config[field.name], field.default):
-                raise ConfigError(f"config {field.name!r} is unlike its default {field.default!r}")
-            if isinstance(field.default, tuple):
-                config[field.name] = tuple(config[field.name])
-    run_config = RunConfig(**config)
-    if run_config.model not in ("nb", "lr"):
-        raise ConfigError(f"model must be 'nb' or 'lr', got {run_config.model!r}")
-    if run_config.emoji_mode not in ("ml", "bert"):
-        raise ConfigError(f"emoji-mode must be 'ml' or 'bert', got {run_config.emoji_mode!r}")
-    _preprocess_config(run_config)
-    corpus.check_ratios(run_config.ratios)
-    return run_config
+    for name, value in config.items():
+        if not _fits(value, defaults[name]):
+            raise ConfigError(f"config {name!r} is unlike its default {defaults[name]!r}")
+        if isinstance(value, list):
+            config[name] = tuple(value)
+    return models.RunConfig(**config)
 
 
-def _preprocess_config(config: RunConfig) -> textprep.PreprocessConfig:
-    try:
-        steps = frozenset(textprep.Step(name) for name in config.steps)
-    except ValueError as exc:
-        raise ConfigError(f"unknown preprocessing step: {exc}") from exc
-    return textprep.PreprocessConfig(
-        steps=steps, emoji_mode=textprep.EmojiMode(config.emoji_mode)
-    )
-
-
-def _cycle_config(config: RunConfig) -> models.CycleConfig:
-    preprocess = _preprocess_config(config)
-    stoplist = None  # read only when a step reads it, as _tables_sha256 counts it
-    if config.stoplist and textprep.Step.STOPWORD_REMOVAL in preprocess.steps:
-        stoplist = textprep.load_stoplist(_require_file(config.stoplist, "stop-list file"))
-    return models.CycleConfig(
-        model=config.model,  # type: ignore[arg-type]
-        preprocess=preprocess,
-        alpha=config.alpha,
-        learning_rate=config.learning_rate,
-        epochs=config.epochs,
-        l2=config.l2,
-        ratios=config.ratios,
-        variant_name=config.variant_name,
-        stoplist=stoplist,
-    )
+def _stoplist(config: models.RunConfig) -> frozenset[str] | None:
+    """The ``--stoplist`` words, read only when a step reads them, as
+    :func:`_tables_sha256` counts them."""
+    if config.stoplist and textprep.Step.STOPWORD_REMOVAL.value in config.steps:
+        return textprep.load_stoplist(_require_file(config.stoplist, "stop-list file"))
+    return None
 
 
 def _require_file(path: str | Path, what: str) -> Path:
@@ -203,11 +137,11 @@ def _check_sha256(what: str, sha256: str, recorded, manifest_path: Path) -> None
         raise ModkitError(f"{what} differs from the sha256 recorded in {manifest_path}")
 
 
-def _tables_sha256(config: models.CycleConfig) -> str:
+def _tables_sha256(config: models.RunConfig, stoplist: frozenset[str] | None) -> str:
     """sha256 of the tables ``config``'s steps read, as canonical JSON:
     sets and mappings sorted, the lemma suffix rules in their order. A
     stop-list file counts by the words it gives, so its comments do not."""
-    tables = textprep._step_tables(config.preprocess, config.stoplist)
+    tables = textprep._step_tables(config.preprocess, stoplist)
     canonical = json.dumps(
         tables,
         sort_keys=True,
@@ -326,12 +260,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset_path = _require_file(config.dataset, "dataset file")
     dataset = corpus.load_dataset(dataset_path)
     dataset_sha256 = _sha256(dataset_path)
-    cycle_config = _cycle_config(config)
-    tables_sha256 = _tables_sha256(cycle_config)
+    stoplist = _stoplist(config)
+    tables_sha256 = _tables_sha256(config, stoplist)
     started = time.perf_counter()
-    trained = models.run_cycles(
-        dataset, cycle_config, n_cycles=config.n_cycles, base_seed=config.seed
-    )
+    trained = models.run_cycles(dataset, config, stoplist)
     train_seconds = time.perf_counter() - started
     # created only once training succeeded, so a failed run leaves no directory
     run_dir = Path(config.out) / config.hash(dataset_sha256, tables_sha256)
@@ -376,7 +308,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_run(run_dir: Path) -> tuple[models.CycleConfig, vectorize.TfidfModel, models.NBModel | models.LRModel, dict]:
+def _load_run(
+    run_dir: Path,
+) -> tuple[models.RunConfig, frozenset[str] | None, vectorize.TfidfModel, models.NBModel | models.LRModel, dict]:
     manifest_path = _require_file(run_dir / "manifest.json", "run manifest")
     manifest = load_json(
         read_json_text(manifest_path), f"invalid manifest JSON in {manifest_path}"
@@ -385,10 +319,10 @@ def _load_run(run_dir: Path) -> tuple[models.CycleConfig, vectorize.TfidfModel, 
     if not isinstance(config_obj, dict):
         raise SchemaViolationError("manifest has no config object", str(manifest_path))
     try:
-        run_config = _run_config(config_obj)
+        config = _run_config(config_obj)
     except (ConfigError, TypeError) as exc:
         raise SchemaViolationError(f"bad run config: {exc}", str(manifest_path)) from exc
-    config = _cycle_config(run_config)
+    stoplist = _stoplist(config)
     checksums = manifest.get("checksums")
     if not isinstance(checksums, dict):
         raise SchemaViolationError("manifest has no checksums object", str(manifest_path))
@@ -396,10 +330,10 @@ def _load_run(run_dir: Path) -> tuple[models.CycleConfig, vectorize.TfidfModel, 
         path = _require_file(run_dir / name, "run artifact")
         _check_sha256(str(path), _sha256(path), checksums.get(name), manifest_path)
     what = "the content of the tables the steps read"
-    _check_sha256(what, _tables_sha256(config), manifest.get("tables_sha256"), manifest_path)
+    _check_sha256(what, _tables_sha256(config, stoplist), manifest.get("tables_sha256"), manifest_path)
     tfidf = vectorize.load_tfidf(run_dir / "tfidf.json")
     model = models.load_model(run_dir / "model.json")
-    return config, tfidf, model, manifest
+    return config, stoplist, tfidf, model, manifest
 
 
 def _best_cycle_seed(report_path: Path) -> int:
@@ -421,7 +355,7 @@ def _best_cycle_seed(report_path: Path) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
-    config, tfidf, model, manifest = _load_run(run_dir)
+    config, stoplist, tfidf, model, manifest = _load_run(run_dir)
     dataset_path = _require_file(args.dataset, "dataset file")
     dataset = corpus.load_dataset(dataset_path)
     if args.full:
@@ -436,8 +370,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         best_seed = _best_cycle_seed(run_dir / "train_report.json")
         _, _, subset = corpus.split(dataset, config.ratios, best_seed)
         scope = f"test fold of best cycle (seed={best_seed})"
-    name = config.variant_name or models.default_variant_name(config)
-    report = models.evaluate_on(tfidf, model, subset, config, variant_name=name)
+    report = models.evaluate_on(tfidf, model, subset, config, stoplist)
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic.write_text(out_dir / "eval_report.json", evaluate.render_json([report]))

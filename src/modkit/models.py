@@ -14,15 +14,16 @@ reported test metrics.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _atomic
-from .corpus import LabeledDataset, Label, split
+from .corpus import LabeledDataset, Label, check_ratios, split
 from .errors import (
     ConfigError,
     ModkitError,
@@ -33,7 +34,7 @@ from .errors import (
     read_json_text,
 )
 from .evaluate import MetricsReport, confusion, metrics
-from .textprep import PreprocessConfig, Step, TokenStream, _step_tables, run_pipeline
+from .textprep import EmojiMode, PreprocessConfig, Step, TokenStream, _step_tables, run_pipeline
 from .vectorize import CSRMatrix, TfidfModel, _fit_transform, transform_all
 
 # Class index convention: column 0 = NOT_OFFENSIVE, column 1 = OFFENSIVE.
@@ -253,19 +254,79 @@ def predict_lr(model: LRModel, X: CSRMatrix) -> tuple[list[Label], np.ndarray]:
 # Training cycles
 
 
-@dataclass(frozen=True)
-class CycleConfig:
-    """One experiment variant: model choice plus preprocessing."""
+#: The steps a run takes unless told otherwise: all but emoji encoding.
+DEFAULT_STEPS = ("lowercasing", "punctuation_removal", "stopword_removal", "lemmatization")
 
-    model: Literal["nb", "lr"] = "nb"
-    preprocess: PreprocessConfig = PreprocessConfig()
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One experiment variant: the model and its hyperparameters, the
+    preprocessing steps by :class:`Step` value, the split ratios, and
+    ``n_cycles`` cycles seeded ``seed``, ``seed + 1``, ... Every value
+    out of range raises :class:`ConfigError` here. ``dataset``,
+    ``stoplist`` and ``out`` are the command line's paths; the library
+    reads none of them."""
+
+    seed: int = 0
+    model: str = "nb"
+    steps: tuple[str, ...] = DEFAULT_STEPS
+    emoji_mode: str = "ml"
     alpha: float = 1.0
     learning_rate: float = 0.1
     epochs: int = 500
     l2: float = 1e-4
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    n_cycles: int = 1
+    dataset: str = ""
+    stoplist: str = ""
+    out: str = "runs"
     variant_name: str = ""
-    stoplist: frozenset[str] | None = None
+
+    def __post_init__(self):
+        if self.model not in ("nb", "lr"):
+            raise ConfigError(f"model must be 'nb' or 'lr', got {self.model!r}")
+        if self.emoji_mode not in ("ml", "bert"):
+            raise ConfigError(f"emoji-mode must be 'ml' or 'bert', got {self.emoji_mode!r}")
+        try:
+            self.preprocess
+        except ValueError as exc:
+            raise ConfigError(f"unknown preprocessing step: {exc}") from exc
+        check_ratios(self.ratios)
+        for name, ok, bound in (
+            ("n_cycles", self.n_cycles >= 1, ">= 1"),
+            ("alpha", self.alpha > 0, "> 0"),
+            ("learning_rate", self.learning_rate > 0, "> 0"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("l2", self.l2 >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)}")
+
+    @property
+    def preprocess(self) -> PreprocessConfig:
+        steps = frozenset(Step(name) for name in self.steps)
+        return PreprocessConfig(steps=steps, emoji_mode=EmojiMode(self.emoji_mode))
+
+    @property
+    def name(self) -> str:
+        """The variant's report name: ``variant_name``, or the paper's
+        name for the model with or without emoji encoding."""
+        if self.variant_name:
+            return self.variant_name
+        base = "Naive Bayes" if self.model == "nb" else "Logistic Regression"
+        return f"{base} {'Emojis' if Step.EMOJI_ENCODING.value in self.steps else 'Default'}"
+
+    def hash(self, dataset_sha256: str, tables_sha256: str) -> str:
+        """Run identity: every field but ``out`` and ``stoplist``, the
+        dataset by content sha256, and the tables the steps read (the stop
+        list's words included) by their sha256."""
+        payload = asdict(self)
+        del payload["out"], payload["stoplist"]
+        payload.update(dataset=dataset_sha256, tables_sha256=tables_sha256)
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        )
+        return digest.hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -295,23 +356,23 @@ class TrainedArtifacts:
     report: TrainReport
 
 
-def _preprocess_all(dataset: LabeledDataset, config: CycleConfig) -> list[TokenStream]:
-    tables = _step_tables(config.preprocess, config.stoplist)
+def _preprocess_all(
+    dataset: LabeledDataset, preprocess: PreprocessConfig, stoplist: frozenset[str] | None
+) -> list[TokenStream]:
+    tables = _step_tables(preprocess, stoplist)
     return [
-        run_pipeline(text, config.preprocess, source_id=cid, **tables)
+        run_pipeline(text, preprocess, source_id=cid, **tables)
         for cid, text, _ in dataset.entries
     ]
 
 
 def _train_all(
-    folds: Sequence[tuple[CSRMatrix, Sequence[Label]]], config: CycleConfig
+    folds: Sequence[tuple[CSRMatrix, Sequence[Label]]], config: RunConfig
 ) -> list[NBModel | LRModel]:
     """One model per (X, y) training fold."""
     if config.model == "nb":
         return [train_nb(X, y, alpha=config.alpha) for X, y in folds]
-    if config.model == "lr":
-        return _train_lr_folds(folds, config.learning_rate, config.epochs, config.l2)
-    raise ConfigError(f"unknown model kind {config.model!r}")
+    return _train_lr_folds(folds, config.learning_rate, config.epochs, config.l2)
 
 
 def _score(model: NBModel | LRModel, X: CSRMatrix, y: Sequence[Label], name: str) -> MetricsReport:
@@ -324,40 +385,37 @@ def evaluate_on(
     tfidf: TfidfModel,
     model: NBModel | LRModel,
     dataset: LabeledDataset,
-    config: CycleConfig,
-    variant_name: str = "",
+    config: RunConfig,
+    stoplist: frozenset[str] | None = None,
 ) -> MetricsReport:
-    X = transform_all(tfidf, _preprocess_all(dataset, config))
-    return _score(model, X, dataset.labels(), variant_name)
+    X = transform_all(tfidf, _preprocess_all(dataset, config.preprocess, stoplist))
+    return _score(model, X, dataset.labels(), config.name)
 
 
 def run_cycles(
-    dataset: LabeledDataset,
-    config: CycleConfig,
-    n_cycles: int = 1,
-    base_seed: int = 0,
+    dataset: LabeledDataset, config: RunConfig, stoplist: frozenset[str] | None = None
 ) -> TrainedArtifacts:
     """Repeat split/train/validate; keep the best cycle's artifacts.
 
-    Cycle i splits with seed base_seed + i. Best = highest validation
-    F1, ties broken by higher validation accuracy, then lower index.
-    Test metrics are computed for every cycle but only the best cycle's
-    are authoritative. Every comment is preprocessed once per run; each
-    cycle fits TF-IDF on its own train fold only.
+    Cycle i of ``config.n_cycles`` splits with seed ``config.seed + i``.
+    Best = highest validation F1, ties broken by higher validation
+    accuracy, then lower index. Test metrics are computed for every cycle
+    but only the best cycle's are authoritative. ``stoplist`` is the
+    stop-word removal step's list, the bundled one when None. Every
+    comment is preprocessed once per run; each cycle fits TF-IDF on its
+    own train fold only. Reports are named ``config.name``.
 
     All cycles are split, fitted and transformed first. NB then trains
     per cycle, and LR trains every cycle in one shared descent (see
     :func:`_train_lr_folds`) whose models equal, bit for bit, those of
     :func:`train_lr` on each cycle's train fold.
     """
-    if n_cycles < 1:
-        raise ConfigError(f"n_cycles must be >= 1, got {n_cycles}")
-    stream_of = dict(zip(dataset.ids(), _preprocess_all(dataset, config)))
+    stream_of = dict(zip(dataset.ids(), _preprocess_all(dataset, config.preprocess, stoplist)))
 
     def streams(part: LabeledDataset) -> list[TokenStream]:
         return [stream_of[cid] for cid in part.ids()]
 
-    seeds = range(base_seed, base_seed + n_cycles)
+    seeds = range(config.seed, config.seed + config.n_cycles)
     featurizers, folds = [], []  # per cycle: its TF-IDF; its train, validation and test (X, y)
     for seed in seeds:
         parts = split(dataset, config.ratios, seed)
@@ -366,7 +424,7 @@ def run_cycles(
         rows = [train_X, *(transform_all(tfidf, streams(part)) for part in parts[1:])]
         folds.append([(X, part.labels()) for X, part in zip(rows, parts)])
     trained = _train_all([train for train, _, _ in folds], config)
-    name = config.variant_name or default_variant_name(config)
+    name = config.name
     results = [
         CycleResult(seed, validation=_score(model, *val, name), test=_score(model, *test, name))
         for seed, model, (_, val, test) in zip(seeds, trained, folds)
@@ -383,12 +441,6 @@ def select_best_cycle(results: Sequence[CycleResult]) -> int:
         range(len(results)),
         key=lambda i: (results[i].validation.f1, results[i].validation.accuracy, -i),
     )
-
-
-def default_variant_name(config: CycleConfig) -> str:
-    base = "Naive Bayes" if config.model == "nb" else "Logistic Regression"
-    suffix = "Emojis" if Step.EMOJI_ENCODING in config.preprocess.steps else "Default"
-    return f"{base} {suffix}"
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def test_lr_gradient_check_and_loss_descent(separable_paths, fixture10_paths, tm
             assert abs(analytic - estimate) / max(1e-12, abs(estimate)) < 1e-6
 
     from modkit.corpus import load_dataset
-    from modkit.models import CycleConfig, _preprocess_all
+    from modkit.models import _preprocess_all
     from modkit.vectorize import fit, transform_all
 
     fixture_datasets = [load_dataset(_ingest(tmp_path, separable_paths))]
@@ -183,9 +183,9 @@ def test_lr_gradient_check_and_loss_descent(separable_paths, fixture10_paths, tm
     out = tmp_path / "fixture10.json"
     assert main(["ingest", str(tree), "--labels", str(labels), "--out", str(out)]) == 0
     fixture_datasets.append(load_dataset(out))
-    config = CycleConfig(model="lr", preprocess=PreprocessConfig(steps=ALL_STEPS))
+    preprocess = PreprocessConfig(steps=ALL_STEPS)
     for data in fixture_datasets:
-        streams = _preprocess_all(data, config)
+        streams = _preprocess_all(data, preprocess, None)
         tfidf = fit(streams)
         model = train_lr(transform_all(tfidf, streams), data.labels(), epochs=500)
         assert len(model.loss_history) == 501

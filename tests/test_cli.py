@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import modkit
-from modkit import analytics, errors, textprep
-from modkit.cli import RunConfig, main
+from modkit import analytics, errors, textprep, vectorize
+from modkit.cli import main
 from modkit.corpus import Label, LabeledDataset, load_dataset, save_dataset
+from modkit.models import RunConfig, run_cycles, save_model
 
 from _fuzz import messy_text, random_text, reply_chain, reseal
 
@@ -406,6 +407,11 @@ class TestTrain:
             ('steps=["bogus"]', "unknown preprocessing step: 'bogus'"),
             ("ratios=[0.5,0.5,0.5]", "ratios must sum to 1, got 1.5"),
             ("ratios=[0.5,0.5]", "ratios must be three non-negative fractions"),
+            ("alpha=0", "alpha must be > 0, got 0"),
+            ("epochs=0", "epochs must be >= 1, got 0"),
+            ("learning_rate=-1", "learning_rate must be > 0, got -1"),
+            ("l2=-1", "l2 must be >= 0, got -1"),
+            ("n_cycles=0", "n_cycles must be >= 1, got 0"),
         ],
     )
     def test_bad_steps_or_ratios_exit_2_before_reading_the_dataset(
@@ -418,6 +424,53 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
         assert not (tmp_path / "r").exists()
+
+    def test_out_of_range_value_leaves_no_run_directory(self, tmp_path, separable_paths):
+        dataset = run_ingest(tmp_path, separable_paths)
+        argv = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "r"), "--model", "nb"]
+        assert main([*argv, "--set", "epochs=0"]) == 2
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("model", ["nb", "lr"])
+    def test_library_run_matches_train(self, tmp_path, separable_paths, model):
+        """run_cycles on a RunConfig writes the bytes train writes for it."""
+        dataset = run_ingest(tmp_path, separable_paths)
+        steps = [step.value for step in textprep.Step]
+        out = tmp_path / "runs"
+        argv = ["train", "--dataset", str(dataset), "--out", str(out), "--model", model]
+        argv += ["--seed", "1", "--cycles", "5", "--set", f"steps={json.dumps(steps)}"]
+        assert main(argv) == 0
+        (run_dir,) = out.iterdir()
+        config = RunConfig(model=model, steps=tuple(steps), n_cycles=5, seed=1)
+        trained = run_cycles(load_dataset(dataset), config)
+        vectorize.save_tfidf(trained.tfidf, tmp_path / "tfidf.json")
+        save_model(trained.model, tmp_path / "model.json")
+        for name in ("tfidf.json", "model.json"):
+            assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
+        report = json.loads((run_dir / "train_report.json").read_text())
+        assert report["best_cycle_index"] == trained.report.best_cycle_index
+        assert report["variant_name"] == trained.report.variant_name == config.name
+
+    def test_variant_names_get_their_own_run_directories(self, tmp_path, separable_paths):
+        """variant_name is in the run hash: train_report.json and the eval
+        reports write it, so two names are two sets of bytes."""
+        dataset = run_ingest(tmp_path, separable_paths)
+        out = tmp_path / "runs"
+        names = {}
+        for variant in ("Naive Bayes A", "Naive Bayes B"):
+            argv = ["train", "--dataset", str(dataset), "--out", str(out)]
+            assert main([*argv, "--set", f"variant_name={json.dumps(variant)}"]) == 0
+            (run_dir,) = set(out.iterdir()) - set(names.values())
+            names[variant] = run_dir
+        assert len(set(out.iterdir())) == 2
+        for variant, run_dir in names.items():
+            report = json.loads((run_dir / "train_report.json").read_text())
+            assert report["variant_name"] == variant
+            assert main(["eval", "--run", str(run_dir), "--dataset", str(dataset)]) == 0
+            (scored,) = json.loads((run_dir / "eval_report.json").read_text())["variants"]
+            assert scored["name"] == variant
+        a, b = ((run_dir / "model.json").read_bytes() for run_dir in names.values())
+        assert a == b
 
     @pytest.mark.parametrize("override", ["seed.x=1", "foo.bar=1"])
     def test_dotted_key_is_one_unknown_key(self, tmp_path, separable_paths, capsys, override):
@@ -585,7 +638,7 @@ class TestRunDirValidation:
         "config",
         [
             {"seed": 1, "lexicon": ""}, {"model": "svm"}, {"steps": 5}, {"steps": ["bogus"]},
-            {"ratios": [0.5, 0.5, 0.5]}, None, ["seed"],
+            {"ratios": [0.5, 0.5, 0.5]}, None, ["seed"], {"epochs": 0}, {"n_cycles": 0}, {"l2": -1.0},
         ],
     )
     def test_bad_manifest_config_exits_3(self, tmp_path, separable_paths, capsys, config):

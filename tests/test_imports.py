@@ -69,7 +69,7 @@ EXPORTED = {
         "load_vocab", "save_vocab", "wordpiece_encode",
     ),
     "models": (
-        "CycleConfig", "LRModel", "NBModel", "TrainReport", "TrainedArtifacts", "load_model",
+        "LRModel", "NBModel", "RunConfig", "TrainReport", "TrainedArtifacts", "load_model",
         "predict_lr", "predict_nb", "run_cycles", "save_model", "train_lr", "train_nb",
     ),
     "evaluate": (

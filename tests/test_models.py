@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,10 @@ from modkit.errors import (
     SchemaViolationError,
 )
 from modkit.models import (
-    CycleConfig,
     CycleResult,
     LRModel,
     NBModel,
+    RunConfig,
     load_model,
     lr_gradients,
     lr_loss,
@@ -36,12 +37,14 @@ from modkit.models import (
     train_nb,
 )
 from modkit.evaluate import ConfusionMatrix, metrics
-from modkit.textprep import ALL_STEPS, PreprocessConfig, Step, TokenStream, run_pipeline
+from modkit.textprep import ALL_STEPS, EmojiMode, PreprocessConfig, Step, TokenStream, run_pipeline
 from modkit.vectorize import fit, transform_all
 from _oracles import central_difference_gradient, nb_log_joint_oracle
 from _sparse import csr, dense, entries
 
 OFF, NOT = Label.OFFENSIVE, Label.NOT_OFFENSIVE
+#: Every preprocessing step, by name, as RunConfig takes them.
+ALL_STEP_NAMES = tuple(step.value for step in Step)
 
 
 # "bad bad" -> offensive, "good" -> not offensive, raw counts as weights
@@ -359,8 +362,9 @@ class TestSharedDescent:
                 assert (got.learning_rate, got.epochs, got.l2) == (0.1, 500, 1e-4)
 
     def test_run_cycles_lr_models_are_the_per_cycle_descents(self):
-        data, config = noisy_dataset(60), CycleConfig(model="lr", epochs=60)
-        trained = run_cycles(data, config, n_cycles=3, base_seed=0)
+        data = noisy_dataset(60)
+        config = RunConfig(model="lr", steps=ALL_STEP_NAMES, epochs=60, n_cycles=3)
+        trained = run_cycles(data, config)
         train_set, _, _ = split(data, config.ratios, trained.report.best.seed)
         streams = [run_pipeline(text, config.preprocess) for text in train_set.texts()]
         weights, bias, _ = per_fold_descent(
@@ -414,6 +418,52 @@ class TestSelectBestCycle:
         assert select_best_cycle(cycles) == 0
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"model": "svm"}, "model must be 'nb' or 'lr', got 'svm'"),
+            ({"emoji_mode": "raw"}, "emoji-mode must be 'ml' or 'bert', got 'raw'"),
+            ({"steps": ("lowercasing", "bogus")}, "unknown preprocessing step: 'bogus'"),
+            ({"ratios": (0.5, 0.5, 0.5)}, "ratios must sum to 1, got 1.5"),
+            ({"n_cycles": 0}, "n_cycles must be >= 1, got 0"),
+            ({"alpha": 0.0}, "alpha must be > 0, got 0.0"),
+            ({"model": "lr", "alpha": -1.0}, "alpha must be > 0, got -1.0"),
+            ({"learning_rate": -1.0}, "learning_rate must be > 0, got -1.0"),
+            ({"model": "nb", "epochs": 0}, "epochs must be >= 1, got 0"),
+            ({"l2": -1e-4}, "l2 must be >= 0, got -0.0001"),
+        ],
+    )
+    def test_out_of_range_value_raises_config_error(self, kwargs, message):
+        """Every hyperparameter is checked, whichever model it is for."""
+        with pytest.raises(ConfigError) as info:
+            RunConfig(**kwargs)
+        assert str(info.value).startswith(message), info.value
+        assert info.value.exit_code == 2
+
+    def test_preprocess_follows_steps_and_emoji_mode(self):
+        config = RunConfig(steps=("lemmatization", "emoji_encoding"), emoji_mode="bert")
+        assert config.preprocess == PreprocessConfig(
+            steps=frozenset({Step.LEMMATIZATION, Step.EMOJI_ENCODING}),
+            emoji_mode=EmojiMode.BERT_DELIMITED,
+        )
+        assert RunConfig(steps=ALL_STEP_NAMES).preprocess == PreprocessConfig(steps=ALL_STEPS)
+        assert Step.EMOJI_ENCODING not in RunConfig().preprocess.steps
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({}, "Naive Bayes Default"),
+            ({"model": "lr"}, "Logistic Regression Default"),
+            ({"steps": ALL_STEP_NAMES}, "Naive Bayes Emojis"),
+            ({"model": "lr", "steps": ("emoji_encoding",)}, "Logistic Regression Emojis"),
+            ({"model": "lr", "variant_name": "Mine"}, "Mine"),
+        ],
+    )
+    def test_name(self, kwargs, name):
+        assert RunConfig(**kwargs).name == name
+
+
 def separable_dataset(n: int = 60) -> LabeledDataset:
     entries = []
     for i in range(n):
@@ -425,37 +475,31 @@ def separable_dataset(n: int = 60) -> LabeledDataset:
 
 
 class TestRunCycles:
-    CONFIG = CycleConfig(
-        model="nb",
-        preprocess=PreprocessConfig(steps=frozenset({Step.LOWERCASING})),
-    )
+    CONFIG = RunConfig(model="nb", steps=("lowercasing",))
 
     def test_single_cycle_is_best(self):
-        trained = run_cycles(separable_dataset(), self.CONFIG, n_cycles=1, base_seed=3)
+        trained = run_cycles(separable_dataset(), replace(self.CONFIG, seed=3))
         assert trained.report.best_cycle_index == 0
         assert trained.report.cycles[0].seed == 3
 
     def test_seeds_increment_per_cycle(self):
-        trained = run_cycles(separable_dataset(), self.CONFIG, n_cycles=3, base_seed=10)
+        trained = run_cycles(separable_dataset(), replace(self.CONFIG, n_cycles=3, seed=10))
         assert [c.seed for c in trained.report.cycles] == [10, 11, 12]
 
     def test_bit_reproducible(self):
-        first = run_cycles(separable_dataset(), self.CONFIG, n_cycles=2, base_seed=5)
-        second = run_cycles(separable_dataset(), self.CONFIG, n_cycles=2, base_seed=5)
+        config = replace(self.CONFIG, n_cycles=2, seed=5)
+        first = run_cycles(separable_dataset(), config)
+        second = run_cycles(separable_dataset(), config)
         assert first.report == second.report
         assert first.tfidf.vocabulary == second.tfidf.vocabulary
 
     def test_separable_data_scores_perfectly(self):
-        trained = run_cycles(separable_dataset(), self.CONFIG, n_cycles=2, base_seed=0)
+        trained = run_cycles(separable_dataset(), replace(self.CONFIG, n_cycles=2))
         assert trained.report.best.test.f1 == 1.0
 
     def test_lr_variant_runs(self):
-        config = CycleConfig(
-            model="lr",
-            preprocess=PreprocessConfig(steps=frozenset({Step.LOWERCASING})),
-            epochs=100,
-        )
-        trained = run_cycles(separable_dataset(), config, n_cycles=1, base_seed=1)
+        config = RunConfig(model="lr", steps=("lowercasing",), epochs=100, seed=1)
+        trained = run_cycles(separable_dataset(), config)
         assert trained.report.best.test.f1 == 1.0
 
 
@@ -473,7 +517,7 @@ def noisy_dataset(n: int = 50, seed: int = 4) -> LabeledDataset:
 
 
 class TestPreprocessOnce:
-    CONFIG = CycleConfig(model="nb", preprocess=PreprocessConfig(steps=ALL_STEPS))
+    CONFIG = RunConfig(model="nb", steps=ALL_STEP_NAMES)
 
     def test_each_comment_preprocessed_once_per_run(self, monkeypatch):
         calls = []
@@ -484,7 +528,7 @@ class TestPreprocessOnce:
 
         monkeypatch.setattr(models, "run_pipeline", counting)
         data = noisy_dataset()
-        run_cycles(data, self.CONFIG, n_cycles=5, base_seed=0)
+        run_cycles(data, replace(self.CONFIG, n_cycles=5))
         assert sorted(calls) == sorted(data.texts())
 
     def test_tables_looked_up_a_fixed_number_of_times(self, table_lookups):
@@ -492,21 +536,20 @@ class TestPreprocessOnce:
         counts = []
         for n in (50, 200):
             table_lookups.clear()
-            run_cycles(noisy_dataset(n), self.CONFIG, n_cycles=2, base_seed=0)
+            run_cycles(noisy_dataset(n), replace(self.CONFIG, n_cycles=2))
             counts.append(len(table_lookups))
         assert counts[0] == counts[1] > 0
 
     def test_data_dir_needs_only_the_tables_the_steps_read(self, tmp_path, monkeypatch):
         (tmp_path / "stopwords.txt").write_text("ok\n", encoding="utf-8")
         monkeypatch.setenv("MODKIT_DATA_DIR", str(tmp_path))
-        steps = frozenset({Step.LOWERCASING, Step.STOPWORD_REMOVAL})
-        config = CycleConfig(model="nb", preprocess=PreprocessConfig(steps=steps))
-        trained = run_cycles(noisy_dataset(), config, n_cycles=1, base_seed=0)
+        config = RunConfig(model="nb", steps=("lowercasing", "stopword_removal"))
+        trained = run_cycles(noisy_dataset(), config)
         assert "ok" not in trained.tfidf.vocabulary and "vile" in trained.tfidf.vocabulary
 
     def test_vocabulary_is_the_best_train_fold_in_first_seen_order(self):
         data = noisy_dataset()
-        trained = run_cycles(data, self.CONFIG, n_cycles=5, base_seed=0)
+        trained = run_cycles(data, replace(self.CONFIG, n_cycles=5))
         # neither the first nor the last cycle, so keeping the wrong
         # cycle's featurizer would show
         assert 0 < trained.report.best_cycle_index < 4
