@@ -15,6 +15,8 @@ def write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
     ``path``, so a reader, or a write that fails part way (the chunks'
     generator included), never leaves a truncated file: ``path`` holds
     either its old or its new content, and the ``.tmp`` file is removed.
+    An :class:`OSError` with an error number names ``path``, not the
+    ``.tmp`` file.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -22,6 +24,10 @@ def write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
         with open(tmp, "w", encoding="utf-8", newline="") as out:
             out.writelines(chunks)
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         tmp.unlink(missing_ok=True)
 

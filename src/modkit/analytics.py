@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _atomic, textprep
 from .corpus import Comment, Label, LabeledDataset
@@ -28,21 +27,18 @@ from .textprep import (
 )
 
 
-@dataclass(frozen=True)
-class NgramTable:
+class NgramTable(NamedTuple):
     n: int
     rows: tuple[tuple[str, int], ...]
     total_windows: int = 0
 
 
-@dataclass(frozen=True)
-class LengthHistogram:
+class LengthHistogram(NamedTuple):
     bucket_width: int
     buckets: Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class EmojiStats:
+class EmojiStats(NamedTuple):
     frequency: tuple[tuple[str, int], ...] = ()
     presence_overall: float = 0.0
     presence_offensive: float = 0.0
@@ -50,8 +46,7 @@ class EmojiStats:
     per_comment_cap: int | None = None
 
 
-@dataclass(frozen=True)
-class CloudWeights:
+class CloudWeights(NamedTuple):
     terms: Mapping[str, float]
 
 
@@ -163,7 +158,7 @@ def emoji_frequency(
 def emoji_presence(dataset: LabeledDataset) -> EmojiStats:
     """Fraction of comments with at least one emoji, overall and per
     class, as :func:`emoji_stats` computes it."""
-    return replace(emoji_stats(dataset), frequency=())
+    return emoji_stats(dataset)._replace(frequency=())
 
 
 def emoji_stats(

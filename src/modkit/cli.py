@@ -16,11 +16,9 @@ overwrites the same files with byte-identical content.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -89,7 +87,7 @@ def _fits(value, default) -> bool:
 def _run_config(config: dict) -> models.RunConfig:
     """RunConfig from a key/value mapping. ConfigError on unknown keys and
     values of the wrong type here, and on values out of range in RunConfig."""
-    defaults = {field.name: field.default for field in fields(models.RunConfig)}
+    defaults = models.RunConfig.DEFAULTS
     unknown = set(config) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -104,7 +102,7 @@ def _run_config(config: dict) -> models.RunConfig:
 
 def _stoplist(config: models.RunConfig) -> frozenset[str] | None:
     """The ``--stoplist`` words, read only when a step reads them, as
-    :func:`_tables_sha256` counts them."""
+    :meth:`~modkit.models.RunConfig.tables_sha256` counts them."""
     if config.stoplist and textprep.Step.STOPWORD_REMOVAL.value in config.steps:
         return textprep.load_stoplist(_require_file(config.stoplist, "stop-list file"))
     return None
@@ -121,10 +119,6 @@ def _read_json_text(path: str | Path, what: str) -> str:
     return read_json_text(_require_file(path, what))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 #: Files of a run directory that its manifest checksums.
 _ARTIFACTS = ("tfidf.json", "model.json", "train_report.json")
 
@@ -135,21 +129,6 @@ def _check_sha256(what: str, sha256: str, recorded, manifest_path: Path) -> None
         raise SchemaViolationError(f"no sha256 recorded for {what}", str(manifest_path))
     if sha256 != recorded:
         raise ModkitError(f"{what} differs from the sha256 recorded in {manifest_path}")
-
-
-def _tables_sha256(config: models.RunConfig, stoplist: frozenset[str] | None) -> str:
-    """sha256 of the tables ``config``'s steps read, as canonical JSON:
-    sets and mappings sorted, the lemma suffix rules in their order. A
-    stop-list file counts by the words it gives, so its comments do not."""
-    tables = textprep._step_tables(config.preprocess, stoplist)
-    canonical = json.dumps(
-        tables,
-        sort_keys=True,
-        default=lambda table: (
-            sorted(table) if isinstance(table, frozenset) else [table.exceptions, table.suffix_rules]
-        ),
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +238,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("a dataset file is required (--dataset or config)")
     dataset_path = _require_file(config.dataset, "dataset file")
     dataset = corpus.load_dataset(dataset_path)
-    dataset_sha256 = _sha256(dataset_path)
+    dataset_sha256 = models.file_sha256(dataset_path)
     stoplist = _stoplist(config)
-    tables_sha256 = _tables_sha256(config, stoplist)
+    tables_sha256 = config.tables_sha256(stoplist)
     started = time.perf_counter()
     trained = models.run_cycles(dataset, config, stoplist)
     train_seconds = time.perf_counter() - started
@@ -296,11 +275,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     }
     _atomic.write_text(run_dir / "train_report.json", json.dumps(report_obj, indent=2))
     manifest = {
-        "config": asdict(config),
+        "config": config.asdict(),
         "dataset_sha256": dataset_sha256,
         "tables_sha256": tables_sha256,
         "version": __version__,
-        "checksums": {name: _sha256(run_dir / name) for name in _ARTIFACTS},
+        "checksums": {name: models.file_sha256(run_dir / name) for name in _ARTIFACTS},
         "timings": {"train_seconds": train_seconds},
     }
     _atomic.write_text(run_dir / "manifest.json", json.dumps(manifest, indent=2))
@@ -328,9 +307,9 @@ def _load_run(
         raise SchemaViolationError("manifest has no checksums object", str(manifest_path))
     for name in _ARTIFACTS:
         path = _require_file(run_dir / name, "run artifact")
-        _check_sha256(str(path), _sha256(path), checksums.get(name), manifest_path)
+        _check_sha256(str(path), models.file_sha256(path), checksums.get(name), manifest_path)
     what = "the content of the tables the steps read"
-    _check_sha256(what, _tables_sha256(config, stoplist), manifest.get("tables_sha256"), manifest_path)
+    _check_sha256(what, config.tables_sha256(stoplist), manifest.get("tables_sha256"), manifest_path)
     tfidf = vectorize.load_tfidf(run_dir / "tfidf.json")
     model = models.load_model(run_dir / "model.json")
     return config, stoplist, tfidf, model, manifest
@@ -362,7 +341,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         subset = dataset
         scope = "full dataset"
     else:
-        if _sha256(dataset_path) != manifest.get("dataset_sha256"):
+        if models.file_sha256(dataset_path) != manifest.get("dataset_sha256"):
             raise ModkitError(
                 f"{dataset_path} is not the dataset {run_dir} was trained on "
                 "(sha256 differs from the manifest); use --full to score another dataset"

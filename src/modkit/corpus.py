@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _atomic
+from ._frozen import Frozen
 from .errors import (
     ConfigError,
     MalformedJsonError,
@@ -46,7 +46,7 @@ class LexiconCategory(Enum):
 
 
 class Comment(NamedTuple):
-    """One comment of a tree; a tuple, which builds in half a frozen dataclass's time."""
+    """One comment of a tree."""
 
     id: str
     author: str
@@ -55,8 +55,7 @@ class Comment(NamedTuple):
     depth: int = 0
 
 
-@dataclass(frozen=True)
-class CommentTree:
+class CommentTree(NamedTuple):
     """A post's comments in pre-order, parent before replies, each with
     its reply depth: a comment's parent is the nearest earlier comment one
     level shallower."""
@@ -66,43 +65,47 @@ class CommentTree:
     comments: tuple[Comment, ...] = ()
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
-    term: str
-    category: LexiconCategory
+class LexiconEntry(Frozen):
+    __slots__ = ("term", "category")
 
-    def __post_init__(self):
-        if not self.term:
+    def __init__(self, term: str, category: LexiconCategory):
+        if not term:
             raise ValueError("lexicon term must be non-empty")
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "category", category)
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
+class LabeledDataset(Frozen):
     """Flat labeled comments with O(1) per-class counts."""
 
-    entries: tuple[tuple[str, str, Label], ...]
-    provenance: Mapping[str, str] | None = None
-    _n_offensive: int = field(init=False, default=0)
+    __slots__ = ("entries", "provenance", "n_offensive")
 
-    def __post_init__(self):
-        ids = [cid for cid, _, _ in self.entries]
+    def __init__(
+        self,
+        entries: tuple[tuple[str, str, Label], ...],
+        provenance: Mapping[str, str] | None = None,
+    ):
+        ids = [cid for cid, _, _ in entries]
         if len(set(ids)) != len(ids):
             seen: set[str] = set()
             repeated = next(cid for cid in ids if cid in seen or seen.add(cid))
             raise ModkitError(f"duplicate comment id in dataset: {repeated!r}")
-        labels = [label for _, _, label in self.entries]
-        object.__setattr__(self, "_n_offensive", labels.count(Label.OFFENSIVE))
+        labels = [label for _, _, label in entries]
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "n_offensive", labels.count(Label.OFFENSIVE))
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def n_offensive(self) -> int:
-        return self._n_offensive
+    def __eq__(self, other):
+        if type(other) is not LabeledDataset:
+            return NotImplemented
+        return (self.entries, self.provenance) == (other.entries, other.provenance)
 
     @property
     def n_not_offensive(self) -> int:
-        return len(self.entries) - self._n_offensive
+        return len(self.entries) - self.n_offensive
 
     def ids(self) -> list[str]:
         return [cid for cid, _, _ in self.entries]

@@ -9,33 +9,35 @@ lopsided folds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _resources
+from ._frozen import Frozen
 from .corpus import Label
 from .errors import ModkitError, SchemaViolationError, is_number, load_json, read_json_text
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+class ConfusionMatrix(Frozen):
+    __slots__ = ("tp", "fp", "fn", "tn")
 
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
+    def __init__(self, tp: int, fp: int, fn: int, tn: int):
+        if min(tp, fp, fn, tn) < 0:
             raise ValueError("confusion matrix cells must be non-negative")
+        for name, value in zip(self.__slots__, (tp, fp, fn, tn)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not ConfusionMatrix:
+            return NotImplemented
+        return (self.tp, self.fp, self.fn, self.tn) == (other.tp, other.fp, other.fn, other.tn)
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     f1: float
     accuracy: float
     precision: float
@@ -207,7 +209,7 @@ def parse_report_json(data: str, source: str = "report") -> list[MetricsReport]:
     raises :class:`MalformedJsonError`, any other shape
     :class:`SchemaViolationError`; ``source`` names the input in both."""
     obj = load_json(data, f"invalid JSON in {source}")
-    variants = obj.get("variants", []) if isinstance(obj, dict) else None
+    variants = obj.get("variants") if isinstance(obj, dict) else None
     if not isinstance(variants, list):
         raise SchemaViolationError(f"{source} must be an object with a 'variants' array", "$")
     return [report_from_dict(v, f"$.variants[{i}] of {source}") for i, v in enumerate(variants)]

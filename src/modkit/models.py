@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import _atomic
+from ._frozen import Frozen
 from .corpus import LabeledDataset, Label, check_ratios, split
 from .errors import (
     ConfigError,
@@ -54,8 +54,7 @@ def _check_width(n_features: int, X: CSRMatrix) -> None:
         )
 
 
-@dataclass(frozen=True)
-class NBModel:
+class NBModel(NamedTuple):
     log_prior: np.ndarray  # shape (2,)
     log_likelihood: np.ndarray  # shape (2, vocab_size)
     alpha: float
@@ -108,14 +107,13 @@ def predict_nb(model: NBModel, X: CSRMatrix) -> tuple[list[Label], np.ndarray]:
     return labels, np.where(offensive, posterior[:, _OFF], posterior[:, _NOT])
 
 
-@dataclass(frozen=True)
-class LRModel:
+class LRModel(NamedTuple):
     weights: np.ndarray
     bias: float
     l2: float
     learning_rate: float
     epochs: int
-    loss_history: tuple[float, ...] = field(default=(), repr=False, compare=False)
+    loss_history: tuple[float, ...] = ()
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -258,8 +256,7 @@ def predict_lr(model: LRModel, X: CSRMatrix) -> tuple[list[Label], np.ndarray]:
 DEFAULT_STEPS = ("lowercasing", "punctuation_removal", "stopword_removal", "lemmatization")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """One experiment variant: the model and its hyperparameters, the
     preprocessing steps by :class:`Step` value, the split ratios, and
     ``n_cycles`` cycles seeded ``seed``, ``seed + 1``, ... Every value
@@ -267,22 +264,32 @@ class RunConfig:
     ``stoplist`` and ``out`` are the command line's paths; the library
     reads none of them."""
 
-    seed: int = 0
-    model: str = "nb"
-    steps: tuple[str, ...] = DEFAULT_STEPS
-    emoji_mode: str = "ml"
-    alpha: float = 1.0
-    learning_rate: float = 0.1
-    epochs: int = 500
-    l2: float = 1e-4
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    n_cycles: int = 1
-    dataset: str = ""
-    stoplist: str = ""
-    out: str = "runs"
-    variant_name: str = ""
+    #: Every field and its default, in order; a value has its default's type.
+    #: A config is built by keyword, and :meth:`replace` checks its changes too.
+    DEFAULTS = {
+        "seed": 0,
+        "model": "nb",
+        "steps": DEFAULT_STEPS,
+        "emoji_mode": "ml",
+        "alpha": 1.0,
+        "learning_rate": 0.1,
+        "epochs": 500,
+        "l2": 1e-4,
+        "ratios": (0.8, 0.1, 0.1),
+        "n_cycles": 1,
+        "dataset": "",
+        "stoplist": "",
+        "out": "runs",
+        "variant_name": "",
+    }
+    __slots__ = tuple(DEFAULTS)
 
-    def __post_init__(self):
+    def __init__(self, **values):
+        unknown = values.keys() - self.DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"unknown RunConfig fields: {sorted(unknown)}")
+        for name, default in self.DEFAULTS.items():
+            object.__setattr__(self, name, values.get(name, default))
         if self.model not in ("nb", "lr"):
             raise ConfigError(f"model must be 'nb' or 'lr', got {self.model!r}")
         if self.emoji_mode not in ("ml", "bert"):
@@ -302,6 +309,14 @@ class RunConfig:
             if not ok:
                 raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)}")
 
+    def asdict(self) -> dict:
+        """Every field by name, in order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def replace(self, **changes) -> RunConfig:
+        """A config with ``changes`` made, checked as any other."""
+        return RunConfig(**{**self.asdict(), **changes})
+
     @property
     def preprocess(self) -> PreprocessConfig:
         steps = frozenset(Step(name) for name in self.steps)
@@ -320,7 +335,7 @@ class RunConfig:
         """Run identity: every field but ``out`` and ``stoplist``, the
         dataset by content sha256, and the tables the steps read (the stop
         list's words included) by their sha256."""
-        payload = asdict(self)
+        payload = self.asdict()
         del payload["out"], payload["stoplist"]
         payload.update(dataset=dataset_sha256, tables_sha256=tables_sha256)
         digest = hashlib.sha256(
@@ -328,16 +343,32 @@ class RunConfig:
         )
         return digest.hexdigest()[:12]
 
+    def tables_sha256(self, stoplist: frozenset[str] | None) -> str:
+        """sha256 of the tables the steps read, as canonical JSON: sets and
+        mappings sorted, the lemma suffix rules in their order. A stop-list
+        file counts by the words it gives, so its comments do not."""
+        canonical = json.dumps(
+            _step_tables(self.preprocess, stoplist),
+            sort_keys=True,
+            default=lambda table: (
+                sorted(table) if isinstance(table, frozenset) else [table.exceptions, table.suffix_rules]
+            ),
+        )
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
-@dataclass(frozen=True)
-class CycleResult:
+
+def file_sha256(path: str | Path) -> str:
+    """The sha256 of a file's bytes, in hex."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class CycleResult(NamedTuple):
     seed: int
     validation: MetricsReport
     test: MetricsReport
 
 
-@dataclass(frozen=True)
-class TrainReport:
+class TrainReport(NamedTuple):
     cycles: tuple[CycleResult, ...]
     best_cycle_index: int
     variant_name: str = ""
@@ -347,8 +378,7 @@ class TrainReport:
         return self.cycles[self.best_cycle_index]
 
 
-@dataclass(frozen=True)
-class TrainedArtifacts:
+class TrainedArtifacts(NamedTuple):
     """Fitted featurizer and model from the best cycle."""
 
     tfidf: TfidfModel

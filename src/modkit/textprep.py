@@ -19,12 +19,12 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import _resources
+from ._frozen import Frozen
 from .errors import SchemaViolationError, read_text
 
 #: Shorthand words appended to the baseline stop list by default.
@@ -57,45 +57,60 @@ class EmojiMode(Enum):
     BERT_DELIMITED = "bert"
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    steps: frozenset[Step] = ALL_STEPS
-    emoji_mode: EmojiMode = EmojiMode.ML_PLAIN
+class PreprocessConfig(Frozen):
+    """The steps a pipeline runs and how it writes emoji aliases."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", frozenset(self.steps))
-        for step in self.steps:
+    __slots__ = ("steps", "emoji_mode")
+
+    def __init__(
+        self, steps: Iterable[Step] = ALL_STEPS, emoji_mode: EmojiMode = EmojiMode.ML_PLAIN
+    ):
+        steps = frozenset(steps)
+        for step in steps:
             if not isinstance(step, Step):
                 raise ValueError(f"unknown pipeline step: {step!r}")
-        if not isinstance(self.emoji_mode, EmojiMode):
-            raise ValueError(f"unknown emoji mode: {self.emoji_mode!r}")
+        if not isinstance(emoji_mode, EmojiMode):
+            raise ValueError(f"unknown emoji mode: {emoji_mode!r}")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "emoji_mode", emoji_mode)
+
+    def __eq__(self, other):
+        if type(other) is not PreprocessConfig:
+            return NotImplemented
+        return (self.steps, self.emoji_mode) == (other.steps, other.emoji_mode)
+
+    def __hash__(self) -> int:
+        return hash((self.steps, self.emoji_mode))
 
 
-@dataclass(frozen=True)
-class TokenStream:
-    tokens: tuple[str, ...]
-    source_id: str = ""
+class TokenStream(Frozen):
+    __slots__ = ("tokens", "source_id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if any(t == "" for t in self.tokens):
+    def __init__(self, tokens: Iterable[str], source_id: str = ""):
+        tokens = tuple(tokens)
+        if "" in tokens:
             raise ValueError("empty-string tokens are not allowed")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "source_id", source_id)
 
 
-@dataclass(frozen=True)
-class LemmaDictionary:
+class LemmaDictionary(Frozen):
     """Exception table and ordered suffix rules.
 
     ``memo`` holds the lemma of every word this instance has lemmatized.
-    It belongs to the instance: a dictionary loaded from other tables
-    (another ``MODKIT_DATA_DIR``) or made by ``dataclasses.replace``
-    starts with an empty memo. The tables must not be mutated once the
-    instance is in use.
+    It belongs to the instance: every dictionary, such as one loaded from
+    other tables (another ``MODKIT_DATA_DIR``), starts with an empty memo.
+    The tables must not be mutated once the instance is in use.
     """
 
-    exceptions: Mapping[str, str]
-    suffix_rules: tuple[tuple[str, str, int], ...]
-    memo: dict[str, str] = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("exceptions", "suffix_rules", "memo")
+
+    def __init__(
+        self, exceptions: Mapping[str, str], suffix_rules: tuple[tuple[str, str, int], ...]
+    ):
+        object.__setattr__(self, "exceptions", exceptions)
+        object.__setattr__(self, "suffix_rules", suffix_rules)
+        object.__setattr__(self, "memo", {})
 
 
 # ---------------------------------------------------------------------------

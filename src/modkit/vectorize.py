@@ -10,21 +10,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import _atomic
+from ._frozen import Frozen
 from .errors import ModkitError, SchemaViolationError, is_number, load_json, read_json_text
 from .textprep import TokenStream
 
 
-@dataclass(frozen=True, eq=False)
-class CSRMatrix:
+class CSRMatrix(Frozen):
     """Row-compressed sparse matrix: row i holds columns
     ``indices[indptr[i]:indptr[i+1]]`` (strictly increasing) with values
     ``data[indptr[i]:indptr[i+1]]``.
@@ -34,13 +32,14 @@ class CSRMatrix:
     order, so results do not depend on a BLAS build.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    n_cols: int
+    __slots__ = ("indptr", "indices", "data", "n_cols", "_row_of")
 
     # make ``ndarray @ CSRMatrix`` defer to __rmatmul__
     __array_ufunc__ = None
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, n_cols: int):
+        for name, value in zip(self.__slots__, (indptr, indices, data, n_cols, None)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -58,9 +57,13 @@ class CSRMatrix:
             n_cols=width[-1],
         )
 
-    @cached_property
+    @property
     def _rows(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        """The row of each stored entry, computed on first use."""
+        if self._row_of is None:
+            rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+            object.__setattr__(self, "_row_of", rows)
+        return self._row_of
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """X @ v for a vector of length n_cols."""
@@ -73,8 +76,7 @@ class CSRMatrix:
         return np.bincount(self.indices, weights=products, minlength=self.n_cols)
 
 
-@dataclass(frozen=True)
-class TfidfModel:
+class TfidfModel(NamedTuple):
     vocabulary: dict[str, int]  # term -> column, assigned in first-seen order
     idf: np.ndarray
     doc_count: int

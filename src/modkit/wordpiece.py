@@ -10,11 +10,11 @@ number of pieces a corpus fragments into, which the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _atomic, _resources
+from ._frozen import Frozen
 from .errors import ConfigError, ModkitError, read_text
 
 UNK = "[UNK]"
@@ -31,8 +31,7 @@ MAX_WORD_CHARS = 100
 DEFAULT_MAX_LENGTH = 150
 
 
-@dataclass(frozen=True)
-class WordPieceVocab:
+class WordPieceVocab(Frozen):
     """Token -> id table.
 
     ``memo`` holds the pieces of every word this instance has segmented.
@@ -41,18 +40,17 @@ class WordPieceVocab:
     be mutated once the instance is in use.
     """
 
-    tokens: dict[str, int]
-    memo: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    __slots__ = ("tokens", "memo")
 
-    def __post_init__(self):
+    def __init__(self, tokens: dict[str, int]):
         for special in SPECIALS:
-            if special not in self.tokens:
+            if special not in tokens:
                 raise ModkitError(f"vocabulary missing special token {special}")
-        ids = sorted(self.tokens.values())
+        ids = sorted(tokens.values())
         if ids != list(range(len(ids))):
             raise ModkitError("token ids must be contiguous from 0")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "memo", {})
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -64,18 +62,23 @@ class WordPieceVocab:
         return self.tokens[token]
 
 
-@dataclass(frozen=True)
-class Encoding:
-    ids: tuple[int, ...]
-    tokens: tuple[str, ...]
-    truncated: bool = False
+class Encoding(Frozen):
+    __slots__ = ("ids", "tokens", "truncated")
 
-    def __post_init__(self):
-        if len(self.ids) != len(self.tokens):
+    def __init__(self, ids: tuple[int, ...], tokens: tuple[str, ...], truncated: bool = False):
+        if len(ids) != len(tokens):
             raise ValueError("ids and tokens must have equal length")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "truncated", truncated)
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    def __eq__(self, other):
+        if type(other) is not Encoding:
+            return NotImplemented
+        return (self.ids, self.tokens, self.truncated) == (other.ids, other.tokens, other.truncated)
 
 
 def load_vocab(path: str | Path) -> WordPieceVocab:
@@ -177,8 +180,7 @@ def augment_vocab(vocab: WordPieceVocab, new_tokens: Iterable[str]) -> WordPiece
     return WordPieceVocab(tokens=tokens)
 
 
-@dataclass(frozen=True)
-class FragmentationRate:
+class FragmentationRate(NamedTuple):
     pieces_per_word: float
     split_word_fraction: float
 

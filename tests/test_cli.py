@@ -13,6 +13,7 @@ import modkit
 from modkit import analytics, errors, textprep, vectorize
 from modkit.cli import main
 from modkit.corpus import Label, LabeledDataset, load_dataset, save_dataset
+from modkit.evaluate import load_reference_scores
 from modkit.models import RunConfig, run_cycles, save_model
 
 from _fuzz import messy_text, random_text, reply_chain, reseal
@@ -147,6 +148,33 @@ class TestBalance:
         out = tmp_path / "balanced.json"
         assert main(["balance", "--dataset", str(dataset), "--seed", "7", "--out", str(out)]) == 0
         assert "1/1 (2 total)" in capsys.readouterr().out.splitlines()[-1]
+
+
+class TestWriteErrors:
+    """An output that cannot be written exits 2 with one line naming the
+    path given, not the temporary file beside it, and leaves no ``.tmp`` file."""
+
+    @pytest.mark.parametrize("where", ["missing_dir", "existing_dir"])
+    @pytest.mark.parametrize("command", ["ingest", "balance"])
+    def test_names_the_path_given(self, tmp_path, tree_path, capsys, command, where):
+        labels = write_json(tmp_path / "labels.json", {"c1": 1, "c2": 0, "c3": 0})
+        dataset = tmp_path / "dataset.json"
+        assert main(["ingest", str(tree_path), "--labels", str(labels), "--out", str(dataset)]) == 0
+        if where == "missing_dir":
+            out = tmp_path / "missing" / "out.json"
+        else:
+            out = tmp_path / "out"
+            out.mkdir()
+        argv = {
+            "ingest": ["ingest", str(tree_path), "--labels", str(labels)],
+            "balance": ["balance", "--dataset", str(dataset)],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.rstrip().endswith(f"'{out}'") and ".tmp" not in err, err
+        assert sorted(path.name for path in tmp_path.rglob("*.tmp")) == []
 
 
 EXPECTED_CHART_FILES = {
@@ -846,6 +874,24 @@ class TestReport:
 
     def test_nothing_to_report_exits_2(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("content", ["{}", '{"entries": []}'], ids=["empty", "dataset"])
+    def test_input_that_is_no_report_exits_3(self, tmp_path, capsys, content):
+        """Even beside the reference rows, an object without a
+        ``variants`` array is refused, naming the file."""
+        (tmp_path / "in.json").write_text(content, encoding="utf-8")
+        argv = ["report", "--inputs", str(tmp_path / "in.json"), "--reference"]
+        assert main([*argv, "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path / "in.json") in err and "variants" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_empty_variants_array_adds_no_rows(self, tmp_path, capsys):
+        write_json(tmp_path / "in.json", {"variants": []})
+        argv = ["report", "--inputs", str(tmp_path / "in.json"), "--reference"]
+        assert main([*argv, "--out", str(tmp_path / "r")]) == 0
+        obj = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert len(obj["variants"]) == len(load_reference_scores())
 
 
 class TestUsageErrors:

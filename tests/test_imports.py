@@ -18,18 +18,12 @@ import modkit
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Import modkit and, given arguments, run ``main(argv)``; then print
-#: which modkit modules are registered and executed, and which numpy
-#: modules are loaded. A lazily registered module that has not executed
-#: is still of the loader's module subclass; ``type()`` reads that
-#: without triggering the load.
-PROBE = """
-import json, sys, types
-import modkit
-code = 0
-if len(sys.argv) > 1:
-    from modkit.cli import main
-    code = main(sys.argv[1:])
+#: Print which modkit modules are registered and executed, which numpy
+#: modules are loaded, and which of ``dataclasses``, ``hashlib`` and
+#: ``inspect`` are: text commands need none of them. A lazily registered module that has not executed is still of the
+#: loader's module subclass; ``type()`` reads that without triggering the
+#: load.
+REPORT = """
 print(json.dumps({
     "code": code,
     "registered": sorted(n for n in sys.modules if n.startswith("modkit.")),
@@ -38,12 +32,44 @@ print(json.dumps({
         if n.startswith("modkit.") and type(m) is types.ModuleType
     ),
     "numpy": sorted(n for n in sys.modules if n == "numpy" or n.startswith("numpy.")),
+    "stdlib": sorted(n for n in ("dataclasses", "hashlib", "inspect") if n in sys.modules),
 }))
 """
+
+#: Import modkit and, given arguments, run ``main(argv)``; then REPORT.
+PROBE = """
+import json, sys, types
+import modkit
+code = 0
+if len(sys.argv) > 1:
+    from modkit.cli import main
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # --version exits through argparse
+        code = exc.code
+""" + REPORT
+
+#: What the benchmark's BERT-side workflow does with the library, on the
+#: dataset given: preprocess it in BERT mode, then measure and encode it
+#: with an augmented WordPiece vocabulary; then REPORT.
+BERT_PREP = """
+import json, sys, types
+from modkit import corpus, textprep, wordpiece
+config = textprep.PreprocessConfig(emoji_mode=textprep.EmojiMode.BERT_DELIMITED)
+texts = [
+    " ".join(textprep.run_pipeline(text, config, source_id=cid).tokens)
+    for cid, text, _ in corpus.load_dataset(sys.argv[1]).entries
+]
+vocab = wordpiece.augment_vocab(wordpiece.default_vocab(), [":skull:", "finna"])
+code = int(not wordpiece.fragmentation_rate(texts, vocab).pieces_per_word > 0)
+code += sum(len(wordpiece.wordpiece_encode(text, vocab)) < 2 for text in texts)
+""" + REPORT
 
 LIBRARY = ("_rng", "corpus", "textprep", "analytics", "vectorize", "wordpiece", "models", "evaluate")
 #: Imported eagerly by ``modkit.cli``; they import nothing heavy.
 EAGER = {"cli", "errors", "_atomic"}
+#: Executed by every command that reads a dataset.
+CORPUS = {"corpus", "_frozen", "_rng"}
 
 #: Every name ``modkit`` re-exported when it imported its submodules eagerly.
 EXPORTED = {
@@ -87,8 +113,8 @@ def python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-def probe(cwd: Path, *argv: str) -> dict:
-    proc = python("-c", PROBE, *argv, cwd=cwd)
+def probe(cwd: Path, *argv: str, script: str = PROBE) -> dict:
+    proc = python("-c", script, *argv, cwd=cwd)
     assert proc.returncode == 0, proc.stderr[-2000:]
     state = json.loads(proc.stdout.splitlines()[-1])
     assert state["code"] == 0, proc.stderr[-2000:]
@@ -107,25 +133,38 @@ def states(tmp_path_factory, separable_paths) -> dict[str, dict]:
         "balance": ["balance", "--dataset", dataset, "--out", balanced],
         "analyze": ["analyze", "--dataset", balanced, "--out", str(work / "charts")],
         "report": ["report", "--reference", "--out", str(work / "report")],
+        "version": ["--version"],
         "train": ["train", "--dataset", balanced, "--out", str(work / "runs")],
     }
-    return {name: probe(work, *argv) for name, argv in commands.items()}
+    states = {name: probe(work, *argv) for name, argv in commands.items()}
+    (run_dir,) = (work / "runs").iterdir()
+    states["eval"] = probe(work, "eval", "--run", str(run_dir), "--dataset", balanced)
+    states["bert_prep"] = probe(work, balanced, script=BERT_PREP)
+    return states
 
 
 @pytest.mark.parametrize(
     "command, executed",
     [
         ("import", set()),
-        ("ingest", EAGER | {"corpus", "_rng"}),
-        ("balance", EAGER | {"corpus", "_rng"}),
-        ("analyze", EAGER | {"corpus", "_rng", "_resources", "textprep", "analytics"}),
-        ("report", EAGER | {"corpus", "_rng", "_resources", "evaluate"}),
+        ("ingest", EAGER | CORPUS),
+        ("balance", EAGER | CORPUS),
+        ("analyze", EAGER | CORPUS | {"_resources", "textprep", "analytics"}),
+        ("report", EAGER | CORPUS | {"_resources", "evaluate"}),
+        ("version", EAGER),
+        ("bert_prep", {"errors", "_atomic"} | CORPUS | {"_resources", "textprep", "wordpiece"}),
     ],
 )
 def test_command_executes_only_what_it_uses(states, command, executed):
     state = states[command]
     assert set(state["executed"]) == executed
     assert state["numpy"] == []
+    assert state["stdlib"] == []
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_load_no_dataclasses(states, command):
+    assert set(states[command]["stdlib"]) <= {"hashlib", "inspect"}
 
 
 def test_train_executes_models_and_vectorize(states):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -418,28 +417,49 @@ class TestSelectBestCycle:
         assert select_best_cycle(cycles) == 0
 
 
+#: One out-of-range value per hyperparameter, and the error it raises.
+OUT_OF_RANGE = [
+    ({"model": "svm"}, "model must be 'nb' or 'lr', got 'svm'"),
+    ({"emoji_mode": "raw"}, "emoji-mode must be 'ml' or 'bert', got 'raw'"),
+    ({"steps": ("lowercasing", "bogus")}, "unknown preprocessing step: 'bogus'"),
+    ({"ratios": (0.5, 0.5, 0.5)}, "ratios must sum to 1, got 1.5"),
+    ({"n_cycles": 0}, "n_cycles must be >= 1, got 0"),
+    ({"alpha": 0.0}, "alpha must be > 0, got 0.0"),
+    ({"model": "lr", "alpha": -1.0}, "alpha must be > 0, got -1.0"),
+    ({"learning_rate": -1.0}, "learning_rate must be > 0, got -1.0"),
+    ({"model": "nb", "epochs": 0}, "epochs must be >= 1, got 0"),
+    ({"l2": -1e-4}, "l2 must be >= 0, got -0.0001"),
+]
+
+
 class TestRunConfig:
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"model": "svm"}, "model must be 'nb' or 'lr', got 'svm'"),
-            ({"emoji_mode": "raw"}, "emoji-mode must be 'ml' or 'bert', got 'raw'"),
-            ({"steps": ("lowercasing", "bogus")}, "unknown preprocessing step: 'bogus'"),
-            ({"ratios": (0.5, 0.5, 0.5)}, "ratios must sum to 1, got 1.5"),
-            ({"n_cycles": 0}, "n_cycles must be >= 1, got 0"),
-            ({"alpha": 0.0}, "alpha must be > 0, got 0.0"),
-            ({"model": "lr", "alpha": -1.0}, "alpha must be > 0, got -1.0"),
-            ({"learning_rate": -1.0}, "learning_rate must be > 0, got -1.0"),
-            ({"model": "nb", "epochs": 0}, "epochs must be >= 1, got 0"),
-            ({"l2": -1e-4}, "l2 must be >= 0, got -0.0001"),
-        ],
-    )
+    @pytest.mark.parametrize("kwargs, message", OUT_OF_RANGE)
     def test_out_of_range_value_raises_config_error(self, kwargs, message):
         """Every hyperparameter is checked, whichever model it is for."""
         with pytest.raises(ConfigError) as info:
             RunConfig(**kwargs)
         assert str(info.value).startswith(message), info.value
         assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize("kwargs, message", OUT_OF_RANGE)
+    def test_replace_runs_the_same_checks(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            RunConfig().replace(**kwargs)
+        assert str(info.value).startswith(message), info.value
+        assert info.value.exit_code == 2
+
+    def test_fields_keep_their_order_and_refuse_assignment(self):
+        """The manifest writes the fields in this order."""
+        config = RunConfig(seed=3)
+        assert list(config.asdict()) == [
+            "seed", "model", "steps", "emoji_mode", "alpha", "learning_rate", "epochs", "l2",
+            "ratios", "n_cycles", "dataset", "stoplist", "out", "variant_name",
+        ]
+        assert config.replace(model="lr").asdict() == {**config.asdict(), "model": "lr"}
+        with pytest.raises(AttributeError, match="cannot assign to field 'seed'"):
+            config.seed = 4
+        with pytest.raises(TypeError, match="unknown RunConfig fields"):
+            RunConfig(sed=3)
 
     def test_preprocess_follows_steps_and_emoji_mode(self):
         config = RunConfig(steps=("lemmatization", "emoji_encoding"), emoji_mode="bert")
@@ -478,23 +498,23 @@ class TestRunCycles:
     CONFIG = RunConfig(model="nb", steps=("lowercasing",))
 
     def test_single_cycle_is_best(self):
-        trained = run_cycles(separable_dataset(), replace(self.CONFIG, seed=3))
+        trained = run_cycles(separable_dataset(), self.CONFIG.replace(seed=3))
         assert trained.report.best_cycle_index == 0
         assert trained.report.cycles[0].seed == 3
 
     def test_seeds_increment_per_cycle(self):
-        trained = run_cycles(separable_dataset(), replace(self.CONFIG, n_cycles=3, seed=10))
+        trained = run_cycles(separable_dataset(), self.CONFIG.replace(n_cycles=3, seed=10))
         assert [c.seed for c in trained.report.cycles] == [10, 11, 12]
 
     def test_bit_reproducible(self):
-        config = replace(self.CONFIG, n_cycles=2, seed=5)
+        config = self.CONFIG.replace(n_cycles=2, seed=5)
         first = run_cycles(separable_dataset(), config)
         second = run_cycles(separable_dataset(), config)
         assert first.report == second.report
         assert first.tfidf.vocabulary == second.tfidf.vocabulary
 
     def test_separable_data_scores_perfectly(self):
-        trained = run_cycles(separable_dataset(), replace(self.CONFIG, n_cycles=2))
+        trained = run_cycles(separable_dataset(), self.CONFIG.replace(n_cycles=2))
         assert trained.report.best.test.f1 == 1.0
 
     def test_lr_variant_runs(self):
@@ -528,7 +548,7 @@ class TestPreprocessOnce:
 
         monkeypatch.setattr(models, "run_pipeline", counting)
         data = noisy_dataset()
-        run_cycles(data, replace(self.CONFIG, n_cycles=5))
+        run_cycles(data, self.CONFIG.replace(n_cycles=5))
         assert sorted(calls) == sorted(data.texts())
 
     def test_tables_looked_up_a_fixed_number_of_times(self, table_lookups):
@@ -536,7 +556,7 @@ class TestPreprocessOnce:
         counts = []
         for n in (50, 200):
             table_lookups.clear()
-            run_cycles(noisy_dataset(n), replace(self.CONFIG, n_cycles=2))
+            run_cycles(noisy_dataset(n), self.CONFIG.replace(n_cycles=2))
             counts.append(len(table_lookups))
         assert counts[0] == counts[1] > 0
 
@@ -549,7 +569,7 @@ class TestPreprocessOnce:
 
     def test_vocabulary_is_the_best_train_fold_in_first_seen_order(self):
         data = noisy_dataset()
-        trained = run_cycles(data, replace(self.CONFIG, n_cycles=5))
+        trained = run_cycles(data, self.CONFIG.replace(n_cycles=5))
         # neither the first nor the last cycle, so keeping the wrong
         # cycle's featurizer would show
         assert 0 < trained.report.best_cycle_index < 4

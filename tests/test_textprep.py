@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import Counter
 
@@ -13,6 +12,7 @@ from modkit.errors import SchemaViolationError
 from modkit.textprep import (
     ALL_STEPS,
     EmojiMode,
+    LemmaDictionary,
     PreprocessConfig,
     STOPWORD_EXTENSIONS,
     Step,
@@ -210,7 +210,7 @@ class TestLemmatize:
         assert lemmatize(words) == words
         monkeypatch.delenv("MODKIT_DATA_DIR")
         assert lemmatize(words) == lemmas
-        no_rules = dataclasses.replace(default_lemma_dictionary(), suffix_rules=())
+        no_rules = LemmaDictionary(default_lemma_dictionary().exceptions, suffix_rules=())
         assert no_rules.memo == {}
         assert lemmatize(words, no_rules) == ("cats", "write", "blessings")
 
