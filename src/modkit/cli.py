@@ -137,13 +137,9 @@ def _check_sha256(what: str, sha256: str, recorded, manifest_path: Path) -> None
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     all_comments: list[corpus.Comment] = []
-    provenance: dict[str, str] = {}
     for tree_path in args.trees:
         data = _read_json_text(tree_path, "comment-tree file")
-        tree = corpus.parse_comment_tree(data)
-        for comment in corpus.flatten(tree):
-            all_comments.append(comment)
-            provenance[comment.id] = tree.post_id
+        all_comments.extend(corpus.flatten(corpus.parse_comment_tree(data)))
     unique = corpus.dedupe(all_comments)
     labels = corpus.load_labels(_require_file(args.labels, "label file")) if args.labels else {}
     lexicon = None
@@ -151,9 +147,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         lexicon = corpus.load_lexicon(_require_file(args.lexicon, "lexicon file"))
     known = {c.id for c in unique}  # labels on dropped duplicates are dropped too
     if args.strict_labels:  # keep labels on ids in no tree, for apply_labels to refuse
-        known |= labels.keys() - provenance.keys()
+        known |= labels.keys() - {c.id for c in all_comments}
     labels = {cid: lab for cid, lab in labels.items() if cid in known}
-    dataset, unlabeled = corpus.apply_labels(unique, labels, provenance)
+    dataset, unlabeled = corpus.apply_labels(unique, labels)
     corpus.save_dataset(dataset, args.out)
     print(
         f"{len(all_comments)} total, {len(unique)} unique, "
@@ -236,9 +232,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     if not config.dataset:
         raise ConfigError("a dataset file is required (--dataset or config)")
-    dataset_path = _require_file(config.dataset, "dataset file")
-    dataset = corpus.load_dataset(dataset_path)
-    dataset_sha256 = models.file_sha256(dataset_path)
+    dataset = corpus.load_dataset(_require_file(config.dataset, "dataset file"))
+    dataset_sha256 = models.dataset_sha256(dataset)
     stoplist = _stoplist(config)
     tables_sha256 = config.tables_sha256(stoplist)
     started = time.perf_counter()
@@ -341,10 +336,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         subset = dataset
         scope = "full dataset"
     else:
-        if models.file_sha256(dataset_path) != manifest.get("dataset_sha256"):
+        if models.dataset_sha256(dataset) != manifest.get("dataset_sha256"):
             raise ModkitError(
-                f"{dataset_path} is not the dataset {run_dir} was trained on "
-                "(sha256 differs from the manifest); use --full to score another dataset"
+                f"{dataset_path} is not the dataset {run_dir} was trained on (the sha256 "
+                "of its entries differs from the manifest); use --full to score another dataset"
             )
         best_seed = _best_cycle_seed(run_dir / "train_report.json")
         _, _, subset = corpus.split(dataset, config.ratios, best_seed)

@@ -4,7 +4,9 @@ The input format is the JSON comment-tree dump produced by scraping a
 post's comment section: a top-level object with ``post_id``,
 ``post_author`` and a ``comments`` array, where each comment carries
 ``id``, ``author``, ``text``, an optional ``timestamp`` and a ``replies``
-array of the same shape.
+array of the same shape. A labeled dataset is its ordered
+``(id, text, label)`` entries and nothing else; its file is
+``{"entries": [{"id", "text", "label"}, ...]}``.
 """
 
 from __future__ import annotations
@@ -76,15 +78,12 @@ class LexiconEntry(Frozen):
 
 
 class LabeledDataset(Frozen):
-    """Flat labeled comments with O(1) per-class counts."""
+    """Labeled comments as ordered ``(id, text, label)`` entries, with
+    O(1) per-class counts. Two datasets are equal when their entries are."""
 
-    __slots__ = ("entries", "provenance", "n_offensive")
+    __slots__ = ("entries", "n_offensive")
 
-    def __init__(
-        self,
-        entries: tuple[tuple[str, str, Label], ...],
-        provenance: Mapping[str, str] | None = None,
-    ):
+    def __init__(self, entries: tuple[tuple[str, str, Label], ...]):
         ids = [cid for cid, _, _ in entries]
         if len(set(ids)) != len(ids):
             seen: set[str] = set()
@@ -92,7 +91,6 @@ class LabeledDataset(Frozen):
             raise ModkitError(f"duplicate comment id in dataset: {repeated!r}")
         labels = [label for _, _, label in entries]
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "n_offensive", labels.count(Label.OFFENSIVE))
 
     def __len__(self) -> int:
@@ -101,7 +99,7 @@ class LabeledDataset(Frozen):
     def __eq__(self, other):
         if type(other) is not LabeledDataset:
             return NotImplemented
-        return (self.entries, self.provenance) == (other.entries, other.provenance)
+        return self.entries == other.entries
 
     @property
     def n_not_offensive(self) -> int:
@@ -247,9 +245,7 @@ def dedupe(comments: Iterable[Comment]) -> list[Comment]:
 
 
 def apply_labels(
-    comments: Sequence[Comment],
-    labels: Mapping[str, Label],
-    provenance: Mapping[str, str] | None = None,
+    comments: Sequence[Comment], labels: Mapping[str, Label]
 ) -> tuple[LabeledDataset, int]:
     """Join comments with labels; returns (dataset, unlabeled_count).
 
@@ -264,11 +260,7 @@ def apply_labels(
     entries = tuple(
         (c.id, c.text, labels[c.id]) for c in comments if c.id in labels
     )
-    unlabeled = len(comments) - len(entries)
-    prov = None
-    if provenance is not None:
-        prov = {cid: provenance[cid] for cid, _, _ in entries if cid in provenance}
-    return LabeledDataset(entries=entries, provenance=prov), unlabeled
+    return LabeledDataset(entries), len(comments) - len(entries)
 
 
 def balance(dataset: LabeledDataset, seed: int) -> LabeledDataset:
@@ -327,12 +319,8 @@ def split(
 
 
 def _subset(dataset: LabeledDataset, ids: set[str]) -> LabeledDataset:
-    """The entries whose id is in ``ids`` and their provenance, in ``dataset``'s order."""
-    entries = tuple(e for e in dataset.entries if e[0] in ids)
-    prov = None
-    if dataset.provenance is not None:
-        prov = {cid: pid for cid, pid in dataset.provenance.items() if cid in ids}
-    return LabeledDataset(entries=entries, provenance=prov)
+    """The entries whose id is in ``ids``, in ``dataset``'s order."""
+    return LabeledDataset(tuple(e for e in dataset.entries if e[0] in ids))
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +460,9 @@ def load_lexicon(path: str | Path) -> list[LexiconEntry]:
 
 
 def _dataset_chunks(dataset: LabeledDataset) -> Iterator[str]:
-    """The text of ``json.dumps`` (``ensure_ascii=False, indent=2``) of the
-    dataset's JSON object, one entry per chunk and the provenance in one,
-    with the indentation written out and each string escaped by the
-    encoder ``json.dumps`` itself uses."""
+    """The text of ``json.dumps({"entries": [...]}, ensure_ascii=False,
+    indent=2)``, one entry per chunk, with the indentation written out and
+    each string escaped by the encoder ``json.dumps`` itself uses."""
     encode, label_json = encode_basestring, _LABEL_JSON
     yield '{\n  "entries": ['
     separator = "\n"
@@ -485,13 +472,7 @@ def _dataset_chunks(dataset: LabeledDataset) -> Iterator[str]:
             f'\n      "label": {label_json[label]}\n    }}'
         )
         separator = ",\n"
-    yield '\n  ],\n  "provenance": {' if dataset.entries else '],\n  "provenance": {'
-    provenance = dataset.provenance or {}
-    if provenance:
-        yield ",".join(f"\n    {encode(cid)}: {encode(pid)}" for cid, pid in provenance.items())
-        yield "\n  }\n}"
-    else:
-        yield "}\n}"
+    yield "\n  ]\n}" if dataset.entries else "]\n}"
 
 
 def _entry_error(entry, i: int) -> SchemaViolationError:
@@ -510,6 +491,8 @@ def _entry_error(entry, i: int) -> SchemaViolationError:
 
 
 def dataset_from_json(data: str | bytes) -> LabeledDataset:
+    """The dataset of a ``{"entries": [{"id", "text", "label"}, ...]}``
+    file; any other key, at the top level or in an entry, is not read."""
     obj = load_json(data, "invalid dataset JSON")
     if not isinstance(obj, dict) or "entries" not in obj:
         raise SchemaViolationError("dataset file must be an object with 'entries'", "$")
@@ -525,13 +508,7 @@ def dataset_from_json(data: str | bytes) -> LabeledDataset:
         if type(cid) is not str or not cid or type(text) is not str:
             raise _entry_error(e, i)
         entries.append((cid, text, label))
-    provenance = obj.get("provenance") or None
-    if provenance is not None and not isinstance(provenance, dict):
-        raise SchemaViolationError("provenance must be an object", "$.provenance")
-    for cid, post_id in (provenance or {}).items():
-        if not isinstance(post_id, str):
-            raise SchemaViolationError("post id must be a string", f"$.provenance.{cid}")
-    return LabeledDataset(entries=tuple(entries), provenance=provenance)
+    return LabeledDataset(tuple(entries))
 
 
 def save_dataset(dataset: LabeledDataset, path: str | Path) -> None:

@@ -34,7 +34,9 @@ from .errors import (
     read_json_text,
 )
 from .evaluate import MetricsReport, confusion, metrics
-from .textprep import EmojiMode, PreprocessConfig, Step, TokenStream, _step_tables, run_pipeline
+from .textprep import (
+    PIPELINE_ORDER, EmojiMode, PreprocessConfig, Step, TokenStream, _step_tables, run_pipeline,
+)
 from .vectorize import CSRMatrix, TfidfModel, _fit_transform, transform_all
 
 # Class index convention: column 0 = NOT_OFFENSIVE, column 1 = OFFENSIVE.
@@ -262,7 +264,9 @@ class RunConfig(Frozen):
     ``n_cycles`` cycles seeded ``seed``, ``seed + 1``, ... Every value
     out of range raises :class:`ConfigError` here. ``dataset``,
     ``stoplist`` and ``out`` are the command line's paths; the library
-    reads none of them."""
+    reads none of them. One experiment has one spelling: ``steps`` are
+    kept once each in :data:`PIPELINE_ORDER`, and the float fields and
+    ``ratios`` as floats, so that ``1`` and ``1.0`` are one value."""
 
     #: Every field and its default, in order; a value has its default's type.
     #: A config is built by keyword, and :meth:`replace` checks its changes too.
@@ -289,15 +293,18 @@ class RunConfig(Frozen):
         if unknown:
             raise TypeError(f"unknown RunConfig fields: {sorted(unknown)}")
         for name, default in self.DEFAULTS.items():
-            object.__setattr__(self, name, values.get(name, default))
+            value = values.get(name, default)
+            object.__setattr__(self, name, float(value) if type(default) is float else value)
+        object.__setattr__(self, "ratios", tuple(map(float, self.ratios)))
         if self.model not in ("nb", "lr"):
             raise ConfigError(f"model must be 'nb' or 'lr', got {self.model!r}")
         if self.emoji_mode not in ("ml", "bert"):
             raise ConfigError(f"emoji-mode must be 'ml' or 'bert', got {self.emoji_mode!r}")
         try:
-            self.preprocess
+            steps = {Step(name) for name in self.steps}
         except ValueError as exc:
             raise ConfigError(f"unknown preprocessing step: {exc}") from exc
+        object.__setattr__(self, "steps", tuple(s.value for s in PIPELINE_ORDER if s in steps))
         check_ratios(self.ratios)
         for name, ok, bound in (
             ("n_cycles", self.n_cycles >= 1, ">= 1"),
@@ -333,8 +340,8 @@ class RunConfig(Frozen):
 
     def hash(self, dataset_sha256: str, tables_sha256: str) -> str:
         """Run identity: every field but ``out`` and ``stoplist``, the
-        dataset by content sha256, and the tables the steps read (the stop
-        list's words included) by their sha256."""
+        dataset by :func:`dataset_sha256`, and the tables the steps read
+        (the stop list's words included) by their sha256."""
         payload = self.asdict()
         del payload["out"], payload["stoplist"]
         payload.update(dataset=dataset_sha256, tables_sha256=tables_sha256)
@@ -355,6 +362,16 @@ class RunConfig(Frozen):
             ),
         )
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def dataset_sha256(dataset: LabeledDataset) -> str:
+    """The sha256 of the dataset's ordered entries, in hex: that of
+    ``[[id, text, label], ...]`` as compact ASCII JSON. So a file's layout,
+    key order and escapes, and any key it holds besides the entries', do
+    not count; the entries' order does."""
+    rows = [[cid, text, label.value] for cid, text, label in dataset.entries]
+    canonical = json.dumps(rows, ensure_ascii=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def file_sha256(path: str | Path) -> str:

@@ -43,6 +43,11 @@ class Step(Enum):
 
 
 ALL_STEPS: frozenset[Step] = frozenset(Step)
+#: The steps in the order :func:`run_pipeline` applies them.
+PIPELINE_ORDER: tuple[Step, ...] = (
+    Step.LOWERCASING, Step.EMOJI_ENCODING, Step.PUNCTUATION_REMOVAL,
+    Step.STOPWORD_REMOVAL, Step.LEMMATIZATION,
+)
 
 
 class EmojiMode(Enum):

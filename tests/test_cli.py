@@ -379,20 +379,57 @@ class TestTrain:
         assert_one_line_error(capsys)
 
     def test_run_hash_follows_dataset_content_not_path(self, tmp_path, separable_paths):
+        """A dataset counts by its ordered entries: a copy elsewhere and a
+        copy with a trailing newline keep the run directory, a copy with
+        two entries swapped moves it."""
         dataset = run_ingest(tmp_path, separable_paths)
         copy = tmp_path / "copy.json"
         copy.write_bytes(dataset.read_bytes())
-        other = tmp_path / "other.json"
-        other.write_text(dataset.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        newline = tmp_path / "newline.json"
+        newline.write_text(dataset.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        obj = json.loads(dataset.read_text(encoding="utf-8"))
+        obj["entries"][:2] = obj["entries"][1::-1]
+        swapped = write_json(tmp_path / "swapped.json", obj)
         names = []
-        for path in (dataset, copy, other):
+        for path in (dataset, copy, newline, swapped):
             out = tmp_path / f"runs_{path.stem}"
             assert main(["train", "--dataset", str(path), "--out", str(out)]) == 0
             (run_dir,) = out.iterdir()
             manifest = json.loads((run_dir / "manifest.json").read_text())
-            assert manifest["dataset_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            entries = json.loads(path.read_text(encoding="utf-8"))["entries"]
+            rows = [[e["id"], e["text"], e["label"]] for e in entries]
+            content = json.dumps(rows, separators=(",", ":")).encode()
+            assert manifest["dataset_sha256"] == hashlib.sha256(content).hexdigest()
             names.append(run_dir.name)
-        assert names[0] == names[1] != names[2]
+        assert names[0] == names[1] == names[2] != names[3]
+
+    @pytest.mark.parametrize(
+        "spellings",
+        [
+            (["--set", "alpha=1"], ["--set", "alpha=1.0"]),
+            (["--model", "lr", "--set", "l2=0"], ["--model", "lr", "--set", "l2=0.0"]),
+            (["--model", "lr", "--set", "learning_rate=1"], ["--model", "lr", "--set", "learning_rate=1.0"]),
+            (
+                ["--set", 'steps=["lowercasing","lemmatization"]'],
+                ["--set", 'steps=["lemmatization","lowercasing","lemmatization"]'],
+            ),
+        ],
+        ids=["alpha", "l2", "learning_rate", "steps"],
+    )
+    def test_one_run_directory_per_experiment(self, tmp_path, separable_paths, spellings):
+        """Spellings of one experiment, an integer for a float or the steps
+        in another order or repeated, write one run directory with
+        byte-identical artifacts."""
+        dataset = run_ingest(tmp_path, separable_paths)
+        run_dirs = []
+        for i, spelling in enumerate(spellings):
+            out = tmp_path / f"runs_{i}"
+            assert main(["train", "--dataset", str(dataset), "--out", str(out), *spelling]) == 0
+            (run_dir,) = out.iterdir()
+            run_dirs.append(run_dir)
+        assert run_dirs[0].name == run_dirs[1].name
+        for name in ("tfidf.json", "model.json", "train_report.json"):
+            assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes()
 
     def test_run_hash_follows_stoplist_content_not_path(self, tmp_path, separable_paths):
         """A stop list counts by the words it gives: a copy elsewhere and an
@@ -553,8 +590,14 @@ class TestEval:
         assert eval_report["variants"][0]["name"] == "Naive Bayes Default"
 
     def test_test_fold_of_another_dataset_exits_3(self, tmp_path, separable_paths, capsys):
+        """The test fold needs the same ordered entries, in any layout: a
+        compact copy is scored, a copy in reverse order exits 3."""
         run_dir, dataset = train_run(tmp_path, separable_paths)
-        other = write_json(tmp_path / "other.json", json.loads(dataset.read_text(encoding="utf-8")))
+        obj = json.loads(dataset.read_text(encoding="utf-8"))
+        compact = write_json(tmp_path / "compact.json", obj)
+        assert main(["eval", "--run", str(run_dir), "--dataset", str(compact)]) == 0
+        obj["entries"].reverse()
+        other = write_json(tmp_path / "other.json", obj)
         capsys.readouterr()
         assert main(["eval", "--run", str(run_dir), "--dataset", str(other)]) == 3
         assert "--full" in capsys.readouterr().err
@@ -609,7 +652,6 @@ class TestMalformedDatasets:
             ("balance", {"entries": {}}, "$.entries"),
             ("analyze", {"entries": [{"id": "", "text": "x", "label": 0}]}, "$.entries[0].id"),
             ("balance", {"entries": [{"id": 3, "text": "x", "label": 0}]}, "$.entries[0].id"),
-            ("balance", {"entries": [], "provenance": [1]}, "$.provenance"),
         ],
     )
     def test_wrong_types_exit_3(self, tmp_path, capsys, command, content, where):
@@ -619,6 +661,18 @@ class TestMalformedDatasets:
         err = capsys.readouterr().err
         assert f"(at {where})" in err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_an_old_provenance_key_is_ignored(self, tmp_path):
+        """Earlier versions wrote each comment's post id under ``provenance``;
+        a file that holds one, of any shape, balances as one without it."""
+        entries = [{"id": "a", "text": "x", "label": 0}, {"id": "b", "text": "y", "label": 1}]
+        outputs = []
+        for name, old in (("new", {}), ("old", {"provenance": {"a": "p1"}}), ("odd", {"provenance": [1]})):
+            dataset = write_json(tmp_path / f"{name}.json", {"entries": entries, **old})
+            out = tmp_path / f"{name}_balanced.json"
+            assert main(["balance", "--dataset", str(dataset), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_too_deeply_nested_dataset_exits_3(self, tmp_path, capsys):
         dataset = tmp_path / "dataset.json"

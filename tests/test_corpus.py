@@ -587,25 +587,20 @@ def awkward_text(rng: random.Random) -> str:
     return text
 
 
-def fuzz_dataset(n: int, seed: int, provenance: bool = True) -> LabeledDataset:
+def fuzz_dataset(n: int, seed: int) -> LabeledDataset:
     rng = random.Random(seed)
     ids = [f"c{i}{rng.choice(AWKWARD)}" if rng.random() < 0.2 else f"c{i}" for i in range(n)]
-    entries = tuple(
-        (cid, awkward_text(rng), rng.choice([Label.OFFENSIVE, Label.NOT_OFFENSIVE])) for cid in ids
+    return LabeledDataset(
+        tuple((cid, awkward_text(rng), rng.choice([Label.OFFENSIVE, Label.NOT_OFFENSIVE])) for cid in ids)
     )
-    prov = {cid: f"p{rng.randint(0, 9)}{rng.choice(AWKWARD)}" for cid in ids if rng.random() < 0.7}
-    return LabeledDataset(entries=entries, provenance=prov if provenance else None)
 
 
 def reference_dataset_json(dataset: LabeledDataset) -> str:
     """The dataset file's text as ``json.dumps`` writes its JSON object."""
-    obj = {
-        "entries": [
-            {"id": cid, "text": text, "label": label.value} for cid, text, label in dataset.entries
-        ],
-        "provenance": dict(dataset.provenance) if dataset.provenance else {},
-    }
-    return json.dumps(obj, ensure_ascii=False, indent=2)
+    entries = [
+        {"id": cid, "text": text, "label": label.value} for cid, text, label in dataset.entries
+    ]
+    return json.dumps({"entries": entries}, ensure_ascii=False, indent=2)
 
 
 class TestDatasetWriter:
@@ -620,14 +615,21 @@ class TestDatasetWriter:
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("provenance", [None, {}, "some", "all"])
     def test_small_and_empty_cases_match_json_dumps(self, tmp_path, n, provenance):
-        entries = tuple((f"c{i}", f"text {i}", Label(i % 2)) for i in range(n))
-        if provenance == "some":
-            provenance = {"c0": "p0"} if n else {}
-        elif provenance == "all":
-            provenance = {f"c{i}": f"p{i}" for i in range(n)}
-        dataset = LabeledDataset(entries=entries, provenance=provenance)
+        """The file is ``json.dumps`` of the entries alone. A file of an
+        earlier version, which also held a ``provenance`` object (empty,
+        for some comments or for all), loads to the same dataset."""
+        dataset = LabeledDataset(tuple((f"c{i}", f"text {i}", Label(i % 2)) for i in range(n)))
         corpus.save_dataset(dataset, tmp_path / "d.json")
-        assert (tmp_path / "d.json").read_bytes() == reference_dataset_json(dataset).encode("utf-8")
+        text = (tmp_path / "d.json").read_bytes().decode("utf-8")
+        assert text == reference_dataset_json(dataset)
+        if provenance is not None:
+            if provenance == "some":
+                provenance = {"c0": "p0"} if n else {}
+            elif provenance == "all":
+                provenance = {f"c{i}": f"p{i}" for i in range(n)}
+            old = {**json.loads(text), "provenance": provenance}
+            text = json.dumps(old, ensure_ascii=False, indent=2)
+        assert corpus.dataset_from_json(text) == dataset
 
     def test_lone_surrogate_text_matches_json_dumps(self, tmp_path):
         """The text is what ``json.dumps`` returns, which UTF-8 cannot
@@ -740,14 +742,20 @@ class TestDatasetLoader:
             ("[]", "dataset file must be an object with 'entries' (at $)"),
             ("{}", "dataset file must be an object with 'entries' (at $)"),
             ('{"entries": {}}', "entries must be an array (at $.entries)"),
-            ('{"entries": [], "provenance": [1]}', "provenance must be an object (at $.provenance)"),
-            ('{"entries": [], "provenance": {"a": "p", "b": 3}}', "post id must be a string (at $.provenance.b)"),
         ],
     )
     def test_bad_file_messages(self, data, message):
         with pytest.raises(SchemaViolationError) as info:
             corpus.dataset_from_json(data)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("provenance", [[1], {"a": "p", "b": 3}, {"a": "p"}, None, "x"])
+    def test_an_old_provenance_key_is_ignored(self, provenance):
+        """Earlier versions wrote each comment's post id under ``provenance``:
+        whatever that key holds, the file loads to the same entries."""
+        entries = [{"id": "a", "text": "t", "label": 1}, {"id": "b", "text": "u", "label": 0}]
+        old = json.dumps({"entries": entries, "provenance": provenance})
+        assert corpus.dataset_from_json(old) == corpus.dataset_from_json(entries_json(*entries))
 
 
 class TestReadJsonText:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -9,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from modkit import models
+from modkit import corpus, models
 from modkit.corpus import Label, LabeledDataset, split
 from modkit.errors import (
     ConfigError,
@@ -36,8 +37,11 @@ from modkit.models import (
     train_nb,
 )
 from modkit.evaluate import ConfusionMatrix, metrics
-from modkit.textprep import ALL_STEPS, EmojiMode, PreprocessConfig, Step, TokenStream, run_pipeline
+from modkit.textprep import (
+    ALL_STEPS, PIPELINE_ORDER, EmojiMode, PreprocessConfig, Step, TokenStream, run_pipeline,
+)
 from modkit.vectorize import fit, transform_all
+from _fuzz import messy_text
 from _oracles import central_difference_gradient, nb_log_joint_oracle
 from _sparse import csr, dense, entries
 
@@ -470,6 +474,22 @@ class TestRunConfig:
         assert RunConfig(steps=ALL_STEP_NAMES).preprocess == PreprocessConfig(steps=ALL_STEPS)
         assert Step.EMOJI_ENCODING not in RunConfig().preprocess.steps
 
+    def test_one_spelling_per_experiment(self):
+        """Steps are kept once each in pipeline order, and the float fields
+        and ratios as floats: spellings of one experiment are one config."""
+        spelled = RunConfig(
+            steps=["lemmatization", "lowercasing", "lemmatization"],
+            alpha=1, learning_rate=1, l2=0, ratios=[1, 0, 0],
+        )
+        canonical = RunConfig(
+            steps=("lowercasing", "lemmatization"),
+            alpha=1.0, learning_rate=1.0, l2=0.0, ratios=(1.0, 0.0, 0.0),
+        )
+        assert json.dumps(spelled.asdict()) == json.dumps(canonical.asdict())
+        assert spelled.hash("0" * 64, "cd" * 32) == canonical.hash("0" * 64, "cd" * 32)
+        assert RunConfig(steps=ALL_STEP_NAMES[::-1]).steps == tuple(s.value for s in PIPELINE_ORDER)
+        assert RunConfig().steps == models.DEFAULT_STEPS
+
     @pytest.mark.parametrize(
         "kwargs, name",
         [
@@ -702,3 +722,90 @@ class TestPersistence:
         else:
             assert loaded.weights.tobytes() == model.weights.tobytes()
             assert (loaded.bias, loaded.l2, loaded.epochs) == (model.bias, model.l2, model.epochs)
+
+
+# ---------------------------------------------------------------------------
+# Dataset identity
+
+
+def fuzz_dataset_file(seed: int) -> tuple[random.Random, dict]:
+    """A seeded dataset as the JSON object ``save_dataset`` writes, with
+    non-ASCII ids and messy texts, and the generator that made it."""
+    rng = random.Random(seed)
+    entries = [
+        {"id": f"c{i}{rng.choice(['', 'é', '😂', ' '])}", "text": messy_text(rng), "label": rng.randint(0, 1)}
+        for i in range(rng.randint(2, 30))
+    ]
+    return rng, {"entries": entries}
+
+
+def digest(text: str) -> str:
+    return models.dataset_sha256(corpus.dataset_from_json(text))
+
+
+#: Rewritings of a dataset file that keep its ordered entries.
+SAME_ENTRIES = {
+    "reindented": lambda rng, obj: json.dumps(
+        obj, ensure_ascii=False, indent=rng.choice([None, 0, 1, 4, "\t"])
+    ),
+    "keys_reordered": lambda rng, obj: json.dumps(
+        {"entries": [dict(rng.sample(list(e.items()), 3)) for e in obj["entries"]]}, ensure_ascii=False
+    ),
+    "ascii_escaped": lambda rng, obj: json.dumps(obj, ensure_ascii=True),
+    "float_labels": lambda rng, obj: json.dumps(
+        {"entries": [{**e, "label": float(e["label"])} for e in obj["entries"]]}, ensure_ascii=False
+    ),
+    "trailing_newline": lambda rng, obj: json.dumps(obj, ensure_ascii=False, indent=2) + "\n",
+    "old_provenance": lambda rng, obj: json.dumps(
+        {**obj, "provenance": rng.choice([{e["id"]: "p1" for e in obj["entries"]}, {}, [1], None, 7])},
+        ensure_ascii=False,
+    ),
+}
+
+
+def changed_entries(rng: random.Random, obj: dict, change: str) -> dict:
+    entries = [dict(e) for e in obj["entries"]]
+    i, j = rng.sample(range(len(entries)), 2)
+    if change == "id":
+        entries[i]["id"] += "~"
+    elif change == "text":
+        entries[i]["text"] += rng.choice(["x", " ", "😂", "\u00e9"])
+    elif change == "label":
+        entries[i]["label"] = 1 - entries[i]["label"]
+    else:
+        entries[i], entries[j] = entries[j], entries[i]
+    return {"entries": entries}
+
+
+class TestDatasetSha256:
+    def test_pinned_digest(self):
+        """Pinned dataset identity, checked on every Python version CI
+        runs: a change here moves every run directory."""
+        dataset = LabeledDataset((
+            ("c1", "café ☕ naïve", Label.OFFENSIVE),
+            ("c2", 'lol 😂💀 "ok"', Label.NOT_OFFENSIVE),
+            ("ü3", "", Label.OFFENSIVE),
+        ))
+        canonical = (
+            '[["c1","caf\\u00e9 \\u2615 na\\u00efve",1],'
+            '["c2","lol \\ud83d\\ude02\\ud83d\\udc80 \\"ok\\"",0],["\\u00fc3","",1]]'
+        )
+        assert models.dataset_sha256(dataset) == hashlib.sha256(canonical.encode()).hexdigest()
+        assert models.dataset_sha256(dataset) == (
+            "07ede701782b43dcb55b1a61838e019253c9c9df82a4e0f6213d7e34d867061b"
+        )
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("rewrite", sorted(SAME_ENTRIES))
+    def test_the_same_entries_keep_the_digest(self, tmp_path, rewrite, seed):
+        rng, obj = fuzz_dataset_file(seed)
+        corpus.save_dataset(corpus.dataset_from_json(json.dumps(obj)), tmp_path / "d.json")
+        written = (tmp_path / "d.json").read_bytes().decode("utf-8")
+        assert digest(SAME_ENTRIES[rewrite](rng, obj)) == digest(written), (rewrite, seed)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("change", ["id", "text", "label", "swap"])
+    def test_changed_entries_move_the_digest(self, change, seed):
+        rng, obj = fuzz_dataset_file(seed)
+        changed = changed_entries(rng, obj, change)
+        assert digest(json.dumps(changed)) != digest(json.dumps(obj)), (change, seed)
