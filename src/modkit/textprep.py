@@ -102,19 +102,21 @@ class TokenStream(Frozen):
 class LemmaDictionary(Frozen):
     """Exception table and ordered suffix rules.
 
+    ``suffixes`` are the rules' suffixes, screened in one ``endswith``.
     ``memo`` holds the lemma of every word this instance has lemmatized.
     It belongs to the instance: every dictionary, such as one loaded from
     other tables (another ``MODKIT_DATA_DIR``), starts with an empty memo.
     The tables must not be mutated once the instance is in use.
     """
 
-    __slots__ = ("exceptions", "suffix_rules", "memo")
+    __slots__ = ("exceptions", "suffix_rules", "suffixes", "memo")
 
     def __init__(
         self, exceptions: Mapping[str, str], suffix_rules: tuple[tuple[str, str, int], ...]
     ):
         object.__setattr__(self, "exceptions", exceptions)
         object.__setattr__(self, "suffix_rules", suffix_rules)
+        object.__setattr__(self, "suffixes", tuple(suffix for suffix, _, _ in suffix_rules))
         object.__setattr__(self, "memo", {})
 
 
@@ -286,6 +288,8 @@ def _lemmatize_word(word: str, dictionary: LemmaDictionary) -> str:
     for _ in range(16):
         if current in dictionary.exceptions:
             nxt = dictionary.exceptions[current]
+        elif not current.endswith(dictionary.suffixes):
+            return current
         else:
             nxt = current
             for suffix, replacement, min_stem in dictionary.suffix_rules:

@@ -1,0 +1,96 @@
+"""How far byte-for-byte reaches across numpy's CPU dispatch paths.
+
+numpy picks the SIMD kernels of ``exp``, ``log`` and ``log1p`` at import,
+and the kernels of different targets may round differently. Trained with
+and without numpy's widest targets, a run keeps its TF-IDF and its report
+byte for byte, and its weights within 1e-12 relative.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from modkit import cli
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The dispatch targets the second run turns off.
+WIDE = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+#: Prints the WIDE targets numpy uses, then trains ``argv[2:]`` per model.
+CHILD = """
+import sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+from modkit import cli
+print(" ".join(f for f in sys.argv[1].split() if __cpu_features__.get(f)), flush=True)
+for model in ("nb", "lr"):
+    if cli.main([*sys.argv[2:], "--model", model, "--out", model]):
+        sys.exit(1)
+"""
+
+STEPS = '["lowercasing","emoji_encoding","punctuation_removal","stopword_removal","lemmatization"]'
+
+
+def train_both(work: Path, dataset: Path, disabled: str) -> tuple[str, dict[str, Path]]:
+    """nb and lr trained in a child whose numpy turns off ``disabled``:
+    the WIDE targets the child used, and each model's run directory."""
+    work.mkdir()
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    argv = ["train", "--dataset", str(dataset), "--cycles", "3", "--seed", "2", "--set", f"steps={STEPS}"]
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, " ".join(WIDE), *argv],
+        cwd=work, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    runs = {model: next((work / model).iterdir()) for model in ("nb", "lr")}
+    return proc.stdout.splitlines()[0], runs
+
+
+def assert_close(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.shape == expected.shape
+    assert (np.abs(got - expected) <= 1e-12 * np.abs(expected)).all()
+
+
+def test_runs_agree_without_the_widest_dispatch_targets(tmp_path, separable_paths):
+    targets = [f for f in WIDE if f in __cpu_dispatch__ and __cpu_features__.get(f)]
+    if not targets:
+        pytest.skip(
+            f"numpy {np.__version__} on this host dispatches none of {', '.join(WIDE)}; "
+            "with nothing to turn off, both runs would take the same path"
+        )
+    trees, labels = separable_paths
+    dataset = tmp_path / "dataset.json"
+    ingest = ["ingest", *map(str, trees), "--labels", str(labels), "--out", str(dataset)]
+    assert cli.main(ingest) == 0
+    wide_used, wide = train_both(tmp_path / "wide", dataset, "")
+    narrow_used, narrow = train_both(tmp_path / "narrow", dataset, " ".join(targets))
+    assert wide_used.split() == targets
+    assert narrow_used == ""
+    for model in ("nb", "lr"):
+        for name in ("tfidf.json", "train_report.json"):
+            assert (wide[model] / name).read_bytes() == (narrow[model] / name).read_bytes()
+        got, expected = (json.loads((runs[model] / "model.json").read_text()) for runs in (narrow, wide))
+        if model == "nb":
+            for field in ("log_prior", "log_likelihood"):
+                assert_close(np.array(list(got[field].values())), np.array(list(expected[field].values())))
+        else:
+            assert_close(np.array(got["weights"]), np.array(expected["weights"]))
+            assert_close(np.array([got["bias"]]), np.array([expected["bias"]]))

@@ -270,6 +270,27 @@ class TestAgainstReferences:
         assert models._sigmoid(z).tobytes() == expected.tobytes()
         assert np.isnan(models._sigmoid(np.array([np.nan, 1.0]))[0])
 
+    def test_loss_within_4_ulp_of_logaddexp_form(self):
+        """``max(z, 0) + log1p(exp(-|z|))`` is ``np.logaddexp(0, z)`` within
+        4 ulp with the same zeros; with either label, the loss has the
+        logaddexp form's infinities and NaNs."""
+        rng = np.random.default_rng(23)
+        special = [0.0, 5e-324, 1e-300, 700.0, 745.0, 800.0, np.inf]
+        z = np.concatenate([
+            rng.normal(0, 5, 20000), rng.normal(0, 300, 2000), special, np.negative(special), [np.nan],
+        ])
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            for label in (0.0, 1.0):
+                y = np.full_like(z, label)
+                got, expected = models._cross_entropy(z, y), np.logaddexp(0.0, z) - y * z
+                assert (np.isnan(got) == np.isnan(expected)).all()
+                assert (got[np.isinf(got)] == expected[np.isinf(got)]).all()
+                assert np.isinf(got).sum() == np.isinf(expected).sum() == label
+        finite = z[np.isfinite(z)]
+        got, expected = models._cross_entropy(finite, 0.0), np.logaddexp(0.0, finite)
+        assert ((got == 0) == (expected == 0)).all() and (expected == 0).any()
+        assert (np.abs(got - expected) <= 4 * np.spacing(expected)).all()
+
     def test_nb_mass_and_likelihoods_bit_identical_to_loop(self):
         for seed in (1, 2, 3):
             X, y = tfidf_matrix(seed)

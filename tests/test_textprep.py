@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -13,6 +14,7 @@ from modkit.textprep import (
     ALL_STEPS,
     EmojiMode,
     LemmaDictionary,
+    PIPELINE_ORDER,
     PreprocessConfig,
     STOPWORD_EXTENSIONS,
     Step,
@@ -35,7 +37,7 @@ from modkit.textprep import (
     tokenize,
 )
 
-from _fuzz import WORDS, fuzz_texts, messy_text
+from _fuzz import WORDS, fuzz_texts, messy_text, random_text
 from _oracles import (
     oracle_encode_emojis,
     oracle_is_emoji_char,
@@ -196,6 +198,39 @@ class TestLemmatize:
             assert lemmatize(tuple(words), dictionary) == expected
         assert dictionary.memo == dict(zip(words, expected))
         assert expected != tuple(words)
+
+    def test_suffix_screen_matches_trying_every_rule(self, tmp_path):
+        """A word with no rule suffix is returned after one ``endswith``,
+        and every lemma equals that of the rules tried one by one, for the
+        bundled tables and for a dictionary with its own suffixes."""
+
+        def every_rule_tried(word, dictionary):
+            for _ in range(16):
+                nxt = dictionary.exceptions.get(word, word)
+                if word not in dictionary.exceptions:
+                    for suffix, replacement, min_stem in dictionary.suffix_rules:
+                        if word.endswith(suffix) and len(word) - len(suffix) >= min_stem:
+                            nxt = word[: len(word) - len(suffix)] + replacement
+                            break
+                if nxt == word:
+                    return word
+                word = nxt
+            return word
+
+        (tmp_path / "words.tsv").write_text("went\tgo\n", encoding="utf-8")
+        (tmp_path / "rules.tsv").write_text("ies\ty\t0\nzz\tz\t1\ns\t\t1\n", encoding="utf-8")
+        own = load_lemma_dictionary(tmp_path / "words.tsv", tmp_path / "rules.tsv")
+        bundled = default_lemma_dictionary()
+        assert own.suffixes == ("ies", "zz", "s") and "zz" not in bundled.suffixes
+        assert bundled.suffixes == tuple(suffix for suffix, _, _ in bundled.suffix_rules)
+        stems = {t for text in fuzz_texts(300, 61) for t in tokenize(text.lower())} | set(WORDS)
+        for dictionary in (bundled, own):
+            words = stems | set(dictionary.exceptions) | {
+                stem + suffix for stem in stems for suffix in dictionary.suffixes
+            }
+            for word in sorted(words):
+                expected = every_rule_tried(word, dictionary)
+                assert textprep._lemmatize_word(word, dictionary) == expected, word
 
     def test_memo_belongs_to_the_dictionary(self, tmp_path, monkeypatch):
         """Tables without rules or exceptions give other lemmas in the same
@@ -402,6 +437,29 @@ class TestRunPipeline:
         for i, text in enumerate(fuzz_texts(300, 53)):
             config = configs[i % len(configs)]
             assert run_pipeline(text, config).tokens == compose_by_hand(text, config)
+
+    @pytest.mark.parametrize("mode", list(EmojiMode))
+    def test_chunk_local(self, mode):
+        """For every set of steps, a text's tokens are its whitespace
+        chunks' tokens in order, and its unknown emoji are theirs."""
+        rng = random.Random(67)
+        texts = [random_text(rng) for _ in range(150)] + [messy_text(rng) for _ in range(150)]
+        unknown = 0
+        for n in range(len(PIPELINE_ORDER) + 1):
+            for steps in itertools.combinations(PIPELINE_ORDER, n):
+                config = PreprocessConfig(steps=frozenset(steps), emoji_mode=mode)
+                tables = textprep._step_tables(config)
+                for text in texts:
+                    whole, parts = Counter(), Counter()
+                    tokens = run_pipeline(text, config, unknown_counter=whole, **tables).tokens
+                    assert tokens == tuple(
+                        token
+                        for chunk in text.split()
+                        for token in run_pipeline(chunk, config, unknown_counter=parts, **tables).tokens
+                    ), (text, steps)
+                    assert whole == parts
+                    unknown += whole.total()
+        assert unknown
 
     def test_no_empty_tokens_any_config(self):
         configs = [
