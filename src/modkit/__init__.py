@@ -35,7 +35,9 @@ _EXPORTS = {
         "emoji_frequency", "emoji_presence", "emoji_stats", "export_chart_data",
         "length_histogram", "ngram_counts",
     ),
-    "vectorize": ("CSRMatrix", "TfidfModel", "fit", "load_tfidf", "save_tfidf", "transform_all"),
+    "vectorize": (
+        "CSRMatrix", "TfidfModel", "fit", "load_tfidf", "rows", "save_tfidf", "transform_all",
+    ),
     "wordpiece": (
         "Encoding", "FragmentationRate", "WordPieceVocab", "augment_vocab", "fragmentation_rate",
         "load_vocab", "save_vocab", "wordpiece_encode",

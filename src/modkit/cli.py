@@ -276,6 +276,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "version": __version__,
         "checksums": {name: models.file_sha256(run_dir / name) for name in _ARTIFACTS},
         "timings": {"train_seconds": train_seconds},
+        "numpy": models.numpy_runtime(),
     }
     _atomic.write_text(run_dir / "manifest.json", json.dumps(manifest, indent=2))
     print(f"artifacts -> {run_dir}")

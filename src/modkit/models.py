@@ -6,7 +6,13 @@ Regression is full-batch gradient descent on L2-regularized mean
 cross-entropy. Both are deterministic given their inputs, which keeps
 whole training runs byte-reproducible on one numpy build and CPU
 dispatch; across dispatch paths, whose ``exp``/``log``/``log1p`` may
-differ in the last bit, weights agree within 1e-12 relative.
+differ in the last bit, weights agree within 1e-12 relative. No step
+calls BLAS, so the BLAS core numpy picks does not matter.
+
+Fitting runs on numpy, which the fitting functions import when first
+called. Models are plain floats, and :func:`predict_nb` and
+:func:`predict_lr` score plain-Python rows, so scoring a trained model
+imports no numpy.
 
 :func:`run_cycles` reproduces the multi-cycle protocol: every cycle
 re-splits the dataset 80/10/10 with a fresh seed, trains, scores the
@@ -18,10 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import _atomic
 from ._frozen import Frozen
@@ -39,33 +44,37 @@ from .evaluate import MetricsReport, confusion, metrics
 from .textprep import (
     PIPELINE_ORDER, EmojiMode, PreprocessConfig, Step, TokenStream, _step_tables, run_pipeline,
 )
-from .vectorize import CSRMatrix, TfidfModel, _fit_transform, transform_all
+from .vectorize import CSRMatrix, Rows, TfidfModel, _fit_transform, rows
 
-# Class index convention: column 0 = NOT_OFFENSIVE, column 1 = OFFENSIVE.
+if TYPE_CHECKING:
+    import numpy as np
+
+# Class index convention: index 0 = NOT_OFFENSIVE, index 1 = OFFENSIVE.
 _NOT, _OFF = 0, 1
 #: The classes' names in model.json, by index.
 _CLASSES = ("not_offensive", "offensive")
 
 
 def _as_label_array(y: Sequence[Label]) -> np.ndarray:
+    import numpy as np
     return np.array([1 if label is Label.OFFENSIVE else 0 for label in y])
 
 
-def _check_width(n_features: int, X: CSRMatrix) -> None:
-    if n_features != X.n_cols:
+def _check_width(n_features: int, n_cols: int) -> None:
+    if n_features != n_cols:
         raise SchemaViolationError(
-            f"model has {n_features} features but the TF-IDF vocabulary has {X.n_cols}"
+            f"model has {n_features} features but the TF-IDF vocabulary has {n_cols}"
         )
 
 
 class NBModel(NamedTuple):
-    log_prior: np.ndarray  # shape (2,)
-    log_likelihood: np.ndarray  # shape (2, vocab_size)
+    log_prior: list[float]  # by class index
+    log_likelihood: list[list[float]]  # by class index, then column
     alpha: float
 
     @property
     def vocab_size(self) -> int:
-        return self.log_likelihood.shape[1]
+        return len(self.log_likelihood[0])
 
 
 def train_nb(X: CSRMatrix, y: Sequence[Label], alpha: float = 1.0) -> NBModel:
@@ -75,6 +84,7 @@ def train_nb(X: CSRMatrix, y: Sequence[Label], alpha: float = 1.0) -> NBModel:
     log P(t|c) = ln((mass(t,c) + alpha) / (mass(., c) + alpha * V)).
     Priors are class document fractions.
     """
+    import numpy as np
     if alpha <= 0:
         raise ConfigError(f"alpha must be > 0, got {alpha}")
     if len(X) != len(y):
@@ -89,39 +99,67 @@ def train_nb(X: CSRMatrix, y: Sequence[Label], alpha: float = 1.0) -> NBModel:
     log_prior = np.log(class_counts / len(X))
     totals = mass.sum(axis=1, keepdims=True)
     log_likelihood = np.log(mass + alpha) - np.log(totals + alpha * X.n_cols)
-    return NBModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=alpha)
+    return NBModel(log_prior=log_prior.tolist(), log_likelihood=log_likelihood.tolist(), alpha=alpha)
 
 
 def nb_log_joint(model: NBModel, X: CSRMatrix) -> np.ndarray:
     """Per row: log prior + sum_t x_t * log P(t|c), shape (n_rows, 2)."""
-    _check_width(model.vocab_size, X)
-    return np.stack([X @ ll for ll in model.log_likelihood], axis=1) + model.log_prior
+    import numpy as np
+    _check_width(model.vocab_size, X.n_cols)
+    joints = [X @ np.asarray(ll, dtype=float) for ll in model.log_likelihood]
+    return np.stack(joints, axis=1) + np.asarray(model.log_prior, dtype=float)
 
 
-def predict_nb(model: NBModel, X: CSRMatrix) -> tuple[list[Label], np.ndarray]:
-    """Argmax class of every row and its posterior (log-sum-exp stabilized).
+def _nb_joints(model: NBModel, X: Rows | CSRMatrix) -> list[tuple[float, float]]:
+    """Per row: log prior + sum_t x_t * log P(t|c), by class index, in
+    plain Python: the products added one at a time in column order, as
+    :func:`nb_log_joint` adds them."""
+    _check_width(model.vocab_size, X.n_cols)
+    (prior_not, prior_off), (ll_not, ll_off) = model.log_prior, model.log_likelihood
+    joints = []
+    for columns, values in X:
+        joint_not = joint_off = 0.0
+        for column, value in zip(columns, values):
+            joint_not += value * ll_not[column]
+            joint_off += value * ll_off[column]
+        joints.append((joint_not + prior_not, joint_off + prior_off))
+    return joints
+
+
+def predict_nb(model: NBModel, X: Rows | CSRMatrix) -> tuple[list[Label], list[float]]:
+    """Argmax class of every row of ``X``, from
+    :func:`~modkit.vectorize.rows` or a ``CSRMatrix``, and its posterior
+    (log-sum-exp stabilized). :class:`SchemaViolationError` when ``X`` is
+    not as wide as the model.
 
     Exact ties go to NOT_OFFENSIVE, the conservative moderation default.
     """
-    scores = nb_log_joint(model, X)
-    posterior = np.exp(scores - scores.max(axis=1, keepdims=True))
-    posterior /= posterior.sum(axis=1, keepdims=True)
-    offensive = scores[:, _OFF] > scores[:, _NOT]
-    labels = [Label.OFFENSIVE if off else Label.NOT_OFFENSIVE for off in offensive]
-    return labels, np.where(offensive, posterior[:, _OFF], posterior[:, _NOT])
+    labels, posteriors = [], []
+    for joint_not, joint_off in _scores(_nb_joints, model, X):
+        top = max(joint_not, joint_off)
+        e_not, e_off = math.exp(joint_not - top), math.exp(joint_off - top)
+        offensive = joint_off > joint_not
+        labels.append(Label.OFFENSIVE if offensive else Label.NOT_OFFENSIVE)
+        posteriors.append((e_off if offensive else e_not) / (e_not + e_off))
+    return labels, posteriors
 
 
 class LRModel(NamedTuple):
-    weights: np.ndarray
+    weights: list[float]  # by column
     bias: float
     l2: float
     learning_rate: float
     epochs: int
     loss_history: tuple[float, ...] = ()
 
+    @property
+    def vocab_size(self) -> int:
+        return len(self.weights)
+
 
 def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     # two-branch form never exponentiates a positive argument; e = exp(-|z|)
+    import numpy as np
     e = np.exp(-np.abs(z)) if e is None else e
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
@@ -129,6 +167,7 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
 def _cross_entropy(z: np.ndarray, y: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     # log(1 + e^z) - y*z  ==  -[y log p + (1-y) log(1-p)], with
     # log(1 + e^z) = max(z, 0) + log1p(exp(-|z|)) from the sigmoid's e
+    import numpy as np
     e = np.exp(-np.abs(z)) if e is None else e
     return np.maximum(z, 0.0) + np.log1p(e) - y * z
 
@@ -140,13 +179,16 @@ def lr_loss(
 
     The bias is not regularized. The gradient check passes dense arrays.
     """
+    import numpy as np
     per_example = _cross_entropy(X @ weights + bias, y)
-    return float(np.add.reduce(per_example) / len(per_example) + 0.5 * l2 * (weights @ weights))
+    l2_term = 0.5 * l2 * np.add.reduce(weights * weights)
+    return float(np.add.reduce(per_example) / len(per_example) + l2_term)
 
 
 def lr_gradients(
     weights: np.ndarray, bias: float, X: CSRMatrix | np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
+    import numpy as np
     residual = _sigmoid(X @ weights + bias) - y
     return (residual @ X) / len(y) + l2 * weights, float(np.add.reduce(residual) / len(residual))
 
@@ -182,10 +224,12 @@ def _train_lr_folds(
     sigmoid of the next. Products, sigmoid and updates are elementwise or
     summed in storage order within a fold; the bias gradient and the loss
     are summed per fold over its contiguous slice, and the L2 term is the
-    fold's own ``w @ w``. So each model, its ``loss_history`` included,
-    equals bit for bit the descent on its fold alone. A loss that is not
-    finite in any fold raises :class:`NonFiniteLossError`.
+    fold's own ``np.add.reduce(w * w)``. So each model, its
+    ``loss_history`` included, equals bit for bit the descent on its fold
+    alone. A loss that is not finite in any fold raises
+    :class:`NonFiniteLossError`.
     """
+    import numpy as np
     labels = []
     for X, y in folds:
         if len(X) != len(y):
@@ -212,7 +256,7 @@ def _train_lr_folds(
         return np.array([np.add.reduce(values[rows]) for rows in row_slices])
 
     def losses(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-        squares = np.array([w @ w for w in fold_weights])
+        squares = np.array([np.add.reduce(w * w) for w in fold_weights])
         return fold_sums(_cross_entropy(z, y, e)) / n_rows + 0.5 * l2 * squares
 
     # divergence is detected via the finiteness check, so numpy's own
@@ -236,7 +280,7 @@ def _train_lr_folds(
     history_of = np.array(history).T.tolist()
     return [
         LRModel(
-            weights=w.copy(),
+            weights=w.tolist(),
             bias=b,
             l2=l2,
             learning_rate=learning_rate,
@@ -247,12 +291,60 @@ def _train_lr_folds(
     ]
 
 
-def predict_lr(model: LRModel, X: CSRMatrix) -> tuple[list[Label], np.ndarray]:
-    """Probability sigmoid(w.x + b) of every row; OFFENSIVE iff it is >= 0.5."""
-    _check_width(len(model.weights), X)
-    probability = _sigmoid(X @ model.weights + model.bias)
+def _lr_margins(model: LRModel, X: Rows | CSRMatrix) -> list[float]:
+    """Per row: w.x + b, in plain Python: the products added one at a
+    time in column order, then the bias."""
+    _check_width(model.vocab_size, X.n_cols)
+    weights, bias = model.weights, model.bias
+    margins = []
+    for columns, values in X:
+        margin = 0.0
+        for column, value in zip(columns, values):
+            margin += value * weights[column]
+        margins.append(margin + bias)
+    return margins
+
+
+def _probability(z: float) -> float:
+    # the two-branch sigmoid, which never exponentiates a positive argument
+    e = math.exp(-abs(z))
+    return (1.0 if z >= 0 else e) / (1.0 + e)
+
+
+def predict_lr(model: LRModel, X: Rows | CSRMatrix) -> tuple[list[Label], list[float]]:
+    """Probability sigmoid(w.x + b) of every row of ``X``, as
+    :func:`predict_nb` takes them; OFFENSIVE iff it is >= 0.5."""
+    probability = [_probability(z) for z in _scores(_lr_margins, model, X)]
     labels = [Label.OFFENSIVE if p >= 0.5 else Label.NOT_OFFENSIVE for p in probability]
     return labels, probability
+
+
+def _scores(score, model: NBModel | LRModel, X: Rows | CSRMatrix) -> list:
+    """``score(model, X)``, with a column past the model's features, which
+    a row built by hand may hold, as :class:`SchemaViolationError`."""
+    try:
+        return score(model, X)
+    except IndexError:
+        raise SchemaViolationError(
+            f"a row has a column past the model's {model.vocab_size} features"
+        ) from None
+
+
+def numpy_runtime() -> dict:
+    """numpy's version and the SIMD targets it runs on this CPU: its
+    baseline, then each dispatch target the CPU has and the environment
+    leaves on."""
+    import numpy as np
+    try:
+        from numpy._core._multiarray_umath import (
+            __cpu_baseline__, __cpu_dispatch__, __cpu_features__,
+        )
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import (
+            __cpu_baseline__, __cpu_dispatch__, __cpu_features__,
+        )
+    used = [*__cpu_baseline__, *(f for f in __cpu_dispatch__ if __cpu_features__.get(f))]
+    return {"version": np.__version__, "simd": used}
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +519,7 @@ def _train_all(
     return _train_lr_folds(folds, config.learning_rate, config.epochs, config.l2)
 
 
-def _score(model: NBModel | LRModel, X: CSRMatrix, y: Sequence[Label], name: str) -> MetricsReport:
+def _score(model: NBModel | LRModel, X: Rows, y: Sequence[Label], name: str) -> MetricsReport:
     predict = predict_nb if isinstance(model, NBModel) else predict_lr
     y_pred, _ = predict(model, X)
     return metrics(confusion(y, y_pred), variant_name=name)
@@ -440,7 +532,9 @@ def evaluate_on(
     config: RunConfig,
     stoplist: frozenset[str] | None = None,
 ) -> MetricsReport:
-    X = transform_all(tfidf, _preprocess_all(dataset, config.preprocess, stoplist))
+    """The metrics of ``model`` on ``dataset``, featurized by ``tfidf``;
+    :class:`SchemaViolationError` when their widths differ."""
+    X = rows(tfidf, _preprocess_all(dataset, config.preprocess, stoplist))
     return _score(model, X, dataset.labels(), config.name)
 
 
@@ -457,10 +551,12 @@ def run_cycles(
     comment is preprocessed once per run; each cycle fits TF-IDF on its
     own train fold only. Reports are named ``config.name``.
 
-    All cycles are split, fitted and transformed first. NB then trains
-    per cycle, and LR trains every cycle in one shared descent (see
-    :func:`_train_lr_folds`) whose models equal, bit for bit, those of
-    :func:`train_lr` on each cycle's train fold.
+    All cycles are split, fitted and transformed first: the train fold
+    to a numpy matrix, the validation and test folds to the plain-Python
+    :func:`~modkit.vectorize.rows` that :func:`evaluate_on` scores too.
+    NB then trains per cycle, and LR trains every cycle in one shared
+    descent (see :func:`_train_lr_folds`) whose models equal, bit for
+    bit, those of :func:`train_lr` on each cycle's train fold.
     """
     stream_of = dict(zip(dataset.ids(), _preprocess_all(dataset, config.preprocess, stoplist)))
 
@@ -473,8 +569,8 @@ def run_cycles(
         parts = split(dataset, config.ratios, seed)
         tfidf, train_X = _fit_transform(streams(parts[0]))
         featurizers.append(tfidf)
-        rows = [train_X, *(transform_all(tfidf, streams(part)) for part in parts[1:])]
-        folds.append([(X, part.labels()) for X, part in zip(rows, parts)])
+        features = [train_X, *(rows(tfidf, streams(part)) for part in parts[1:])]
+        folds.append([(X, part.labels()) for X, part in zip(features, parts)])
     trained = _train_all([train for train, _, _ in folds], config)
     name = config.name
     results = [
@@ -508,12 +604,12 @@ def save_model(model: NBModel | LRModel, path: str | Path) -> None:
         obj = {
             "kind": "nb",
             "alpha": model.alpha,
-            "log_prior": dict(zip(_CLASSES, model.log_prior.tolist())),
-            "log_likelihood": dict(zip(_CLASSES, model.log_likelihood.tolist())),
+            "log_prior": dict(zip(_CLASSES, model.log_prior)),
+            "log_likelihood": dict(zip(_CLASSES, map(list, model.log_likelihood))),
         }
     else:
         hyper = {"learning_rate": model.learning_rate, "epochs": model.epochs, "l2": model.l2}
-        weights = model.weights.tolist()
+        weights = list(model.weights)  # a model built by hand may hold a numpy array
         obj = {"kind": "lr", "bias": model.bias, "weights": weights, "hyperparams": hyper}
     _atomic.write_text(path, json.dumps(obj, ensure_ascii=False))
 
@@ -526,14 +622,14 @@ def load_model(path: str | Path) -> NBModel | LRModel:
     try:
         if kind == "nb":
             prior = [obj["log_prior"][name] for name in _CLASSES]
-            rows = [obj["log_likelihood"][name] for name in _CLASSES]
-            if not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows) or not all(
-                map(is_number, [*rows[0], *rows[1], *prior, obj["alpha"]])
+            ll = [obj["log_likelihood"][name] for name in _CLASSES]
+            if not all(isinstance(row, list) and len(row) == len(ll[0]) for row in ll) or not all(
+                map(is_number, [*ll[0], *ll[1], *prior, obj["alpha"]])
             ):
                 raise ValueError("log_likelihood rows need one number per term each")
             return NBModel(
-                log_prior=np.array(prior, dtype=float),
-                log_likelihood=np.array(rows, dtype=float),
+                log_prior=list(map(float, prior)),
+                log_likelihood=[list(map(float, row)) for row in ll],
                 alpha=obj["alpha"],
             )
         hyper, weights, bias = obj["hyperparams"], obj["weights"], obj["bias"]
@@ -542,7 +638,7 @@ def load_model(path: str | Path) -> NBModel | LRModel:
         ):
             raise ValueError("weights, bias and hyperparameters must be numbers")
         return LRModel(
-            weights=np.array(weights, dtype=float),
+            weights=list(map(float, weights)),
             bias=float(bias),
             l2=hyper["l2"],
             learning_rate=hyper["learning_rate"],

@@ -4,6 +4,11 @@ Weighting is raw term frequency times smoothed inverse document
 frequency, idf(t) = ln((1 + N) / (1 + df(t))) + 1, followed by L2
 normalization. The smoothing keeps idf >= 1, so downstream multinomial
 models never see negative feature mass.
+
+A model is fitted on a numpy :class:`CSRMatrix` (:func:`fit`,
+:func:`transform_all`), and scored on the plain-Python :func:`rows`, the
+same rows bit for bit. Only fitting imports numpy, inside the functions
+that use it, so scoring never loads it.
 """
 
 from __future__ import annotations
@@ -12,14 +17,15 @@ import json
 import math
 from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _atomic
 from ._frozen import Frozen
 from .errors import ModkitError, SchemaViolationError, is_number, load_json, read_json_text
 from .textprep import TokenStream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CSRMatrix(Frozen):
@@ -29,7 +35,8 @@ class CSRMatrix(Frozen):
 
     Only the two products the classifiers need are offered, ``X @ v``
     and ``r @ X``. Both accumulate with ``np.bincount`` in storage
-    order, so results do not depend on a BLAS build.
+    order, so results do not depend on a BLAS build. Iterating gives
+    each row as the ``(columns, values)`` pair of lists the scorers read.
     """
 
     __slots__ = ("indptr", "indices", "data", "n_cols", "_row_of")
@@ -44,10 +51,16 @@ class CSRMatrix(Frozen):
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
+    def __iter__(self):
+        bounds, columns, values = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            yield columns[a:b], values[a:b]
+
     @classmethod
     def block_diagonal(cls, blocks: Sequence[CSRMatrix]) -> CSRMatrix:
         """The blocks' rows in order, each block's columns after those of
         the blocks before it; every row keeps its entries and their order."""
+        import numpy as np
         nnz = [0, *accumulate(len(block.data) for block in blocks)]
         width = [0, *accumulate(block.n_cols for block in blocks)]
         return cls(
@@ -61,24 +74,27 @@ class CSRMatrix(Frozen):
     def _rows(self) -> np.ndarray:
         """The row of each stored entry, computed on first use."""
         if self._row_of is None:
+            import numpy as np
             rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
             object.__setattr__(self, "_row_of", rows)
         return self._row_of
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """X @ v for a vector of length n_cols."""
+        import numpy as np
         products = self.data * v.take(self.indices)
         return np.bincount(self._rows, weights=products, minlength=len(self))
 
     def __rmatmul__(self, r: np.ndarray) -> np.ndarray:
         """r @ X for a vector of length n_rows."""
+        import numpy as np
         products = self.data * r.take(self._rows)
         return np.bincount(self.indices, weights=products, minlength=self.n_cols)
 
 
 class TfidfModel(NamedTuple):
     vocabulary: dict[str, int]  # term -> column, assigned in first-seen order
-    idf: np.ndarray
+    idf: list[float]  # by column
     doc_count: int
 
     @property
@@ -87,7 +103,7 @@ class TfidfModel(NamedTuple):
 
 
 #: Rows, columns and counts of (stream, term) pairs, as :func:`_term_counts` gives them.
-_TermCounts = tuple[np.ndarray, np.ndarray, np.ndarray]
+_TermCounts = tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 
 
 def _term_counts(vocabulary: dict[str, int], corpus: Sequence[TokenStream]) -> _TermCounts:
@@ -98,6 +114,7 @@ def _term_counts(vocabulary: dict[str, int], corpus: Sequence[TokenStream]) -> _
     ``row * n_cols + column`` gives each row's columns in order with their
     counts.
     """
+    import numpy as np
     n_cols = len(vocabulary)
     columns = np.fromiter(
         map(vocabulary.get, chain.from_iterable(s.tokens for s in corpus), repeat(-1)),
@@ -118,6 +135,7 @@ def fit(corpus: Sequence[TokenStream]) -> TfidfModel:
 
 def _fit_counted(corpus: Sequence[TokenStream]) -> tuple[TfidfModel, _TermCounts]:
     """:func:`fit`'s model and the :func:`_term_counts` of ``corpus`` it comes from."""
+    import numpy as np
     if len(corpus) == 0:
         raise ModkitError("cannot fit TF-IDF on an empty corpus")
     terms = dict.fromkeys(chain.from_iterable(s.tokens for s in corpus))
@@ -125,7 +143,7 @@ def _fit_counted(corpus: Sequence[TokenStream]) -> tuple[TfidfModel, _TermCounts
     counts = _term_counts(vocabulary, corpus)
     n = len(corpus)
     df = np.bincount(counts[1], minlength=len(vocabulary)).tolist()
-    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df], dtype=float)
+    idf = [math.log((1 + n) / (1 + d)) + 1.0 for d in df]
     return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n), counts
 
 
@@ -144,24 +162,69 @@ def transform_all(model: TfidfModel, corpus: Sequence[TokenStream]) -> CSRMatrix
 def _tfidf_rows(model: TfidfModel, n_rows: int, counts: _TermCounts) -> CSRMatrix:
     """The rows of :func:`transform_all` from the streams' :func:`_term_counts`.
 
-    Each row is divided by ``sqrt(x @ x)``, the norm ``np.linalg.norm``
-    takes, so the rows are those of a per-document loop bit for bit.
+    Each row is divided by the square root of its squares summed one at a
+    time in column order (``np.bincount``), the sum :func:`rows` takes, so
+    a row has the same bits from either function.
     """
+    import numpy as np
     row_of, indices, term_counts = counts
-    data = term_counts * model.idf[indices]
+    data = term_counts * np.asarray(model.idf, dtype=float)[indices]
     indptr = np.zeros(n_rows + 1, dtype=np.intp)
     np.cumsum(np.bincount(row_of, minlength=n_rows), out=indptr[1:])
-    bounds = indptr.tolist()
-    norms = np.sqrt([data[a:b] @ data[a:b] for a, b in zip(bounds, bounds[1:])])
+    norms = np.sqrt(np.bincount(row_of, weights=data * data, minlength=n_rows))
     data /= np.repeat(norms, np.diff(indptr))
     return CSRMatrix(indptr=indptr, indices=indices, data=data, n_cols=model.vocab_size)
+
+
+#: A scoring row: a stream's known terms by column, increasing, and their weights.
+Row = tuple[list[int], list[float]]
+
+
+class Rows(list):
+    """The :data:`Row` of each stream, and ``n_cols``, the width of the
+    TF-IDF that built them, which a scorer checks against its model."""
+
+    __slots__ = ("n_cols",)
+
+    def __init__(self, rows: Iterable[Row], n_cols: int):
+        super().__init__(rows)
+        self.n_cols = n_cols
+
+
+def rows(model: TfidfModel, corpus: Sequence[TokenStream]) -> Rows:
+    """One ``(columns, values)`` row per stream, in plain Python: each
+    known term's count times its idf, in column order, divided by the
+    square root of the squares added one at a time in that order. These
+    are, bit for bit, the rows of :func:`transform_all`, whose norm adds
+    the same way; a stream without known tokens is an empty row. A row
+    whose squares all round to zero (idf values far below 1, which no fit
+    gives) raises :class:`ModkitError`."""
+    column_of, idf = model.vocabulary.get, model.idf
+    out = []
+    for i, stream in enumerate(corpus):
+        counts: dict[int, int] = {}
+        for column in map(column_of, stream.tokens):
+            if column is not None:
+                counts[column] = counts.get(column, 0) + 1
+        columns = sorted(counts)
+        values = [counts[column] * idf[column] for column in columns]
+        squares = 0.0
+        for value in values:
+            squares += value * value
+        if squares:
+            norm = math.sqrt(squares)
+            values = [value / norm for value in values]
+        elif values:
+            raise ModkitError(f"TF-IDF row {i} has no norm: its terms' idf values are too small")
+        out.append((columns, values))
+    return Rows(out, model.vocab_size)
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
     """Write ``{"doc_count", "terms": [...], "idf": [...]}``: the terms in
     column order, and each term's idf at its position."""
     terms = sorted(model.vocabulary, key=model.vocabulary.__getitem__)
-    obj = {"doc_count": model.doc_count, "terms": terms, "idf": model.idf.tolist()}
+    obj = {"doc_count": model.doc_count, "terms": terms, "idf": list(model.idf)}
     _atomic.write_text(path, json.dumps(obj, ensure_ascii=False))
 
 
@@ -184,6 +247,6 @@ def load_tfidf(path: str | Path) -> TfidfModel:
         )
     return TfidfModel(
         vocabulary={term: i for i, term in enumerate(terms)},
-        idf=np.array(idf, dtype=float),
+        idf=list(map(float, idf)),
         doc_count=obj["doc_count"],
     )

@@ -824,10 +824,11 @@ class TestRunDirValidation:
             lambda tfidf: tfidf["terms"].__setitem__(3, ["term"]),
             lambda tfidf: tfidf["idf"].__setitem__(3, "high"),
             lambda tfidf: tfidf["idf"].__setitem__(3, 10**400),
+            lambda tfidf: tfidf.__setitem__("idf", [0.0] * len(tfidf["idf"])),
         ],
         ids=[
             "no_idf", "no_terms", "idf_shorter", "duplicate_term", "term_not_string",
-            "term_is_list", "idf_not_number", "idf_beyond_float",
+            "term_is_list", "idf_not_number", "idf_beyond_float", "idf_all_zero",
         ],
     )
     def test_damaged_tfidf_exits_3(self, tmp_path, separable_paths, capsys, damage):

@@ -1,9 +1,13 @@
-"""How far byte-for-byte reaches across numpy's CPU dispatch paths.
+"""How far byte-for-byte reaches across numpy's CPU dispatch paths and
+OpenBLAS's cores.
 
 numpy picks the SIMD kernels of ``exp``, ``log`` and ``log1p`` at import,
 and the kernels of different targets may round differently. Trained with
 and without numpy's widest targets, a run keeps its TF-IDF and its report
-byte for byte, and its weights within 1e-12 relative.
+byte for byte, and its weights within 1e-12 relative. OpenBLAS picks a
+core for the CPU at load, and its cores sum a ``ddot`` in different
+orders; no step of a run calls BLAS, so a run is byte-identical under any
+core.
 """
 
 from __future__ import annotations
@@ -43,22 +47,38 @@ for model in ("nb", "lr"):
         sys.exit(1)
 """
 
+#: Prints the bits of ``v @ v`` for seeded vectors of 2 to 64 entries.
+DDOT_PROBE = """
+import random
+import numpy as np
+rng = random.Random(0)
+vectors = [np.array([rng.random() for _ in range(n)]) for n in range(2, 65)]
+print(b"".join((v @ v).tobytes() for v in vectors).hex())
+"""
+
 STEPS = '["lowercasing","emoji_encoding","punctuation_removal","stopword_removal","lemmatization"]'
 
+#: The environment variables that pick numpy's SIMD targets and OpenBLAS's
+#: core; a child inherits none of them, only those it is given.
+PICKERS = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
 
-def train_both(work: Path, dataset: Path, disabled: str) -> tuple[str, dict[str, Path]]:
-    """nb and lr trained in a child whose numpy turns off ``disabled``:
-    the WIDE targets the child used, and each model's run directory."""
-    work.mkdir()
-    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+
+def child(work: Path, *args: str, **pickers: str) -> subprocess.CompletedProcess:
+    env = {key: value for key, value in os.environ.items() if key not in PICKERS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    if disabled:
-        env["NPY_DISABLE_CPU_FEATURES"] = disabled
-    argv = ["train", "--dataset", str(dataset), "--cycles", "3", "--seed", "2", "--set", f"steps={STEPS}"]
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, " ".join(WIDE), *argv],
-        cwd=work, env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], cwd=work, env={**env, **pickers},
+        capture_output=True, text=True, timeout=120,
     )
+
+
+def train_both(work: Path, dataset: Path, **pickers: str) -> tuple[str, dict[str, Path]]:
+    """nb and lr trained in a child given the ``pickers`` environment
+    variables: the WIDE targets the child used, and each model's run
+    directory."""
+    work.mkdir()
+    argv = ["train", "--dataset", str(dataset), "--cycles", "3", "--seed", "2", "--set", f"steps={STEPS}"]
+    proc = child(work, "-c", CHILD, " ".join(WIDE), *argv, **pickers)
     assert proc.returncode == 0, proc.stderr[-2000:]
     runs = {model: next((work / model).iterdir()) for model in ("nb", "lr")}
     return proc.stdout.splitlines()[0], runs
@@ -80,8 +100,10 @@ def test_runs_agree_without_the_widest_dispatch_targets(tmp_path, separable_path
     dataset = tmp_path / "dataset.json"
     ingest = ["ingest", *map(str, trees), "--labels", str(labels), "--out", str(dataset)]
     assert cli.main(ingest) == 0
-    wide_used, wide = train_both(tmp_path / "wide", dataset, "")
-    narrow_used, narrow = train_both(tmp_path / "narrow", dataset, " ".join(targets))
+    wide_used, wide = train_both(tmp_path / "wide", dataset)
+    narrow_used, narrow = train_both(
+        tmp_path / "narrow", dataset, NPY_DISABLE_CPU_FEATURES=" ".join(targets)
+    )
     assert wide_used.split() == targets
     assert narrow_used == ""
     for model in ("nb", "lr"):
@@ -94,3 +116,27 @@ def test_runs_agree_without_the_widest_dispatch_targets(tmp_path, separable_path
         else:
             assert_close(np.array(got["weights"]), np.array(expected["weights"]))
             assert_close(np.array([got["bias"]]), np.array([expected["bias"]]))
+
+
+def test_runs_are_byte_identical_under_two_openblas_cores(tmp_path, separable_paths):
+    probes = [
+        child(tmp_path, "-c", DDOT_PROBE, **pickers) for pickers in ({}, {"OPENBLAS_CORETYPE": "Haswell"})
+    ]
+    if any(probe.returncode for probe in probes):
+        pytest.skip(f"a ddot probe did not run here: {[p.stderr[-300:] for p in probes]}")
+    if probes[0].stdout == probes[1].stdout:
+        pytest.skip(
+            f"numpy {np.__version__} computes the same ddot bits with and without "
+            "OPENBLAS_CORETYPE=Haswell here (its BLAS picks no core at run time, or Haswell "
+            "is the core it picks), so the two runs could not differ"
+        )
+    trees, labels = separable_paths
+    dataset = tmp_path / "dataset.json"
+    ingest = ["ingest", *map(str, trees), "--labels", str(labels), "--out", str(dataset)]
+    assert cli.main(ingest) == 0
+    _, default = train_both(tmp_path / "default", dataset)
+    _, haswell = train_both(tmp_path / "haswell", dataset, OPENBLAS_CORETYPE="Haswell")
+    for model in ("nb", "lr"):
+        for name in ("model.json", "tfidf.json", "train_report.json"):
+            got, expected = ((runs[model] / name).read_bytes() for runs in (haswell, default))
+            assert got == expected, (model, name)

@@ -144,7 +144,7 @@ KINDS = [
     Kind("dataset", "dataset.json", "balance --dataset {w}/dataset.json --out {w}/b.json"),
     Kind("config", "config.json", "train --config {w}/config.json --dataset {w}/dataset.json --out {w}/r"),
     Kind("report", "report.json", "report --inputs {w}/report.json --out {w}/merged"),
-    Kind("manifest", "run/manifest.json", EVAL, unread=(("version",), ("timings",))),
+    Kind("manifest", "run/manifest.json", EVAL, unread=(("version",), ("timings",), ("numpy",))),
     Kind("tfidf", "run/tfidf.json", EVAL),
     Kind("model_nb", "run/model.json", EVAL),
     Kind("model_lr", "run_lr/model.json", "eval --run {w}/run_lr --dataset {w}/dataset.json"),

@@ -70,8 +70,14 @@ LIBRARY = ("_rng", "corpus", "textprep", "analytics", "vectorize", "wordpiece", 
 EAGER = {"cli", "errors", "_atomic"}
 #: Executed by every command that reads a dataset.
 CORPUS = {"corpus", "_frozen", "_rng"}
+#: Executed by ``eval``, which scores a trained run in plain Python.
+SCORING = {"_resources", "textprep", "vectorize", "models", "evaluate"}
+#: The standard modules a command loads of ``dataclasses``, ``hashlib`` and
+#: ``inspect``: ``eval`` checks the run's files by their sha256.
+STDLIB = {"eval": ["hashlib"], "eval_full": ["hashlib"]}
 
-#: Every name ``modkit`` re-exported when it imported its submodules eagerly.
+#: Every name ``modkit`` re-exports, by submodule: those it re-exported when
+#: it imported its submodules eagerly, and ``rows``.
 EXPORTED = {
     "corpus": (
         "Comment", "CommentTree", "Label", "LabeledDataset", "LexiconCategory", "LexiconEntry",
@@ -89,7 +95,9 @@ EXPORTED = {
         "emoji_frequency", "emoji_presence", "emoji_stats", "export_chart_data",
         "length_histogram", "ngram_counts",
     ),
-    "vectorize": ("CSRMatrix", "TfidfModel", "fit", "load_tfidf", "save_tfidf", "transform_all"),
+    "vectorize": (
+        "CSRMatrix", "TfidfModel", "fit", "load_tfidf", "rows", "save_tfidf", "transform_all",
+    ),
     "wordpiece": (
         "Encoding", "FragmentationRate", "WordPieceVocab", "augment_vocab", "fragmentation_rate",
         "load_vocab", "save_vocab", "wordpiece_encode",
@@ -139,6 +147,9 @@ def states(tmp_path_factory, separable_paths) -> dict[str, dict]:
     states = {name: probe(work, *argv) for name, argv in commands.items()}
     (run_dir,) = (work / "runs").iterdir()
     states["eval"] = probe(work, "eval", "--run", str(run_dir), "--dataset", balanced)
+    states["eval_full"] = probe(
+        work, "eval", "--run", str(run_dir), "--dataset", dataset, "--full", "--out", str(work / "full")
+    )
     states["bert_prep"] = probe(work, balanced, script=BERT_PREP)
     return states
 
@@ -153,13 +164,15 @@ def states(tmp_path_factory, separable_paths) -> dict[str, dict]:
         ("report", EAGER | CORPUS | {"_resources", "evaluate"}),
         ("version", EAGER),
         ("bert_prep", {"errors", "_atomic"} | CORPUS | {"_resources", "textprep", "wordpiece"}),
+        ("eval", EAGER | CORPUS | SCORING),
+        ("eval_full", EAGER | CORPUS | SCORING),
     ],
 )
 def test_command_executes_only_what_it_uses(states, command, executed):
     state = states[command]
     assert set(state["executed"]) == executed
     assert state["numpy"] == []
-    assert state["stdlib"] == []
+    assert state["stdlib"] == STDLIB.get(command, [])
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

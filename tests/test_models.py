@@ -24,6 +24,7 @@ from modkit.models import (
     LRModel,
     NBModel,
     RunConfig,
+    evaluate_on,
     load_model,
     lr_gradients,
     lr_loss,
@@ -40,7 +41,7 @@ from modkit.evaluate import ConfusionMatrix, metrics
 from modkit.textprep import (
     ALL_STEPS, PIPELINE_ORDER, EmojiMode, PreprocessConfig, Step, TokenStream, run_pipeline,
 )
-from modkit.vectorize import fit, transform_all
+from modkit.vectorize import Rows, TfidfModel, fit, rows, transform_all
 from _fuzz import messy_text
 from _oracles import central_difference_gradient, nb_log_joint_oracle
 from _sparse import csr, dense, entries
@@ -56,21 +57,17 @@ BAD_GOOD_Y = [OFF, NOT]
 
 
 def predict_one(predict, model, row: dict[int, float]) -> tuple[Label, float]:
-    labels, probabilities = predict(model, csr([row], model_width(model)))
+    labels, probabilities = predict(model, csr([row], model.vocab_size))
     return labels[0], float(probabilities[0])
-
-
-def model_width(model) -> int:
-    return model.vocab_size if isinstance(model, NBModel) else len(model.weights)
 
 
 class TestTrainNB:
     def test_counting_example(self):
         model = train_nb(BAD_GOOD_X, BAD_GOOD_Y, alpha=1.0)
         off, not_ = 1, 0
-        assert math.exp(model.log_likelihood[off, 0]) == pytest.approx(0.75)
-        assert math.exp(model.log_likelihood[off, 1]) == pytest.approx(0.25)
-        assert math.exp(model.log_likelihood[not_, 0]) == pytest.approx(1 / 3)
+        assert math.exp(model.log_likelihood[off][0]) == pytest.approx(0.75)
+        assert math.exp(model.log_likelihood[off][1]) == pytest.approx(0.25)
+        assert math.exp(model.log_likelihood[not_][0]) == pytest.approx(1 / 3)
         assert np.exp(model.log_prior).tolist() == pytest.approx([0.5, 0.5])
 
     def test_disjoint_vocab_separates(self):
@@ -219,7 +216,7 @@ class TestTrainLR:
         y = [OFF, NOT, OFF]
         a = train_lr(X, y, epochs=50)
         b = train_lr(X, y, epochs=50)
-        assert a.weights.tolist() == b.weights.tolist()
+        assert a.weights == b.weights
         assert a.bias == b.bias
 
 
@@ -302,16 +299,17 @@ class TestAgainstReferences:
             totals = mass.sum(axis=1, keepdims=True)
             expected = np.log(mass + 0.5) - np.log(totals + 0.5 * X.n_cols)
             model = train_nb(X, y, alpha=0.5)
-            assert model.log_likelihood.tolist() == expected.tolist()
+            assert model.log_likelihood == expected.tolist()
 
     def test_nb_joint_matches_loop(self):
         X, y = tfidf_matrix(4)
         model = train_nb(X, y)
         joints = nb_log_joint(model, X)
+        log_likelihood = np.array(model.log_likelihood)
         for row in range(len(X)):
-            expected = model.log_prior.copy()
+            expected = np.array(model.log_prior)
             for column, weight in entries(X, row):
-                expected += weight * model.log_likelihood[:, column]
+                expected += weight * log_likelihood[:, column]
             assert np.all(np.abs(joints[row] - expected) <= 1e-12 * np.abs(expected))
 
     def test_train_lr_matches_dense_descent(self):
@@ -342,9 +340,64 @@ class TestAgainstReferences:
     def test_width_mismatch_raises(self):
         X, y = tfidf_matrix(8)
         narrow = csr([{0: 1.0}], X.n_cols - 1)
+        terms = [f"w{i}" for i in range(X.n_cols - 1)]
+        vocabulary = {term: i for i, term in enumerate(terms)}
+        tfidf = TfidfModel(vocabulary=vocabulary, idf=[1.0] * len(terms), doc_count=1)
+        data = LabeledDataset(entries=(("a", "w0", OFF), ("b", "w1", NOT)))
+        narrow_rows = rows(tfidf, [TokenStream(("w0",))])
+        wide = csr([{0: 1.0}], X.n_cols + 1)
         for model, predict in ((train_nb(X, y), predict_nb), (train_lr(X, y, epochs=5), predict_lr)):
+            for features in (narrow, narrow_rows, wide):
+                with pytest.raises(SchemaViolationError, match="features"):
+                    predict(model, features)
             with pytest.raises(SchemaViolationError, match="features"):
-                predict(model, narrow)
+                evaluate_on(tfidf, model, data, RunConfig())
+        with pytest.raises(SchemaViolationError, match="features"):
+            nb_log_joint(train_nb(X, y), narrow)
+
+    def test_column_past_the_model_raises(self):
+        X, y = tfidf_matrix(8)
+        past = Rows([([0], [0.5]), ([X.n_cols], [1.0])], X.n_cols)
+        for model, predict in ((train_nb(X, y), predict_nb), (train_lr(X, y, epochs=5), predict_lr)):
+            with pytest.raises(SchemaViolationError, match="column past"):
+                predict(model, past)
+
+
+class TestPlainPythonScorer:
+    """``vectorize.rows`` and the plain-Python scorer against the numpy
+    matrix and products they stand in for, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_joints_and_margins_equal_the_numpy_path(self, seed):
+        rng = random.Random(seed)
+        words = [f"w{i}" for i in range(150)]
+
+        def random_stream() -> TokenStream:
+            return TokenStream(tuple(rng.choice(words) for _ in range(rng.randint(0, 120))))
+
+        train = [random_stream() for _ in range(60)]
+        tfidf = fit(train)
+        streams = [random_stream() for _ in range(40)] + [
+            TokenStream(()),
+            TokenStream(("oov", "zzz", "oov")),
+            TokenStream(("w1",) * 7 + ("w2", "w1")),
+            TokenStream(tuple(rng.sample(words, 60))),
+            TokenStream(tuple(rng.sample(words, 45)) * 3),
+        ]
+        rng.shuffle(streams)
+        X, python_rows = transform_all(tfidf, streams), rows(tfidf, streams)
+        assert [columns for columns, _ in python_rows] == [columns for columns, _ in X]
+        values = [value for _, row_values in python_rows for value in row_values]
+        assert np.array(values).tobytes() == X.data.tobytes()
+        lengths = [len(columns) for columns, _ in python_rows]
+        assert min(lengths) == 0 and max(lengths) >= 40
+
+        X_train, y = transform_all(tfidf, train), [OFF if i % 2 else NOT for i in range(len(train))]
+        nb, lr = train_nb(X_train, y), train_lr(X_train, y, epochs=30)
+        joints = np.array(models._nb_joints(nb, python_rows))
+        assert joints.tobytes() == nb_log_joint(nb, X).tobytes()
+        margins = np.array(models._lr_margins(lr, python_rows))
+        assert margins.tobytes() == (X @ np.array(lr.weights) + lr.bias).tobytes()
 
 
 def per_fold_descent(X, y, learning_rate=0.1, epochs=500, l2=1e-4):
@@ -380,7 +433,7 @@ class TestSharedDescent:
             weights, bias, history = per_fold_descent(X, y)
             alone = train_lr(X, y)
             for got in (model, alone):
-                assert got.weights.tobytes() == weights.tobytes()
+                assert np.array(got.weights).tobytes() == weights.tobytes()
                 assert got.bias.hex() == bias.hex()
                 assert got.loss_history == history
                 assert (got.learning_rate, got.epochs, got.l2) == (0.1, 500, 1e-4)
@@ -394,7 +447,7 @@ class TestSharedDescent:
         weights, bias, _ = per_fold_descent(
             transform_all(fit(streams), streams), train_set.labels(), epochs=60
         )
-        assert trained.model.weights.tobytes() == weights.tobytes()
+        assert np.array(trained.model.weights).tobytes() == weights.tobytes()
         assert trained.model.bias == bias
 
     @pytest.mark.parametrize("position", [0, 2])
@@ -638,8 +691,8 @@ class TestPersistence:
         loaded = load_model(path)
         assert isinstance(loaded, NBModel)
         assert loaded.alpha == model.alpha
-        assert loaded.log_prior.tolist() == model.log_prior.tolist()
-        assert loaded.log_likelihood.tolist() == model.log_likelihood.tolist()
+        assert loaded.log_prior == model.log_prior
+        assert loaded.log_likelihood == model.log_likelihood
 
     def test_lr_round_trip(self, tmp_path):
         model = train_lr(BAD_GOOD_X, BAD_GOOD_Y, epochs=20)
@@ -647,7 +700,7 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert isinstance(loaded, LRModel)
-        assert loaded.weights.tolist() == model.weights.tolist()
+        assert loaded.weights == model.weights
         assert loaded.bias == model.bias
         assert loaded.epochs == model.epochs
 
@@ -704,29 +757,30 @@ class TestPersistence:
         values[:, ::7], values[:, 3::7] = -0.0, 5e-324  # a signed zero, the least subnormal
         if kind == "nb":
             model = NBModel(
-                log_prior=-rng.random(2), log_likelihood=values, alpha=[1, 0.5, 1e-9, 3.0][seed]
+                log_prior=(-rng.random(2)).tolist(), log_likelihood=values.tolist(),
+                alpha=[1, 0.5, 1e-9, 3.0][seed],
             )
             obj = {
                 "kind": "nb",
                 "alpha": model.alpha,
                 "log_prior": {
-                    "not_offensive": float(model.log_prior[0]),
-                    "offensive": float(model.log_prior[1]),
+                    "not_offensive": model.log_prior[0],
+                    "offensive": model.log_prior[1],
                 },
                 "log_likelihood": {
-                    "not_offensive": model.log_likelihood[0].tolist(),
-                    "offensive": model.log_likelihood[1].tolist(),
+                    "not_offensive": model.log_likelihood[0],
+                    "offensive": model.log_likelihood[1],
                 },
             }
         else:
             model = LRModel(
-                weights=values[0], bias=float(values[0, 0]) if width else 0.0,
+                weights=values[0].tolist(), bias=float(values[0, 0]) if width else 0.0,
                 l2=[1e-4, 0, 0.5, 1e-12][seed], learning_rate=0.1, epochs=[500, 1, 7, 10**6][seed],
             )
             obj = {
                 "kind": "lr",
                 "bias": model.bias,
-                "weights": model.weights.tolist(),
+                "weights": model.weights,
                 "hyperparams": {
                     "learning_rate": model.learning_rate, "epochs": model.epochs, "l2": model.l2,
                 },
@@ -737,11 +791,12 @@ class TestPersistence:
         loaded = load_model(path)
         assert isinstance(loaded, type(model))
         if kind == "nb":
-            assert loaded.log_likelihood.tobytes() == model.log_likelihood.tobytes()
-            assert loaded.log_prior.tobytes() == model.log_prior.tobytes()
+            for field in ("log_prior", "log_likelihood"):
+                got, expected = (np.array(getattr(m, field)) for m in (loaded, model))
+                assert got.tobytes() == expected.tobytes()
             assert loaded.alpha == model.alpha
         else:
-            assert loaded.weights.tobytes() == model.weights.tobytes()
+            assert np.array(loaded.weights).tobytes() == np.array(model.weights).tobytes()
             assert (loaded.bias, loaded.l2, loaded.epochs) == (model.bias, model.l2, model.epochs)
 
 

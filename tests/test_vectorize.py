@@ -12,7 +12,7 @@ import pytest
 
 from modkit.errors import ModkitError, SchemaViolationError
 from modkit.textprep import TokenStream
-from modkit.vectorize import CSRMatrix, TfidfModel, fit, load_tfidf, save_tfidf, transform_all
+from modkit.vectorize import CSRMatrix, TfidfModel, fit, load_tfidf, rows, save_tfidf, transform_all
 
 from _oracles import oracle_tfidf_fit
 from _sparse import csr, dense, entries
@@ -75,21 +75,25 @@ class TestFit:
             vocabulary, idf, n = oracle_tfidf_fit([doc.tokens for doc in docs])
             assert list(model.vocabulary) == vocabulary
             assert list(model.vocabulary.values()) == list(range(len(vocabulary)))
-            assert model.idf.dtype == np.float64
-            assert model.idf.tobytes() == np.array(idf, dtype=np.float64).tobytes()
+            assert all(type(value) is float for value in model.idf)
+            assert np.array(model.idf).tobytes() == np.array(idf, dtype=np.float64).tobytes()
             assert model.doc_count == n == len(docs)
 
 
 def per_document_transform(model, corpus) -> CSRMatrix:
     """Reference rows, one document at a time: counts times idf in column
-    order, divided by ``np.linalg.norm`` of that row alone."""
+    order, divided by the square root of that row's squares added one at
+    a time in column order."""
     indptr, indices, data = [0], [], []
     for doc in corpus:
         counts = Counter(model.vocabulary[t] for t in doc.tokens if t in model.vocabulary)
         if counts:
             columns = sorted(counts)
             weights = np.array([counts[i] * model.idf[i] for i in columns])
-            weights /= np.linalg.norm(weights)
+            squares = 0.0
+            for weight in weights.tolist():
+                squares += weight * weight
+            weights /= math.sqrt(squares)
             indices.extend(columns)
             data.append(weights)
         indptr.append(len(indices))
@@ -172,7 +176,7 @@ class TestTransform:
         """indptr, indices and data equal, byte for byte, the arrays of a
         per-document loop, over streams that are empty, hold only
         out-of-vocabulary tokens, repeat tokens or hold more distinct
-        tokens than BLAS sums in one unrolled block."""
+        tokens than a BLAS ``ddot`` sums in one unrolled block."""
         words = "abcdefghijklmnopqrstuvwxyz"
         for seed in (29, 30, 31):
             rng = random.Random(seed)
@@ -198,6 +202,22 @@ class TestTransform:
         assert len(X) == 0 and X.n_cols == 3
         assert (X @ np.ones(3)).shape == (0,)
         assert (np.ones(0) @ X).tolist() == [0.0, 0.0, 0.0]
+
+
+class TestRows:
+    def test_iterating_a_matrix_gives_its_rows(self):
+        model = fit(CORPUS)
+        corpus = [stream("a", "b", "a"), stream(), stream("zzz"), stream("c")]
+        assert list(transform_all(model, corpus)) == rows(model, corpus)
+        assert rows(model, [stream("zzz")]) == [([], [])]
+        assert rows(model, corpus).n_cols == transform_all(model, corpus).n_cols == model.vocab_size
+
+    def test_row_without_a_norm_raises(self):
+        """No fit gives such idf values: only a damaged tfidf.json can."""
+        model = TfidfModel(vocabulary={"a": 0, "b": 1}, idf=[5e-324, 1.0], doc_count=1)
+        assert rows(model, [stream("b", "b"), stream()]) == [([1], [1.0]), ([], [])]
+        with pytest.raises(ModkitError, match="row 1 has no norm"):
+            rows(model, [stream("b"), stream("a", "a")])
 
 
 def random_csr(rng: random.Random, n_rows: int, n_cols: int):
@@ -260,7 +280,7 @@ class TestPersistence:
         loaded = load_tfidf(path)
         assert loaded.vocabulary == model.vocabulary
         assert loaded.doc_count == model.doc_count
-        assert loaded.idf.tolist() == model.idf.tolist()
+        assert loaded.idf == model.idf
         original = transform_one(model, stream("a", "b"))
         assert transform_one(loaded, stream("a", "b")) == original
 
@@ -278,7 +298,7 @@ class TestPersistence:
                if rng.random() < 0.2 else rng.uniform(1, 12) for _ in terms]
         model = TfidfModel(
             vocabulary={term: i for i, term in enumerate(terms)},
-            idf=np.array(idf, dtype=float),
+            idf=idf,
             doc_count=rng.randint(1, 10**6),
         )
         obj = {"doc_count": model.doc_count, "terms": list(terms), "idf": idf}
@@ -287,10 +307,10 @@ class TestPersistence:
         assert path.read_bytes() == json.dumps(obj, ensure_ascii=False).encode("utf-8")
         loaded = load_tfidf(path)
         assert loaded.vocabulary == model.vocabulary and loaded.doc_count == model.doc_count
-        assert loaded.idf.tobytes() == model.idf.tobytes()
+        assert np.array(loaded.idf).tobytes() == np.array(model.idf).tobytes()
 
     def test_terms_are_written_in_column_order(self, tmp_path):
-        model = TfidfModel(vocabulary={"b": 1, "a": 0}, idf=np.array([1.5, 2.5]), doc_count=3)
+        model = TfidfModel(vocabulary={"b": 1, "a": 0}, idf=[1.5, 2.5], doc_count=3)
         path = tmp_path / "tfidf.json"
         save_tfidf(model, path)
         assert json.loads(path.read_text(encoding="utf-8"))["terms"] == ["a", "b"]
