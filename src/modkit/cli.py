@@ -28,7 +28,6 @@ from .errors import (
     MalformedConfigError,
     ModkitError,
     SchemaViolationError,
-    is_number,
     load_json,
     read_json_text,
 )
@@ -72,31 +71,6 @@ def build_run_config(args: argparse.Namespace) -> models.RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             config[name] = value
-    return _run_config(config)
-
-
-def _fits(value, default) -> bool:
-    """Whether a config value has its field default's type (arrays itemwise)."""
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_fits(item, default[0]) for item in value)
-    if isinstance(default, float):
-        return is_number(value)
-    return type(value) is type(default)
-
-
-def _run_config(config: dict) -> models.RunConfig:
-    """RunConfig from a key/value mapping. ConfigError on unknown keys and
-    values of the wrong type here, and on values out of range in RunConfig."""
-    defaults = models.RunConfig.DEFAULTS
-    unknown = set(config) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    config = dict(config)
-    for name, value in config.items():
-        if not _fits(value, defaults[name]):
-            raise ConfigError(f"config {name!r} is unlike its default {defaults[name]!r}")
-        if isinstance(value, list):
-            config[name] = tuple(value)
     return models.RunConfig(**config)
 
 
@@ -294,8 +268,8 @@ def _load_run(
     if not isinstance(config_obj, dict):
         raise SchemaViolationError("manifest has no config object", str(manifest_path))
     try:
-        config = _run_config(config_obj)
-    except (ConfigError, TypeError) as exc:
+        config = models.RunConfig(**config_obj)
+    except ConfigError as exc:
         raise SchemaViolationError(f"bad run config: {exc}", str(manifest_path)) from exc
     stoplist = _stoplist(config)
     checksums = manifest.get("checksums")

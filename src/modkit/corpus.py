@@ -271,6 +271,7 @@ def balance(dataset: LabeledDataset, seed: int) -> LabeledDataset:
     lexicographically sorted ids, so the same seed always selects the
     same ids. Entry order of the input is preserved in the output.
     """
+    check_seed(seed)
     off_ids = [cid for cid, _, lab in dataset.entries if lab is Label.OFFENSIVE]
     not_ids = [cid for cid, _, lab in dataset.entries if lab is Label.NOT_OFFENSIVE]
     if not off_ids or not not_ids:
@@ -291,6 +292,15 @@ def check_ratios(ratios: Sequence[float]) -> None:
         raise ConfigError(f"ratios must be three non-negative fractions, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must sum to 1, got {sum(ratios)}")
+
+
+def check_seed(seed: int, n_cycles: int = 1) -> None:
+    """:class:`ConfigError` unless the seeds ``seed`` .. ``seed + n_cycles - 1``
+    lie in 0..2**64 - 1: splitmix64 reads only a seed's low 64 bits."""
+    last = (1 << 64) - n_cycles
+    if not 0 <= seed <= last:
+        cycles = f" for {n_cycles} cycles" if n_cycles > 1 else ""
+        raise ConfigError(f"seed must be in 0..{last}{cycles}, got {seed}")
 
 
 def split(

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import _atomic
 from ._frozen import Frozen
-from .corpus import LabeledDataset, Label, check_ratios, split
+from .corpus import LabeledDataset, Label, check_ratios, check_seed, split
 from .errors import (
     ConfigError,
     ModkitError,
@@ -355,15 +355,25 @@ def numpy_runtime() -> dict:
 DEFAULT_STEPS = ("lowercasing", "punctuation_removal", "stopword_removal", "lemmatization")
 
 
+def _fits(value, default) -> bool:
+    """Whether a config value has its field default's type (arrays itemwise)."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(item, default[0]) for item in value)
+    return is_number(value) if isinstance(default, float) else type(value) is type(default)
+
+
 class RunConfig(Frozen):
     """One experiment variant: the model and its hyperparameters, the
     preprocessing steps by :class:`Step` value, the split ratios, and
-    ``n_cycles`` cycles seeded ``seed``, ``seed + 1``, ... Every value
-    out of range raises :class:`ConfigError` here. ``dataset``,
-    ``stoplist`` and ``out`` are the command line's paths; the library
-    reads none of them. One experiment has one spelling: ``steps`` are
-    kept once each in :data:`PIPELINE_ORDER`, and the float fields and
-    ``ratios`` as floats, so that ``1`` and ``1.0`` are one value."""
+    ``n_cycles`` cycles seeded ``seed``, ``seed + 1``, ... This is the one
+    check of a run's config, the command line's too: an unknown field, a
+    value unlike its default's type (a list counts as a tuple, an int as
+    a float) and one out of range raise :class:`ConfigError`; each
+    cycle's seed lies in 0..2**64 - 1. ``dataset``, ``stoplist`` and
+    ``out`` are the command line's paths; the library reads none of
+    them. One experiment has one spelling: ``steps`` are kept once each
+    in :data:`PIPELINE_ORDER`, and the float fields and ``ratios`` as
+    floats, so that ``1`` and ``1.0`` are one value."""
 
     #: Every field and its default, in order; a value has its default's type.
     #: A config is built by keyword, and :meth:`replace` checks its changes too.
@@ -385,10 +395,13 @@ class RunConfig(Frozen):
     }
     __slots__ = tuple(DEFAULTS)
 
-    def __init__(self, **values):
+    def __init__(self, /, **values):  # self positional-only: a field named 'self' is unknown
         unknown = values.keys() - self.DEFAULTS.keys()
         if unknown:
-            raise TypeError(f"unknown RunConfig fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in values.items():
+            if not _fits(value, self.DEFAULTS[name]):
+                raise ConfigError(f"config {name!r} is unlike its default {self.DEFAULTS[name]!r}")
         for name, default in self.DEFAULTS.items():
             value = values.get(name, default)
             object.__setattr__(self, name, float(value) if type(default) is float else value)
@@ -412,6 +425,7 @@ class RunConfig(Frozen):
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)}")
+        check_seed(self.seed, self.n_cycles)
 
     def asdict(self) -> dict:
         """Every field by name, in order."""

@@ -7,8 +7,10 @@ with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -369,3 +371,48 @@ def test_end_to_end_determinism(separable_paths, tmp_path):
     for name in first:
         assert first[name] == second[name], name
     passed("end-to-end determinism (byte-identical artifacts)")
+
+
+def _make_fixtures():
+    """``tools/make_fixtures.py``, imported as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_close(produced, golden, where: str) -> None:
+    """Equal JSON values, floats within 1e-12 relative."""
+    if isinstance(golden, float):
+        assert type(produced) is float and math.isclose(produced, golden, rel_tol=1e-12), where
+    elif isinstance(golden, dict):
+        assert type(produced) is dict and produced.keys() == golden.keys(), where
+        for key in golden:
+            _assert_close(produced[key], golden[key], f"{where}.{key}")
+    elif isinstance(golden, list):
+        assert type(produced) is list and len(produced) == len(golden), where
+        for i, (a, b) in enumerate(zip(produced, golden)):
+            _assert_close(a, b, f"{where}[{i}]")
+    else:
+        assert type(produced) is type(golden) and produced == golden, where
+
+
+def test_training_artifacts_equal_the_golden_files(data_dir, tmp_path):
+    """nb and lr runs with all five steps, in both emoji modes, write the
+    committed TF-IDF, train and eval reports byte for byte, and the
+    committed model within 1e-12 relative (``exp`` and ``log`` may differ
+    in the last bit across numpy's CPU dispatch paths). The golden files
+    are modkit's own output (``tools/make_fixtures.py``), no oracle."""
+    make_fixtures = _make_fixtures()
+    for model, emoji_mode in make_fixtures.GOLDEN_RUNS:
+        run_dir = make_fixtures.golden_run(model, emoji_mode, tmp_path / f"{model}_{emoji_mode}")
+        golden = data_dir / "golden" / f"run_{model}_{emoji_mode}"
+        for name in make_fixtures.GOLDEN_RUN_FILES:
+            where = f"{golden.name}/{name}"
+            if name == "model.json":
+                produced = json.loads((run_dir / name).read_text(encoding="utf-8"))
+                _assert_close(produced, json.loads((golden / name).read_text(encoding="utf-8")), where)
+            else:
+                assert (run_dir / name).read_bytes() == (golden / name).read_bytes(), where
+    passed("golden training artifacts (nb and lr, ML and BERT emoji modes)")

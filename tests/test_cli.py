@@ -149,6 +149,19 @@ class TestBalance:
         assert main(["balance", "--dataset", str(dataset), "--seed", "7", "--out", str(out)]) == 0
         assert "1/1 (2 total)" in capsys.readouterr().out.splitlines()[-1]
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2(self, tmp_path, tree_path, capsys, seed):
+        """2**64 and 0 would draw the same sample, as would -1 and 2**64 - 1."""
+        labels = write_json(tmp_path / "labels.json", {"c1": 1, "c2": 0, "c3": 0})
+        dataset = tmp_path / "dataset.json"
+        main(["ingest", str(tree_path), "--labels", str(labels), "--out", str(dataset)])
+        capsys.readouterr()
+        out = tmp_path / "balanced.json"
+        assert main(["balance", "--dataset", str(dataset), "--seed", seed, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be in 0..18446744073709551615, got {seed}\n"
+        assert not out.exists()
+
 
 class TestWriteErrors:
     """An output that cannot be written exits 2 with one line naming the
@@ -557,6 +570,41 @@ class TestTrain:
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--dataset", str(dataset), f"--{key}", str(value)])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "1"), ("seed", True), ("epochs", 2.5), ("n_cycles", "3"), ("alpha", "1.5"),
+            ("alpha", True), ("ratios", ["0.8", "0.1", "0.1"]), ("variant_name", 3),
+            ("steps", "lowercasing"),
+        ],
+    )
+    def test_library_refuses_what_the_cli_refuses(self, tmp_path, capsys, key, value):
+        """``RunConfig`` is the one check of a config: the library raises
+        the error that ``train --set`` prints, before any file is read."""
+        with pytest.raises(errors.ConfigError) as info:
+            RunConfig(**{key: value})
+        assert info.value.exit_code == 2
+        argv = ["train", "--dataset", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r")]
+        assert main([*argv, "--set", f"{key}={json.dumps(value)}"]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize(
+        "seed, cycles, code",
+        [("-1", "1", 2), ("18446744073709551612", "5", 2), ("18446744073709551611", "5", 0)],
+    )
+    def test_every_cycle_seed_is_below_2_to_the_64(
+        self, tmp_path, separable_paths, capsys, seed, cycles, code
+    ):
+        """splitmix64 reads a seed's low 64 bits, so a seed out of range
+        would name another seed's run under a run directory of its own."""
+        dataset = run_ingest(tmp_path, separable_paths)
+        capsys.readouterr()
+        argv = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "r")]
+        assert main([*argv, "--seed", seed, "--cycles", cycles]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("error: seed must be in 0..")
+            assert not (tmp_path / "r").exists()
 
 
 def train_run(tmp_path, separable_paths, model: str = "nb") -> tuple[Path, Path]:

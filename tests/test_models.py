@@ -507,6 +507,8 @@ OUT_OF_RANGE = [
     ({"learning_rate": -1.0}, "learning_rate must be > 0, got -1.0"),
     ({"model": "nb", "epochs": 0}, "epochs must be >= 1, got 0"),
     ({"l2": -1e-4}, "l2 must be >= 0, got -0.0001"),
+    ({"seed": -1}, "seed must be in 0..18446744073709551615, got -1"),
+    ({"seed": 2**64 - 4, "n_cycles": 5}, "seed must be in 0..18446744073709551611 for 5 cycles"),
 ]
 
 
@@ -536,8 +538,23 @@ class TestRunConfig:
         assert config.replace(model="lr").asdict() == {**config.asdict(), "model": "lr"}
         with pytest.raises(AttributeError, match="cannot assign to field 'seed'"):
             config.seed = 4
-        with pytest.raises(TypeError, match="unknown RunConfig fields"):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['sed'\]") as info:
             RunConfig(sed=3)
+        assert info.value.exit_code == 2
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['self'\]"):
+            RunConfig(**{"self": 3})  # a key of a config file, not __init__'s own argument
+
+    def test_json_round_trip_is_the_same_config(self):
+        """``eval`` rebuilds a run's config from its manifest's JSON."""
+        config = RunConfig(
+            seed=9, model="lr", steps=ALL_STEP_NAMES, emoji_mode="bert", alpha=0.5,
+            learning_rate=0.25, epochs=7, l2=0.0, ratios=(0.6, 0.2, 0.2), n_cycles=3,
+            dataset="d.json", stoplist="s.txt", out="o", variant_name="V",
+        )
+        assert config.asdict() != RunConfig().asdict()
+        loaded = RunConfig(**json.loads(json.dumps(config.asdict())))
+        assert loaded.asdict() == config.asdict()
+        assert loaded.hash("0" * 64, "cd" * 32) == config.hash("0" * 64, "cd" * 32)
 
     def test_preprocess_follows_steps_and_emoji_mode(self):
         config = RunConfig(steps=("lemmatization", "emoji_encoding"), emoji_mode="bert")

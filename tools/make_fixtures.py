@@ -12,15 +12,25 @@ Produces:
   golden/lexicon_hits.json
         `ingest --lexicon` hits of the fixture and separable trees with the
         bundled lexicon_sample.tsv, one whole-word search per term
+  golden/run_{nb,lr}_{ml,bert}/{tfidf,model,train_report,eval_report}.json
+        what `train` and test-fold `eval` write for the separable corpus
+        and the 10-comment fixture (whose emojis and emoticon make the
+        two emoji modes differ) with all five steps. These come from
+        modkit itself, not from an independent oracle: they pin its
+        output, so that a change to what a run computes shows as a diff,
+        but they do not show that output right.
 
 Everything is deterministic; re-running must reproduce identical bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -229,8 +239,8 @@ def write_goldens():
 LEXICON_SAMPLE = ROOT / "src" / "modkit" / "data" / "lexicon_sample.tsv"
 
 
-def golden_lexicon_trees() -> list[Path]:
-    """The trees of the golden hits, in the order ``ingest`` is given them."""
+def golden_trees() -> list[Path]:
+    """The trees of the golden hits and runs, in the order ``ingest`` is given them."""
     return [DATA / "fixture10_tree.json", *(DATA / f"separable_tree_{i}.json" for i in range(1, 5))]
 
 
@@ -251,7 +261,7 @@ def write_golden_lexicon_hits():
             texts.setdefault(node["text"].strip(), (node["id"], node["text"]))
             walk(node["replies"])
 
-    for path in golden_lexicon_trees():
+    for path in golden_trees():
         walk(json.loads(path.read_text(encoding="utf-8"))["comments"])
     hits = {}
     for cid, text in texts.values():
@@ -267,6 +277,52 @@ def write_golden_lexicon_hits():
     )
 
 
+# ---------------------------------------------------------------------------
+# Golden training artifacts, as modkit writes them
+
+#: (model, emoji mode) of each golden run.
+GOLDEN_RUNS = [(model, mode) for model in ("nb", "lr") for mode in ("ml", "bert")]
+GOLDEN_RUN_FILES = ("tfidf.json", "train_report.json", "eval_report.json", "model.json")
+
+
+def golden_run(model: str, emoji_mode: str, work: Path) -> Path:
+    """Ingest the separable corpus and the 10-comment fixture, train a run
+    on them with all five steps, seed 7 and 3 cycles, and score its best
+    cycle's test fold, all in ``work``; the run directory."""
+    from modkit.cli import main
+
+    work.mkdir(parents=True, exist_ok=True)
+    dataset, runs, labels = work / "dataset.json", work / "runs", work / "labels.json"
+    trees = [str(path) for path in golden_trees()]
+    labels.write_text(json.dumps({
+        **json.loads((DATA / "fixture10_labels.json").read_text(encoding="utf-8")),
+        **json.loads((DATA / "separable_labels.json").read_text(encoding="utf-8")),
+    }), encoding="utf-8")
+    steps = json.dumps([step.value for step in textprep.PIPELINE_ORDER])
+
+    def run(*argv: str) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(list(argv)):
+                raise SystemExit(f"modkit {argv[0]} failed")
+
+    run("ingest", *trees, "--labels", str(labels), "--out", str(dataset))
+    run("train", "--dataset", str(dataset), "--out", str(runs), "--model", model,
+        "--emoji-mode", emoji_mode, "--seed", "7", "--cycles", "3", "--set", f"steps={steps}")
+    (run_dir,) = runs.iterdir()
+    run("eval", "--run", str(run_dir), "--dataset", str(dataset))
+    return run_dir
+
+
+def write_golden_runs():
+    with tempfile.TemporaryDirectory() as tmp:
+        for model, emoji_mode in GOLDEN_RUNS:
+            run_dir = golden_run(model, emoji_mode, Path(tmp) / f"{model}_{emoji_mode}")
+            golden = DATA / "golden" / f"run_{model}_{emoji_mode}"
+            golden.mkdir(parents=True, exist_ok=True)
+            for name in GOLDEN_RUN_FILES:
+                (golden / name).write_bytes((run_dir / name).read_bytes())
+
+
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     write_fixture10()
@@ -274,4 +330,5 @@ if __name__ == "__main__":
     write_slang_corpus()
     write_goldens()
     write_golden_lexicon_hits()
+    write_golden_runs()
     print(f"fixtures written to {DATA}")
