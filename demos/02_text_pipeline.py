@@ -47,12 +47,12 @@ print("stop words removed:", " | ".join(no_stop))
 lemmas = lemmatize(no_stop)
 print("lemmatized:", " | ".join(lemmas))
 
-# run_pipeline is exactly that composition; it wraps the final tuple in a
-# TokenStream.
+# run_pipeline is exactly that composition; the TokenStream it returns is
+# the final tuple, checked to hold no empty token.
 config = PreprocessConfig()  # all five steps, ML-plain emoji aliases
-assert run_pipeline(text, config).tokens == lemmas
-print("\nrun_pipeline(all five steps) ->", run_pipeline(text, config).tokens)
+assert run_pipeline(text, config) == lemmas
+print("\nrun_pipeline(all five steps) ->", run_pipeline(text, config))
 
 # Any subset works; unselected steps are skipped.
 partial = PreprocessConfig(steps=frozenset({Step.LOWERCASING, Step.STOPWORD_REMOVAL}))
-print("lowercase+stopwords only  ->", run_pipeline("Im gonna go watch it", partial).tokens)
+print("lowercase+stopwords only  ->", run_pipeline("Im gonna go watch it", partial))

@@ -36,9 +36,7 @@ dataset = LabeledDataset(
 # never crossing comment boundaries.
 config = PreprocessConfig()
 streams = [
-    run_pipeline(text, config, source_id=cid)
-    for cid, text, label in dataset.entries
-    if label is Label.OFFENSIVE
+    run_pipeline(text, config) for _, text, label in dataset.entries if label is Label.OFFENSIVE
 ]
 
 for n in (1, 2, 3):

@@ -43,7 +43,7 @@ dataset = LabeledDataset(entries=tuple(entries))
 
 # Featurize by hand once to see the moving parts.
 config = PreprocessConfig()
-streams = [run_pipeline(text, config, source_id=cid) for cid, text, _ in dataset.entries]
+streams = [run_pipeline(text, config) for text in dataset.texts()]
 tfidf = fit(streams)
 X = transform_all(tfidf, streams)  # one sparse row per comment
 y = dataset.labels()

@@ -59,5 +59,5 @@ encoding = wordpiece_encode(long_text, grown)
 print(f"\nlong input -> {len(encoding.tokens)} tokens, truncated={encoding.truncated}")
 
 # The same pipeline feeds both featurizers: compare the two emoji modes.
-ml_tokens = run_pipeline(comment, PreprocessConfig()).tokens
+ml_tokens = run_pipeline(comment, PreprocessConfig())
 print("\nML-side tokens (TF-IDF input):", ml_tokens)

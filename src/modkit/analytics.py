@@ -20,7 +20,6 @@ from . import _atomic, textprep
 from .corpus import Comment, Label, LabeledDataset
 from .errors import ConfigError, ModkitError
 from .textprep import (
-    TokenStream,
     UNKNOWN_EMOJI_ALIAS,
     default_emoji_aliases,
     is_alias_placeholder,
@@ -50,7 +49,7 @@ class CloudWeights(NamedTuple):
     terms: Mapping[str, float]
 
 
-def ngram_counts(corpus: Sequence[TokenStream], n: int, top_k: int) -> NgramTable:
+def ngram_counts(corpus: Sequence[Sequence[str]], n: int, top_k: int) -> NgramTable:
     """Top-k contiguous n-grams over the corpus.
 
     Windows are counted within each stream only. Ranking is by count
@@ -62,8 +61,7 @@ def ngram_counts(corpus: Sequence[TokenStream], n: int, top_k: int) -> NgramTabl
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
     counts: Counter[str] = Counter()
     total_windows = 0
-    for stream in corpus:
-        tokens = stream.tokens
+    for tokens in corpus:
         windows = max(0, len(tokens) - n + 1)
         total_windows += windows
         for i in range(windows):

@@ -150,38 +150,36 @@ def cmd_balance(args: argparse.Namespace) -> int:
     return 0
 
 
-#: analyze's steps, by name (importing cli runs no textprep code): the string and
-#: punctuation steps once per comment, then each variant's token steps
-_ANALYZE_BASE_STEPS = ("lowercasing", "emoji_encoding", "punctuation_removal")
-_ANALYZE_VARIANTS = {"before": ("lemmatization",), "after": ("stopword_removal", "lemmatization")}
-
 _NGRAM_NAMES = {1: "uni", 2: "bi", 3: "tri"}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     dataset = corpus.load_dataset(_require_file(args.dataset, "dataset file"))
-    stoplist = None
-    if args.stoplist:
-        stoplist = textprep.load_stoplist(_require_file(args.stoplist, "stop-list file"))
-    base = textprep.PreprocessConfig(steps=frozenset(map(textprep.Step, _ANALYZE_BASE_STEPS)))
-    tables = textprep._step_tables(textprep.PreprocessConfig(), stoplist)  # every table read
+    stoplist = (
+        textprep.load_stoplist(_require_file(args.stoplist, "stop-list file"))
+        if args.stoplist else textprep.default_stoplist()
+    )
+    dictionary = textprep.default_lemma_dictionary()
+    emoticons, aliases = textprep.default_emoticon_map(), textprep.default_emoji_aliases()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    offensive = [
-        (cid, text) for cid, text, label in dataset.entries if label is corpus.Label.OFFENSIVE
-    ]
+    offensive = [text for _, text, label in dataset.entries if label is corpus.Label.OFFENSIVE]
+    # the string and punctuation steps once per comment, then each chart's token steps
+    base = textprep.PreprocessConfig(
+        {textprep.Step.LOWERCASING, textprep.Step.EMOJI_ENCODING, textprep.Step.PUNCTUATION_REMOVAL}
+    )
     base_tokens = [
-        (cid, textprep.run_pipeline(text, base, source_id=cid, **tables).tokens)
-        for cid, text in offensive
+        textprep.run_pipeline(text, base, emoticon_map=emoticons, aliases=aliases)
+        for text in offensive
     ]
-    for suffix, names in _ANALYZE_VARIANTS.items():
-        steps = frozenset(map(textprep.Step, names))
-        streams = [
-            textprep.TokenStream(
-                textprep._token_steps(tokens, steps, tables["stoplist"], tables["dictionary"]), cid
-            )
-            for cid, tokens in base_tokens
-        ]
+    variants = {
+        "before": [textprep.lemmatize(tokens, dictionary) for tokens in base_tokens],
+        "after": [
+            textprep.lemmatize(textprep.remove_stopwords(tokens, stoplist), dictionary)
+            for tokens in base_tokens
+        ],
+    }
+    for suffix, streams in variants.items():
         for n, name in _NGRAM_NAMES.items():
             table = analytics.ngram_counts(streams, n, args.top_k)
             analytics.export_chart_data(table, out_dir / f"ngrams_{name}_{suffix}.csv")
@@ -190,13 +188,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out_dir / "length_overall.csv",
     )
     analytics.export_chart_data(
-        analytics.length_histogram([t for _, t in offensive], args.bucket_width),
+        analytics.length_histogram(offensive, args.bucket_width),
         out_dir / "length_offensive.csv",
     )
     # emoticons count as their emoji counterparts in the emoji usage charts
-    emoji_stats = analytics.emoji_stats(
-        dataset, cap=args.cap, aliases=tables["aliases"], emoticons=tables["emoticon_map"]
-    )
+    emoji_stats = analytics.emoji_stats(dataset, cap=args.cap, aliases=aliases, emoticons=emoticons)
     analytics.export_chart_data(emoji_stats, out_dir / "emoji_stats.csv")
     print(f"wrote {6 + 2 + 1} chart files to {out_dir}")
     return 0
@@ -285,18 +281,21 @@ def _load_run(
     return config, stoplist, tfidf, model, manifest
 
 
-def _best_cycle_seed(report_path: Path) -> int:
-    """Split seed of the best cycle recorded in a run's train report."""
+def _best_cycle_seed(report_path: Path, config: models.RunConfig) -> int:
+    """Split seed of the best cycle in a run's train report, which holds the
+    run's ``n_cycles`` cycles; ``train`` gives cycle i the run's seed plus i."""
     report = load_json(
         _read_json_text(report_path, "train report"), f"invalid train report JSON in {report_path}"
     )
     try:
         cycles, best = report["cycles"], report["best_cycle_index"]
+        if len(cycles) != config.n_cycles:
+            raise ValueError(f"{len(cycles)} cycles, not the run's {config.n_cycles}")
         if type(best) is not int or not 0 <= best < len(cycles):
             raise ValueError(f"best_cycle_index {best!r} is not a cycle of the report")
         seed = cycles[best]["seed"]
-        if type(seed) is not int:
-            raise ValueError(f"seed {seed!r} is not an integer")
+        if type(seed) is not int or seed != config.seed + best:
+            raise ValueError(f"seed {seed!r} is not the run's seed {config.seed} + {best}")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolationError(f"bad train report: {exc!r}", str(report_path)) from exc
     return seed
@@ -316,7 +315,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"{dataset_path} is not the dataset {run_dir} was trained on (the sha256 "
                 "of its entries differs from the manifest); use --full to score another dataset"
             )
-        best_seed = _best_cycle_seed(run_dir / "train_report.json")
+        best_seed = _best_cycle_seed(run_dir / "train_report.json", config)
         _, _, subset = corpus.split(dataset, config.ratios, best_seed)
         scope = f"test fold of best cycle (seed={best_seed})"
     report = models.evaluate_on(tfidf, model, subset, config, stoplist)

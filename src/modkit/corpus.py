@@ -313,9 +313,11 @@ def split(
     Ids are shuffled (seeded Fisher-Yates over the sorted id list), then
     sizes are allocated as floor(n * ratio) with the remainder going to
     train. The 1e-9 nudge below keeps floor() stable when n * ratio is an
-    integer that float rounding lands just under.
+    integer that float rounding lands just under. A seed outside
+    0..2**64 - 1 raises :class:`ConfigError`: it would alias another.
     """
     check_ratios(ratios)
+    check_seed(seed)
     n = len(dataset.entries)
     order = shuffled(dataset.ids(), seed)
     n_val = math.floor(n * ratios[1] + 1e-9)

@@ -518,10 +518,7 @@ def _preprocess_all(
     dataset: LabeledDataset, preprocess: PreprocessConfig, stoplist: frozenset[str] | None
 ) -> list[TokenStream]:
     tables = _step_tables(preprocess, stoplist)
-    return [
-        run_pipeline(text, preprocess, source_id=cid, **tables)
-        for cid, text, _ in dataset.entries
-    ]
+    return [run_pipeline(text, preprocess, **tables) for text in dataset.texts()]
 
 
 def _train_all(

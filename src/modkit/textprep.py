@@ -10,8 +10,9 @@ them and the stop list only ever has to match lowercase tokens.
 Emojis are never treated as punctuation: raw emoji code points and
 ``:alias:`` placeholders survive punctuation removal untouched.
 
-Token steps take and return a plain ``tuple[str, ...]``; only
-:func:`run_pipeline` wraps its result, in one :class:`TokenStream`.
+Token steps take and return a plain ``tuple[str, ...]``. A comment's
+:class:`TokenStream`, as :func:`run_pipeline` returns it, is the tuple of
+its tokens, so the featurizers and ``ngram_counts`` take any token tuples.
 """
 
 from __future__ import annotations
@@ -88,15 +89,22 @@ class PreprocessConfig(Frozen):
         return hash((self.steps, self.emoji_mode))
 
 
-class TokenStream(Frozen):
-    __slots__ = ("tokens", "source_id")
+class TokenStream(tuple):
+    """The tuple of a comment's tokens, none of them empty. It equals and
+    hashes as that tuple, and holds nothing else."""
 
-    def __init__(self, tokens: Iterable[str], source_id: str = ""):
-        tokens = tuple(tokens)
-        if "" in tokens:
+    __slots__ = ()
+
+    def __new__(cls, tokens: Iterable[str]):
+        stream = tuple.__new__(cls, tokens)
+        if "" in stream:
             raise ValueError("empty-string tokens are not allowed")
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "source_id", source_id)
+        return stream
+
+    @property
+    def tokens(self) -> TokenStream:
+        """The stream itself, kept for callers that still read ``.tokens``."""
+        return self
 
 
 class LemmaDictionary(Frozen):
@@ -413,27 +421,22 @@ def run_pipeline(
     token tuple. The result equals composing the individual operations
     by hand. A table left ``None`` is looked up by its step on every
     call, so callers preprocessing many comments pass the tables in.
+    ``source_id`` is accepted and unused: a stream holds only its tokens,
+    but callers written when it also held a comment's id still pass one.
     """
     if Step.LOWERCASING in config.steps:
         text = text.lower()
     if Step.EMOJI_ENCODING in config.steps:
         text = normalize_emoticons(text, emoticon_map)
         text = encode_emojis(text, config.emoji_mode, aliases, unknown_counter)
-    return TokenStream(_token_steps(tokenize(text), config.steps, stoplist, dictionary), source_id)
-
-
-def _token_steps(
-    tokens: tuple[str, ...], steps: frozenset[Step],
-    stoplist: frozenset[str] | None, dictionary: LemmaDictionary | None,
-) -> tuple[str, ...]:
-    """The token steps of ``steps`` on ``tokens``, in canonical order."""
-    if Step.PUNCTUATION_REMOVAL in steps:
+    tokens = tokenize(text)
+    if Step.PUNCTUATION_REMOVAL in config.steps:
         tokens = remove_punctuation(tokens)
-    if Step.STOPWORD_REMOVAL in steps:
+    if Step.STOPWORD_REMOVAL in config.steps:
         tokens = remove_stopwords(tokens, stoplist)
-    if Step.LEMMATIZATION in steps:
+    if Step.LEMMATIZATION in config.steps:
         tokens = lemmatize(tokens, dictionary)
-    return tokens
+    return TokenStream(tokens)
 
 
 def _step_tables(config: PreprocessConfig, stoplist: frozenset[str] | None = None) -> dict:

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from . import _atomic
 from ._frozen import Frozen
 from .errors import ModkitError, SchemaViolationError, is_number, load_json, read_json_text
-from .textprep import TokenStream
 
 if TYPE_CHECKING:
     import numpy as np
@@ -106,7 +105,7 @@ class TfidfModel(NamedTuple):
 _TermCounts = tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 
 
-def _term_counts(vocabulary: dict[str, int], corpus: Sequence[TokenStream]) -> _TermCounts:
+def _term_counts(vocabulary: dict[str, int], corpus: Sequence[Sequence[str]]) -> _TermCounts:
     """Rows, columns and counts of every (stream, known term) pair, in
     row then column order; out-of-vocabulary tokens are ignored.
 
@@ -117,28 +116,28 @@ def _term_counts(vocabulary: dict[str, int], corpus: Sequence[TokenStream]) -> _
     import numpy as np
     n_cols = len(vocabulary)
     columns = np.fromiter(
-        map(vocabulary.get, chain.from_iterable(s.tokens for s in corpus), repeat(-1)),
+        map(vocabulary.get, chain.from_iterable(corpus), repeat(-1)),
         dtype=np.intp,
     )
-    rows = np.repeat(np.arange(len(corpus)), [len(s.tokens) for s in corpus])
+    rows = np.repeat(np.arange(len(corpus)), list(map(len, corpus)))
     known = columns >= 0
     keys, counts = np.unique(rows[known] * n_cols + columns[known], return_counts=True)
     row_of, indices = np.divmod(keys, n_cols)
     return row_of, indices, counts
 
 
-def fit(corpus: Sequence[TokenStream]) -> TfidfModel:
+def fit(corpus: Sequence[Sequence[str]]) -> TfidfModel:
     """Learn vocabulary (first-appearance order) and smoothed idf; a
     term's document frequency is the number of streams it has a count in."""
     return _fit_counted(corpus)[0]
 
 
-def _fit_counted(corpus: Sequence[TokenStream]) -> tuple[TfidfModel, _TermCounts]:
+def _fit_counted(corpus: Sequence[Sequence[str]]) -> tuple[TfidfModel, _TermCounts]:
     """:func:`fit`'s model and the :func:`_term_counts` of ``corpus`` it comes from."""
     import numpy as np
     if len(corpus) == 0:
         raise ModkitError("cannot fit TF-IDF on an empty corpus")
-    terms = dict.fromkeys(chain.from_iterable(s.tokens for s in corpus))
+    terms = dict.fromkeys(chain.from_iterable(corpus))
     vocabulary = {term: index for index, term in enumerate(terms)}
     counts = _term_counts(vocabulary, corpus)
     n = len(corpus)
@@ -147,13 +146,13 @@ def _fit_counted(corpus: Sequence[TokenStream]) -> tuple[TfidfModel, _TermCounts
     return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n), counts
 
 
-def _fit_transform(corpus: Sequence[TokenStream]) -> tuple[TfidfModel, CSRMatrix]:
+def _fit_transform(corpus: Sequence[Sequence[str]]) -> tuple[TfidfModel, CSRMatrix]:
     """``fit(corpus)`` and ``transform_all`` of ``corpus`` by it, from one term count."""
     model, counts = _fit_counted(corpus)
     return model, _tfidf_rows(model, len(corpus), counts)
 
 
-def transform_all(model: TfidfModel, corpus: Sequence[TokenStream]) -> CSRMatrix:
+def transform_all(model: TfidfModel, corpus: Sequence[Sequence[str]]) -> CSRMatrix:
     """One row per stream: raw tf x idf, L2-normalized; out-of-vocabulary
     tokens are ignored, so a stream without known tokens is an empty row."""
     return _tfidf_rows(model, len(corpus), _term_counts(model.vocabulary, corpus))
@@ -191,7 +190,7 @@ class Rows(list):
         self.n_cols = n_cols
 
 
-def rows(model: TfidfModel, corpus: Sequence[TokenStream]) -> Rows:
+def rows(model: TfidfModel, corpus: Sequence[Sequence[str]]) -> Rows:
     """One ``(columns, values)`` row per stream, in plain Python: each
     known term's count times its idf, in column order, divided by the
     square root of the squares added one at a time in that order. These
@@ -201,9 +200,9 @@ def rows(model: TfidfModel, corpus: Sequence[TokenStream]) -> Rows:
     gives) raises :class:`ModkitError`."""
     column_of, idf = model.vocabulary.get, model.idf
     out = []
-    for i, stream in enumerate(corpus):
+    for i, tokens in enumerate(corpus):
         counts: dict[int, int] = {}
-        for column in map(column_of, stream.tokens):
+        for column in map(column_of, tokens):
             if column is not None:
                 counts[column] = counts.get(column, 0) + 1
         columns = sorted(counts)

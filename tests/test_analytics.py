@@ -77,13 +77,13 @@ class TestNgramCounts:
                 stream(*(rng.choice(vocab) for _ in range(rng.randint(0, 20))))
                 for _ in range(rng.randint(0, 50))
             ]
+            plain = [tuple(s) for s in corpus]  # any token tuples, not only streams
             for n in (1, 2, 3):
-                expected = brute_top_k(brute_ngrams([s.tokens for s in corpus], n), 20)
-                table = ngram_counts(corpus, n, 20)
-                assert list(table.rows) == expected
-                assert table.total_windows == sum(
-                    max(0, len(s.tokens) - n + 1) for s in corpus
-                )
+                expected = brute_top_k(brute_ngrams(plain, n), 20)
+                for docs in (corpus, plain):
+                    table = ngram_counts(docs, n, 20)
+                    assert list(table.rows) == expected
+                    assert table.total_windows == sum(max(0, len(s) - n + 1) for s in corpus)
 
     def test_counting_is_order_independent(self):
         rng = random.Random(7)

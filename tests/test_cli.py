@@ -904,8 +904,18 @@ class TestRunDirValidation:
             lambda report: report["cycles"][report["best_cycle_index"]].pop("seed"),
             lambda report: report.update(best_cycle_index=7),
             lambda report: report["cycles"][report["best_cycle_index"]].update(seed="5"),
+            # splitmix64 reads a seed's low 64 bits: this one would score seed 5's test fold
+            lambda report: report["cycles"][report["best_cycle_index"]].update(seed=5 - 2**64),
+            lambda report: report["cycles"][report["best_cycle_index"]].update(seed=4),
+            # seed 7 is the run's seed plus the index, of a cycle the 2-cycle run never had
+            lambda report: report.update(
+                cycles=[*report["cycles"], {**report["cycles"][0], "seed": 7}], best_cycle_index=2
+            ),
         ],
-        ids=["no_cycles", "no_best_cycle_index", "no_seed", "index_out_of_range", "seed_not_int"],
+        ids=[
+            "no_cycles", "no_best_cycle_index", "no_seed", "index_out_of_range", "seed_not_int",
+            "seed_aliased", "seed_of_no_cycle", "cycle_the_run_never_had",
+        ],
     )
     def test_damaged_train_report_exits_3(self, tmp_path, separable_paths, capsys, damage):
         run_dir, dataset = train_run(tmp_path, separable_paths)
@@ -915,6 +925,7 @@ class TestRunDirValidation:
         reseal(run_dir)
         assert self.eval_code(run_dir, dataset, capsys, full=False) == 3
         assert_one_line_error(capsys)
+        assert not (run_dir / "eval_report.json").exists()
 
     def test_train_report_not_json_exits_3(self, tmp_path, separable_paths, capsys):
         run_dir, dataset = train_run(tmp_path, separable_paths)

@@ -420,6 +420,15 @@ class TestSplit:
         b = split(dataset, (0.8, 0.1, 0.1), seed=9)
         assert [p.entries for p in a] == [p.entries for p in b]
 
+    def test_seed_outside_64_bits_raises(self):
+        """splitmix64 reads a seed's low 64 bits, so -1 would split as 2**64 - 1."""
+        dataset = make_dataset(25, 25)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match=f"^seed must be in 0..{2**64 - 1}, got {seed}$"):
+                split(dataset, (0.8, 0.1, 0.1), seed)
+        for seed in (0, 2**64 - 1):
+            assert sum(map(len, split(dataset, (0.8, 0.1, 0.1), seed))) == 50
+
     def test_bad_ratios(self):
         with pytest.raises(ConfigError, match=r"^ratios must sum to 1, got 1\.5$"):
             split(make_dataset(2, 2), (0.5, 0.5, 0.5), seed=0)

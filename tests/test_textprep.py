@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from modkit import textprep
+from modkit import analytics, textprep, vectorize
 from modkit.errors import SchemaViolationError
 from modkit.textprep import (
     ALL_STEPS,
@@ -18,6 +18,7 @@ from modkit.textprep import (
     PreprocessConfig,
     STOPWORD_EXTENSIONS,
     Step,
+    TokenStream,
     UNKNOWN_EMOJI_ALIAS,
     default_emoji_aliases,
     default_emoticon_map,
@@ -461,6 +462,34 @@ class TestRunPipeline:
                     unknown += whole.total()
         assert unknown
 
+    @pytest.mark.parametrize("mode", list(EmojiMode))
+    def test_streams_are_checked_tuples(self, mode):
+        """For every set of steps, a stream is a tuple of non-empty tokens,
+        and the featurizers and the n-gram counts read plain tuple copies
+        of the streams as they read the streams."""
+        rng = random.Random(71)
+        texts = [random_text(rng) for _ in range(100)] + [messy_text(rng) for _ in range(100)]
+        for n in range(len(PIPELINE_ORDER) + 1):
+            for steps in itertools.combinations(PIPELINE_ORDER, n):
+                config = PreprocessConfig(steps=frozenset(steps), emoji_mode=mode)
+                tables = textprep._step_tables(config)
+                streams = [run_pipeline(text, config, **tables) for text in texts]
+                for stream in streams:
+                    assert isinstance(stream, tuple) and "" not in stream, (stream, steps)
+                    assert stream.tokens is stream
+                plain = [tuple(stream) for stream in streams]
+                model, plain_model = vectorize.fit(streams), vectorize.fit(plain)
+                assert list(plain_model.vocabulary.items()) == list(model.vocabulary.items())
+                assert plain_model == model
+                X, plain_X = (vectorize.transform_all(model, c) for c in (streams, plain))
+                for array in ("indptr", "indices", "data"):
+                    assert getattr(plain_X, array).tobytes() == getattr(X, array).tobytes()
+                assert plain_X.n_cols == X.n_cols
+                assert vectorize.rows(model, plain) == vectorize.rows(model, streams)
+                for k in (1, 2, 3):
+                    table = analytics.ngram_counts(streams, k, 50)
+                    assert analytics.ngram_counts(plain, k, 50) == table
+
     def test_no_empty_tokens_any_config(self):
         configs = [
             PreprocessConfig(steps=ALL_STEPS),
@@ -470,6 +499,28 @@ class TestRunPipeline:
         for i, text in enumerate(fuzz_texts(300, 59)):
             for config in configs:
                 assert all(tok for tok in run_pipeline(text, config).tokens)
+
+
+class TestTokenStream:
+    def test_is_the_tuple_of_its_tokens(self):
+        stream = TokenStream(iter(["a", "b", "a"]))
+        assert isinstance(stream, tuple) and stream.tokens is stream
+        assert stream == ("a", "b", "a") and hash(stream) == hash(("a", "b", "a"))
+        assert {("a", "b", "a"): 1}[stream] == 1
+        assert not TokenStream(()) and TokenStream(()) == ()
+
+    def test_refuses_an_empty_token(self):
+        with pytest.raises(ValueError, match="^empty-string tokens are not allowed$"):
+            TokenStream(("a", ""))
+
+    def test_holds_nothing_but_its_tokens(self):
+        stream = TokenStream(("a",))
+        for name in ("tokens", "source_id", "other"):
+            with pytest.raises(AttributeError):
+                setattr(stream, name, ("b",))
+        assert not hasattr(stream, "__dict__") and not hasattr(stream, "source_id")
+        with pytest.raises(TypeError):
+            TokenStream(("a",), "c1")  # no source id
 
 
 class TestPreprocessConfig:

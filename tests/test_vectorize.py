@@ -70,9 +70,10 @@ class TestFit:
         corpus += [stream(), stream("x", "x", "x"), stream("only", "only", "once")]
         rng.shuffle(corpus)
         no_tokens = [stream()] * rng.randint(1, 9)
-        for docs in (corpus, corpus[: rng.randint(1, 5)], no_tokens):
+        plain = [tuple(doc) for doc in corpus]  # any token tuples, not only streams
+        for docs in (corpus, corpus[: rng.randint(1, 5)], no_tokens, plain):
             model = fit(docs)
-            vocabulary, idf, n = oracle_tfidf_fit([doc.tokens for doc in docs])
+            vocabulary, idf, n = oracle_tfidf_fit(docs)
             assert list(model.vocabulary) == vocabulary
             assert list(model.vocabulary.values()) == list(range(len(vocabulary)))
             assert all(type(value) is float for value in model.idf)

@@ -191,7 +191,7 @@ def brute_force_top(streams, n, k):
     """Straight-line window enumeration, independent of analytics.py."""
     counts: dict[str, int] = {}
     for stream in streams:
-        tokens = list(stream.tokens)
+        tokens = list(stream)
         for start in range(len(tokens)):
             window = tokens[start : start + n]
             if len(window) == n:
@@ -219,9 +219,7 @@ def write_goldens():
         ("after", ANALYZE_BASE | {textprep.Step.STOPWORD_REMOVAL}),
     ):
         config = textprep.PreprocessConfig(steps=steps)
-        streams = [
-            textprep.run_pipeline(text, config, source_id=cid) for cid, text in offensive
-        ]
+        streams = [textprep.run_pipeline(text, config) for _, text in offensive]
         for n, name in names.items():
             rows = brute_force_top(streams, n, 20)
             lines = ["gram,count"] + [
