@@ -63,9 +63,10 @@ print(
 )
 
 # Every result exports as plain CSV chart data.
-out_dir = Path(tempfile.mkdtemp(prefix="modkit-demo-"))
-export_chart_data(ngram_counts(streams, 2, 10), out_dir / "bigrams.csv")
-export_chart_data(histogram, out_dir / "lengths.csv")
-export_chart_data(stats, out_dir / "emoji.csv")
-print(f"\nwrote {len(list(out_dir.iterdir()))} CSV files to {out_dir}")
-print((out_dir / "bigrams.csv").read_text(encoding="utf-8"))
+with tempfile.TemporaryDirectory(prefix="modkit-demo-") as tmp:
+    out_dir = Path(tmp)
+    export_chart_data(ngram_counts(streams, 2, 10), out_dir / "bigrams.csv")
+    export_chart_data(histogram, out_dir / "lengths.csv")
+    export_chart_data(stats, out_dir / "emoji.csv")
+    print(f"\nwrote {len(list(out_dir.iterdir()))} CSV files to {out_dir}")
+    print((out_dir / "bigrams.csv").read_text(encoding="utf-8"))

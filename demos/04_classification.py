@@ -14,7 +14,6 @@ from modkit import (
     predict_lr,
     predict_nb,
     render_text_table,
-    rows,
     run_cycles,
     run_pipeline,
     train_lr,
@@ -54,12 +53,13 @@ lr = train_lr(X, y)  # full-batch descent, 500 epochs, zero init
 print(f"LR loss: {lr.loss_history[0]:.4f} -> {lr.loss_history[-1]:.4f}")
 
 probes = ["you pathetic dumb troll", "what a lovely helpful answer"]
-# Scoring needs no numpy: rows are plain (columns, values) lists, with the
-# same bits as the rows of transform_all.
-P = rows(tfidf, [run_pipeline(text, config) for text in probes])
+# A model scores token streams through the TF-IDF it was fitted with, which
+# builds each stream's row in plain Python, the same bits as transform_all's;
+# scoring needs no numpy.
+probe_streams = [run_pipeline(text, config) for text in probes]
 # NB reports the posterior of its label, LR the probability of OFFENSIVE.
 for name, predict, model in (("NB", predict_nb, nb), ("LR", predict_lr, lr)):
-    labels, probabilities = predict(model, P)
+    labels, probabilities = predict(model, tfidf, probe_streams)
     for text, label, p in zip(probes, labels, probabilities):
         print(f"{name} says {label.name} ({p:.3f}) for {text!r}")
 

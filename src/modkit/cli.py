@@ -161,8 +161,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     dictionary = textprep.default_lemma_dictionary()
     emoticons, aliases = textprep.default_emoticon_map(), textprep.default_emoji_aliases()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     offensive = [text for _, text, label in dataset.entries if label is corpus.Label.OFFENSIVE]
     # the string and punctuation steps once per comment, then each chart's token steps
     base = textprep.PreprocessConfig(
@@ -179,22 +177,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for tokens in base_tokens
         ],
     }
-    for suffix, streams in variants.items():
-        for n, name in _NGRAM_NAMES.items():
-            table = analytics.ngram_counts(streams, n, args.top_k)
-            analytics.export_chart_data(table, out_dir / f"ngrams_{name}_{suffix}.csv")
-    analytics.export_chart_data(
-        analytics.length_histogram(dataset.texts(), args.bucket_width),
-        out_dir / "length_overall.csv",
-    )
-    analytics.export_chart_data(
-        analytics.length_histogram(offensive, args.bucket_width),
-        out_dir / "length_offensive.csv",
-    )
+    # every table first, so a bad flag or dataset leaves no chart and no directory
+    charts = {
+        f"ngrams_{name}_{suffix}.csv": analytics.ngram_counts(streams, n, args.top_k)
+        for suffix, streams in variants.items()
+        for n, name in _NGRAM_NAMES.items()
+    }
+    charts["length_overall.csv"] = analytics.length_histogram(dataset.texts(), args.bucket_width)
+    charts["length_offensive.csv"] = analytics.length_histogram(offensive, args.bucket_width)
     # emoticons count as their emoji counterparts in the emoji usage charts
-    emoji_stats = analytics.emoji_stats(dataset, cap=args.cap, aliases=aliases, emoticons=emoticons)
-    analytics.export_chart_data(emoji_stats, out_dir / "emoji_stats.csv")
-    print(f"wrote {6 + 2 + 1} chart files to {out_dir}")
+    charts["emoji_stats.csv"] = analytics.emoji_stats(
+        dataset, cap=args.cap, aliases=aliases, emoticons=emoticons
+    )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, table in charts.items():
+        analytics.export_chart_data(table, out_dir / name)
+    print(f"wrote {len(charts)} chart files to {out_dir}")
     return 0
 
 

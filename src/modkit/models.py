@@ -11,8 +11,9 @@ calls BLAS, so the BLAS core numpy picks does not matter.
 
 Fitting runs on numpy, which the fitting functions import when first
 called. Models are plain floats, and :func:`predict_nb` and
-:func:`predict_lr` score plain-Python rows, so scoring a trained model
-imports no numpy.
+:func:`predict_lr` score token streams through the model's own TF-IDF,
+one plain-Python row at a time, so scoring a trained model imports no
+numpy.
 
 :func:`run_cycles` reproduces the multi-cycle protocol: every cycle
 re-splits the dataset 80/10/10 with a fresh seed, trains, scores the
@@ -26,7 +27,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _atomic
 from ._frozen import Frozen
@@ -44,7 +45,7 @@ from .evaluate import MetricsReport, confusion, metrics
 from .textprep import (
     PIPELINE_ORDER, EmojiMode, PreprocessConfig, Step, TokenStream, _step_tables, run_pipeline,
 )
-from .vectorize import CSRMatrix, Rows, TfidfModel, _fit_transform, rows
+from .vectorize import CSRMatrix, Row, TfidfModel, _fit_transform, rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,11 +111,10 @@ def nb_log_joint(model: NBModel, X: CSRMatrix) -> np.ndarray:
     return np.stack(joints, axis=1) + np.asarray(model.log_prior, dtype=float)
 
 
-def _nb_joints(model: NBModel, X: Rows | CSRMatrix) -> list[tuple[float, float]]:
+def _nb_joints(model: NBModel, X: Iterable[Row]) -> list[tuple[float, float]]:
     """Per row: log prior + sum_t x_t * log P(t|c), by class index, in
     plain Python: the products added one at a time in column order, as
     :func:`nb_log_joint` adds them."""
-    _check_width(model.vocab_size, X.n_cols)
     (prior_not, prior_off), (ll_not, ll_off) = model.log_prior, model.log_likelihood
     joints = []
     for columns, values in X:
@@ -126,16 +126,19 @@ def _nb_joints(model: NBModel, X: Rows | CSRMatrix) -> list[tuple[float, float]]
     return joints
 
 
-def predict_nb(model: NBModel, X: Rows | CSRMatrix) -> tuple[list[Label], list[float]]:
-    """Argmax class of every row of ``X``, from
-    :func:`~modkit.vectorize.rows` or a ``CSRMatrix``, and its posterior
-    (log-sum-exp stabilized). :class:`SchemaViolationError` when ``X`` is
-    not as wide as the model.
+def predict_nb(
+    model: NBModel, tfidf: TfidfModel, corpus: Iterable[Sequence[str]]
+) -> tuple[list[Label], list[float]]:
+    """Argmax class of every stream of ``corpus``, featurized by the
+    model's ``tfidf`` (:func:`~modkit.vectorize.rows`), and its posterior
+    (log-sum-exp stabilized). :class:`SchemaViolationError`, before any
+    stream is read, when ``tfidf`` is not as wide as the model.
 
     Exact ties go to NOT_OFFENSIVE, the conservative moderation default.
     """
+    _check_width(model.vocab_size, tfidf.vocab_size)
     labels, posteriors = [], []
-    for joint_not, joint_off in _scores(_nb_joints, model, X):
+    for joint_not, joint_off in _nb_joints(model, rows(tfidf, corpus)):
         top = max(joint_not, joint_off)
         e_not, e_off = math.exp(joint_not - top), math.exp(joint_off - top)
         offensive = joint_off > joint_not
@@ -291,10 +294,9 @@ def _train_lr_folds(
     ]
 
 
-def _lr_margins(model: LRModel, X: Rows | CSRMatrix) -> list[float]:
+def _lr_margins(model: LRModel, X: Iterable[Row]) -> list[float]:
     """Per row: w.x + b, in plain Python: the products added one at a
     time in column order, then the bias."""
-    _check_width(model.vocab_size, X.n_cols)
     weights, bias = model.weights, model.bias
     margins = []
     for columns, values in X:
@@ -311,23 +313,15 @@ def _probability(z: float) -> float:
     return (1.0 if z >= 0 else e) / (1.0 + e)
 
 
-def predict_lr(model: LRModel, X: Rows | CSRMatrix) -> tuple[list[Label], list[float]]:
-    """Probability sigmoid(w.x + b) of every row of ``X``, as
+def predict_lr(
+    model: LRModel, tfidf: TfidfModel, corpus: Iterable[Sequence[str]]
+) -> tuple[list[Label], list[float]]:
+    """Probability sigmoid(w.x + b) of every stream of ``corpus``, as
     :func:`predict_nb` takes them; OFFENSIVE iff it is >= 0.5."""
-    probability = [_probability(z) for z in _scores(_lr_margins, model, X)]
+    _check_width(model.vocab_size, tfidf.vocab_size)
+    probability = [_probability(z) for z in _lr_margins(model, rows(tfidf, corpus))]
     labels = [Label.OFFENSIVE if p >= 0.5 else Label.NOT_OFFENSIVE for p in probability]
     return labels, probability
-
-
-def _scores(score, model: NBModel | LRModel, X: Rows | CSRMatrix) -> list:
-    """``score(model, X)``, with a column past the model's features, which
-    a row built by hand may hold, as :class:`SchemaViolationError`."""
-    try:
-        return score(model, X)
-    except IndexError:
-        raise SchemaViolationError(
-            f"a row has a column past the model's {model.vocab_size} features"
-        ) from None
 
 
 def numpy_runtime() -> dict:
@@ -530,9 +524,11 @@ def _train_all(
     return _train_lr_folds(folds, config.learning_rate, config.epochs, config.l2)
 
 
-def _score(model: NBModel | LRModel, X: Rows, y: Sequence[Label], name: str) -> MetricsReport:
+def _score(
+    model: NBModel | LRModel, tfidf: TfidfModel, streams: Iterable[Sequence[str]], y: Sequence[Label], name: str
+) -> MetricsReport:
     predict = predict_nb if isinstance(model, NBModel) else predict_lr
-    y_pred, _ = predict(model, X)
+    y_pred, _ = predict(model, tfidf, streams)
     return metrics(confusion(y, y_pred), variant_name=name)
 
 
@@ -543,10 +539,13 @@ def evaluate_on(
     config: RunConfig,
     stoplist: frozenset[str] | None = None,
 ) -> MetricsReport:
-    """The metrics of ``model`` on ``dataset``, featurized by ``tfidf``;
-    :class:`SchemaViolationError` when their widths differ."""
-    X = rows(tfidf, _preprocess_all(dataset, config.preprocess, stoplist))
-    return _score(model, X, dataset.labels(), config.name)
+    """The metrics of ``model`` on ``dataset``, featurized by ``tfidf``,
+    each comment preprocessed as it is scored; :class:`SchemaViolationError`,
+    before any is, when their widths differ."""
+    preprocess = config.preprocess
+    tables = _step_tables(preprocess, stoplist)
+    streams = (run_pipeline(text, preprocess, **tables) for text in dataset.texts())
+    return _score(model, tfidf, streams, dataset.labels(), config.name)
 
 
 def run_cycles(
@@ -562,12 +561,12 @@ def run_cycles(
     comment is preprocessed once per run; each cycle fits TF-IDF on its
     own train fold only. Reports are named ``config.name``.
 
-    All cycles are split, fitted and transformed first: the train fold
-    to a numpy matrix, the validation and test folds to the plain-Python
-    :func:`~modkit.vectorize.rows` that :func:`evaluate_on` scores too.
-    NB then trains per cycle, and LR trains every cycle in one shared
-    descent (see :func:`_train_lr_folds`) whose models equal, bit for
-    bit, those of :func:`train_lr` on each cycle's train fold.
+    All cycles are split, and their train folds fitted and transformed
+    to numpy matrices, first. NB then trains per cycle, and LR trains
+    every cycle in one shared descent (see :func:`_train_lr_folds`) whose
+    models equal, bit for bit, those of :func:`train_lr` on each cycle's
+    train fold. Each cycle's model then scores its validation and test
+    streams through that cycle's TF-IDF, as :func:`evaluate_on` scores.
     """
     stream_of = dict(zip(dataset.ids(), _preprocess_all(dataset, config.preprocess, stoplist)))
 
@@ -575,18 +574,18 @@ def run_cycles(
         return [stream_of[cid] for cid in part.ids()]
 
     seeds = range(config.seed, config.seed + config.n_cycles)
-    featurizers, folds = [], []  # per cycle: its TF-IDF; its train, validation and test (X, y)
+    featurizers, folds = [], []  # per cycle: TF-IDF; train (X, y), validation and test (streams, y)
     for seed in seeds:
         parts = split(dataset, config.ratios, seed)
         tfidf, train_X = _fit_transform(streams(parts[0]))
         featurizers.append(tfidf)
-        features = [train_X, *(rows(tfidf, streams(part)) for part in parts[1:])]
+        features = [train_X, *map(streams, parts[1:])]
         folds.append([(X, part.labels()) for X, part in zip(features, parts)])
     trained = _train_all([train for train, _, _ in folds], config)
     name = config.name
     results = [
-        CycleResult(seed, validation=_score(model, *val, name), test=_score(model, *test, name))
-        for seed, model, (_, val, test) in zip(seeds, trained, folds)
+        CycleResult(seed, _score(model, tfidf, *val, name), _score(model, tfidf, *test, name))
+        for seed, tfidf, model, (_, val, test) in zip(seeds, featurizers, trained, folds)
     ]
     best = select_best_cycle(results)
     report = TrainReport(cycles=tuple(results), best_cycle_index=best, variant_name=name)

@@ -6,9 +6,9 @@ normalization. The smoothing keeps idf >= 1, so downstream multinomial
 models never see negative feature mass.
 
 A model is fitted on a numpy :class:`CSRMatrix` (:func:`fit`,
-:func:`transform_all`), and scored on the plain-Python :func:`rows`, the
-same rows bit for bit. Only fitting imports numpy, inside the functions
-that use it, so scoring never loads it.
+:func:`transform_all`). Scoring reads the plain-Python :func:`rows`, one
+stream at a time, the same rows bit for bit. Only fitting imports numpy,
+inside the functions that use it, so scoring never loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import math
 from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _atomic
 from ._frozen import Frozen
@@ -34,8 +34,7 @@ class CSRMatrix(Frozen):
 
     Only the two products the classifiers need are offered, ``X @ v``
     and ``r @ X``. Both accumulate with ``np.bincount`` in storage
-    order, so results do not depend on a BLAS build. Iterating gives
-    each row as the ``(columns, values)`` pair of lists the scorers read.
+    order, so results do not depend on a BLAS build.
     """
 
     __slots__ = ("indptr", "indices", "data", "n_cols", "_row_of")
@@ -49,11 +48,6 @@ class CSRMatrix(Frozen):
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
-
-    def __iter__(self):
-        bounds, columns, values = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
-        for a, b in zip(bounds, bounds[1:]):
-            yield columns[a:b], values[a:b]
 
     @classmethod
     def block_diagonal(cls, blocks: Sequence[CSRMatrix]) -> CSRMatrix:
@@ -179,27 +173,16 @@ def _tfidf_rows(model: TfidfModel, n_rows: int, counts: _TermCounts) -> CSRMatri
 Row = tuple[list[int], list[float]]
 
 
-class Rows(list):
-    """The :data:`Row` of each stream, and ``n_cols``, the width of the
-    TF-IDF that built them, which a scorer checks against its model."""
-
-    __slots__ = ("n_cols",)
-
-    def __init__(self, rows: Iterable[Row], n_cols: int):
-        super().__init__(rows)
-        self.n_cols = n_cols
-
-
-def rows(model: TfidfModel, corpus: Sequence[Sequence[str]]) -> Rows:
-    """One ``(columns, values)`` row per stream, in plain Python: each
-    known term's count times its idf, in column order, divided by the
-    square root of the squares added one at a time in that order. These
-    are, bit for bit, the rows of :func:`transform_all`, whose norm adds
-    the same way; a stream without known tokens is an empty row. A row
-    whose squares all round to zero (idf values far below 1, which no fit
-    gives) raises :class:`ModkitError`."""
+def rows(model: TfidfModel, corpus: Iterable[Sequence[str]]) -> Iterator[Row]:
+    """One ``(columns, values)`` row per stream, in plain Python, built
+    as the stream is read: each known term's count times its idf, in
+    column order, divided by the square root of the squares added one at
+    a time in that order. These are, bit for bit, the rows of
+    :func:`transform_all`, whose norm adds the same way; a stream without
+    known tokens is an empty row. A row whose squares all round to zero
+    (idf values far below 1, which no fit gives) raises
+    :class:`ModkitError`."""
     column_of, idf = model.vocabulary.get, model.idf
-    out = []
     for i, tokens in enumerate(corpus):
         counts: dict[int, int] = {}
         for column in map(column_of, tokens):
@@ -215,8 +198,7 @@ def rows(model: TfidfModel, corpus: Sequence[Sequence[str]]) -> Rows:
             values = [value / norm for value in values]
         elif values:
             raise ModkitError(f"TF-IDF row {i} has no norm: its terms' idf values are too small")
-        out.append((columns, values))
-    return Rows(out, model.vocab_size)
+        yield columns, values
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:

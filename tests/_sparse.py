@@ -41,3 +41,9 @@ def dense(X: CSRMatrix) -> np.ndarray:
         for column, weight in entries(X, row):
             out[row, column] = weight
     return out
+
+
+def row_lists(X: CSRMatrix) -> list[tuple[list[int], list[float]]]:
+    """Every row as a (columns, values) pair of lists, sliced from the raw arrays."""
+    bounds = X.indptr.tolist()
+    return [(X.indices[a:b].tolist(), X.data[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]

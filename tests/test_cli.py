@@ -279,6 +279,23 @@ class TestAnalyze:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
         assert len((out / "ngrams_tri_after.csv").read_text(encoding="utf-8").splitlines()) == 61
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--bucket-width", "0", "bucket width must be a positive integer, got 0"),
+            ("--cap", "0", "cap must be a positive integer or None, got 0"),
+            ("--cap", "-1", "cap must be a positive integer or None, got -1"),
+            ("--top-k", "0", "top_k must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_flag_writes_nothing(self, tmp_path, fixture10_paths, capsys, flag, value, message):
+        dataset = self.make_dataset(tmp_path, fixture10_paths)
+        capsys.readouterr()
+        out = tmp_path / "charts"
+        assert main(["analyze", "--dataset", str(dataset), "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_tables_looked_up_a_fixed_number_of_times(self, tmp_path, table_lookups):
         """The data tables are looked up once per command, not per comment."""
         counts = []

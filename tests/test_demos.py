@@ -1,4 +1,5 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion and leaves no
+temporary directory behind."""
 
 from __future__ import annotations
 
@@ -21,3 +22,4 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("modkit-demo-*"))

@@ -1,6 +1,7 @@
 """Static checks of the library source, with the stdlib ``ast`` only.
 
-``__init__.py`` is left out: the names it imports are its exports.
+``__init__.py`` is left out of the import check: the names it imports
+are its exports.
 """
 
 from __future__ import annotations
@@ -10,11 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "modkit").glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "modkit").glob("*.py"))
+SOURCES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +36,40 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Each private module-level function or class, as ``module: name``,
+    that no source reads by name, by attribute or in an import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
+    return [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+
+
+def test_finds_an_unreferenced_private_definition():
+    sources = {
+        "a": "def _dead(): pass\ndef _called(): pass\nclass _Imported: pass\ndef public(): _called()\n",
+        "b": "from a import _Imported\nimport a\na._by_attribute\n",
+        "c": "def _by_attribute(): pass\ndef __dunder__(): pass\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a: _dead"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unreferenced_private_definitions(sources) == []

@@ -41,10 +41,10 @@ from modkit.evaluate import ConfusionMatrix, metrics
 from modkit.textprep import (
     ALL_STEPS, PIPELINE_ORDER, EmojiMode, PreprocessConfig, Step, TokenStream, run_pipeline,
 )
-from modkit.vectorize import Rows, TfidfModel, fit, rows, transform_all
+from modkit.vectorize import TfidfModel, fit, rows, transform_all
 from _fuzz import messy_text
 from _oracles import central_difference_gradient, nb_log_joint_oracle
-from _sparse import csr, dense, entries
+from _sparse import csr, dense, entries, row_lists
 
 OFF, NOT = Label.OFFENSIVE, Label.NOT_OFFENSIVE
 #: Every preprocessing step, by name, as RunConfig takes them.
@@ -56,9 +56,21 @@ BAD_GOOD_X = csr([{0: 2.0}, {1: 1.0}])
 BAD_GOOD_Y = [OFF, NOT]
 
 
-def predict_one(predict, model, row: dict[int, float]) -> tuple[Label, float]:
-    labels, probabilities = predict(model, csr([row], model.vocab_size))
+def unit_tfidf(width: int) -> TfidfModel:
+    """A TF-IDF of the terms t0, t1, ... with idf 1: a stream of one
+    known term is the row {its column: 1.0}, one of none the empty row."""
+    return TfidfModel(vocabulary={f"t{i}": i for i in range(width)}, idf=[1.0] * width, doc_count=1)
+
+
+def predict_one(predict, model, tokens: tuple[str, ...]) -> tuple[Label, float]:
+    labels, probabilities = predict(model, unit_tfidf(model.vocab_size), [tokens])
     return labels[0], float(probabilities[0])
+
+
+def plain(rows: list[dict[int, float]]) -> list[tuple[list[int], list[float]]]:
+    """Rows as {column: weight} as the scorers read them: (columns, values)
+    lists in column order."""
+    return [(sorted(row), [row[column] for column in sorted(row)]) for row in rows]
 
 
 class TestTrainNB:
@@ -72,7 +84,7 @@ class TestTrainNB:
 
     def test_disjoint_vocab_separates(self):
         model = train_nb(BAD_GOOD_X, BAD_GOOD_Y)
-        labels, _ = predict_nb(model, csr([{0: 1.0}, {1: 1.0}]))
+        labels, _ = predict_nb(model, unit_tfidf(2), [("t0",), ("t1",)])
         assert labels == [OFF, NOT]
 
     def test_zero_alpha_rejected(self):
@@ -100,22 +112,25 @@ class TestTrainNB:
 class TestPredictNB:
     def test_joint_scores_match_hand_arithmetic(self):
         model = train_nb(BAD_GOOD_X, BAD_GOOD_Y, alpha=1.0)
-        label, _posterior = predict_one(predict_nb, model, {0: 1.0})
-        (joints,) = np.exp(nb_log_joint(model, csr([{0: 1.0}], 2)))
-        assert joints[1] == pytest.approx(0.375)
-        assert joints[0] == pytest.approx(1 / 6)
+        label, _posterior = predict_one(predict_nb, model, ("t0",))
+        for joints in (
+            np.exp(models._nb_joints(model, [([0], [1.0])])[0]),
+            np.exp(nb_log_joint(model, csr([{0: 1.0}], 2))[0]),
+        ):
+            assert joints[1] == pytest.approx(0.375)
+            assert joints[0] == pytest.approx(1 / 6)
         assert label is OFF
 
     def test_empty_vector_uses_priors(self):
         X = csr([{0: 1.0}, {1: 1.0}, {1: 2.0}])
         model = train_nb(X, [OFF, NOT, NOT])
-        label, posterior = predict_one(predict_nb, model, {})
+        label, posterior = predict_one(predict_nb, model, ())
         assert label is NOT
         assert posterior == pytest.approx(2 / 3)
 
     def test_exact_tie_goes_to_not_offensive(self):
         model = train_nb(csr([{0: 1.0}, {1: 1.0}]), [OFF, NOT], alpha=1.0)
-        label, posterior = predict_one(predict_nb, model, {})
+        label, posterior = predict_one(predict_nb, model, ())
         assert label is NOT
         assert posterior == pytest.approx(0.5)
 
@@ -152,24 +167,28 @@ class TestPredictNB:
         X = csr(rows, 4)
         y = [OFF if i % 2 else NOT for i in range(8)]
         model = train_nb(X, y)
+
+        def argmax(model: NBModel) -> list[bool]:
+            return [off > not_ for not_, off in models._nb_joints(model, plain(rows))]
+
         for scale in (0.25, 1.0, 7.5):
             scaled = csr([{i: w * scale for i, w in row.items()} for row in rows], 4)
-            scaled_model = train_nb(scaled, y)
-            assert predict_nb(scaled_model, X)[0] == predict_nb(model, X)[0]
+            assert argmax(train_nb(scaled, y)) == argmax(model)
 
 
 class TestTrainLR:
     def test_zero_model_predicts_half(self):
         model = LRModel(weights=np.zeros(3), bias=0.0, l2=0.0, learning_rate=0.1, epochs=0)
-        label, probability = predict_one(predict_lr, model, {0: 1.0, 2: 0.5})
+        assert models._lr_margins(model, [([0, 2], [1.0, 0.5])]) == [0.0]
+        label, probability = predict_one(predict_lr, model, ("t0", "t2"))
         assert probability == 0.5
         assert label is OFF  # threshold rule: >= 0.5 is offensive
 
     def test_separable_line_reaches_perfect_accuracy(self):
-        X = csr([{0: -1.0}, {0: 1.0}] * 5)
+        rows = [{0: -1.0}, {0: 1.0}] * 5
         y = [NOT, OFF] * 5
-        model = train_lr(X, y)
-        assert predict_lr(model, X)[0] == y
+        model = train_lr(csr(rows), y)
+        assert [OFF if z >= 0 else NOT for z in models._lr_margins(model, plain(rows))] == y
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(20240214)
@@ -225,26 +244,31 @@ class TestPredictLR:
         model = LRModel(
             weights=np.zeros(2), bias=math.log(3), l2=0.0, learning_rate=0.1, epochs=0
         )
-        _, probability = predict_one(predict_lr, model, {})
+        _, probability = predict_one(predict_lr, model, ())
         assert probability == pytest.approx(0.75)
 
     def test_large_margin_saturates(self):
         model = LRModel(weights=np.array([50.0]), bias=0.0, l2=0.0, learning_rate=0.1, epochs=0)
-        label, probability = predict_one(predict_lr, model, {0: 1.0})
+        label, probability = predict_one(predict_lr, model, ("t0",))
         assert label is OFF
         assert probability > 0.999999
 
 
-def tfidf_matrix(seed: int, n_docs: int = 80):
-    """A TF-IDF matrix over random token streams, with alternating labels."""
+def tfidf_corpus(seed: int, n_docs: int = 80):
+    """Random token streams, the TF-IDF fitted on them, and alternating labels."""
     rng = random.Random(seed)
     words = [f"w{i}" for i in range(40)]
     streams = [
         TokenStream(tuple(rng.choice(words) for _ in range(rng.randint(0, 12))))
         for _ in range(n_docs)
     ]
-    X = transform_all(fit(streams), streams)
-    return X, [OFF if i % 2 else NOT for i in range(n_docs)]
+    return streams, fit(streams), [OFF if i % 2 else NOT for i in range(n_docs)]
+
+
+def tfidf_matrix(seed: int, n_docs: int = 80):
+    """The TF-IDF matrix of :func:`tfidf_corpus`'s streams, and their labels."""
+    streams, tfidf, y = tfidf_corpus(seed, n_docs)
+    return transform_all(tfidf, streams), y
 
 
 class TestAgainstReferences:
@@ -329,38 +353,41 @@ class TestAgainstReferences:
             assert np.allclose(model.loss_history, history, rtol=1e-12, atol=0.0)
 
     def test_batch_predictions_match_rows_one_at_a_time(self):
-        X, y = tfidf_matrix(7)
+        streams, tfidf, y = tfidf_corpus(7)
+        X = transform_all(tfidf, streams)
         for model, predict in ((train_nb(X, y), predict_nb), (train_lr(X, y, epochs=50), predict_lr)):
-            labels, probabilities = predict(model, X)
-            for row in range(len(X)):
-                label, probability = predict_one(predict, model, dict(entries(X, row)))
-                assert label is labels[row]
-                assert probability == pytest.approx(probabilities[row], rel=1e-12)
+            labels, probabilities = predict(model, tfidf, iter(streams))
+            for stream, label, probability in zip(streams, labels, probabilities):
+                assert predict(model, tfidf, [stream]) == ([label], [probability])
 
-    def test_width_mismatch_raises(self):
+    def test_width_mismatch_raises(self, monkeypatch):
+        """Before any stream is read, and so before any comment is preprocessed."""
         X, y = tfidf_matrix(8)
-        narrow = csr([{0: 1.0}], X.n_cols - 1)
-        terms = [f"w{i}" for i in range(X.n_cols - 1)]
-        vocabulary = {term: i for i, term in enumerate(terms)}
-        tfidf = TfidfModel(vocabulary=vocabulary, idf=[1.0] * len(terms), doc_count=1)
+
+        def unread():
+            pytest.fail("a stream was read")
+            yield
+
+        def preprocess(*args, **kwargs):
+            pytest.fail("a comment was preprocessed")
+
+        def message(width: int) -> str:
+            return f"^model has {X.n_cols} features but the TF-IDF vocabulary has {width}$"
+
+        monkeypatch.setattr(models, "run_pipeline", preprocess)
+        narrow, wide = (
+            TfidfModel(vocabulary={f"w{i}": i for i in range(width)}, idf=[1.0] * width, doc_count=1)
+            for width in (X.n_cols - 1, X.n_cols + 1)
+        )
         data = LabeledDataset(entries=(("a", "w0", OFF), ("b", "w1", NOT)))
-        narrow_rows = rows(tfidf, [TokenStream(("w0",))])
-        wide = csr([{0: 1.0}], X.n_cols + 1)
         for model, predict in ((train_nb(X, y), predict_nb), (train_lr(X, y, epochs=5), predict_lr)):
-            for features in (narrow, narrow_rows, wide):
-                with pytest.raises(SchemaViolationError, match="features"):
-                    predict(model, features)
-            with pytest.raises(SchemaViolationError, match="features"):
-                evaluate_on(tfidf, model, data, RunConfig())
-        with pytest.raises(SchemaViolationError, match="features"):
-            nb_log_joint(train_nb(X, y), narrow)
-
-    def test_column_past_the_model_raises(self):
-        X, y = tfidf_matrix(8)
-        past = Rows([([0], [0.5]), ([X.n_cols], [1.0])], X.n_cols)
-        for model, predict in ((train_nb(X, y), predict_nb), (train_lr(X, y, epochs=5), predict_lr)):
-            with pytest.raises(SchemaViolationError, match="column past"):
-                predict(model, past)
+            for tfidf in (narrow, wide):
+                with pytest.raises(SchemaViolationError, match=message(tfidf.vocab_size)):
+                    predict(model, tfidf, unread())
+            with pytest.raises(SchemaViolationError, match=message(X.n_cols - 1)):
+                evaluate_on(narrow, model, data, RunConfig())
+        with pytest.raises(SchemaViolationError, match=message(X.n_cols - 1)):
+            nb_log_joint(train_nb(X, y), csr([{0: 1.0}], X.n_cols - 1))
 
 
 class TestPlainPythonScorer:
@@ -385,8 +412,8 @@ class TestPlainPythonScorer:
             TokenStream(tuple(rng.sample(words, 45)) * 3),
         ]
         rng.shuffle(streams)
-        X, python_rows = transform_all(tfidf, streams), rows(tfidf, streams)
-        assert [columns for columns, _ in python_rows] == [columns for columns, _ in X]
+        X, python_rows = transform_all(tfidf, streams), list(rows(tfidf, streams))
+        assert [columns for columns, _ in python_rows] == [columns for columns, _ in row_lists(X)]
         values = [value for _, row_values in python_rows for value in row_values]
         assert np.array(values).tobytes() == X.data.tobytes()
         lengths = [len(columns) for columns, _ in python_rows]

@@ -15,7 +15,7 @@ from modkit.textprep import TokenStream
 from modkit.vectorize import CSRMatrix, TfidfModel, fit, load_tfidf, rows, save_tfidf, transform_all
 
 from _oracles import oracle_tfidf_fit
-from _sparse import csr, dense, entries
+from _sparse import csr, dense, entries, row_lists
 
 
 def stream(*tokens: str) -> TokenStream:
@@ -206,19 +206,26 @@ class TestTransform:
 
 
 class TestRows:
-    def test_iterating_a_matrix_gives_its_rows(self):
+    def test_rows_are_the_matrix_rows(self):
         model = fit(CORPUS)
         corpus = [stream("a", "b", "a"), stream(), stream("zzz"), stream("c")]
-        assert list(transform_all(model, corpus)) == rows(model, corpus)
-        assert rows(model, [stream("zzz")]) == [([], [])]
-        assert rows(model, corpus).n_cols == transform_all(model, corpus).n_cols == model.vocab_size
+        assert list(rows(model, corpus)) == row_lists(transform_all(model, corpus))
+        assert list(rows(model, [stream("zzz")])) == [([], [])]
+
+    def test_each_row_is_built_as_its_stream_is_read(self):
+        def streams():
+            yield stream("a", "b")
+            pytest.fail("the second stream was read")
+
+        model = fit(CORPUS)
+        assert next(rows(model, streams())) == row_lists(transform_all(model, CORPUS[:1]))[0]
 
     def test_row_without_a_norm_raises(self):
         """No fit gives such idf values: only a damaged tfidf.json can."""
         model = TfidfModel(vocabulary={"a": 0, "b": 1}, idf=[5e-324, 1.0], doc_count=1)
-        assert rows(model, [stream("b", "b"), stream()]) == [([1], [1.0]), ([], [])]
+        assert list(rows(model, [stream("b", "b"), stream()])) == [([1], [1.0]), ([], [])]
         with pytest.raises(ModkitError, match="row 1 has no norm"):
-            rows(model, [stream("b"), stream("a", "a")])
+            list(rows(model, [stream("b"), stream("a", "a")]))
 
 
 def random_csr(rng: random.Random, n_rows: int, n_cols: int):
