@@ -166,10 +166,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     base = textprep.PreprocessConfig(
         {textprep.Step.LOWERCASING, textprep.Step.EMOJI_ENCODING, textprep.Step.PUNCTUATION_REMOVAL}
     )
-    base_tokens = [
-        textprep.run_pipeline(text, base, emoticon_map=emoticons, aliases=aliases)
-        for text in offensive
-    ]
+    tables = {"emoticon_map": emoticons, "aliases": aliases}
+    memo = textprep.ChunkMemo(base, **tables)
+    base_tokens = [textprep.run_pipeline(text, base, memo=memo, **tables) for text in offensive]
     variants = {
         "before": [textprep.lemmatize(tokens, dictionary) for tokens in base_tokens],
         "after": [

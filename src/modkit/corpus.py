@@ -303,6 +303,16 @@ def check_seed(seed: int, n_cycles: int = 1) -> None:
         raise ConfigError(f"seed must be in 0..{last}{cycles}, got {seed}")
 
 
+def fold_sizes(n: int, ratios: Sequence[float]) -> tuple[int, int, int]:
+    """The train, validation and test sizes :func:`split` gives ``n``
+    entries: floor(n * ratio) for validation and test, the remainder for
+    train. The 1e-9 nudge keeps floor() stable when n * ratio is an
+    integer that float rounding lands just under."""
+    n_val = math.floor(n * ratios[1] + 1e-9)
+    n_test = math.floor(n * ratios[2] + 1e-9)
+    return n - n_val - n_test, n_val, n_test
+
+
 def split(
     dataset: LabeledDataset,
     ratios: tuple[float, float, float],
@@ -311,18 +321,14 @@ def split(
     """Disjoint train/validation/test partition.
 
     Ids are shuffled (seeded Fisher-Yates over the sorted id list), then
-    sizes are allocated as floor(n * ratio) with the remainder going to
-    train. The 1e-9 nudge below keeps floor() stable when n * ratio is an
-    integer that float rounding lands just under. A seed outside
-    0..2**64 - 1 raises :class:`ConfigError`: it would alias another.
+    cut into :func:`fold_sizes`. A seed outside 0..2**64 - 1 raises
+    :class:`ConfigError`: it would alias another.
     """
     check_ratios(ratios)
     check_seed(seed)
     n = len(dataset.entries)
     order = shuffled(dataset.ids(), seed)
-    n_val = math.floor(n * ratios[1] + 1e-9)
-    n_test = math.floor(n * ratios[2] + 1e-9)
-    n_train = n - n_val - n_test
+    n_train, _, n_test = fold_sizes(n, ratios)
     return (
         _subset(dataset, set(order[:n_train])),
         _subset(dataset, set(order[n_train : n - n_test])),

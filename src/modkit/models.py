@@ -27,11 +27,11 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import _atomic
 from ._frozen import Frozen
-from .corpus import LabeledDataset, Label, check_ratios, check_seed, split
+from .corpus import LabeledDataset, Label, check_ratios, check_seed, fold_sizes, split
 from .errors import (
     ConfigError,
     ModkitError,
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .evaluate import MetricsReport, confusion, metrics
 from .textprep import (
-    PIPELINE_ORDER, EmojiMode, PreprocessConfig, Step, TokenStream, _step_tables, run_pipeline,
+    PIPELINE_ORDER, ChunkMemo, EmojiMode, PreprocessConfig, Step, TokenStream, _step_tables, run_pipeline,
 )
 from .vectorize import CSRMatrix, Row, TfidfModel, _fit_transform, rows
 
@@ -508,11 +508,20 @@ class TrainedArtifacts(NamedTuple):
     report: TrainReport
 
 
+def _preprocessor(
+    preprocess: PreprocessConfig, stoplist: frozenset[str] | None
+) -> Callable[[str], TokenStream]:
+    """One comment's stream, through the step tables bound here and a
+    chunk memo that lives as long as the returned function."""
+    tables = _step_tables(preprocess, stoplist)
+    memo = ChunkMemo(preprocess, **tables)
+    return lambda text: run_pipeline(text, preprocess, memo=memo, **tables)
+
+
 def _preprocess_all(
     dataset: LabeledDataset, preprocess: PreprocessConfig, stoplist: frozenset[str] | None
 ) -> list[TokenStream]:
-    tables = _step_tables(preprocess, stoplist)
-    return [run_pipeline(text, preprocess, **tables) for text in dataset.texts()]
+    return list(map(_preprocessor(preprocess, stoplist), dataset.texts()))
 
 
 def _train_all(
@@ -542,9 +551,7 @@ def evaluate_on(
     """The metrics of ``model`` on ``dataset``, featurized by ``tfidf``,
     each comment preprocessed as it is scored; :class:`SchemaViolationError`,
     before any is, when their widths differ."""
-    preprocess = config.preprocess
-    tables = _step_tables(preprocess, stoplist)
-    streams = (run_pipeline(text, preprocess, **tables) for text in dataset.texts())
+    streams = map(_preprocessor(config.preprocess, stoplist), dataset.texts())
     return _score(model, tfidf, streams, dataset.labels(), config.name)
 
 
@@ -567,7 +574,17 @@ def run_cycles(
     models equal, bit for bit, those of :func:`train_lr` on each cycle's
     train fold. Each cycle's model then scores its validation and test
     streams through that cycle's TF-IDF, as :func:`evaluate_on` scores.
+
+    A fold that :func:`fold_sizes` leaves empty raises
+    :class:`ModkitError`, naming it, before any comment is preprocessed.
     """
+    sizes = fold_sizes(len(dataset), config.ratios)
+    empty = [fold for fold, size in zip(("train", "validation", "test"), sizes) if not size]
+    if empty:
+        raise ModkitError(
+            f"the {' and '.join(empty)} fold{'s' if len(empty) > 1 else ''} of "
+            f"{len(dataset)} comments split by ratios {list(config.ratios)} would be empty"
+        )
     stream_of = dict(zip(dataset.ids(), _preprocess_all(dataset, config.preprocess, stoplist)))
 
     def streams(part: LabeledDataset) -> list[TokenStream]:

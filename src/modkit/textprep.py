@@ -13,6 +13,12 @@ Emojis are never treated as punctuation: raw emoji code points and
 Token steps take and return a plain ``tuple[str, ...]``. A comment's
 :class:`TokenStream`, as :func:`run_pipeline` returns it, is the tuple of
 its tokens, so the featurizers and ``ngram_counts`` take any token tuples.
+
+Every step reads one whitespace chunk at a time, so a text's tokens are
+its chunks' tokens in order. A caller preprocessing a dataset binds the
+step tables once and passes :func:`run_pipeline` a :class:`ChunkMemo`
+made from them for the run, and each distinct chunk then goes through
+the steps once; the tokens and unknown-emoji counts do not change.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ class EmojiMode(Enum):
 class PreprocessConfig(Frozen):
     """The steps a pipeline runs and how it writes emoji aliases."""
 
-    __slots__ = ("steps", "emoji_mode")
+    __slots__ = ("steps", "emoji_mode", "flags")
 
     def __init__(
         self, steps: Iterable[Step] = ALL_STEPS, emoji_mode: EmojiMode = EmojiMode.ML_PLAIN
@@ -79,6 +85,9 @@ class PreprocessConfig(Frozen):
             raise ValueError(f"unknown emoji mode: {emoji_mode!r}")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "emoji_mode", emoji_mode)
+        # whether each step of PIPELINE_ORDER runs, worked out once: a
+        # ``Step`` hashes through a Python-level ``Enum.__hash__``
+        object.__setattr__(self, "flags", tuple(step in steps for step in PIPELINE_ORDER))
 
     def __eq__(self, other):
         if type(other) is not PreprocessConfig:
@@ -335,6 +344,12 @@ def lemmatize(
 # String-level steps
 
 
+def _emoticon_alias(part: str, emoticon_map: Mapping[str, str]) -> str:
+    """One whitespace-free part, as :func:`normalize_emoticons` writes it."""
+    alias = emoticon_map.get(part)
+    return part if alias is None else f":{alias}:"
+
+
 def normalize_emoticons(text: str, emoticon_map: Mapping[str, str] | None = None) -> str:
     """Replace emoticons bounded by whitespace/string edges with
     ``:alias:`` placeholders, preferring the longest matching entry.
@@ -342,7 +357,7 @@ def normalize_emoticons(text: str, emoticon_map: Mapping[str, str] | None = None
     if emoticon_map is None:
         emoticon_map = default_emoticon_map()
     parts = _SPACE_RUNS.split(text)
-    parts[::2] = [f":{emoticon_map[p]}:" if p in emoticon_map else p for p in parts[::2]]
+    parts[::2] = [_emoticon_alias(part, emoticon_map) for part in parts[::2]]
     return "".join(parts)
 
 
@@ -365,7 +380,7 @@ def encode_emojis(
     """
     if aliases is None:
         aliases = default_emoji_aliases()
-    if mode is EmojiMode.ML_PLAIN:
+    if mode is EmojiMode.ML_PLAIN and ":" in text:  # a placeholder holds two
         parts = _SPACE_RUNS.split(text)
         parts[::2] = [p[1:-1] if is_alias_placeholder(p) else p for p in parts[::2]]
         text = "".join(parts)
@@ -404,6 +419,62 @@ def encode_emojis(
 # Pipeline
 
 
+class ChunkMemo(dict):
+    """Whitespace chunk -> (its tokens, its unknown emoji or None), under
+    one config and one set of tables.
+
+    :func:`run_pipeline` given a memo looks each chunk of a text up here,
+    after lowercasing when that step runs, and a chunk not yet here goes
+    through the other steps on its first lookup. No output changes, since
+    every step reads one whitespace chunk at a time. A memo belongs to
+    the tables a caller binds for one run: make it from them, pass
+    :func:`run_pipeline` the same config and tables, which it checks, and
+    drop it with them. A table left ``None`` is its step's default,
+    looked up on each miss.
+    """
+
+    __slots__ = ("binding",)
+
+    def __init__(
+        self,
+        config: PreprocessConfig,
+        stoplist: frozenset[str] | None = None,
+        dictionary: LemmaDictionary | None = None,
+        emoticon_map: Mapping[str, str] | None = None,
+        aliases: Mapping[str, str] | None = None,
+    ):
+        super().__init__()
+        self.binding = (config, stoplist, dictionary, emoticon_map, aliases)
+
+    def __missing__(self, chunk: str) -> tuple[tuple[str, ...], Counter | None]:
+        config, stoplist, dictionary, emoticon_map, aliases = self.binding
+        text, unknown = chunk, None
+        if config.flags[1]:  # emoji encoding: one lookup, no split unless a `:` needs it
+            if emoticon_map is None:
+                emoticon_map = default_emoticon_map()
+            text = _emoticon_alias(text, emoticon_map)
+            if not text.isascii():
+                unknown = Counter()
+            text = encode_emojis(text, config.emoji_mode, aliases, unknown)
+        entry = self[chunk] = (_token_steps(text, config, stoplist, dictionary), unknown or None)
+        return entry
+
+
+def _token_steps(
+    text: str, config: PreprocessConfig, stoplist: frozenset[str] | None, dictionary: LemmaDictionary | None
+) -> tuple[str, ...]:
+    """Tokenize, then the punctuation, stop-word and lemma steps ``config`` runs."""
+    _, _, punct, stop, lemma = config.flags
+    tokens = tokenize(text)
+    if punct:
+        tokens = remove_punctuation(tokens)
+    if stop:
+        tokens = remove_stopwords(tokens, stoplist)
+    if lemma:
+        tokens = lemmatize(tokens, dictionary)
+    return tokens
+
+
 def run_pipeline(
     text: str,
     config: PreprocessConfig,
@@ -413,6 +484,7 @@ def run_pipeline(
     aliases: Mapping[str, str] | None = None,
     source_id: str = "",
     unknown_counter: Counter | None = None,
+    memo: ChunkMemo | None = None,
 ) -> TokenStream:
     """Apply the selected steps in canonical order and tokenize.
 
@@ -421,21 +493,30 @@ def run_pipeline(
     token tuple. The result equals composing the individual operations
     by hand. A table left ``None`` is looked up by its step on every
     call, so callers preprocessing many comments pass the tables in.
+
+    With a ``memo`` (a :class:`ChunkMemo` made for ``config`` and these
+    tables, else :class:`ValueError`) each whitespace chunk of the
+    lowercased text is looked up there and goes through the other steps
+    only on its first lookup; a hit adds the chunk's unknown emoji to
+    ``unknown_counter`` again. The tokens and counts are those of the
+    path without a memo, which callers that bind no tables keep.
     ``source_id`` is accepted and unused: a stream holds only its tokens,
     but callers written when it also held a comment's id still pass one.
     """
-    if Step.LOWERCASING in config.steps:
+    if config.flags[0]:  # lowercasing
         text = text.lower()
-    if Step.EMOJI_ENCODING in config.steps:
-        text = normalize_emoticons(text, emoticon_map)
-        text = encode_emojis(text, config.emoji_mode, aliases, unknown_counter)
-    tokens = tokenize(text)
-    if Step.PUNCTUATION_REMOVAL in config.steps:
-        tokens = remove_punctuation(tokens)
-    if Step.STOPWORD_REMOVAL in config.steps:
-        tokens = remove_stopwords(tokens, stoplist)
-    if Step.LEMMATIZATION in config.steps:
-        tokens = lemmatize(tokens, dictionary)
+    if memo is None:
+        if config.flags[1]:  # emoji encoding
+            text = normalize_emoticons(text, emoticon_map)
+            text = encode_emojis(text, config.emoji_mode, aliases, unknown_counter)
+        return TokenStream(_token_steps(text, config, stoplist, dictionary))
+    if memo.binding != (config, stoplist, dictionary, emoticon_map, aliases):
+        raise ValueError("a chunk memo serves only the config and tables it was made for")
+    tokens: list[str] = []
+    for chunk_tokens, unknown in map(memo.__getitem__, text.split()):
+        tokens += chunk_tokens
+        if unknown is not None and unknown_counter is not None:
+            unknown_counter.update(unknown)
     return TokenStream(tokens)
 
 

@@ -342,19 +342,45 @@ class TestTrain:
         for file_name in ("tfidf.json", "model.json", "train_report.json"):
             assert (outs[0] / file_name).read_bytes() == (outs[1] / file_name).read_bytes()
 
-    def test_single_class_exit_code_distinct_from_io(self, tmp_path, tree_path):
+    def test_single_class_exit_code_distinct_from_io(self, tmp_path, tree_path, capsys):
         labels = write_json(tmp_path / "labels.json", {"c1": 1, "c2": 1, "c3": 1})
         dataset = tmp_path / "dataset.json"
         main(["ingest", str(tree_path), "--labels", str(labels), "--out", str(dataset)])
+        capsys.readouterr()
+        # one comment in each fold, so the single-class train fold is what fails
         single_class = main(
-            ["train", "--dataset", str(dataset), "--out", str(tmp_path / "r"), "--set", "ratios=[1,0,0]"]
+            ["train", "--dataset", str(dataset), "--out", str(tmp_path / "r"), "--set", "ratios=[0.2,0.4,0.4]"]
         )
+        assert capsys.readouterr().err == "error: both classes must be present in the training set\n"
         missing_file = main(
             ["train", "--dataset", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")]
         )
         assert single_class == 3
         assert missing_file == 2
         assert single_class != missing_file
+
+    @pytest.mark.parametrize("ratios, empty", [
+        ("[0.5,0.5,0]", "test fold"),
+        ("[0,0.5,0.5]", "train fold"),
+        ("[1,0,0]", "validation and test folds"),
+    ])
+    def test_empty_fold_fails_before_preprocessing(self, tmp_path, separable_paths, capsys, monkeypatch, ratios, empty):
+        dataset = run_ingest(tmp_path, separable_paths)
+        n = len(load_dataset(dataset))
+        capsys.readouterr()
+
+        def unreached(*args, **kwargs):
+            pytest.fail("a comment was preprocessed")
+
+        monkeypatch.setattr("modkit.models.run_pipeline", unreached)
+        out = tmp_path / "runs"
+        argv = ["train", "--dataset", str(dataset), "--out", str(out), "--set", f"ratios={ratios}"]
+        assert main(argv) == 3
+        ratio_list = [float(r) for r in json.loads(ratios)]
+        assert capsys.readouterr().err == (
+            f"error: the {empty} of {n} comments split by ratios {ratio_list} would be empty\n"
+        )
+        assert not out.exists()
 
     def test_set_override_recorded_in_manifest(self, tmp_path, separable_paths):
         dataset = run_ingest(tmp_path, separable_paths)

@@ -73,3 +73,39 @@ def test_finds_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unreferenced_private_definitions(sources) == []
+
+
+#: ``run_pipeline``'s table parameters.
+TABLES = frozenset({"stoplist", "dictionary", "emoticon_map", "aliases"})
+
+
+def unmemoized_pipeline_calls(source: str) -> list[int]:
+    """The line of each ``run_pipeline`` call that does not pass both a
+    ``memo`` and its tables, by keyword or as ``**tables``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "run_pipeline"
+        and not (
+            any(keyword.arg == "memo" for keyword in node.keywords)
+            and any(keyword.arg is None or keyword.arg in TABLES for keyword in node.keywords)
+        )
+    ]
+
+
+def test_finds_a_pipeline_call_without_memo_or_tables():
+    source = (
+        "run_pipeline(text, config, **tables)\n"
+        "textprep.run_pipeline(text, config, memo=memo)\n"
+        "textprep.run_pipeline(text, config, memo=memo, **tables)\n"
+        "run_pipeline(text, config, memo=memo, stoplist=stoplist)\n"
+    )
+    assert unmemoized_pipeline_calls(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_dataset_preprocessing_binds_tables_and_a_memo(path):
+    """Every ``run_pipeline`` call in the library preprocesses a dataset,
+    so each passes the tables it bound and a chunk memo made from them."""
+    assert unmemoized_pipeline_calls(path.read_text(encoding="utf-8")) == []

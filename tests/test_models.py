@@ -39,7 +39,7 @@ from modkit.models import (
 )
 from modkit.evaluate import ConfusionMatrix, metrics
 from modkit.textprep import (
-    ALL_STEPS, PIPELINE_ORDER, EmojiMode, PreprocessConfig, Step, TokenStream, run_pipeline,
+    ALL_STEPS, PIPELINE_ORDER, EmojiMode, PreprocessConfig, Step, TokenStream, run_pipeline, tokenize,
 )
 from modkit.vectorize import TfidfModel, fit, rows, transform_all
 from _fuzz import messy_text
@@ -688,6 +688,21 @@ class TestPreprocessOnce:
         data = noisy_dataset()
         run_cycles(data, self.CONFIG.replace(n_cycles=5))
         assert sorted(calls) == sorted(data.texts())
+
+    def test_each_distinct_chunk_tokenized_once_per_run(self, monkeypatch):
+        """Over a run, each distinct whitespace chunk, keyed after
+        lowercasing, goes through the steps once, however often it recurs."""
+        tokenized = []
+
+        def counting(text):
+            tokenized.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr("modkit.textprep.tokenize", counting)
+        data = noisy_dataset()
+        chunks = [chunk for text in data.texts() for chunk in text.lower().split()]
+        run_cycles(data, self.CONFIG.replace(n_cycles=5))
+        assert len(tokenized) == len(set(chunks)) < len(chunks)
 
     def test_tables_looked_up_a_fixed_number_of_times(self, table_lookups):
         """The data tables are looked up once per run, not per comment."""
