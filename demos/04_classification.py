@@ -20,6 +20,7 @@ from modkit import (
     train_nb,
     transform_all,
 )
+from modkit.textprep import ChunkMemo
 
 OFFENSIVE_WORDS = ["pathetic", "clown", "idiot", "dumb", "troll", "loser", "miserable"]
 CLEAN_WORDS = ["helpful", "lovely", "wonderful", "clear", "cute", "fantastic", "happy"]
@@ -40,9 +41,11 @@ for i in range(30):
     entries.append((f"ok{i:02d}", ok, Label.NOT_OFFENSIVE))
 dataset = LabeledDataset(entries=tuple(entries))
 
-# Featurize by hand once to see the moving parts.
+# Featurize by hand once to see the moving parts. A ChunkMemo is a run's
+# preprocessor: called on each text, it runs each distinct whitespace chunk
+# through the steps once.
 config = PreprocessConfig()
-streams = [run_pipeline(text, config) for text in dataset.texts()]
+streams = list(map(ChunkMemo(config), dataset.texts()))
 tfidf = fit(streams)
 X = transform_all(tfidf, streams)  # one sparse row per comment
 y = dataset.labels()

@@ -166,9 +166,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     base = textprep.PreprocessConfig(
         {textprep.Step.LOWERCASING, textprep.Step.EMOJI_ENCODING, textprep.Step.PUNCTUATION_REMOVAL}
     )
-    tables = {"emoticon_map": emoticons, "aliases": aliases}
-    memo = textprep.ChunkMemo(base, **tables)
-    base_tokens = [textprep.run_pipeline(text, base, memo=memo, **tables) for text in offensive]
+    base_tokens = list(map(textprep.ChunkMemo(base), offensive))
     variants = {
         "before": [textprep.lemmatize(tokens, dictionary) for tokens in base_tokens],
         "after": [

@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _atomic
 from ._frozen import Frozen
@@ -42,9 +42,7 @@ from .errors import (
     read_json_text,
 )
 from .evaluate import MetricsReport, confusion, metrics
-from .textprep import (
-    PIPELINE_ORDER, ChunkMemo, EmojiMode, PreprocessConfig, Step, TokenStream, _step_tables, run_pipeline,
-)
+from .textprep import PIPELINE_ORDER, ChunkMemo, EmojiMode, PreprocessConfig, Step, TokenStream, _step_tables
 from .vectorize import CSRMatrix, Row, TfidfModel, _fit_transform, rows
 
 if TYPE_CHECKING:
@@ -56,9 +54,18 @@ _NOT, _OFF = 0, 1
 _CLASSES = ("not_offensive", "offensive")
 
 
-def _as_label_array(y: Sequence[Label]) -> np.ndarray:
+def _fold_labels(X: CSRMatrix, y: Sequence[Label]) -> np.ndarray:
+    """The class indices of ``y``, once the training fold (X, y) is checked:
+    of equal lengths, not empty, and holding both classes."""
     import numpy as np
-    return np.array([1 if label is Label.OFFENSIVE else 0 for label in y])
+    if len(X) != len(y):
+        raise ValueError("X and y must have equal length")
+    if len(X) == 0:
+        raise ModkitError("training set is empty")
+    labels = np.array([1 if label is Label.OFFENSIVE else 0 for label in y])
+    if labels.min() == labels.max():
+        raise ModkitError("both classes must be present in the training set")
+    return labels
 
 
 def _check_width(n_features: int, n_cols: int) -> None:
@@ -88,13 +95,7 @@ def train_nb(X: CSRMatrix, y: Sequence[Label], alpha: float = 1.0) -> NBModel:
     import numpy as np
     if alpha <= 0:
         raise ConfigError(f"alpha must be > 0, got {alpha}")
-    if len(X) != len(y):
-        raise ValueError("X and y must have equal length")
-    if len(X) == 0:
-        raise ModkitError("training set is empty")
-    labels = _as_label_array(y)
-    if labels.min() == labels.max():
-        raise ModkitError("both classes must be present in the training set")
+    labels = _fold_labels(X, y)
     mass = np.stack([(labels == _NOT) @ X, (labels == _OFF) @ X])
     class_counts = np.array([(labels == _NOT).sum(), (labels == _OFF).sum()])
     log_prior = np.log(class_counts / len(X))
@@ -233,15 +234,7 @@ def _train_lr_folds(
     :class:`NonFiniteLossError`.
     """
     import numpy as np
-    labels = []
-    for X, y in folds:
-        if len(X) != len(y):
-            raise ValueError("X and y must have equal length")
-        if len(X) == 0:
-            raise ModkitError("training set is empty")
-        labels.append(_as_label_array(y).astype(float))
-        if labels[-1].min() == labels[-1].max():
-            raise ModkitError("both classes must be present in the training set")
+    labels = [_fold_labels(X, y).astype(float) for X, y in folds]
     if learning_rate <= 0 or epochs < 1 or l2 < 0:
         raise ConfigError("learning_rate must be > 0, epochs >= 1, l2 >= 0")
     X = CSRMatrix.block_diagonal([X for X, _ in folds])
@@ -508,20 +501,10 @@ class TrainedArtifacts(NamedTuple):
     report: TrainReport
 
 
-def _preprocessor(
-    preprocess: PreprocessConfig, stoplist: frozenset[str] | None
-) -> Callable[[str], TokenStream]:
-    """One comment's stream, through the step tables bound here and a
-    chunk memo that lives as long as the returned function."""
-    tables = _step_tables(preprocess, stoplist)
-    memo = ChunkMemo(preprocess, **tables)
-    return lambda text: run_pipeline(text, preprocess, memo=memo, **tables)
-
-
 def _preprocess_all(
     dataset: LabeledDataset, preprocess: PreprocessConfig, stoplist: frozenset[str] | None
 ) -> list[TokenStream]:
-    return list(map(_preprocessor(preprocess, stoplist), dataset.texts()))
+    return list(map(ChunkMemo(preprocess, stoplist), dataset.texts()))
 
 
 def _train_all(
@@ -551,7 +534,7 @@ def evaluate_on(
     """The metrics of ``model`` on ``dataset``, featurized by ``tfidf``,
     each comment preprocessed as it is scored; :class:`SchemaViolationError`,
     before any is, when their widths differ."""
-    streams = map(_preprocessor(config.preprocess, stoplist), dataset.texts())
+    streams = map(ChunkMemo(config.preprocess, stoplist), dataset.texts())
     return _score(model, tfidf, streams, dataset.labels(), config.name)
 
 

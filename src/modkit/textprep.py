@@ -15,10 +15,10 @@ Token steps take and return a plain ``tuple[str, ...]``. A comment's
 its tokens, so the featurizers and ``ngram_counts`` take any token tuples.
 
 Every step reads one whitespace chunk at a time, so a text's tokens are
-its chunks' tokens in order. A caller preprocessing a dataset binds the
-step tables once and passes :func:`run_pipeline` a :class:`ChunkMemo`
-made from them for the run, and each distinct chunk then goes through
-the steps once; the tokens and unknown-emoji counts do not change.
+its chunks' tokens in order. A caller preprocessing a dataset makes a
+:class:`ChunkMemo` ``(config, stoplist)`` for the run and calls it on
+each text, and each distinct chunk then goes through the steps once; the
+tokens and unknown-emoji counts do not change.
 """
 
 from __future__ import annotations
@@ -420,38 +420,33 @@ def encode_emojis(
 
 
 class ChunkMemo(dict):
-    """Whitespace chunk -> (its tokens, its unknown emoji or None), under
-    one config and one set of tables.
+    """A run's preprocessor: ``memo(text)`` is the text's :class:`TokenStream`
+    under one config and the tables its steps read.
 
-    :func:`run_pipeline` given a memo looks each chunk of a text up here,
-    after lowercasing when that step runs, and a chunk not yet here goes
-    through the other steps on its first lookup. No output changes, since
-    every step reads one whitespace chunk at a time. A memo belongs to
-    the tables a caller binds for one run: make it from them, pass
-    :func:`run_pipeline` the same config and tables, which it checks, and
-    drop it with them. A table left ``None`` is its step's default,
-    looked up on each miss.
+    It maps each whitespace chunk, after lowercasing when that step runs,
+    to (its tokens, its unknown emoji or None), and a chunk not yet here
+    goes through the other steps on its first lookup. No output changes,
+    since every step reads one whitespace chunk at a time. The tables are
+    resolved once, when the memo is made, as :func:`_step_tables` gives
+    them; ``binding`` is (config, stoplist, dictionary, emoticon_map,
+    aliases), ``None`` for a table no step reads. Make one per run and
+    drop it with the run.
     """
 
     __slots__ = ("binding",)
 
-    def __init__(
-        self,
-        config: PreprocessConfig,
-        stoplist: frozenset[str] | None = None,
-        dictionary: LemmaDictionary | None = None,
-        emoticon_map: Mapping[str, str] | None = None,
-        aliases: Mapping[str, str] | None = None,
-    ):
+    def __init__(self, config: PreprocessConfig, stoplist: frozenset[str] | None = None):
         super().__init__()
-        self.binding = (config, stoplist, dictionary, emoticon_map, aliases)
+        tables = _step_tables(config, stoplist)
+        self.binding = (config, *map(tables.get, ("stoplist", "dictionary", "emoticon_map", "aliases")))
+
+    def __call__(self, text: str) -> TokenStream:
+        return run_pipeline(text, *self.binding, memo=self)
 
     def __missing__(self, chunk: str) -> tuple[tuple[str, ...], Counter | None]:
         config, stoplist, dictionary, emoticon_map, aliases = self.binding
         text, unknown = chunk, None
         if config.flags[1]:  # emoji encoding: one lookup, no split unless a `:` needs it
-            if emoticon_map is None:
-                emoticon_map = default_emoticon_map()
             text = _emoticon_alias(text, emoticon_map)
             if not text.isascii():
                 unknown = Counter()
@@ -492,14 +487,15 @@ def run_pipeline(
     tokenization); punctuation, stop-word and lemma steps run on the
     token tuple. The result equals composing the individual operations
     by hand. A table left ``None`` is looked up by its step on every
-    call, so callers preprocessing many comments pass the tables in.
+    call; callers preprocessing many comments make a :class:`ChunkMemo`
+    and call it on each text instead.
 
-    With a ``memo`` (a :class:`ChunkMemo` made for ``config`` and these
+    With a ``memo`` (one whose ``binding`` is ``config`` and these
     tables, else :class:`ValueError`) each whitespace chunk of the
     lowercased text is looked up there and goes through the other steps
     only on its first lookup; a hit adds the chunk's unknown emoji to
     ``unknown_counter`` again. The tokens and counts are those of the
-    path without a memo, which callers that bind no tables keep.
+    path without a memo, which one-off texts keep.
     ``source_id`` is accepted and unused: a stream holds only its tokens,
     but callers written when it also held a comment's id still pass one.
     """

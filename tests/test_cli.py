@@ -372,7 +372,7 @@ class TestTrain:
         def unreached(*args, **kwargs):
             pytest.fail("a comment was preprocessed")
 
-        monkeypatch.setattr("modkit.models.run_pipeline", unreached)
+        monkeypatch.setattr(textprep, "run_pipeline", unreached)
         out = tmp_path / "runs"
         argv = ["train", "--dataset", str(dataset), "--out", str(out), "--set", f"ratios={ratios}"]
         assert main(argv) == 3

@@ -75,37 +75,31 @@ def test_no_unreferenced_private_definitions():
     assert unreferenced_private_definitions(sources) == []
 
 
-#: ``run_pipeline``'s table parameters.
-TABLES = frozenset({"stoplist", "dictionary", "emoticon_map", "aliases"})
-
-
-def unmemoized_pipeline_calls(source: str) -> list[int]:
-    """The line of each ``run_pipeline`` call that does not pass both a
-    ``memo`` and its tables, by keyword or as ``**tables``."""
+def misplaced_pipeline_calls(name: str, source: str) -> list[int]:
+    """The line of each ``run_pipeline`` call in the module file ``name``
+    that is outside ``textprep.py`` or passes no ``memo``."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "run_pipeline"
-        and not (
-            any(keyword.arg == "memo" for keyword in node.keywords)
-            and any(keyword.arg is None or keyword.arg in TABLES for keyword in node.keywords)
-        )
+        and not (name == "textprep.py" and any(keyword.arg == "memo" for keyword in node.keywords))
     ]
 
 
-def test_finds_a_pipeline_call_without_memo_or_tables():
+def test_finds_a_pipeline_call_outside_textprep_or_without_memo():
     source = (
-        "run_pipeline(text, config, **tables)\n"
+        "run_pipeline(text, *self.binding, memo=self)\n"
         "textprep.run_pipeline(text, config, memo=memo)\n"
-        "textprep.run_pipeline(text, config, memo=memo, **tables)\n"
-        "run_pipeline(text, config, memo=memo, stoplist=stoplist)\n"
+        "run_pipeline(text, config, **tables)\n"
     )
-    assert unmemoized_pipeline_calls(source) == [1, 2]
+    assert misplaced_pipeline_calls("textprep.py", source) == [3]
+    assert misplaced_pipeline_calls("models.py", source) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_dataset_preprocessing_binds_tables_and_a_memo(path):
     """Every ``run_pipeline`` call in the library preprocesses a dataset,
-    so each passes the tables it bound and a chunk memo made from them."""
-    assert unmemoized_pipeline_calls(path.read_text(encoding="utf-8")) == []
+    so it is a :class:`ChunkMemo`'s own call, which passes the memo and
+    the tables the memo bound when it was made."""
+    assert misplaced_pipeline_calls(path.name, path.read_text(encoding="utf-8")) == []

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from modkit import corpus, models
+from modkit import corpus, models, textprep
 from modkit.corpus import Label, LabeledDataset, split
 from modkit.errors import (
     ConfigError,
@@ -374,7 +374,7 @@ class TestAgainstReferences:
         def message(width: int) -> str:
             return f"^model has {X.n_cols} features but the TF-IDF vocabulary has {width}$"
 
-        monkeypatch.setattr(models, "run_pipeline", preprocess)
+        monkeypatch.setattr(textprep, "run_pipeline", preprocess)
         narrow, wide = (
             TfidfModel(vocabulary={f"w{i}": i for i in range(width)}, idf=[1.0] * width, doc_count=1)
             for width in (X.n_cols - 1, X.n_cols + 1)
@@ -684,7 +684,7 @@ class TestPreprocessOnce:
             calls.append(text)
             return run_pipeline(text, *args, **kwargs)
 
-        monkeypatch.setattr(models, "run_pipeline", counting)
+        monkeypatch.setattr(textprep, "run_pipeline", counting)
         data = noisy_dataset()
         run_cycles(data, self.CONFIG.replace(n_cycles=5))
         assert sorted(calls) == sorted(data.texts())

@@ -443,8 +443,9 @@ class TestRunPipeline:
     def test_chunk_local(self, mode):
         """For every set of steps, a text's tokens are its whitespace
         chunks' tokens in order, and its unknown emoji are theirs. Through
-        a chunk memo, a text gives the same tokens and unknown emoji as
-        without one, the first time and when every chunk is a hit."""
+        a chunk memo, passed to ``run_pipeline`` or called, a text gives
+        the same tokens and unknown emoji as without one, the first time
+        and when every chunk is a hit."""
         rng = random.Random(67)
         texts = [random_text(rng) for _ in range(150)] + [messy_text(rng) for _ in range(150)]
         unknown = 0
@@ -452,7 +453,7 @@ class TestRunPipeline:
             for steps in itertools.combinations(PIPELINE_ORDER, n):
                 config = PreprocessConfig(steps=frozenset(steps), emoji_mode=mode)
                 tables = textprep._step_tables(config)
-                memo = textprep.ChunkMemo(config, **tables)
+                memo, called = textprep.ChunkMemo(config), textprep.ChunkMemo(config)
                 for text in texts:
                     whole, parts = Counter(), Counter()
                     tokens = run_pipeline(text, config, unknown_counter=whole, **tables).tokens
@@ -468,7 +469,9 @@ class TestRunPipeline:
                         stream = run_pipeline(text, config, unknown_counter=memoized, memo=memo, **tables)
                         assert stream == tokens and type(stream) is TokenStream, (text, steps, use)
                         assert memoized == whole, (text, steps, use)
-                assert len(memo) == len({
+                        stream = called(text)
+                        assert stream == tokens and type(stream) is TokenStream, (text, steps, use)
+                assert len(memo) == len(called) == len({
                     chunk for text in texts
                     for chunk in (text.lower() if Step.LOWERCASING in steps else text).split()
                 })
@@ -477,7 +480,7 @@ class TestRunPipeline:
     def test_memo_serves_one_config_and_one_set_of_tables(self):
         config = PreprocessConfig(steps=ALL_STEPS)
         tables = textprep._step_tables(config)
-        memo = textprep.ChunkMemo(config, **tables)
+        memo = textprep.ChunkMemo(config)
         text = "Ur DUMB!! 😂 :)"
         expected = run_pipeline(text, config, **tables)
         assert run_pipeline(text, config, memo=memo, **tables) == expected
@@ -503,15 +506,18 @@ class TestRunPipeline:
 
     def test_memo_is_per_instance_and_reads_its_own_tables(self, tmp_path, monkeypatch):
         """Two memos share nothing, so a memo made under another
-        ``MODKIT_DATA_DIR`` reads that directory's tables."""
+        ``MODKIT_DATA_DIR`` reads that directory's tables, and a memo
+        keeps the tables it was made with when the variable changes."""
         config = PreprocessConfig(steps=frozenset({Step.LOWERCASING, Step.STOPWORD_REMOVAL}))
         bundled = textprep.ChunkMemo(config)
-        assert run_pipeline("Ok then", config, memo=bundled) == ("ok",)
+        assert bundled("Ok then") == ("ok",)
         (tmp_path / "stopwords.txt").write_text("ok\n", encoding="utf-8")
         monkeypatch.setenv("MODKIT_DATA_DIR", str(tmp_path))
         other = textprep.ChunkMemo(config)
-        assert run_pipeline("Ok then", config, memo=other) == ("then",)
-        assert set(other) == set(bundled) == {"ok", "then"}
+        assert other("Ok then") == ("then",)
+        assert bundled("the ok") == ("ok",)
+        assert other("the ok") == ("the",)
+        assert set(other) == set(bundled) == {"ok", "then", "the"}
 
     @pytest.mark.parametrize("mode", list(EmojiMode))
     def test_streams_are_checked_tuples(self, mode):

@@ -218,8 +218,8 @@ def write_goldens():
         ("before", ANALYZE_BASE),
         ("after", ANALYZE_BASE | {textprep.Step.STOPWORD_REMOVAL}),
     ):
-        config = textprep.PreprocessConfig(steps=steps)
-        streams = [textprep.run_pipeline(text, config) for _, text in offensive]
+        preprocess = textprep.ChunkMemo(textprep.PreprocessConfig(steps=steps))
+        streams = [preprocess(text) for _, text in offensive]
         for n, name in names.items():
             rows = brute_force_top(streams, n, 20)
             lines = ["gram,count"] + [
