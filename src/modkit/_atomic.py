@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 from pathlib import Path
 from typing import Iterable
@@ -16,9 +17,12 @@ def write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
     generator included), never leaves a truncated file: ``path`` holds
     either its old or its new content, and the ``.tmp`` file is removed.
     An :class:`OSError` with an error number names ``path``, not the
-    ``.tmp`` file.
+    ``.tmp`` file. A path whose name is empty (``""``, ``.``, ``/``) or
+    ``..`` names a directory, and is refused with :class:`IsADirectoryError`.
     """
     path = Path(path)
+    if path.name in ("", ".."):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as out:

@@ -335,6 +335,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not variants:
         raise ConfigError("nothing to report: give --inputs and/or --reference")
     base = Path(args.out)
+    if base.name in ("", ".."):
+        raise ConfigError(f"--out {args.out!r} names a directory, not a file")
     base.parent.mkdir(parents=True, exist_ok=True)
     _atomic.write_text(base.with_suffix(".json"), evaluate.render_json(variants))
     _atomic.write_text(base.with_suffix(".txt"), evaluate.render_text_table(variants))

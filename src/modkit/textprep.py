@@ -17,8 +17,9 @@ its tokens, so the featurizers and ``ngram_counts`` take any token tuples.
 Every step reads one whitespace chunk at a time, so a text's tokens are
 its chunks' tokens in order. A caller preprocessing a dataset makes a
 :class:`ChunkMemo` ``(config, stoplist)`` for the run and calls it on
-each text, and each distinct chunk then goes through the steps once; the
-tokens and unknown-emoji counts do not change.
+each text, and each distinct chunk then goes through :func:`run_pipeline`
+once; the tokens do not change. Unknown emoji are tallied only by
+:func:`run_pipeline`'s ``unknown_counter``, per text.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import re
 import unicodedata
 from collections import Counter
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -344,20 +346,18 @@ def lemmatize(
 # String-level steps
 
 
-def _emoticon_alias(part: str, emoticon_map: Mapping[str, str]) -> str:
-    """One whitespace-free part, as :func:`normalize_emoticons` writes it."""
-    alias = emoticon_map.get(part)
-    return part if alias is None else f":{alias}:"
-
-
 def normalize_emoticons(text: str, emoticon_map: Mapping[str, str] | None = None) -> str:
-    """Replace emoticons bounded by whitespace/string edges with
-    ``:alias:`` placeholders, preferring the longest matching entry.
-    ``emoticon_map`` maps each emoticon to its alias."""
+    """Replace each whitespace chunk that is an emoticon with its
+    ``:alias:`` placeholder. ``emoticon_map`` maps each emoticon, a
+    non-empty whitespace-free chunk, to its alias."""
     if emoticon_map is None:
         emoticon_map = default_emoticon_map()
+    if emoticon_map.keys().isdisjoint(text.split()):
+        return text
     parts = _SPACE_RUNS.split(text)
-    parts[::2] = [_emoticon_alias(part, emoticon_map) for part in parts[::2]]
+    parts[::2] = [
+        part if (alias := emoticon_map.get(part)) is None else f":{alias}:" for part in parts[::2]
+    ]
     return "".join(parts)
 
 
@@ -420,17 +420,17 @@ def encode_emojis(
 
 
 class ChunkMemo(dict):
-    """A run's preprocessor: ``memo(text)`` is the text's :class:`TokenStream`
-    under one config and the tables its steps read.
+    """A run's preprocessor: ``memo(text)`` is ``run_pipeline(text, config,
+    ...)`` under one config and the tables its steps read.
 
     It maps each whitespace chunk, after lowercasing when that step runs,
-    to (its tokens, its unknown emoji or None), and a chunk not yet here
-    goes through the other steps on its first lookup. No output changes,
-    since every step reads one whitespace chunk at a time. The tables are
-    resolved once, when the memo is made, as :func:`_step_tables` gives
-    them; ``binding`` is (config, stoplist, dictionary, emoticon_map,
-    aliases), ``None`` for a table no step reads. Make one per run and
-    drop it with the run.
+    to that chunk's :func:`run_pipeline` tokens, worked out on the chunk's
+    first lookup. A text's tokens are its chunks' tokens in order, since
+    every step reads one whitespace chunk at a time and lowercasing never
+    adds or removes whitespace. The tables are resolved once, when the
+    memo is made, as :func:`_step_tables` gives them; ``binding`` is
+    (config, stoplist, dictionary, emoticon_map, aliases), ``None`` for a
+    table no step reads. Make one per run and drop it with the run.
     """
 
     __slots__ = ("binding",)
@@ -441,33 +441,13 @@ class ChunkMemo(dict):
         self.binding = (config, *map(tables.get, ("stoplist", "dictionary", "emoticon_map", "aliases")))
 
     def __call__(self, text: str) -> TokenStream:
-        return run_pipeline(text, *self.binding, memo=self)
+        if self.binding[0].flags[0]:  # lowercasing
+            text = text.lower()
+        return TokenStream(chain.from_iterable(map(self.__getitem__, text.split())))
 
-    def __missing__(self, chunk: str) -> tuple[tuple[str, ...], Counter | None]:
-        config, stoplist, dictionary, emoticon_map, aliases = self.binding
-        text, unknown = chunk, None
-        if config.flags[1]:  # emoji encoding: one lookup, no split unless a `:` needs it
-            text = _emoticon_alias(text, emoticon_map)
-            if not text.isascii():
-                unknown = Counter()
-            text = encode_emojis(text, config.emoji_mode, aliases, unknown)
-        entry = self[chunk] = (_token_steps(text, config, stoplist, dictionary), unknown or None)
-        return entry
-
-
-def _token_steps(
-    text: str, config: PreprocessConfig, stoplist: frozenset[str] | None, dictionary: LemmaDictionary | None
-) -> tuple[str, ...]:
-    """Tokenize, then the punctuation, stop-word and lemma steps ``config`` runs."""
-    _, _, punct, stop, lemma = config.flags
-    tokens = tokenize(text)
-    if punct:
-        tokens = remove_punctuation(tokens)
-    if stop:
-        tokens = remove_stopwords(tokens, stoplist)
-    if lemma:
-        tokens = lemmatize(tokens, dictionary)
-    return tokens
+    def __missing__(self, chunk: str) -> TokenStream:
+        tokens = self[chunk] = run_pipeline(chunk, *self.binding)
+        return tokens
 
 
 def run_pipeline(
@@ -479,7 +459,6 @@ def run_pipeline(
     aliases: Mapping[str, str] | None = None,
     source_id: str = "",
     unknown_counter: Counter | None = None,
-    memo: ChunkMemo | None = None,
 ) -> TokenStream:
     """Apply the selected steps in canonical order and tokenize.
 
@@ -488,31 +467,24 @@ def run_pipeline(
     token tuple. The result equals composing the individual operations
     by hand. A table left ``None`` is looked up by its step on every
     call; callers preprocessing many comments make a :class:`ChunkMemo`
-    and call it on each text instead.
-
-    With a ``memo`` (one whose ``binding`` is ``config`` and these
-    tables, else :class:`ValueError`) each whitespace chunk of the
-    lowercased text is looked up there and goes through the other steps
-    only on its first lookup; a hit adds the chunk's unknown emoji to
-    ``unknown_counter`` again. The tokens and counts are those of the
-    path without a memo, which one-off texts keep.
-    ``source_id`` is accepted and unused: a stream holds only its tokens,
-    but callers written when it also held a comment's id still pass one.
+    and call it on each text instead, which calls this once per distinct
+    chunk. ``source_id`` is accepted and unused: a stream holds only its
+    tokens, but callers written when it also held a comment's id still
+    pass one.
     """
-    if config.flags[0]:  # lowercasing
+    lower, emoji, punct, stop, lemma = config.flags
+    if lower:
         text = text.lower()
-    if memo is None:
-        if config.flags[1]:  # emoji encoding
-            text = normalize_emoticons(text, emoticon_map)
-            text = encode_emojis(text, config.emoji_mode, aliases, unknown_counter)
-        return TokenStream(_token_steps(text, config, stoplist, dictionary))
-    if memo.binding != (config, stoplist, dictionary, emoticon_map, aliases):
-        raise ValueError("a chunk memo serves only the config and tables it was made for")
-    tokens: list[str] = []
-    for chunk_tokens, unknown in map(memo.__getitem__, text.split()):
-        tokens += chunk_tokens
-        if unknown is not None and unknown_counter is not None:
-            unknown_counter.update(unknown)
+    if emoji:
+        text = normalize_emoticons(text, emoticon_map)
+        text = encode_emojis(text, config.emoji_mode, aliases, unknown_counter)
+    tokens = tokenize(text)
+    if punct:
+        tokens = remove_punctuation(tokens)
+    if stop:
+        tokens = remove_stopwords(tokens, stoplist)
+    if lemma:
+        tokens = lemmatize(tokens, dictionary)
     return TokenStream(tokens)
 
 

@@ -30,20 +30,23 @@ if TYPE_CHECKING:
 class CSRMatrix(Frozen):
     """Row-compressed sparse matrix: row i holds columns
     ``indices[indptr[i]:indptr[i+1]]`` (strictly increasing) with values
-    ``data[indptr[i]:indptr[i+1]]``.
+    ``data[indptr[i]:indptr[i+1]]``; ``row_of`` holds the row of each
+    stored entry, worked out when the matrix is made.
 
     Only the two products the classifiers need are offered, ``X @ v``
     and ``r @ X``. Both accumulate with ``np.bincount`` in storage
     order, so results do not depend on a BLAS build.
     """
 
-    __slots__ = ("indptr", "indices", "data", "n_cols", "_row_of")
+    __slots__ = ("indptr", "indices", "data", "n_cols", "row_of")
 
     # make ``ndarray @ CSRMatrix`` defer to __rmatmul__
     __array_ufunc__ = None
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, n_cols: int):
-        for name, value in zip(self.__slots__, (indptr, indices, data, n_cols, None)):
+        import numpy as np
+        row_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        for name, value in zip(self.__slots__, (indptr, indices, data, n_cols, row_of)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -63,25 +66,16 @@ class CSRMatrix(Frozen):
             n_cols=width[-1],
         )
 
-    @property
-    def _rows(self) -> np.ndarray:
-        """The row of each stored entry, computed on first use."""
-        if self._row_of is None:
-            import numpy as np
-            rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
-            object.__setattr__(self, "_row_of", rows)
-        return self._row_of
-
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """X @ v for a vector of length n_cols."""
         import numpy as np
         products = self.data * v.take(self.indices)
-        return np.bincount(self._rows, weights=products, minlength=len(self))
+        return np.bincount(self.row_of, weights=products, minlength=len(self))
 
     def __rmatmul__(self, r: np.ndarray) -> np.ndarray:
         """r @ X for a vector of length n_rows."""
         import numpy as np
-        products = self.data * r.take(self._rows)
+        products = self.data * r.take(self.row_of)
         return np.bincount(self.indices, weights=products, minlength=self.n_cols)
 
 

@@ -49,10 +49,18 @@ MODIFIERS = ["\u200d", "\ufe0f", "\U0001F3FD", "\u20e3"]
 MORE_EMOJI = ["\u2615", "\u2b50", "\U0001F1FA\U0001F1F8", "\U0001FAE8", ":skull:", ":face_with_tears_of_joy:", ":x:"]
 
 
-def messy_text(rng: random.Random, max_pieces: int = 10) -> str:
-    """Pieces from every pool, fused or separated by whitespace runs,
-    with optional leading and trailing runs."""
-    pools = [WORDS, EMOJI, EMOTICONS, MODIFIERS, MORE_EMOJI, PUNCT_TAILS]
+#: Case-mapping traps: lowercasing lengthens ``İ``, turns a final ``Σ``
+#: by what follows it, and maps the Kelvin sign and the titlecase ``ǅ``
+#: to letters; ``ẞ`` and ``ﬃ`` change length only under other mappings.
+CASE_TRAPS = ["İstanbul", "ΟΔΟΣ", "ΣΑΣ.", "ẞ", "\u212a", "ǅ", "ﬃ"]
+
+
+def messy_text(rng: random.Random, max_pieces: int = 10, pools: list[list[str]] | None = None) -> str:
+    """Pieces from every pool (by default all but ``CASE_TRAPS``), fused
+    or separated by whitespace runs, with optional leading and trailing
+    runs."""
+    if pools is None:
+        pools = [WORDS, EMOJI, EMOTICONS, MODIFIERS, MORE_EMOJI, PUNCT_TAILS]
     out = [rng.choice(WHITESPACE) if rng.random() < 0.3 else ""]
     for _ in range(rng.randint(0, max_pieces)):
         out.append(rng.choice(rng.choice(pools)))

@@ -373,6 +373,27 @@ def test_lone_surrogate_text_writes_nothing(tmp_path, capsys, base, argv, out):
     assert not (work / out).exists()
 
 
+@pytest.mark.parametrize("out", ["", ".", ".."])
+@pytest.mark.parametrize(
+    "argv",
+    ["ingest {w}/tree.json --out", "balance --dataset {w}/dataset.json --out", "report --reference --out"],
+    ids=["ingest", "balance", "report"],
+)
+def test_out_naming_no_file_writes_nothing(tmp_path, capsys, base, monkeypatch, argv, out):
+    """An ``--out`` that names a directory rather than a file is refused
+    with one line, and no file or ``.tmp`` is left in that directory."""
+    work = tmp_path / "work"
+    shutil.copytree(base, work)
+    monkeypatch.chdir(work)
+    before = sorted(path.name for path in tmp_path.rglob("*"))
+    capsys.readouterr()
+    code = main([part.format(w=work) for part in argv.split()] + [out])
+    err = capsys.readouterr().err
+    check_one_line_error(code, err, f"{argv} {out!r}")
+    assert code == 2
+    assert sorted(path.name for path in tmp_path.rglob("*")) == before
+
+
 ANALYZE = "analyze --dataset {w}/dataset.json --out {w}/c"
 TRAIN = "train --dataset {w}/dataset.json --out {w}/r"
 REPORT = "report --reference --out {w}/rep/report"

@@ -77,29 +77,25 @@ def test_no_unreferenced_private_definitions():
 
 def misplaced_pipeline_calls(name: str, source: str) -> list[int]:
     """The line of each ``run_pipeline`` call in the module file ``name``
-    that is outside ``textprep.py`` or passes no ``memo``."""
+    when that file is not ``textprep.py``."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "run_pipeline"
-        and not (name == "textprep.py" and any(keyword.arg == "memo" for keyword in node.keywords))
+        and name != "textprep.py"
     ]
 
 
-def test_finds_a_pipeline_call_outside_textprep_or_without_memo():
-    source = (
-        "run_pipeline(text, *self.binding, memo=self)\n"
-        "textprep.run_pipeline(text, config, memo=memo)\n"
-        "run_pipeline(text, config, **tables)\n"
-    )
-    assert misplaced_pipeline_calls("textprep.py", source) == [3]
-    assert misplaced_pipeline_calls("models.py", source) == [1, 2, 3]
+def test_finds_a_pipeline_call_outside_textprep():
+    source = "run_pipeline(chunk, *self.binding)\nx = textprep.run_pipeline(text, config)\n"
+    assert misplaced_pipeline_calls("textprep.py", source) == []
+    assert misplaced_pipeline_calls("models.py", source) == [1, 2]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_dataset_preprocessing_binds_tables_and_a_memo(path):
-    """Every ``run_pipeline`` call in the library preprocesses a dataset,
-    so it is a :class:`ChunkMemo`'s own call, which passes the memo and
-    the tables the memo bound when it was made."""
+    """The library preprocesses a dataset only through a
+    :class:`ChunkMemo`, which binds its tables when it is made, so no
+    ``run_pipeline`` call is outside ``textprep.py``."""
     assert misplaced_pipeline_calls(path.name, path.read_text(encoding="utf-8")) == []

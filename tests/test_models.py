@@ -677,31 +677,26 @@ def noisy_dataset(n: int = 50, seed: int = 4) -> LabeledDataset:
 class TestPreprocessOnce:
     CONFIG = RunConfig(model="nb", steps=ALL_STEP_NAMES)
 
-    def test_each_comment_preprocessed_once_per_run(self, monkeypatch):
-        calls = []
+    def test_each_distinct_chunk_tokenized_once_per_run(self, monkeypatch):
+        """Over a run, each distinct whitespace chunk, keyed after
+        lowercasing, goes through ``run_pipeline`` and its steps once,
+        however often it recurs."""
+        calls, tokenized = [], []
 
         def counting(text, *args, **kwargs):
             calls.append(text)
             return run_pipeline(text, *args, **kwargs)
 
-        monkeypatch.setattr(textprep, "run_pipeline", counting)
-        data = noisy_dataset()
-        run_cycles(data, self.CONFIG.replace(n_cycles=5))
-        assert sorted(calls) == sorted(data.texts())
-
-    def test_each_distinct_chunk_tokenized_once_per_run(self, monkeypatch):
-        """Over a run, each distinct whitespace chunk, keyed after
-        lowercasing, goes through the steps once, however often it recurs."""
-        tokenized = []
-
-        def counting(text):
+        def counting_tokenize(text):
             tokenized.append(text)
             return tokenize(text)
 
-        monkeypatch.setattr("modkit.textprep.tokenize", counting)
+        monkeypatch.setattr(textprep, "run_pipeline", counting)
+        monkeypatch.setattr(textprep, "tokenize", counting_tokenize)
         data = noisy_dataset()
         chunks = [chunk for text in data.texts() for chunk in text.lower().split()]
         run_cycles(data, self.CONFIG.replace(n_cycles=5))
+        assert sorted(calls) == sorted(set(chunks))
         assert len(tokenized) == len(set(chunks)) < len(chunks)
 
     def test_tables_looked_up_a_fixed_number_of_times(self, table_lookups):

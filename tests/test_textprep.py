@@ -38,7 +38,7 @@ from modkit.textprep import (
     tokenize,
 )
 
-from _fuzz import WORDS, fuzz_texts, messy_text, random_text
+from _fuzz import CASE_TRAPS, EMOJI, PUNCT_TAILS, WORDS, fuzz_texts, messy_text, random_text
 from _oracles import (
     oracle_encode_emojis,
     oracle_is_emoji_char,
@@ -442,18 +442,19 @@ class TestRunPipeline:
     @pytest.mark.parametrize("mode", list(EmojiMode))
     def test_chunk_local(self, mode):
         """For every set of steps, a text's tokens are its whitespace
-        chunks' tokens in order, and its unknown emoji are theirs. Through
-        a chunk memo, passed to ``run_pipeline`` or called, a text gives
-        the same tokens and unknown emoji as without one, the first time
-        and when every chunk is a hit."""
+        chunks' tokens in order, and its unknown emoji are theirs. A called
+        chunk memo gives a text the same tokens as ``run_pipeline``, the
+        first time and when every chunk is a hit, also where lowercasing
+        changes a chunk's length or depends on its context."""
         rng = random.Random(67)
         texts = [random_text(rng) for _ in range(150)] + [messy_text(rng) for _ in range(150)]
+        texts += [messy_text(rng, pools=[CASE_TRAPS, WORDS, EMOJI, PUNCT_TAILS]) for _ in range(100)]
         unknown = 0
         for n in range(len(PIPELINE_ORDER) + 1):
             for steps in itertools.combinations(PIPELINE_ORDER, n):
                 config = PreprocessConfig(steps=frozenset(steps), emoji_mode=mode)
                 tables = textprep._step_tables(config)
-                memo, called = textprep.ChunkMemo(config), textprep.ChunkMemo(config)
+                called = textprep.ChunkMemo(config)
                 for text in texts:
                     whole, parts = Counter(), Counter()
                     tokens = run_pipeline(text, config, unknown_counter=whole, **tables).tokens
@@ -465,13 +466,9 @@ class TestRunPipeline:
                     assert whole == parts
                     unknown += whole.total()
                     for use in ("first", "replay"):
-                        memoized = Counter()
-                        stream = run_pipeline(text, config, unknown_counter=memoized, memo=memo, **tables)
-                        assert stream == tokens and type(stream) is TokenStream, (text, steps, use)
-                        assert memoized == whole, (text, steps, use)
                         stream = called(text)
                         assert stream == tokens and type(stream) is TokenStream, (text, steps, use)
-                assert len(memo) == len(called) == len({
+                assert len(called) == len({
                     chunk for text in texts
                     for chunk in (text.lower() if Step.LOWERCASING in steps else text).split()
                 })
@@ -479,30 +476,11 @@ class TestRunPipeline:
 
     def test_memo_serves_one_config_and_one_set_of_tables(self):
         config = PreprocessConfig(steps=ALL_STEPS)
-        tables = textprep._step_tables(config)
         memo = textprep.ChunkMemo(config)
         text = "Ur DUMB!! 😂 :)"
-        expected = run_pipeline(text, config, **tables)
-        assert run_pipeline(text, config, memo=memo, **tables) == expected
-        # an equal config, and equal tables, are the same config and tables
-        equal_tables = {**tables, "stoplist": frozenset(tables["stoplist"])}
-        assert run_pipeline(text, PreprocessConfig(steps=ALL_STEPS), memo=memo, **equal_tables) == expected
-        data = textprep._resources.data_dir()
-        lemma_files = (data / "lemma_exceptions.tsv", data / "lemma_rules.tsv")
-        other_stoplist = tables["stoplist"] - {"ur"}
-        other_aliases = {**tables["aliases"], "😂": "joy"}
-        for other_config, other_tables in (
-            (PreprocessConfig(steps=ALL_STEPS, emoji_mode=EmojiMode.BERT_DELIMITED), tables),
-            (PreprocessConfig(steps=ALL_STEPS - {Step.LEMMATIZATION}), tables),
-            (config, {**tables, "stoplist": other_stoplist}),
-            (config, {**tables, "aliases": other_aliases}),
-            (config, {**tables, "dictionary": load_lemma_dictionary(*lemma_files)}),
-            (config, {}),
-        ):
-            with pytest.raises(ValueError, match="^a chunk memo serves only the config and tables"):
-                run_pipeline(text, other_config, memo=memo, **other_tables)
+        assert memo(text) == run_pipeline(text, config, **textprep._step_tables(config))
         assert set(memo) == {"ur", "dumb!!", "😂", ":)"}
-        assert memo["ur"] == ((), None) and memo["😂"] == (("face_with_tears_of_joy",), None)
+        assert memo["ur"] == () and memo["😂"] == ("face_with_tears_of_joy",)
 
     def test_memo_is_per_instance_and_reads_its_own_tables(self, tmp_path, monkeypatch):
         """Two memos share nothing, so a memo made under another
