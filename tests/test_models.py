@@ -677,6 +677,21 @@ def noisy_dataset(n: int = 50, seed: int = 4) -> LabeledDataset:
 class TestPreprocessOnce:
     CONFIG = RunConfig(model="nb", steps=ALL_STEP_NAMES)
 
+    def test_each_comment_preprocessed_once_per_run(self, monkeypatch):
+        """Over a run of several cycles, the run's preprocessor is called
+        on each comment once, not once per cycle or fold."""
+        calls = []
+        preprocess = textprep.ChunkMemo.__call__
+
+        def counting(memo, text):
+            calls.append(text)
+            return preprocess(memo, text)
+
+        monkeypatch.setattr(textprep.ChunkMemo, "__call__", counting)
+        data = noisy_dataset()
+        run_cycles(data, self.CONFIG.replace(n_cycles=5))
+        assert sorted(calls) == sorted(data.texts())
+
     def test_each_distinct_chunk_tokenized_once_per_run(self, monkeypatch):
         """Over a run, each distinct whitespace chunk, keyed after
         lowercasing, goes through ``run_pipeline`` and its steps once,
