@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _atomic, textprep
-from .corpus import Comment, Label, LabeledDataset
+from .corpus import Label, LabeledDataset
 from .errors import ConfigError, ModkitError
 from .textprep import (
     UNKNOWN_EMOJI_ALIAS,
@@ -70,21 +70,16 @@ def ngram_counts(corpus: Sequence[Sequence[str]], n: int, top_k: int) -> NgramTa
     return NgramTable(n=n, rows=tuple(ranked), total_windows=total_windows)
 
 
-def length_histogram(
-    comments: Iterable[Comment | str],
-    bucket_width: int,
-) -> LengthHistogram:
-    """Histogram of raw comment lengths in Unicode scalar values.
+def length_histogram(texts: Iterable[str], bucket_width: int) -> LengthHistogram:
+    """Histogram of raw comment text lengths in Unicode scalar values.
 
     A comment of length L lands in bucket floor(L / width) * width.
     """
     if not isinstance(bucket_width, int) or bucket_width < 1:
         raise ConfigError(f"bucket width must be a positive integer, got {bucket_width}")
     buckets: Counter[int] = Counter()
-    for comment in comments:
-        text = comment.text if isinstance(comment, Comment) else comment
-        length = len(text)
-        buckets[(length // bucket_width) * bucket_width] += 1
+    for text in texts:
+        buckets[(len(text) // bucket_width) * bucket_width] += 1
     return LengthHistogram(bucket_width=bucket_width, buckets=dict(buckets))
 
 
@@ -137,20 +132,16 @@ def _ranked_totals(alias_lists: Iterable[list[str]], cap: int | None) -> list[tu
     return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def emoji_frequency(
-    texts: Iterable[str],
-    cap: int | None = None,
-    aliases: Mapping[str, str] | None = None,
-) -> list[tuple[str, int]]:
-    """Emoji occurrence counts per alias, ranked (count desc, alias asc).
+def emoji_frequency(texts: Iterable[str], cap: int | None = None) -> list[tuple[str, int]]:
+    """Emoji occurrence counts per alias of ``default_emoji_aliases()``,
+    an emoji missing from it as ``unknown_emoji``, ranked (count desc,
+    alias asc).
 
     With ``cap=c`` at most c occurrences of one alias are counted per
     comment, damping single-comment outliers (the fifty-bananas problem)
     without dropping the comment.
     """
-    if aliases is None:
-        aliases = default_emoji_aliases()
-    return _ranked_totals(_emoji_alias_lists(texts, aliases, {}), cap)
+    return _ranked_totals(_emoji_alias_lists(texts, default_emoji_aliases(), {}), cap)
 
 
 def emoji_presence(dataset: LabeledDataset) -> EmojiStats:
@@ -162,13 +153,12 @@ def emoji_presence(dataset: LabeledDataset) -> EmojiStats:
 def emoji_stats(
     dataset: LabeledDataset,
     cap: int | None = None,
-    aliases: Mapping[str, str] | None = None,
     emoticons: Mapping[str, str] | None = None,
 ) -> EmojiStats:
-    """Frequency ranking plus presence fractions from one alias scan per
-    comment; a comment contains an emoji exactly when its alias list is
-    non-empty. Presence is computed in exact rational arithmetic and
-    rounded to 4 places.
+    """Frequency ranking, as :func:`emoji_frequency` ranks it, plus
+    presence fractions from one alias scan per comment; a comment
+    contains an emoji exactly when its alias list is non-empty. Presence
+    is computed in exact rational arithmetic and rounded to 4 places.
 
     With ``emoticons`` (an emoticon -> alias table such as
     ``default_emoticon_map()``) each whitespace-delimited chunk
@@ -176,8 +166,6 @@ def emoji_stats(
     ``normalize_emoticons``; without it emoticons are not counted."""
     if len(dataset.entries) == 0:
         raise ModkitError("emoji presence needs a non-empty dataset")
-    if aliases is None:
-        aliases = default_emoji_aliases()
 
     def fraction(hits: int, total: int) -> float:
         if total == 0:
@@ -185,7 +173,7 @@ def emoji_stats(
         return float(round(Fraction(hits, total), 4))
 
     emoticons = emoticons or {}
-    found = list(_emoji_alias_lists((text for _, text, _ in dataset.entries), aliases, emoticons))
+    found = list(_emoji_alias_lists(dataset.texts(), default_emoji_aliases(), emoticons))
     n_off = n_not = hit_off = hit_not = 0
     for (_cid, _text, label), in_comment in zip(dataset.entries, found):
         if label is Label.OFFENSIVE:

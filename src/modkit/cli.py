@@ -160,7 +160,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.stoplist else textprep.default_stoplist()
     )
     dictionary = textprep.default_lemma_dictionary()
-    emoticons, aliases = textprep.default_emoticon_map(), textprep.default_emoji_aliases()
     offensive = [text for _, text, label in dataset.entries if label is corpus.Label.OFFENSIVE]
     # the string and punctuation steps once per comment, then each chart's token steps
     base = textprep.PreprocessConfig(
@@ -184,7 +183,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     charts["length_offensive.csv"] = analytics.length_histogram(offensive, args.bucket_width)
     # emoticons count as their emoji counterparts in the emoji usage charts
     charts["emoji_stats.csv"] = analytics.emoji_stats(
-        dataset, cap=args.cap, aliases=aliases, emoticons=emoticons
+        dataset, cap=args.cap, emoticons=textprep.default_emoticon_map()
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,6 +200,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = corpus.load_dataset(_require_file(config.dataset, "dataset file"))
     dataset_sha256 = models.dataset_sha256(dataset)
     stoplist = _stoplist(config)
+    if config.stoplist:  # so that eval finds it from any working directory
+        config = config.replace(stoplist=str(Path(config.stoplist).resolve()))
     tables_sha256 = config.tables_sha256(stoplist)
     started = time.perf_counter()
     trained = models.run_cycles(dataset, config, stoplist)
@@ -338,8 +339,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if base.name in ("", ".."):
         raise ConfigError(f"--out {args.out!r} names a directory, not a file")
     base.parent.mkdir(parents=True, exist_ok=True)
-    _atomic.write_text(base.with_suffix(".json"), evaluate.render_json(variants))
-    _atomic.write_text(base.with_suffix(".txt"), evaluate.render_text_table(variants))
+    _atomic.write_text(base.with_name(base.name + ".json"), evaluate.render_json(variants))
+    _atomic.write_text(base.with_name(base.name + ".txt"), evaluate.render_text_table(variants))
     print(evaluate.render_text_table(variants), end="")
     return 0
 

@@ -215,15 +215,17 @@ def parse_report_json(data: str, source: str = "report") -> list[MetricsReport]:
     return [report_from_dict(v, f"$.variants[{i}] of {source}") for i, v in enumerate(variants)]
 
 
-def load_reference_scores(path: str | Path | None = None) -> list[MetricsReport]:
-    """Externally measured per-variant scores shipped as reference data.
+def load_reference_scores() -> list[MetricsReport]:
+    """Externally measured per-variant scores shipped as reference data
+    in ``reference_scores.json``.
 
     These rows are rendered verbatim; they are comparison points, not
     outputs of this toolkit, and are not required to satisfy the metric
     identities.
     """
-    if path is not None:
+
+    def load(directory: Path) -> list[MetricsReport]:
+        path = directory / "reference_scores.json"
         return parse_report_json(read_json_text(path), str(path))
-    return _resources.cached(
-        "reference_scores", lambda p: load_reference_scores(p / "reference_scores.json")
-    )
+
+    return _resources.cached("reference_scores", load)

@@ -18,15 +18,13 @@ Every step reads one whitespace chunk at a time, so a text's tokens are
 its chunks' tokens in order. A caller preprocessing a dataset makes a
 :class:`ChunkMemo` ``(config, stoplist)`` for the run and calls it on
 each text, and each distinct chunk then goes through :func:`run_pipeline`
-once; the tokens do not change. Unknown emoji are tallied only by
-:func:`run_pipeline`'s ``unknown_counter``, per text.
+once; the tokens do not change.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from collections import Counter
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -36,7 +34,7 @@ from . import _resources
 from ._frozen import Frozen
 from .errors import SchemaViolationError, read_text
 
-#: Shorthand words appended to the baseline stop list by default.
+#: Shorthand words that :func:`load_stoplist` adds to every stop-list file's words.
 STOPWORD_EXTENSIONS: tuple[str, ...] = ("u", "ur", "cause", "gonna", "im", "gon", "cant")
 
 #: Alias substituted for emoji code points missing from the alias table.
@@ -365,18 +363,16 @@ def encode_emojis(
     text: str,
     mode: EmojiMode = EmojiMode.ML_PLAIN,
     aliases: Mapping[str, str] | None = None,
-    unknown_counter: Counter | None = None,
 ) -> str:
     """Replace every emoji code point with its textual alias.
 
     ML_PLAIN writes the bare snake_case alias; BERT_DELIMITED wraps it
     in colons. ``:alias:`` placeholders already present (from emoticon
     normalization) are rewritten to match the mode, so an emoticon and
-    its emoji counterpart end up as the same token. Unknown emojis
-    become the ``unknown_emoji`` alias (and are tallied in
-    ``unknown_counter`` when given) rather than failing. A space is
-    inserted where a replacement would otherwise fuse with adjacent
-    non-space text, so each alias stays one token.
+    its emoji counterpart end up as the same token. An emoji missing
+    from ``aliases`` becomes the ``unknown_emoji`` alias rather than
+    failing. A space is inserted where a replacement would otherwise
+    fuse with adjacent non-space text, so each alias stays one token.
     """
     if aliases is None:
         aliases = default_emoji_aliases()
@@ -395,11 +391,7 @@ def encode_emojis(
         if cls == _MODIFIER:
             continue
         if cls == _EMOJI:
-            alias = aliases.get(ch)
-            if alias is None:
-                alias = UNKNOWN_EMOJI_ALIAS
-                if unknown_counter is not None:
-                    unknown_counter[ch] += 1
+            alias = aliases.get(ch, UNKNOWN_EMOJI_ALIAS)
             rendered = alias if mode is EmojiMode.ML_PLAIN else f":{alias}:"
             if last and not last.isspace():
                 out.append(" ")
@@ -458,7 +450,6 @@ def run_pipeline(
     emoticon_map: Mapping[str, str] | None = None,
     aliases: Mapping[str, str] | None = None,
     source_id: str = "",
-    unknown_counter: Counter | None = None,
 ) -> TokenStream:
     """Apply the selected steps in canonical order and tokenize.
 
@@ -468,16 +459,16 @@ def run_pipeline(
     by hand. A table left ``None`` is looked up by its step on every
     call; callers preprocessing many comments make a :class:`ChunkMemo`
     and call it on each text instead, which calls this once per distinct
-    chunk. ``source_id`` is accepted and unused: a stream holds only its
-    tokens, but callers written when it also held a comment's id still
-    pass one.
+    chunk and gives the same tokens. ``source_id`` is accepted and
+    unused: a stream holds only its tokens, but callers written when it
+    also held a comment's id still pass one.
     """
     lower, emoji, punct, stop, lemma = config.flags
     if lower:
         text = text.lower()
     if emoji:
         text = normalize_emoticons(text, emoticon_map)
-        text = encode_emojis(text, config.emoji_mode, aliases, unknown_counter)
+        text = encode_emojis(text, config.emoji_mode, aliases)
     tokens = tokenize(text)
     if punct:
         tokens = remove_punctuation(tokens)
@@ -505,12 +496,10 @@ def _step_tables(config: PreprocessConfig, stoplist: frozenset[str] | None = Non
 # Bundled resource loading
 
 
-def load_stoplist(
-    path: str | Path, extensions: Iterable[str] = STOPWORD_EXTENSIONS
-) -> frozenset[str]:
+def load_stoplist(path: str | Path) -> frozenset[str]:
     """The words of a stop-list file (UTF-8, one word per line, '#'
-    comments allowed), lowercased, plus ``extensions`` as given."""
-    words = list(extensions)
+    comments allowed), lowercased, plus :data:`STOPWORD_EXTENSIONS`."""
+    words = list(STOPWORD_EXTENSIONS)
     for line in read_text(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):

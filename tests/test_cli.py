@@ -718,6 +718,28 @@ class TestEval:
         assert main(argv) == 2
         assert "s.txt" in capsys.readouterr().err
 
+    def test_relative_stoplist_is_found_from_any_directory(self, tmp_path, separable_paths, monkeypatch):
+        """A run trained with a relative ``--stoplist`` records the file's
+        absolute path, so eval from another directory reads the same file,
+        even where that directory holds a different one of the same name."""
+        dataset = run_ingest(tmp_path, separable_paths)
+        trained_in, evaluated_in = tmp_path / "a", tmp_path / "b"
+        for directory, words in ((trained_in, "the\nnice\n"), (evaluated_in, "other\n")):
+            directory.mkdir()
+            (directory / "stop.txt").write_text(words, encoding="utf-8")
+        out = tmp_path / "runs"
+        monkeypatch.chdir(trained_in)
+        assert main(["train", "--dataset", str(dataset), "--out", str(out), "--stoplist", "stop.txt"]) == 0
+        (run_dir,) = out.iterdir()
+        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["stoplist"] == str((trained_in / "stop.txt").resolve())
+        eval_argv = ["eval", "--run", str(run_dir), "--dataset", str(dataset)]
+        assert main(eval_argv) == 0
+        report = (run_dir / "eval_report.json").read_bytes()
+        monkeypatch.chdir(evaluated_in)
+        assert main(eval_argv) == 0
+        assert (run_dir / "eval_report.json").read_bytes() == report
+
     def test_empty_dataset_is_data_error(self, tmp_path, separable_paths):
         run_dir, _ = train_run(tmp_path, separable_paths)
         empty = write_json(tmp_path / "empty.json", {"entries": []})
@@ -1042,6 +1064,12 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(tmp_path / "in.json") in err and "variants" in err
         assert not (tmp_path / "r.json").exists()
+
+    def test_out_keeps_its_own_suffix(self, tmp_path):
+        """``--out`` is a base name: ``.json`` and ``.txt`` are appended to
+        it, and a dot already in it stays."""
+        assert main(["report", "--reference", "--out", str(tmp_path / "table.v2")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.v2.json", "table.v2.txt"]
 
     def test_empty_variants_array_adds_no_rows(self, tmp_path, capsys):
         write_json(tmp_path / "in.json", {"variants": []})
