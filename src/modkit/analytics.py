@@ -4,6 +4,11 @@ distributions, emoji frequencies and presence percentages.
 All counting is per-occurrence within comments; n-gram windows never
 cross comment boundaries. Rankings break count ties lexicographically
 so exports are stable.
+
+Every emoji function reads the bundled (or ``MODKIT_DATA_DIR``) emoji
+alias and emoticon tables: an emoji counts as its alias, and an emoticon
+chunk such as ``:)`` as its emoji's alias, so the library counts what
+``analyze`` writes to ``emoji_stats.csv``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .errors import ConfigError, ModkitError
 from .textprep import (
     UNKNOWN_EMOJI_ALIAS,
     default_emoji_aliases,
+    default_emoticon_map,
     is_alias_placeholder,
 )
 
@@ -100,11 +106,10 @@ def _chunk_aliases(
     return [aliases.get(ch, UNKNOWN_EMOJI_ALIAS) for ch in chunk if classes[ch] == emoji]
 
 
-def _emoji_alias_lists(
-    texts: Iterable[str], aliases: Mapping[str, str], emoticons: Mapping[str, str]
-) -> Iterator[list[str]]:
+def _emoji_alias_lists(texts: Iterable[str]) -> Iterator[list[str]]:
     """Per text, the aliases of its whitespace-delimited chunks in order;
     those depend on the chunk alone, so each distinct one is worked out once."""
+    aliases, emoticons = default_emoji_aliases(), default_emoticon_map()
     memo: dict[str, list[str]] = {}
     for text in texts:
         found: list[str] = []
@@ -135,13 +140,15 @@ def _ranked_totals(alias_lists: Iterable[list[str]], cap: int | None) -> list[tu
 def emoji_frequency(texts: Iterable[str], cap: int | None = None) -> list[tuple[str, int]]:
     """Emoji occurrence counts per alias of ``default_emoji_aliases()``,
     an emoji missing from it as ``unknown_emoji``, ranked (count desc,
-    alias asc).
+    alias asc). Each whitespace-delimited chunk that is a key of
+    ``default_emoticon_map()`` counts as its alias, exactly as after
+    ``normalize_emoticons``.
 
     With ``cap=c`` at most c occurrences of one alias are counted per
     comment, damping single-comment outliers (the fifty-bananas problem)
     without dropping the comment.
     """
-    return _ranked_totals(_emoji_alias_lists(texts, default_emoji_aliases(), {}), cap)
+    return _ranked_totals(_emoji_alias_lists(texts), cap)
 
 
 def emoji_presence(dataset: LabeledDataset) -> EmojiStats:
@@ -150,20 +157,12 @@ def emoji_presence(dataset: LabeledDataset) -> EmojiStats:
     return emoji_stats(dataset)._replace(frequency=())
 
 
-def emoji_stats(
-    dataset: LabeledDataset,
-    cap: int | None = None,
-    emoticons: Mapping[str, str] | None = None,
-) -> EmojiStats:
-    """Frequency ranking, as :func:`emoji_frequency` ranks it, plus
-    presence fractions from one alias scan per comment; a comment
-    contains an emoji exactly when its alias list is non-empty. Presence
-    is computed in exact rational arithmetic and rounded to 4 places.
-
-    With ``emoticons`` (an emoticon -> alias table such as
-    ``default_emoticon_map()``) each whitespace-delimited chunk
-    that is a key counts as its alias, exactly as after
-    ``normalize_emoticons``; without it emoticons are not counted."""
+def emoji_stats(dataset: LabeledDataset, cap: int | None = None) -> EmojiStats:
+    """Frequency ranking, as :func:`emoji_frequency` ranks it (emoticons
+    included), plus presence fractions from one alias scan per comment; a
+    comment contains an emoji exactly when its alias list is non-empty.
+    Presence is computed in exact rational arithmetic and rounded to 4
+    places."""
     if len(dataset.entries) == 0:
         raise ModkitError("emoji presence needs a non-empty dataset")
 
@@ -172,8 +171,7 @@ def emoji_stats(
             return 0.0
         return float(round(Fraction(hits, total), 4))
 
-    emoticons = emoticons or {}
-    found = list(_emoji_alias_lists(dataset.texts(), default_emoji_aliases(), emoticons))
+    found = list(_emoji_alias_lists(dataset.texts()))
     n_off = n_not = hit_off = hit_not = 0
     for (_cid, _text, label), in_comment in zip(dataset.entries, found):
         if label is Label.OFFENSIVE:

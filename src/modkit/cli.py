@@ -23,21 +23,15 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__, _atomic, analytics, corpus, evaluate, models, textprep, vectorize
-from .errors import (
-    ConfigError,
-    MalformedConfigError,
-    ModkitError,
-    SchemaViolationError,
-    load_json,
-    read_json_text,
-)
+from .errors import ConfigError, ModkitError, SchemaViolationError, load_json, read_json_text
 
 def _load_config_file(path: str) -> dict:
     try:
-        raw = read_json_text(path, MalformedConfigError)
+        obj = load_json(read_json_text(path), f"config {path} is not valid JSON")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    obj = load_json(raw, f"config {path} is not valid JSON", MalformedConfigError)
+    except ModkitError as exc:  # bytes or JSON that do not parse: a usage error here
+        raise ConfigError(str(exc)) from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return obj
@@ -49,11 +43,11 @@ def _apply_set_overrides(config: dict, overrides: Sequence[str]) -> None:
         if not sep:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         try:
-            parsed = load_json(value, f"--set {key}", MalformedConfigError)
-        except MalformedConfigError as exc:
-            if not isinstance(exc.__cause__, json.JSONDecodeError):
-                raise
+            parsed = json.loads(value)
+        except json.JSONDecodeError:
             parsed = value  # not JSON: the plain string
+        except RecursionError:
+            raise ConfigError(f"--set {key}: nesting too deep") from None
         try:  # argv holds undecodable bytes as lone surrogates, and JSON can escape them
             json.dumps(parsed, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
@@ -181,10 +175,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
     charts["length_overall.csv"] = analytics.length_histogram(dataset.texts(), args.bucket_width)
     charts["length_offensive.csv"] = analytics.length_histogram(offensive, args.bucket_width)
-    # emoticons count as their emoji counterparts in the emoji usage charts
-    charts["emoji_stats.csv"] = analytics.emoji_stats(
-        dataset, cap=args.cap, emoticons=textprep.default_emoticon_map()
-    )
+    charts["emoji_stats.csv"] = analytics.emoji_stats(dataset, cap=args.cap)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, table in charts.items():

@@ -456,8 +456,11 @@ def load_labels(path: str | Path) -> dict[str, Label]:
 
 
 def load_lexicon(path: str | Path) -> list[LexiconEntry]:
-    """Read a lexicon file: UTF-8 lines of ``term<TAB>category``."""
+    """Read a lexicon file: UTF-8 lines of ``term<TAB>category``. Terms
+    are lowercased; a term an earlier line gives, in any case and with
+    any category, is refused."""
     entries: list[LexiconEntry] = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -467,13 +470,17 @@ def load_lexicon(path: str | Path) -> list[LexiconEntry]:
             raise SchemaViolationError(
                 f"expected term<TAB>category on line {lineno}", str(path)
             )
-        term, category = parts
+        term, category = parts[0].lower(), parts[1]
         try:
-            entries.append(LexiconEntry(term=term.lower(), category=LexiconCategory(category)))
+            entries.append(LexiconEntry(term=term, category=LexiconCategory(category)))
         except ValueError as exc:
             raise SchemaViolationError(
                 f"unknown category {category!r} on line {lineno}", str(path)
             ) from exc
+        if (first := first_line.setdefault(term, lineno)) != lineno:
+            raise SchemaViolationError(
+                f"repeated term {term!r} on line {lineno}, first given on line {first}", str(path)
+            )
     return entries
 
 

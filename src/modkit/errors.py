@@ -8,7 +8,6 @@ Every error carries the ``exit_code`` the command-line front end exits with:
 - :class:`MalformedJsonError` (3): input that is not valid JSON; carries ``offset``.
 - :class:`SchemaViolationError` (3): input whose content breaks its
   format; carries ``path``.
-- :class:`MalformedConfigError` (2): a configuration value that is not valid JSON.
 """
 
 from __future__ import annotations
@@ -39,10 +38,6 @@ class MalformedJsonError(ModkitError):
         self.offset = offset
 
 
-class MalformedConfigError(ConfigError, MalformedJsonError):
-    """A configuration value is not valid JSON (a usage error, exit 2)."""
-
-
 class SchemaViolationError(ModkitError):
     """Input that parsed, but whose content breaks the format it must have."""
 
@@ -62,15 +57,15 @@ def is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def load_json(data: str | bytes, what: str, error: type[MalformedJsonError] = MalformedJsonError):
+def load_json(data: str | bytes, what: str):
     """``json.loads`` with invalid and too deeply nested JSON both raised
-    as ``error``, its message prefixed by ``what``."""
+    as :class:`MalformedJsonError`, its message prefixed by ``what``."""
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:
-        raise error(f"{what}: {exc.msg}", offset=exc.pos) from exc
+        raise MalformedJsonError(f"{what}: {exc.msg}", offset=exc.pos) from exc
     except RecursionError as exc:
-        raise error(f"{what}: nesting too deep") from exc
+        raise MalformedJsonError(f"{what}: nesting too deep") from exc
 
 
 #: Scanned left to right through JSON text: an escaped backslash, an
@@ -96,14 +91,15 @@ def read_text(path: str | Path, error: type[ModkitError] = ModkitError) -> str:
         raise error(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
 
 
-def read_json_text(path: str | Path, error: type[MalformedJsonError] = MalformedJsonError) -> str:
-    """:func:`read_text` of a JSON file; a ``\\uD800``-``\\uDFFF`` escape
-    outside a surrogate pair (a string no UTF-8 file can hold, so no output
-    could be written from it) also raises ``error`` naming the file."""
-    text = read_text(path, error)
+def read_json_text(path: str | Path) -> str:
+    """:func:`read_text` of a JSON file, raising :class:`MalformedJsonError`;
+    a ``\\uD800``-``\\uDFFF`` escape outside a surrogate pair (a string no
+    UTF-8 file can hold, so no output could be written from it) also
+    raises it naming the file."""
+    text = read_text(path, MalformedJsonError)
     if _SURROGATE_ESCAPE_START.search(text):
         for match in _SURROGATE_ESCAPES.finditer(text):
-            if match.group(1):
-                escape, at = match.group(1), match.start()
-                raise error(f"{path} has a lone surrogate escape {escape} at character {at}")
+            if escape := match.group(1):
+                found = f"{path} has a lone surrogate escape {escape}"
+                raise MalformedJsonError(f"{found} at character {match.start()}")
     return text

@@ -549,14 +549,20 @@ def _emoticon_problem(key: str, alias: str) -> str:
 
 def _read_tsv_map(path: str | Path, problem: Callable[[str, str], str]) -> dict[str, str]:
     """``key<TAB>value`` lines; a line for which ``problem`` returns a
-    non-empty description is refused with it."""
+    non-empty description is refused with it, and so is a key an earlier
+    line gives."""
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in _table_lines(path):
         key, sep, value = line.partition("\t")
         if not sep:
             raise SchemaViolationError(f"expected key<TAB>value on line {lineno}", str(path))
         if reason := problem(key, value):
             raise SchemaViolationError(f"{reason} on line {lineno}", str(path))
+        if (first := first_line.setdefault(key, lineno)) != lineno:
+            raise SchemaViolationError(
+                f"repeated key {key!r} on line {lineno}, first given on line {first}", str(path)
+            )
         mapping[key] = value
     return mapping
 

@@ -6,6 +6,9 @@ matches, with continuations carrying the ``##`` prefix. Registering
 domain tokens (slang words, ``:emoji_alias:`` placeholders) shrinks the
 number of pieces a corpus fragments into, which the
 :func:`fragmentation_rate` metric quantifies.
+
+An encoding holds at most ``DEFAULT_MAX_LENGTH`` (150) pieces, [CLS] and
+[SEP] included; :func:`load_vocab` gives the token on line n id n - 1.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import _atomic, _resources
 from ._frozen import Frozen
-from .errors import ConfigError, ModkitError, read_text
+from .errors import ModkitError, SchemaViolationError, read_text
 
 UNK = "[UNK]"
 CLS = "[CLS]"
@@ -27,7 +30,7 @@ CONTINUATION_PREFIX = "##"
 #: Words longer than this become [UNK] outright.
 MAX_WORD_CHARS = 100
 
-#: Default maximum sequence length, matching the platform comment limit.
+#: Maximum sequence length, matching the platform comment limit.
 DEFAULT_MAX_LENGTH = 150
 
 
@@ -82,11 +85,14 @@ class Encoding(Frozen):
 
 
 def load_vocab(path: str | Path) -> WordPieceVocab:
-    """Vocabulary file: one token per line; line number = id."""
+    """Vocabulary file: one token per line, the token on line n with id
+    n - 1. An empty line, or a token that holds whitespace, is refused."""
     tokens: dict[str, int] = {}
-    for token in read_text(path).splitlines():
-        if not token:
-            continue
+    for lineno, token in enumerate(read_text(path).splitlines(), 1):
+        if token.split() != [token]:
+            raise SchemaViolationError(
+                f"invalid vocabulary token {token!r} on line {lineno}", str(path)
+            )
         if token in tokens:
             raise ModkitError(f"duplicate vocabulary token {token!r}")
         tokens[token] = len(tokens)
@@ -134,30 +140,24 @@ def _pieces(word: str, vocab: WordPieceVocab) -> tuple[str, ...]:
     return pieces
 
 
-def wordpiece_encode(
-    text: str,
-    vocab: WordPieceVocab | None = None,
-    max_length: int = DEFAULT_MAX_LENGTH,
-) -> Encoding:
+def wordpiece_encode(text: str, vocab: WordPieceVocab | None = None) -> Encoding:
     """Encode preprocessed text into [CLS] pieces... [SEP].
 
     Expects lowercased input with ``:alias:`` emoji placeholders intact;
     a placeholder registered in the vocabulary emits exactly one token.
-    Sequences longer than ``max_length`` are truncated (flag set) while
-    keeping the trailing [SEP].
+    Sequences longer than ``DEFAULT_MAX_LENGTH`` are truncated (flag set)
+    while keeping the trailing [SEP].
     """
     if vocab is None:
         vocab = default_vocab()
     if len(vocab.tokens) <= len(SPECIALS):
         raise ModkitError("vocabulary has no usable tokens")
-    if max_length < 2:
-        raise ConfigError(f"max_length must be >= 2, got {max_length}")
     pieces: list[str] = [CLS]
     for word in text.split():
         pieces.extend(_pieces(word, vocab))
     truncated = False
-    if len(pieces) + 1 > max_length:
-        pieces = pieces[: max_length - 1]
+    if len(pieces) + 1 > DEFAULT_MAX_LENGTH:
+        pieces = pieces[: DEFAULT_MAX_LENGTH - 1]
         truncated = True
     pieces.append(SEP)
     ids = tuple(vocab.id_of(p) for p in pieces)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import random
+import shutil
 
 import pytest
 
+from modkit import _resources
 from modkit.analytics import (
     cloud_weights,
     emoji_frequency,
@@ -187,6 +189,16 @@ def presence_of(stats) -> tuple[float, float, float]:
     return stats.presence_overall, stats.presence_offensive, stats.presence_nonoffensive
 
 
+def add_emoticons(tmp_path, monkeypatch, lines: str) -> None:
+    """Point ``MODKIT_DATA_DIR`` at a copy of the bundled tables whose
+    emoticon table ends with ``lines``."""
+    tables = tmp_path / "tables"
+    shutil.copytree(_resources._BUNDLED, tables)
+    with open(tables / "emoticons.tsv", "a", encoding="utf-8") as f:
+        f.write(lines)
+    monkeypatch.setenv("MODKIT_DATA_DIR", str(tables))
+
+
 class TestEmojiStatsSingleScan:
     """``emoji_stats`` scans each comment once and gives what presence
     and frequency, each scanning every comment, gave before."""
@@ -194,15 +206,17 @@ class TestEmojiStatsSingleScan:
     @pytest.mark.parametrize("cap", [None, 1, 2])
     def test_matches_the_two_scan_reference(self, cap):
         dataset = fuzz_emoji_dataset()
-        aliases = default_emoji_aliases()
+        aliases, emoticons = default_emoji_aliases(), default_emoticon_map()
         texts = dataset.texts()
         ascii_with_placeholders = [
             t for t in texts if t.isascii() and oracle_emoji_frequency([t], None, {}, "")
         ]
         assert len(ascii_with_placeholders) > 20
-        frequency = oracle_emoji_frequency(texts, cap, aliases, UNKNOWN_EMOJI_ALIAS)
+        normalized = [oracle_normalize_emoticons(text, emoticons) for text in texts]
+        frequency = oracle_emoji_frequency(normalized, cap, aliases, UNKNOWN_EMOJI_ALIAS)
         presence = oracle_emoji_presence(
-            (cid, text, label is Label.OFFENSIVE) for cid, text, label in dataset.entries
+            (cid, norm, label is Label.OFFENSIVE)
+            for (cid, _text, label), norm in zip(dataset.entries, normalized)
         )
         stats = emoji_stats(dataset, cap=cap)
         assert stats.frequency == tuple(frequency)
@@ -216,18 +230,16 @@ class TestEmojiStatsSingleScan:
 
     @pytest.mark.parametrize("cap", [None, 1, 2])
     @pytest.mark.parametrize("table", ["bundled", "override"])
-    def test_emoticons_count_as_after_normalization(self, cap, table):
-        """With ``emoticons`` the one scan gives what emoticon
-        normalization followed by the two-scan reference gives, on raw
+    def test_emoticons_count_as_after_normalization(self, tmp_path, monkeypatch, cap, table):
+        """The one scan gives what emoticon normalization with the
+        emoticon table followed by the two-scan reference gives, on raw
         comments: fuzz texts, placeholders already present, emoticons
-        fused with or next to raw emoji, and override keys that hold an
-        emoji or look like a placeholder themselves, or whose alias makes
-        no placeholder."""
-        emoticons = dict(default_emoticon_map())
+        fused with or next to raw emoji, and, in a table under
+        ``MODKIT_DATA_DIR``, keys that hold an emoji or look like a
+        placeholder themselves."""
         if table == "override":
-            emoticons.update(
-                {"<😂": "joy_heart", "💀💀": "two_skulls", ":x:": "kiss", ":)": "not.a.placeholder"}
-            )
+            add_emoticons(tmp_path, monkeypatch, "<😂\tjoy_heart\n💀💀\ttwo_skulls\n:x:\tkiss\n")
+        emoticons = default_emoticon_map()
         rng = random.Random(101)
         texts = [messy_text(rng) for _ in range(3000)] + [
             ":) 😂", ":)😂", "😂:)", ":D :skull:", "nice :skull: :x:", ":-) :-)\t:-)",
@@ -245,19 +257,20 @@ class TestEmojiStatsSingleScan:
             (cid, norm, label is Label.OFFENSIVE)
             for (cid, _text, label), norm in zip(dataset.entries, normalized)
         )
-        stats = emoji_stats(dataset, cap=cap, emoticons=emoticons)
+        stats = emoji_stats(dataset, cap=cap)
         assert stats.frequency == tuple(frequency)
         assert presence_of(stats) == presence
+        assert emoji_frequency(texts, cap=cap) == frequency
+        assert presence_of(emoji_presence(dataset)) == presence
         if table == "override":
             assert {"joy_heart", "two_skulls", "kiss"} <= dict(frequency).keys()
-            assert "not.a.placeholder" not in dict(frequency)
 
     @pytest.mark.parametrize("cap", [None, 1, 2])
     def test_repeated_chunks_match_the_per_character_oracle(self, cap):
         """Each distinct chunk is worked out once per call: comments drawn
         from a small pool of chunks, each chunk in many comments and often
-        twice in one, give the per-character oracle's counts, with and
-        without emoticons."""
+        twice in one, give the per-character oracle's counts after
+        emoticon normalization."""
         rng = random.Random(131)
         pool = sorted({chunk for _ in range(40) for chunk in messy_text(rng).split()})
         pool += [":)", ":skull:", ":x:", "😂😂", "a😂b", "😂:)", "<3"]
@@ -269,27 +282,26 @@ class TestEmojiStatsSingleScan:
         assert len(chunks) > 20 * len(set(chunks))
         assert sum(len(set(t.split())) < len(t.split()) for t in texts) > 300
         aliases, emoticons = default_emoji_aliases(), default_emoticon_map()
-        expected = oracle_emoji_frequency(texts, cap, aliases, UNKNOWN_EMOJI_ALIAS)
+        normalized = [oracle_normalize_emoticons(text, emoticons) for text in texts]
+        expected = oracle_emoji_frequency(normalized, cap, aliases, UNKNOWN_EMOJI_ALIAS)
         assert emoji_frequency(texts, cap=cap) == expected
         labels = [Label.OFFENSIVE if rng.random() < 0.3 else Label.NOT_OFFENSIVE for _ in texts]
         dataset = LabeledDataset(
             entries=tuple((f"c{i}", t, label) for i, (t, label) in enumerate(zip(texts, labels)))
         )
-        normalized = [oracle_normalize_emoticons(text, emoticons) for text in texts]
-        stats = emoji_stats(dataset, cap=cap, emoticons=emoticons)
-        assert stats.frequency == tuple(
-            oracle_emoji_frequency(normalized, cap, aliases, UNKNOWN_EMOJI_ALIAS)
-        )
+        stats = emoji_stats(dataset, cap=cap)
+        assert stats.frequency == tuple(expected)
         assert presence_of(stats) == oracle_emoji_presence(
             (cid, norm, label is Label.OFFENSIVE)
             for (cid, _text, label), norm in zip(dataset.entries, normalized)
         )
 
-    def test_emoticon_key_with_an_emoji_counts_only_as_its_alias(self):
+    def test_emoticon_key_with_an_emoji_counts_only_as_its_alias(self, tmp_path, monkeypatch):
         dataset = LabeledDataset(entries=(("a", "<😂 <😂", Label.OFFENSIVE),))
-        stats = emoji_stats(dataset, emoticons={"<😂": "joy_heart"})
-        assert stats.frequency == (("joy_heart", 2),)
         assert emoji_stats(dataset).frequency == (("face_with_tears_of_joy", 2),)
+        add_emoticons(tmp_path, monkeypatch, "<😂\tjoy_heart\n")
+        assert emoji_stats(dataset).frequency == (("joy_heart", 2),)
+        assert emoji_frequency(dataset.texts()) == [("joy_heart", 2)]
 
     def test_no_emoji_below_u2600(self):
         """The premise of skipping the character scan on ASCII text."""

@@ -128,6 +128,24 @@ class TestIngest:
         hits = json.loads((tmp_path / "dataset_lexicon_hits.json").read_text())
         assert hits == {"c1": [["clown", "derogatory"]]}
 
+    @pytest.mark.parametrize("second", ["Clown\tderogatory", "CLOWN\twatchword", "clown\tthreatening"])
+    def test_repeated_lexicon_term_exits_3(self, tmp_path, capsys, second):
+        """A term an earlier line gives, in any case and with any category,
+        is refused naming both lines, before any file is written."""
+        tree = {"post_id": "p", "post_author": "op", "comments": [
+            {"id": "c1", "author": "u", "text": "what a clown", "replies": []}
+        ]}
+        tree_file = write_json(tmp_path / "t.json", tree)
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text(f"clown\tderogatory\n# note\n\n{second}\n", encoding="utf-8")
+        out = tmp_path / "dataset.json"
+        assert main(["ingest", str(tree_file), "--lexicon", str(lexicon), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: repeated term 'clown' on line 4, first given on line 1 (at {lexicon})\n"
+        )
+        assert not out.exists() and not (tmp_path / "dataset_lexicon_hits.json").exists()
+
 
     def test_lexicon_hits_equal_the_golden_file(self, tmp_path, data_dir, capsys):
         """``tools/make_fixtures.py`` writes the golden hits with one
@@ -270,9 +288,7 @@ class TestAnalyze:
         for name, group in (("overall", texts), ("offensive", offensive)):
             histogram = analytics.length_histogram(group, 10)
             analytics.export_chart_data(histogram, expected / f"length_{name}.csv")
-        stats = analytics.emoji_stats(
-            LabeledDataset(entries=entries), emoticons=textprep.default_emoticon_map()
-        )
+        stats = analytics.emoji_stats(LabeledDataset(entries=entries))
         analytics.export_chart_data(stats, expected / "emoji_stats.csv")
         assert {p.name for p in expected.iterdir()} == EXPECTED_CHART_FILES
         for name in EXPECTED_CHART_FILES:
@@ -1091,10 +1107,9 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
 
-def test_errors_defines_six_classes_with_their_exit_codes():
-    """``modkit.errors`` holds one class per exit code, the two that carry
-    where the input went wrong, and the config value that is not JSON,
-    all under ``ModkitError``."""
+def test_errors_defines_five_classes_with_their_exit_codes():
+    """``modkit.errors`` holds one class per exit code and the two that
+    carry where the input went wrong, all under ``ModkitError``."""
     classes = {
         name: cls for name, cls in vars(errors).items()
         if isinstance(cls, type) and issubclass(cls, BaseException)
@@ -1105,11 +1120,8 @@ def test_errors_defines_six_classes_with_their_exit_codes():
         "NonFiniteLossError": 4,
         "MalformedJsonError": 3,
         "SchemaViolationError": 3,
-        "MalformedConfigError": 2,
     }
     assert all(issubclass(cls, errors.ModkitError) for cls in classes.values())
-    assert issubclass(errors.MalformedConfigError, errors.ConfigError)
-    assert issubclass(errors.MalformedConfigError, errors.MalformedJsonError)
     assert errors.MalformedJsonError("bad", offset=7).offset == 7
     located = errors.SchemaViolationError("bad", "$.comments[0]")
     assert (located.path, str(located)) == ("$.comments[0]", "bad (at $.comments[0])")

@@ -412,10 +412,14 @@ REPORT = "report --reference --out {w}/rep/report"
         ("emoji_aliases.tsv", "😀\t\n".encode(), ANALYZE, "c", "alias '' is no placeholder body on line"),
         ("lemma_exceptions.tsv", b"bagud\t\n", TRAIN + ' --set steps=["lemmatization"]', "r",
          "empty lemma for 'bagud' on line"),
+        ("emoticons.tsv", b":)\tsad\n", ANALYZE, "c", "repeated key ':)' on line"),
+        ("lemma_exceptions.tsv", b"writing\twrit\n", TRAIN + ' --set steps=["lemmatization"]', "r",
+         "repeated key 'writing' on line"),
     ],
     ids=["analyze_aliases_not_utf8", "train_exceptions_no_tab", "train_rules_bad_min_stem",
          "report_reference_not_utf8", "analyze_emoticon_letters_only",
-         "train_emoticon_letters_only", "analyze_alias_empty", "train_lemma_empty"],
+         "train_emoticon_letters_only", "analyze_alias_empty", "train_lemma_empty",
+         "analyze_emoticon_repeated", "train_lemma_repeated"],
 )
 def test_bad_data_table_writes_nothing(
     tmp_path, capsys, base, monkeypatch, table, tail, argv, out, message

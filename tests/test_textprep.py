@@ -321,6 +321,28 @@ class TestTableLoaders:
             f"^alias '{alias}' is no placeholder body",
         )
 
+    @pytest.mark.parametrize(
+        "name, lines, load",
+        [
+            ("emoticons.tsv", ":)\tslightly_smiling_face\n:)\tslightly_frowning_face", default_emoticon_map),
+            ("emoji_aliases.tsv", "😀\tgrinning_face\n😀\tgrinning_face", default_emoji_aliases),
+            ("lemma_exceptions.tsv", "went\tgo\nwent\twend", default_lemma_dictionary),
+        ],
+        ids=["emoticons", "emoji_aliases", "lemma_exceptions"],
+    )
+    def test_repeated_key_refused(self, tmp_path, monkeypatch, name, lines, load):
+        """A key an earlier line gives is refused naming both lines, the
+        same value again included; the last line does not silently win."""
+        (tmp_path / "lemma_rules.tsv").write_text("", encoding="utf-8")
+        (tmp_path / "lemma_exceptions.tsv").write_text("", encoding="utf-8")
+        path = tmp_path / name
+        path.write_text(f"# comment\n{lines.replace(chr(10), chr(10) * 2)}\n", encoding="utf-8")
+        monkeypatch.setenv("MODKIT_DATA_DIR", str(tmp_path))
+        key = lines.partition("\t")[0]
+        with pytest.raises(SchemaViolationError) as info:
+            load()
+        assert str(info.value) == f"repeated key {key!r} on line 4, first given on line 2 (at {path})"
+
     def test_empty_lemma_refused(self, tmp_path, monkeypatch):
         (tmp_path / "lemma_rules.tsv").write_text("", encoding="utf-8")
         assert_table_line_refused(

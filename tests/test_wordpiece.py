@@ -7,9 +7,10 @@ import random
 import pytest
 
 from modkit import wordpiece
-from modkit.errors import ModkitError
+from modkit.errors import ModkitError, SchemaViolationError
 from modkit.wordpiece import (
     CLS,
+    DEFAULT_MAX_LENGTH,
     SEP,
     UNK,
     WordPieceVocab,
@@ -56,8 +57,8 @@ class TestEncode:
 
     def test_truncation_keeps_sep(self):
         vocab = vocab_of("a")
-        encoding = wordpiece_encode(" ".join("a" * 1 for _ in range(300)), vocab, max_length=150)
-        assert len(encoding) == 150
+        encoding = wordpiece_encode(" ".join("a" * 1 for _ in range(300)), vocab)
+        assert len(encoding) == DEFAULT_MAX_LENGTH == 150
         assert encoding.truncated
         assert encoding.tokens[0] == CLS and encoding.tokens[-1] == SEP
 
@@ -163,6 +164,19 @@ class TestVocabFile:
         assert vocab.id_of("boom") == 4
         assert vocab.id_of("##er") == 5
 
+    @pytest.mark.parametrize(
+        "line", ["", " ", "\t", "bo om", "boom\u00a0"], ids=["empty", "space", "tab", "inner", "nbsp"]
+    )
+    def test_blank_or_whitespace_line_refused(self, tmp_path, line):
+        """Every line is a token, so a line that cannot be one is refused
+        rather than skipped, which would shift the ids after it."""
+        path = tmp_path / "vocab.txt"
+        path.write_text(f"[PAD]\n[UNK]\n{line}\n[CLS]\n[SEP]\nboom\n", encoding="utf-8")
+        with pytest.raises(SchemaViolationError) as info:
+            load_vocab(path)
+        assert info.value.exit_code == 3
+        assert str(info.value) == f"invalid vocabulary token {line!r} on line 3 (at {path})"
+
     def test_missing_special_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("[PAD]\n[CLS]\n[SEP]\nboom\n", encoding="utf-8")
@@ -213,8 +227,9 @@ class TestMemo:
             pieces = [p for w in words for p in cold[w]]
             split = sum(len(cold[w]) >= 2 or cold[w] == (UNK,) for w in words)
             for _ in range(2):
-                encoding = wordpiece_encode(text, vocab, max_length=len(pieces) + 2)
-                assert encoding.tokens == (CLS, *pieces, SEP) and not encoding.truncated
+                for word in words:
+                    encoding = wordpiece_encode(word, vocab)
+                    assert encoding.tokens == (CLS, *cold[word], SEP) and not encoding.truncated
                 rate = fragmentation_rate([text], vocab)
                 assert (rate.pieces_per_word, rate.split_word_fraction) == (
                     len(pieces) / len(words),
