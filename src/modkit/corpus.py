@@ -11,7 +11,6 @@ array of the same shape. A labeled dataset is its ordered
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from enum import Enum
@@ -116,7 +115,7 @@ class LabeledDataset(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# Parsing and serialization
+# Parsing
 
 
 def _require(obj: dict, key: str, path: str):
@@ -196,27 +195,6 @@ def parse_comment_tree(data: bytes | str) -> CommentTree:
     except RecursionError as exc:
         raise MalformedJsonError("comment tree nesting too deep") from exc
     return CommentTree(post_id=post_id, post_author=post_author, comments=tuple(comments))
-
-
-def serialize_comment_tree(tree: CommentTree) -> bytes:
-    """Inverse of :func:`parse_comment_tree` (structural round trip).
-
-    The depths must be as :func:`parse_comment_tree` produces them: the
-    first comment at depth 0, each later one at most one level deeper
-    than the comment before it.
-    """
-    roots: list[dict] = []
-    replies_at = [roots]  # replies_at[d]: the list a comment at depth d joins
-    for comment in tree.comments:
-        obj: dict = {"id": comment.id, "author": comment.author, "text": comment.text}
-        if comment.timestamp is not None:
-            obj["timestamp"] = comment.timestamp
-        obj["replies"] = []
-        del replies_at[comment.depth + 1 :]
-        replies_at[comment.depth].append(obj)
-        replies_at.append(obj["replies"])
-    tree_obj = {"post_id": tree.post_id, "post_author": tree.post_author, "comments": roots}
-    return json.dumps(tree_obj, ensure_ascii=False).encode("utf-8")
 
 
 def flatten(tree: CommentTree) -> list[Comment]:

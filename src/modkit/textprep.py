@@ -147,7 +147,6 @@ _EMOJI_RANGES = (
     (0x1F000, 0x1FAFF),
     (0x2600, 0x27BF),
     (0x2B00, 0x2BFF),
-    (0x1F1E6, 0x1F1FF),
 )
 
 # Invisible joiners/selectors that modify a preceding emoji.
@@ -533,8 +532,15 @@ def load_lemma_dictionary(words_path: str | Path, rules_path: str | Path) -> Lem
     return LemmaDictionary(exceptions=exceptions, suffix_rules=tuple(rules))
 
 
-def _alias_problem(key: str, alias: str) -> str:
+def _alias_problem(alias: str) -> str:
     return "" if is_alias_placeholder(f":{alias}:") else f"alias {alias!r} is no placeholder body"
+
+
+def _emoji_alias_problem(key: str, alias: str) -> str:
+    # the emoji step and ``analytics`` look aliases up one character at a time
+    if len(key) != 1 or not is_emoji_char(key):
+        return f"emoji key {key!r} is not one emoji character"
+    return _alias_problem(alias)
 
 
 def _emoticon_problem(key: str, alias: str) -> str:
@@ -544,7 +550,7 @@ def _emoticon_problem(key: str, alias: str) -> str:
         return f"letters-only emoticon key {key!r}"
     if alias != alias.lower():
         return f"emoticon alias {alias!r} is not lowercase"
-    return _alias_problem(key, alias)
+    return _alias_problem(alias)
 
 
 def _read_tsv_map(path: str | Path, problem: Callable[[str, str], str]) -> dict[str, str]:
@@ -588,9 +594,10 @@ def default_emoticon_map() -> dict[str, str]:
 
 
 def default_emoji_aliases() -> dict[str, str]:
-    """Emoji -> alias; an alias that is not a placeholder body is refused."""
+    """Emoji -> alias. A key that is not exactly one emoji character is
+    refused, and so is an alias that is not a placeholder body."""
     return _resources.cached(
-        "emoji_aliases", lambda p: _read_tsv_map(p / "emoji_aliases.tsv", _alias_problem)
+        "emoji_aliases", lambda p: _read_tsv_map(p / "emoji_aliases.tsv", _emoji_alias_problem)
     )
 
 

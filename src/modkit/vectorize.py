@@ -5,8 +5,10 @@ frequency, idf(t) = ln((1 + N) / (1 + df(t))) + 1, followed by L2
 normalization. The smoothing keeps idf >= 1, so downstream multinomial
 models never see negative feature mass.
 
-A model is fitted on a numpy :class:`CSRMatrix` (:func:`fit`,
-:func:`transform_all`). Scoring reads the plain-Python :func:`rows`, one
+Fitting counts the corpus's terms once, and the model and the corpus's
+numpy :class:`CSRMatrix` rows both come from that count (:func:`fit`
+keeps the model); :func:`transform_all` gives the rows of other
+streams. Scoring reads the plain-Python :func:`rows`, one
 stream at a time, the same rows bit for bit. Only fitting imports numpy,
 inside the functions that use it, so scoring never loads it.
 """
@@ -117,11 +119,11 @@ def _term_counts(vocabulary: dict[str, int], corpus: Sequence[Sequence[str]]) ->
 def fit(corpus: Sequence[Sequence[str]]) -> TfidfModel:
     """Learn vocabulary (first-appearance order) and smoothed idf; a
     term's document frequency is the number of streams it has a count in."""
-    return _fit_counted(corpus)[0]
+    return _fit_transform(corpus)[0]
 
 
-def _fit_counted(corpus: Sequence[Sequence[str]]) -> tuple[TfidfModel, _TermCounts]:
-    """:func:`fit`'s model and the :func:`_term_counts` of ``corpus`` it comes from."""
+def _fit_transform(corpus: Sequence[Sequence[str]]) -> tuple[TfidfModel, CSRMatrix]:
+    """``fit(corpus)`` and ``transform_all`` of ``corpus`` by it, from one term count."""
     import numpy as np
     if len(corpus) == 0:
         raise ModkitError("cannot fit TF-IDF on an empty corpus")
@@ -131,13 +133,8 @@ def _fit_counted(corpus: Sequence[Sequence[str]]) -> tuple[TfidfModel, _TermCoun
     n = len(corpus)
     df = np.bincount(counts[1], minlength=len(vocabulary)).tolist()
     idf = [math.log((1 + n) / (1 + d)) + 1.0 for d in df]
-    return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n), counts
-
-
-def _fit_transform(corpus: Sequence[Sequence[str]]) -> tuple[TfidfModel, CSRMatrix]:
-    """``fit(corpus)`` and ``transform_all`` of ``corpus`` by it, from one term count."""
-    model, counts = _fit_counted(corpus)
-    return model, _tfidf_rows(model, len(corpus), counts)
+    model = TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n)
+    return model, _tfidf_rows(model, n, counts)
 
 
 def transform_all(model: TfidfModel, corpus: Sequence[Sequence[str]]) -> CSRMatrix:

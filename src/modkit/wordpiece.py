@@ -8,7 +8,8 @@ number of pieces a corpus fragments into, which the
 :func:`fragmentation_rate` metric quantifies.
 
 An encoding holds at most ``DEFAULT_MAX_LENGTH`` (150) pieces, [CLS] and
-[SEP] included; :func:`load_vocab` gives the token on line n id n - 1.
+[SEP] included; :func:`load_vocab` gives the token on line n id n - 1
+and refuses a token that an earlier line gives.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from . import _atomic, _resources
+from . import _resources
 from ._frozen import Frozen
 from .errors import ModkitError, SchemaViolationError, read_text
 
@@ -35,7 +36,7 @@ DEFAULT_MAX_LENGTH = 150
 
 
 class WordPieceVocab(Frozen):
-    """Token -> id table.
+    """Token -> id table: ``tokens`` maps each token to its id.
 
     ``memo`` holds the pieces of every word this instance has segmented.
     It belongs to the instance: a vocabulary made by :func:`augment_vocab`
@@ -57,12 +58,6 @@ class WordPieceVocab(Frozen):
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.tokens
-
-    def id_of(self, token: str) -> int:
-        return self.tokens[token]
 
 
 class Encoding(Frozen):
@@ -86,22 +81,22 @@ class Encoding(Frozen):
 
 def load_vocab(path: str | Path) -> WordPieceVocab:
     """Vocabulary file: one token per line, the token on line n with id
-    n - 1. An empty line, or a token that holds whitespace, is refused."""
+    n - 1. An empty line, a token that holds whitespace, and a token an
+    earlier line gives are refused."""
     tokens: dict[str, int] = {}
     for lineno, token in enumerate(read_text(path).splitlines(), 1):
         if token.split() != [token]:
             raise SchemaViolationError(
                 f"invalid vocabulary token {token!r} on line {lineno}", str(path)
             )
-        if token in tokens:
-            raise ModkitError(f"duplicate vocabulary token {token!r}")
+        if token in tokens:  # every earlier line added a token, so id + 1 is its line
+            raise SchemaViolationError(
+                f"repeated token {token!r} on line {lineno}, "
+                f"first given on line {tokens[token] + 1}",
+                str(path),
+            )
         tokens[token] = len(tokens)
     return WordPieceVocab(tokens=tokens)
-
-
-def save_vocab(vocab: WordPieceVocab, path: str | Path) -> None:
-    ordered = sorted(vocab.tokens, key=vocab.tokens.__getitem__)
-    _atomic.write_text(path, "\n".join(ordered) + "\n")
 
 
 def default_vocab() -> WordPieceVocab:
@@ -121,7 +116,7 @@ def _segment_word(word: str, vocab: WordPieceVocab) -> list[str]:
             candidate = word[start:end]
             if start > 0:
                 candidate = CONTINUATION_PREFIX + candidate
-            if candidate in vocab:
+            if candidate in vocab.tokens:
                 piece = candidate
                 break
             end -= 1
@@ -160,7 +155,7 @@ def wordpiece_encode(text: str, vocab: WordPieceVocab | None = None) -> Encoding
         pieces = pieces[: DEFAULT_MAX_LENGTH - 1]
         truncated = True
     pieces.append(SEP)
-    ids = tuple(vocab.id_of(p) for p in pieces)
+    ids = tuple(map(vocab.tokens.__getitem__, pieces))
     return Encoding(ids=ids, tokens=tuple(pieces), truncated=truncated)
 
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from modkit import _atomic, analytics, corpus, models, vectorize, wordpiece
+from modkit import _atomic, analytics, corpus, models, vectorize
 from modkit.corpus import Label, LabeledDataset, LexiconCategory
 from modkit.textprep import TokenStream
 
@@ -22,9 +22,6 @@ WRITERS = {
         models.LRModel(weights=np.zeros(2), bias=0.0, l2=0.0, learning_rate=0.1, epochs=1), path
     ),
     "save_tfidf": lambda path: vectorize.save_tfidf(vectorize.fit([TokenStream(("a", "b"))]), path),
-    "save_vocab": lambda path: wordpiece.save_vocab(
-        wordpiece.augment_vocab(wordpiece.default_vocab(), ["simp"]), path
-    ),
     "export_chart_data": lambda path: analytics.export_chart_data(
         analytics.length_histogram(["abc", "de"], 10), path
     ),

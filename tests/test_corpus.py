@@ -23,7 +23,6 @@ from modkit.corpus import (
     flatten,
     lexicon_flag,
     parse_comment_tree,
-    serialize_comment_tree,
     split,
 )
 from modkit.errors import (
@@ -174,14 +173,6 @@ def random_tree_obj(rng: random.Random, max_depth: int = 5, budget: int = 200) -
 
 
 class TestRoundTrip:
-    def test_parse_serialize_identity(self):
-        rng = random.Random(42)
-        for _ in range(50):
-            obj = random_tree_obj(rng)
-            tree = parse_comment_tree(json.dumps(obj, ensure_ascii=False))
-            again = parse_comment_tree(serialize_comment_tree(tree))
-            assert again == tree
-
     def test_comments_are_the_preorder_walk_of_the_json(self):
         rng = random.Random(7)
         for _ in range(50):

@@ -410,6 +410,8 @@ REPORT = "report --reference --out {w}/rep/report"
         ("emoticons.tsv", b"xD\tlaughing\n", TRAIN + ' --set steps=["emoji_encoding"]', "r",
          "letters-only emoticon key 'xD' on line"),
         ("emoji_aliases.tsv", "😀\t\n".encode(), ANALYZE, "c", "alias '' is no placeholder body on line"),
+        ("emoji_aliases.tsv", "\u2764\ufe0f\tred_heart\n".encode(), ANALYZE, "c",
+         "emoji key '\u2764\ufe0f' is not one emoji character on line"),
         ("lemma_exceptions.tsv", b"bagud\t\n", TRAIN + ' --set steps=["lemmatization"]', "r",
          "empty lemma for 'bagud' on line"),
         ("emoticons.tsv", b":)\tsad\n", ANALYZE, "c", "repeated key ':)' on line"),
@@ -418,8 +420,8 @@ REPORT = "report --reference --out {w}/rep/report"
     ],
     ids=["analyze_aliases_not_utf8", "train_exceptions_no_tab", "train_rules_bad_min_stem",
          "report_reference_not_utf8", "analyze_emoticon_letters_only",
-         "train_emoticon_letters_only", "analyze_alias_empty", "train_lemma_empty",
-         "analyze_emoticon_repeated", "train_lemma_repeated"],
+         "train_emoticon_letters_only", "analyze_alias_empty", "analyze_alias_key_not_one_emoji",
+         "train_lemma_empty", "analyze_emoticon_repeated", "train_lemma_repeated"],
 )
 def test_bad_data_table_writes_nothing(
     tmp_path, capsys, base, monkeypatch, table, tail, argv, out, message

@@ -82,8 +82,7 @@ EXPORTED = {
     "corpus": (
         "Comment", "CommentTree", "Label", "LabeledDataset", "LexiconCategory", "LexiconEntry",
         "apply_labels", "balance", "dedupe", "flatten", "lexicon_flag", "load_dataset",
-        "load_labels", "load_lexicon", "parse_comment_tree", "save_dataset",
-        "serialize_comment_tree", "split",
+        "load_labels", "load_lexicon", "parse_comment_tree", "save_dataset", "split",
     ),
     "textprep": (
         "EmojiMode", "LemmaDictionary", "PreprocessConfig", "Step",
@@ -100,7 +99,7 @@ EXPORTED = {
     ),
     "wordpiece": (
         "Encoding", "FragmentationRate", "WordPieceVocab", "augment_vocab", "fragmentation_rate",
-        "load_vocab", "save_vocab", "wordpiece_encode",
+        "load_vocab", "wordpiece_encode",
     ),
     "models": (
         "LRModel", "NBModel", "RunConfig", "TrainReport", "TrainedArtifacts", "load_model",

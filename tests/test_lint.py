@@ -1,17 +1,20 @@
 """Static checks of the library source, with the stdlib ``ast`` only.
 
-``__init__.py`` is left out of the import check: the names it imports
-are its exports.
+``__init__.py`` is left out of the import check and of the readers of
+the public-definition check: the names it imports and lists are its
+exports.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
-PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "modkit").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "modkit").glob("*.py"))
 SOURCES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
@@ -38,26 +41,38 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
-    """Each private module-level function or class, as ``module: name``,
-    that no source reads by name, by attribute or in an import."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def read_names(trees: Iterable[ast.Module]) -> set[str]:
+    """Every name the trees read by name, by attribute or in an import."""
     referenced = set()
-    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+    for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Name):
             referenced.add(node.id)
         elif isinstance(node, ast.Attribute):
             referenced.add(node.attr)
         elif isinstance(node, ast.alias):
             referenced.add(node.name)
+    return referenced
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """The names of a module's module-level functions and classes."""
     return [
-        f"{module}: {node.name}"
-        for module, tree in trees.items()
+        node.name
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in referenced
+    ]
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Each private module-level function or class, as ``module: name``,
+    that no source reads by name, by attribute or in an import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = read_names(trees.values())
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in definitions(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
     ]
 
 
@@ -73,6 +88,41 @@ def test_finds_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unreferenced_private_definitions(sources) == []
+
+
+def unread_public_definitions(sources: dict[str, str], readers: Iterable[str]) -> list[str]:
+    """Each public module-level function or class of ``sources``, as
+    ``module: name``, that no source of ``readers`` reads by name, by
+    attribute or in an import."""
+    referenced = read_names(map(ast.parse, readers))
+    return [
+        f"{module}: {name}"
+        for module, source in sources.items()
+        for name in definitions(ast.parse(source))
+        if not name.startswith("_") and name not in referenced
+    ]
+
+
+def test_finds_an_unread_public_definition():
+    sources = {"a": "def dead(): pass\ndef called(): pass\nclass Imported: pass\ndef _p(): pass\n"}
+    readers = ["from a import Imported\n", "import a\na.called()\n"]
+    assert unread_public_definitions(sources, readers) == ["a: dead"]
+
+
+def test_every_public_definition_has_a_reader():
+    """A public function or class of the library is read by the library
+    itself, a demo, a tool, the benchmark or the acceptance oracles; one
+    that only its own tests read is dead surface."""
+    readers = [
+        *SOURCES,
+        *(ROOT / "demos").rglob("*.py"),
+        *(ROOT / "tools").rglob("*.py"),
+        *(ROOT / "perfbench").rglob("*.py"),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    readers_text = [path.read_text(encoding="utf-8") for path in readers]
+    assert unread_public_definitions(sources, readers_text) == []
 
 
 def misplaced_pipeline_calls(name: str, source: str) -> list[int]:

@@ -18,7 +18,6 @@ from modkit.wordpiece import (
     default_vocab,
     fragmentation_rate,
     load_vocab,
-    save_vocab,
     wordpiece_encode,
 )
 
@@ -69,7 +68,7 @@ class TestEncode:
     def test_ids_match_tokens(self):
         vocab = vocab_of("boom", "##er")
         encoding = wordpiece_encode("boomer", vocab)
-        assert encoding.ids == tuple(vocab.id_of(t) for t in encoding.tokens)
+        assert encoding.ids == tuple(vocab.tokens[t] for t in encoding.tokens)
 
     def test_word_longer_than_limit_is_unknown(self):
         vocab = vocab_of(*"abcdefghijklmnopqrstuvwxyz")
@@ -116,7 +115,7 @@ class TestAugment:
 
     def test_lowercased_on_insertion(self):
         grown = augment_vocab(vocab_of(), ["Simp"])
-        assert "simp" in grown
+        assert "simp" in grown.tokens
         assert "Simp" not in grown.tokens
 
 
@@ -154,15 +153,16 @@ class TestVocabFile:
     def test_round_trip_preserves_ids(self, tmp_path):
         vocab = augment_vocab(default_vocab(), ["simp", ":skull:"])
         path = tmp_path / "vocab.txt"
-        save_vocab(vocab, path)
+        ordered = sorted(vocab.tokens, key=vocab.tokens.__getitem__)
+        path.write_text("".join(f"{token}\n" for token in ordered), encoding="utf-8")
         assert load_vocab(path).tokens == vocab.tokens
 
     def test_line_number_is_id(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\nboom\n##er\n", encoding="utf-8")
         vocab = load_vocab(path)
-        assert vocab.id_of("boom") == 4
-        assert vocab.id_of("##er") == 5
+        assert vocab.tokens["boom"] == 4
+        assert vocab.tokens["##er"] == 5
 
     @pytest.mark.parametrize(
         "line", ["", " ", "\t", "bo om", "boom\u00a0"], ids=["empty", "space", "tab", "inner", "nbsp"]
@@ -176,6 +176,15 @@ class TestVocabFile:
             load_vocab(path)
         assert info.value.exit_code == 3
         assert str(info.value) == f"invalid vocabulary token {line!r} on line 3 (at {path})"
+
+    def test_repeated_token_refused(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\nboom\n##er\nboom\n", encoding="utf-8")
+        with pytest.raises(SchemaViolationError) as info:
+            load_vocab(path)
+        assert info.value.exit_code == 3
+        message = f"repeated token 'boom' on line 7, first given on line 5 (at {path})"
+        assert str(info.value) == message
 
     def test_missing_special_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -192,7 +201,7 @@ class TestVocabFile:
     def test_bundled_vocab_excludes_demo_slang(self):
         vocab = default_vocab()
         for token in ("simp", "boomer", "cap"):
-            assert token not in vocab
+            assert token not in vocab.tokens
 
 
 class TestMonotonicity:
