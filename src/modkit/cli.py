@@ -10,20 +10,22 @@
 Exit codes: 0 success, 2 usage/configuration, 3 data errors, 4 numeric
 errors. Training artifacts land in a run directory named by the hash of
 the effective configuration, so re-running the same experiment
-overwrites the same files with byte-identical content.
+overwrites the same files with byte-identical content. The data tables
+the steps read are the bundled ones, or those of ``MODKIT_DATA_DIR``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__, _atomic, analytics, corpus, evaluate, models, textprep, vectorize
-from .errors import ConfigError, ModkitError, SchemaViolationError, load_json, read_json_text
+from .errors import ConfigError, ModkitError, SchemaViolationError, in_file, load_json, read_json_text
 
 def _load_config_file(path: str) -> dict:
     try:
@@ -61,19 +63,11 @@ def build_run_config(args: argparse.Namespace) -> models.RunConfig:
         config.update(_load_config_file(args.config))
     _apply_set_overrides(config, getattr(args, "set", None) or [])
     # explicit flags win over config file and --set
-    for name in ("seed", "model", "emoji_mode", "dataset", "stoplist", "out", "n_cycles"):
+    for name in ("seed", "model", "emoji_mode", "dataset", "out", "n_cycles"):
         value = getattr(args, name, None)
         if value is not None:
             config[name] = value
     return models.RunConfig(**config)
-
-
-def _stoplist(config: models.RunConfig) -> frozenset[str] | None:
-    """The ``--stoplist`` words, read only when a step reads them, as
-    :meth:`~modkit.models.RunConfig.tables_sha256` counts them."""
-    if config.stoplist and textprep.Step.STOPWORD_REMOVAL.value in config.steps:
-        return textprep.load_stoplist(_require_file(config.stoplist, "stop-list file"))
-    return None
 
 
 def _require_file(path: str | Path, what: str) -> Path:
@@ -107,7 +101,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     all_comments: list[corpus.Comment] = []
     for tree_path in args.trees:
         data = _read_json_text(tree_path, "comment-tree file")
-        all_comments.extend(corpus.flatten(corpus.parse_comment_tree(data)))
+        with in_file(tree_path):
+            all_comments.extend(corpus.flatten(corpus.parse_comment_tree(data)))
     unique = corpus.dedupe(all_comments)
     labels = corpus.load_labels(_require_file(args.labels, "label file")) if args.labels else {}
     lexicon = None
@@ -149,10 +144,7 @@ _NGRAM_NAMES = {1: "uni", 2: "bi", 3: "tri"}
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     dataset = corpus.load_dataset(_require_file(args.dataset, "dataset file"))
-    stoplist = (
-        textprep.load_stoplist(_require_file(args.stoplist, "stop-list file"))
-        if args.stoplist else textprep.default_stoplist()
-    )
+    stoplist = textprep.default_stoplist()
     dictionary = textprep.default_lemma_dictionary()
     offensive = [text for _, text, label in dataset.entries if label is corpus.Label.OFFENSIVE]
     # the string and punctuation steps once per comment, then each chart's token steps
@@ -190,12 +182,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("a dataset file is required (--dataset or config)")
     dataset = corpus.load_dataset(_require_file(config.dataset, "dataset file"))
     dataset_sha256 = models.dataset_sha256(dataset)
-    stoplist = _stoplist(config)
-    if config.stoplist:  # so that eval finds it from any working directory
-        config = config.replace(stoplist=str(Path(config.stoplist).resolve()))
-    tables_sha256 = config.tables_sha256(stoplist)
+    tables_sha256 = config.tables_sha256()
     started = time.perf_counter()
-    trained = models.run_cycles(dataset, config, stoplist)
+    trained = models.run_cycles(dataset, config)
     train_seconds = time.perf_counter() - started
     # created only once training succeeded, so a failed run leaves no directory
     run_dir = Path(config.out) / config.hash(dataset_sha256, tables_sha256)
@@ -243,11 +232,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_run(
     run_dir: Path,
-) -> tuple[models.RunConfig, frozenset[str] | None, vectorize.TfidfModel, models.NBModel | models.LRModel, dict]:
+) -> tuple[models.RunConfig, vectorize.TfidfModel, models.NBModel | models.LRModel, dict]:
     manifest_path = _require_file(run_dir / "manifest.json", "run manifest")
-    manifest = load_json(
-        read_json_text(manifest_path), f"invalid manifest JSON in {manifest_path}"
-    )
+    manifest = load_json(read_json_text(manifest_path), f"invalid manifest JSON in {manifest_path}")
     config_obj = manifest.get("config") if isinstance(manifest, dict) else None
     if not isinstance(config_obj, dict):
         raise SchemaViolationError("manifest has no config object", str(manifest_path))
@@ -255,18 +242,20 @@ def _load_run(
         config = models.RunConfig(**config_obj)
     except ConfigError as exc:
         raise SchemaViolationError(f"bad run config: {exc}", str(manifest_path)) from exc
-    stoplist = _stoplist(config)
     checksums = manifest.get("checksums")
     if not isinstance(checksums, dict):
         raise SchemaViolationError("manifest has no checksums object", str(manifest_path))
     for name in _ARTIFACTS:
         path = _require_file(run_dir / name, "run artifact")
         _check_sha256(str(path), models.file_sha256(path), checksums.get(name), manifest_path)
-    what = "the content of the tables the steps read"
-    _check_sha256(what, config.tables_sha256(stoplist), manifest.get("tables_sha256"), manifest_path)
+    from ._resources import ENV_VAR, data_dir  # executed only by the commands that read tables
+    override = os.environ.get(ENV_VAR)
+    tables = f"={override}" if override else f" unset (the bundled tables in {data_dir()})"
+    what = f"with {ENV_VAR}{tables}, the content of the tables the steps read"
+    _check_sha256(what, config.tables_sha256(), manifest.get("tables_sha256"), manifest_path)
     tfidf = vectorize.load_tfidf(run_dir / "tfidf.json")
     model = models.load_model(run_dir / "model.json")
-    return config, stoplist, tfidf, model, manifest
+    return config, tfidf, model, manifest
 
 
 def _best_cycle_seed(report_path: Path, config: models.RunConfig) -> int:
@@ -291,7 +280,7 @@ def _best_cycle_seed(report_path: Path, config: models.RunConfig) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
-    config, stoplist, tfidf, model, manifest = _load_run(run_dir)
+    config, tfidf, model, manifest = _load_run(run_dir)
     dataset_path = _require_file(args.dataset, "dataset file")
     dataset = corpus.load_dataset(dataset_path)
     if args.full:
@@ -306,7 +295,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         best_seed = _best_cycle_seed(run_dir / "train_report.json", config)
         _, _, subset = corpus.split(dataset, config.ratios, best_seed)
         scope = f"test fold of best cycle (seed={best_seed})"
-    report = models.evaluate_on(tfidf, model, subset, config, stoplist)
+    report = models.evaluate_on(tfidf, model, subset, config)
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic.write_text(out_dir / "eval_report.json", evaluate.render_json([report]))
@@ -372,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--top-k", type=int, default=20)
     p_analyze.add_argument("--bucket-width", type=int, default=10)
     p_analyze.add_argument("--cap", type=int, default=None, help="per-comment emoji count cap")
-    p_analyze.add_argument("--stoplist", default=None, help="stop-list file override")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_train = sub.add_parser("train", help="run training cycles and persist the best model")
@@ -384,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--cycles", dest="n_cycles", type=int, default=None)
     p_train.add_argument("--emoji-mode", dest="emoji_mode", choices=("ml", "bert"), default=None)
-    p_train.add_argument("--stoplist", default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a trained run on a dataset")

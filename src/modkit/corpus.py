@@ -25,6 +25,7 @@ from .errors import (
     MalformedJsonError,
     ModkitError,
     SchemaViolationError,
+    in_file,
     load_json,
     read_json_text,
     read_text,
@@ -519,4 +520,6 @@ def save_dataset(dataset: LabeledDataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> LabeledDataset:
-    return dataset_from_json(read_json_text(path))
+    text = read_json_text(path)
+    with in_file(path):
+        return dataset_from_json(text)

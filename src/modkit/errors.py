@@ -5,7 +5,7 @@ Every error carries the ``exit_code`` the command-line front end exits with:
 - :class:`ModkitError` (3): a data problem; the base of the others.
 - :class:`ConfigError` (2): a usage or configuration problem.
 - :class:`NonFiniteLossError` (4): a numeric failure in training.
-- :class:`MalformedJsonError` (3): input that is not valid JSON; carries ``offset``.
+- :class:`MalformedJsonError` (3): input that is not valid JSON.
 - :class:`SchemaViolationError` (3): input whose content breaks its
   format; carries ``path``.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -31,11 +32,7 @@ class ConfigError(ModkitError):
 
 
 class MalformedJsonError(ModkitError):
-    """Input is not syntactically valid JSON."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        super().__init__(message)
-        self.offset = offset
+    """Input is not syntactically valid JSON; the message says where."""
 
 
 class SchemaViolationError(ModkitError):
@@ -59,11 +56,12 @@ def is_number(value) -> bool:
 
 def load_json(data: str | bytes, what: str):
     """``json.loads`` with invalid and too deeply nested JSON both raised
-    as :class:`MalformedJsonError`, its message prefixed by ``what``."""
+    as :class:`MalformedJsonError`, its message prefixed by ``what`` and
+    giving the line and column of a syntax error."""
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:
-        raise MalformedJsonError(f"{what}: {exc.msg}", offset=exc.pos) from exc
+        raise MalformedJsonError(f"{what}: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
     except RecursionError as exc:
         raise MalformedJsonError(f"{what}: nesting too deep") from exc
 
@@ -80,6 +78,16 @@ _SURROGATE_ESCAPES = re.compile(
 #: prefix runs far faster than a scan with the alternation above, so
 #: only a text that has one is scanned.
 _SURROGATE_ESCAPE_START = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+@contextmanager
+def in_file(path: str | Path):
+    """Prefix the message of a :class:`ModkitError` raised in the block with the file ``path``."""
+    try:
+        yield
+    except ModkitError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def read_text(path: str | Path, error: type[ModkitError] = ModkitError) -> str:

@@ -356,11 +356,11 @@ class RunConfig(Frozen):
     check of a run's config, the command line's too: an unknown field, a
     value unlike its default's type (a list counts as a tuple, an int as
     a float) and one out of range raise :class:`ConfigError`; each
-    cycle's seed lies in 0..2**64 - 1. ``dataset``, ``stoplist`` and
-    ``out`` are the command line's paths; the library reads none of
-    them. One experiment has one spelling: ``steps`` are kept once each
-    in :data:`PIPELINE_ORDER`, and the float fields and ``ratios`` as
-    floats, so that ``1`` and ``1.0`` are one value."""
+    cycle's seed lies in 0..2**64 - 1. ``dataset`` and ``out`` are the
+    command line's paths; the library reads neither. One experiment has
+    one spelling: ``steps`` are kept once each in :data:`PIPELINE_ORDER`,
+    and the float fields and ``ratios`` as floats, so that ``1`` and
+    ``1.0`` are one value."""
 
     #: Every field and its default, in order; a value has its default's type.
     #: A config is built by keyword, and :meth:`replace` checks its changes too.
@@ -376,7 +376,6 @@ class RunConfig(Frozen):
         "ratios": (0.8, 0.1, 0.1),
         "n_cycles": 1,
         "dataset": "",
-        "stoplist": "",
         "out": "runs",
         "variant_name": "",
     }
@@ -437,23 +436,22 @@ class RunConfig(Frozen):
         return f"{base} {'Emojis' if Step.EMOJI_ENCODING.value in self.steps else 'Default'}"
 
     def hash(self, dataset_sha256: str, tables_sha256: str) -> str:
-        """Run identity: every field but ``out`` and ``stoplist``, the
-        dataset by :func:`dataset_sha256`, and the tables the steps read
-        (the stop list's words included) by their sha256."""
+        """Run identity: every field but ``out``, the dataset by
+        :func:`dataset_sha256`, and the tables the steps read by their sha256."""
         payload = self.asdict()
-        del payload["out"], payload["stoplist"]
+        del payload["out"]
         payload.update(dataset=dataset_sha256, tables_sha256=tables_sha256)
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         )
         return digest.hexdigest()[:12]
 
-    def tables_sha256(self, stoplist: frozenset[str] | None) -> str:
-        """sha256 of the tables the steps read, as canonical JSON: sets and
-        mappings sorted, the lemma suffix rules in their order. A stop-list
-        file counts by the words it gives, so its comments do not."""
+    def tables_sha256(self) -> str:
+        """sha256 of the data directory's tables that the steps read, as
+        canonical JSON: sets and mappings sorted, the lemma suffix rules in
+        their order. So the stop list counts by its words, not its comments."""
         canonical = json.dumps(
-            _step_tables(self.preprocess, stoplist),
+            _step_tables(self.preprocess),
             sort_keys=True,
             default=lambda table: (
                 sorted(table) if isinstance(table, frozenset) else [table.exceptions, table.suffix_rules]
@@ -501,10 +499,8 @@ class TrainedArtifacts(NamedTuple):
     report: TrainReport
 
 
-def _preprocess_all(
-    dataset: LabeledDataset, preprocess: PreprocessConfig, stoplist: frozenset[str] | None
-) -> list[TokenStream]:
-    return list(map(ChunkMemo(preprocess, stoplist), dataset.texts()))
+def _preprocess_all(dataset: LabeledDataset, preprocess: PreprocessConfig) -> list[TokenStream]:
+    return list(map(ChunkMemo(preprocess), dataset.texts()))
 
 
 def _train_all(
@@ -525,31 +521,25 @@ def _score(
 
 
 def evaluate_on(
-    tfidf: TfidfModel,
-    model: NBModel | LRModel,
-    dataset: LabeledDataset,
-    config: RunConfig,
-    stoplist: frozenset[str] | None = None,
+    tfidf: TfidfModel, model: NBModel | LRModel, dataset: LabeledDataset, config: RunConfig
 ) -> MetricsReport:
     """The metrics of ``model`` on ``dataset``, featurized by ``tfidf``,
     each comment preprocessed as it is scored; :class:`SchemaViolationError`,
     before any is, when their widths differ."""
-    streams = map(ChunkMemo(config.preprocess, stoplist), dataset.texts())
+    streams = map(ChunkMemo(config.preprocess), dataset.texts())
     return _score(model, tfidf, streams, dataset.labels(), config.name)
 
 
-def run_cycles(
-    dataset: LabeledDataset, config: RunConfig, stoplist: frozenset[str] | None = None
-) -> TrainedArtifacts:
+def run_cycles(dataset: LabeledDataset, config: RunConfig) -> TrainedArtifacts:
     """Repeat split/train/validate; keep the best cycle's artifacts.
 
     Cycle i of ``config.n_cycles`` splits with seed ``config.seed + i``.
     Best = highest validation F1, ties broken by higher validation
     accuracy, then lower index. Test metrics are computed for every cycle
-    but only the best cycle's are authoritative. ``stoplist`` is the
-    stop-word removal step's list, the bundled one when None. Every
-    comment is preprocessed once per run; each cycle fits TF-IDF on its
-    own train fold only. Reports are named ``config.name``.
+    but only the best cycle's are authoritative. Every comment is
+    preprocessed once per run, with the data directory's tables; each
+    cycle fits TF-IDF on its own train fold only. Reports are named
+    ``config.name``.
 
     All cycles are split, and their train folds fitted and transformed
     to numpy matrices, first. NB then trains per cycle, and LR trains
@@ -568,7 +558,7 @@ def run_cycles(
             f"the {' and '.join(empty)} fold{'s' if len(empty) > 1 else ''} of "
             f"{len(dataset)} comments split by ratios {list(config.ratios)} would be empty"
         )
-    stream_of = dict(zip(dataset.ids(), _preprocess_all(dataset, config.preprocess, stoplist)))
+    stream_of = dict(zip(dataset.ids(), _preprocess_all(dataset, config.preprocess)))
 
     def streams(part: LabeledDataset) -> list[TokenStream]:
         return [stream_of[cid] for cid in part.ids()]

@@ -16,9 +16,10 @@ its tokens, so the featurizers and ``ngram_counts`` take any token tuples.
 
 Every step reads one whitespace chunk at a time, so a text's tokens are
 its chunks' tokens in order. A caller preprocessing a dataset makes a
-:class:`ChunkMemo` ``(config, stoplist)`` for the run and calls it on
-each text, and each distinct chunk then goes through :func:`run_pipeline`
-once; the tokens do not change.
+:class:`ChunkMemo` ``(config)`` for the run and calls it on each text,
+and each distinct chunk then goes through :func:`run_pipeline` once; the
+tokens do not change. The tables the steps read are the bundled ones, or
+those of ``MODKIT_DATA_DIR``, the one way to replace a table.
 """
 
 from __future__ import annotations
@@ -426,9 +427,9 @@ class ChunkMemo(dict):
 
     __slots__ = ("binding",)
 
-    def __init__(self, config: PreprocessConfig, stoplist: frozenset[str] | None = None):
+    def __init__(self, config: PreprocessConfig):
         super().__init__()
-        tables = _step_tables(config, stoplist)
+        tables = _step_tables(config)
         self.binding = (config, *map(tables.get, ("stoplist", "dictionary", "emoticon_map", "aliases")))
 
     def __call__(self, text: str) -> TokenStream:
@@ -478,12 +479,12 @@ def run_pipeline(
     return TokenStream(tokens)
 
 
-def _step_tables(config: PreprocessConfig, stoplist: frozenset[str] | None = None) -> dict:
+def _step_tables(config: PreprocessConfig) -> dict:
     """:func:`run_pipeline`'s table arguments for ``config``: the tables
-    its steps read and no others, ``stoplist`` or the default stop list."""
+    of the data directory that its steps read, and no others."""
     tables: dict = {}
     if Step.STOPWORD_REMOVAL in config.steps:
-        tables["stoplist"] = default_stoplist() if stoplist is None else stoplist
+        tables["stoplist"] = default_stoplist()
     if Step.LEMMATIZATION in config.steps:
         tables["dictionary"] = default_lemma_dictionary()
     if Step.EMOJI_ENCODING in config.steps:
@@ -510,26 +511,36 @@ def load_lemma_dictionary(words_path: str | Path, rules_path: str | Path) -> Lem
     """Exceptions: ``word<TAB>lemma`` lines; rules: ``suffix<TAB>replacement<TAB>min_stem``.
 
     An entry that could turn a word into the empty string is refused: an
-    empty lemma, or an empty replacement with ``min_stem`` below 1."""
+    empty lemma, or an empty replacement with ``min_stem`` below 1. So are
+    an empty suffix, which would grow a word on every pass, and a word,
+    lemma, suffix or replacement holding whitespace, which no token holds."""
     exceptions = _read_tsv_map(
-        words_path, lambda word, lemma: "" if lemma else f"empty lemma for {word!r}"
+        words_path,
+        lambda word, lemma: _spaced(word=word, lemma=lemma) if lemma else f"empty lemma for {word!r}",
     )
     rules: list[tuple[str, str, int]] = []
     for lineno, line in _table_lines(rules_path):
-        parts = line.split("\t")
         try:
-            suffix, replacement, min_stem = parts
+            suffix, replacement, min_stem = line.split("\t")
             stem = int(min_stem)
         except ValueError:
             raise SchemaViolationError(
                 f"expected suffix<TAB>replacement<TAB>min_stem on line {lineno}", str(rules_path)
             ) from None
-        if not replacement and stem < 1:
-            raise SchemaViolationError(
-                f"empty replacement needs min_stem >= 1 on line {lineno}", str(rules_path)
-            )
+        reason = (
+            "empty suffix" if not suffix
+            else "empty replacement needs min_stem >= 1" if not replacement and stem < 1
+            else _spaced(suffix=suffix, replacement=replacement)
+        )
+        if reason:
+            raise SchemaViolationError(f"{reason} on line {lineno}", str(rules_path))
         rules.append((suffix, replacement, stem))
     return LemmaDictionary(exceptions=exceptions, suffix_rules=tuple(rules))
+
+
+def _spaced(**fields: str) -> str:
+    """The first of ``fields`` whose value holds whitespace, described; ``""`` if none does."""
+    return next((f"{k} {v!r} holds whitespace" for k, v in fields.items() if any(map(str.isspace, v))), "")
 
 
 def _alias_problem(alias: str) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shutil
 import sys
 from pathlib import Path
 
@@ -22,6 +23,28 @@ def table_lookups(monkeypatch) -> list[str]:
         _resources, "cached", lambda key, loader: lookups.append(key) or cached(key, loader)
     )
     return lookups
+
+
+@pytest.fixture
+def stop_list_dir(tmp_path, monkeypatch):
+    """``stop_list_dir(content)``: point ``MODKIT_DATA_DIR`` at a new copy
+    of the bundled tables whose ``stopwords.txt`` holds ``content`` (text
+    or bytes), and return that directory. Each call makes a directory of
+    its own, since a process caches a directory's tables."""
+    from modkit import _resources
+
+    made: list[Path] = []
+
+    def make(content: str | bytes) -> Path:
+        tables = tmp_path / f"tables_{len(made)}"
+        shutil.copytree(_resources._BUNDLED, tables)
+        raw = content.encode("utf-8") if isinstance(content, str) else content
+        (tables / "stopwords.txt").write_bytes(raw)
+        monkeypatch.setenv(_resources.ENV_VAR, str(tables))
+        made.append(tables)
+        return tables
+
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -187,7 +187,7 @@ def test_lr_gradient_check_and_loss_descent(separable_paths, fixture10_paths, tm
     fixture_datasets.append(load_dataset(out))
     preprocess = PreprocessConfig(steps=ALL_STEPS)
     for data in fixture_datasets:
-        streams = _preprocess_all(data, preprocess, None)
+        streams = _preprocess_all(data, preprocess)
         tfidf = fit(streams)
         model = train_lr(transform_all(tfidf, streams), data.labels(), epochs=500)
         assert len(model.loss_history) == 501

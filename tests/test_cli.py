@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 import modkit
 from modkit import analytics, errors, textprep, vectorize
-from modkit.cli import main
+from modkit.cli import build_parser, main
 from modkit.corpus import Label, LabeledDataset, load_dataset, save_dataset
 from modkit.evaluate import load_reference_scores
 from modkit.models import RunConfig, run_cycles, save_model
@@ -158,6 +160,23 @@ class TestIngest:
         assert (tmp_path / "dataset_lexicon_hits.json").read_bytes() == golden
         assert "3 comments matched the lexicon" in capsys.readouterr().out
 
+    def test_errors_name_the_tree_file(self, tmp_path, capsys):
+        """Of several trees, an error names the one at fault, and a JSON
+        syntax error gives its line and column; nothing is written."""
+        trees = [write_json(tmp_path / f"t{i}.json", dict(TREE, post_id=f"p{i}")) for i in range(3)]
+        out = tmp_path / "d.json"
+        argv = ["ingest", *map(str, trees), "--out", str(out)]
+        trees[1].write_text('{"post_id": "p1",\n "comments": [}', encoding="utf-8")
+        write_json(trees[2], dict(TREE, comments=[dict(TREE["comments"][0], text=5)]))
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {trees[1]}: invalid JSON: Expecting value at line 2 column 15\n"
+        write_json(trees[1], TREE)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {trees[2]}: text must be a string (at $.comments[0].text)\n"
+        assert not out.exists()
+
+
 class TestBalance:
     def test_balances_and_reports(self, tmp_path, tree_path, capsys):
         labels = write_json(tmp_path / "labels.json", {"c1": 1, "c2": 0, "c3": 0})
@@ -257,10 +276,11 @@ class TestAnalyze:
         assert differing == {"emoji_stats.csv"}
 
     @pytest.mark.parametrize("stop_words", [None, "the\nso\ndumb\n"])
-    def test_charts_equal_two_independent_pipeline_passes(self, tmp_path, stop_words):
+    def test_charts_equal_two_independent_pipeline_passes(self, tmp_path, stop_list_dir, stop_words):
         """analyze runs each offensive comment once through its string and
         punctuation steps; its nine CSVs equal those of one whole
-        ``run_pipeline`` pass per variant, on fuzz comments."""
+        ``run_pipeline`` pass per variant, on fuzz comments, with the
+        bundled stop list and with one under ``MODKIT_DATA_DIR``."""
         rng = random.Random(59)
         texts = [messy_text(rng) if i % 2 else random_text(rng) for i in range(600)]
         entries = tuple((f"c{i}", text, Label(rng.random() < 0.5)) for i, text in enumerate(texts))
@@ -268,12 +288,9 @@ class TestAnalyze:
         save_dataset(LabeledDataset(entries=entries), dataset)
         out, expected = tmp_path / "charts", tmp_path / "expected"
         argv = ["analyze", "--dataset", str(dataset), "--out", str(out), "--top-k", "60"]
-        stoplist = None
         if stop_words is not None:
-            path = tmp_path / "stop.txt"
-            path.write_text(stop_words, encoding="utf-8")
-            argv += ["--stoplist", str(path)]
-            stoplist = textprep.load_stoplist(path)
+            stop_list_dir(stop_words)
+            assert textprep.default_stoplist() == {"the", "so", "dumb", *textprep.STOPWORD_EXTENSIONS}
         assert main(argv) == 0
         expected.mkdir()
         offensive = [text for _, text, label in entries if label is Label.OFFENSIVE]
@@ -281,7 +298,7 @@ class TestAnalyze:
         base = {Step.LOWERCASING, Step.EMOJI_ENCODING, Step.PUNCTUATION_REMOVAL, Step.LEMMATIZATION}
         for suffix, steps in (("before", base), ("after", base | {Step.STOPWORD_REMOVAL})):
             config = textprep.PreprocessConfig(steps=frozenset(steps))
-            streams = [textprep.run_pipeline(text, config, stoplist=stoplist) for text in offensive]
+            streams = [textprep.run_pipeline(text, config) for text in offensive]
             for n, name in ((1, "uni"), (2, "bi"), (3, "tri")):
                 table = analytics.ngram_counts(streams, n, 60)
                 analytics.export_chart_data(table, expected / f"ngrams_{name}_{suffix}.csv")
@@ -503,21 +520,16 @@ class TestTrain:
         for name in ("tfidf.json", "model.json", "train_report.json"):
             assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes()
 
-    def test_run_hash_follows_stoplist_content_not_path(self, tmp_path, separable_paths):
-        """A stop list counts by the words it gives: a copy elsewhere and an
-        added comment keep the run directory, a removed word moves it."""
+    def test_run_hash_follows_stoplist_content_not_path(self, tmp_path, separable_paths, stop_list_dir):
+        """A data directory's stop list counts by the words it gives: the
+        same words in another directory and an added comment keep the run
+        directory, a removed word moves it."""
         dataset = run_ingest(tmp_path, separable_paths)
-        stoplist, copy = tmp_path / "stop.txt", tmp_path / "stop_copy.txt"
-        stoplist.write_text("the\nnice\n", encoding="utf-8")
-        copy.write_bytes(stoplist.read_bytes())
         names, digests = [], []
-        cases = [(stoplist, None), (copy, None), (copy, "# a comment\nthe\nnice\n"), (stoplist, "the\n")]
-        for i, (path, content) in enumerate(cases):
-            if content is not None:
-                path.write_text(content, encoding="utf-8")
+        for i, content in enumerate(["the\nnice\n", "the\nnice\n", "# a comment\nthe\nnice\n", "the\n"]):
+            stop_list_dir(content)
             out = tmp_path / f"runs_{i}"
-            argv = ["train", "--dataset", str(dataset), "--out", str(out), "--stoplist", str(path)]
-            assert main(argv) == 0
+            assert main(["train", "--dataset", str(dataset), "--out", str(out)]) == 0
             (run_dir,) = out.iterdir()
             digests.append(json.loads((run_dir / "manifest.json").read_text())["tables_sha256"])
             names.append(run_dir.name)
@@ -529,7 +541,34 @@ class TestTrain:
         The stop-list path and ``out`` are not part of them."""
         assert RunConfig().hash("0" * 64, "cd" * 32) == "5749d02815fb"
         assert RunConfig(model="lr", seed=5).hash("ab" * 32, "cd" * 32) == "18f1d34fa859"
-        assert RunConfig(stoplist="x.txt", out="o").hash("0" * 64, "cd" * 32) == "5749d02815fb"
+        assert RunConfig(out="o").hash("0" * 64, "cd" * 32) == "5749d02815fb"
+
+    def test_data_dir_stop_list_names_the_run_as_the_stoplist_flag_did(
+        self, tmp_path, separable_paths, stop_list_dir
+    ):
+        """A stop list given as ``stopwords.txt`` of a data directory names
+        the run directory that the same words named when they were given as
+        a ``--stoplist`` file, which ``train`` no longer takes."""
+        dataset = run_ingest(tmp_path, separable_paths)
+        stop_list_dir("the\nnice\n")
+        assert main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "runs")]) == 0
+        assert [p.name for p in (tmp_path / "runs").iterdir()] == ["6bbdb7d8aa08"]
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_stoplist_flag_exits_2(self, tmp_path, separable_paths, capsys, command):
+        dataset = run_ingest(tmp_path, separable_paths)
+        with pytest.raises(SystemExit) as info:
+            main([command, "--dataset", str(dataset), "--out", str(tmp_path / "o"), "--stoplist", "stop.txt"])
+        assert info.value.code == 2 and "--stoplist" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_stoplist_config_key_exits_2(self, tmp_path, separable_paths, capsys):
+        dataset = run_ingest(tmp_path, separable_paths)
+        capsys.readouterr()
+        argv = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "r"), "--set", "stoplist=x"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['stoplist']\n"
+        assert not (tmp_path / "r").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, separable_paths):
         dataset = run_ingest(tmp_path, separable_paths)
@@ -710,51 +749,44 @@ class TestEval:
         assert "--full" in capsys.readouterr().err
         assert main(["eval", "--run", str(run_dir), "--dataset", str(other), "--full"]) == 0
 
-    def test_stoplist_read_only_by_a_stop_word_step(self, tmp_path, separable_paths, capsys):
-        """A run without stop-word removal never reads its ``--stoplist``:
-        once the file is gone, train and eval still exit 0 with the same
-        run directory and eval report; a run that reads it exits 2."""
+    def test_stoplist_read_only_by_a_stop_word_step(self, tmp_path, separable_paths, stop_list_dir, capsys):
+        """A run without stop-word removal is not refused when the data
+        directory's stop list changes: train and eval still exit 0 with the
+        same run directory and eval report. A run that reads the stop list
+        exits 3 under the changed one."""
         dataset = run_ingest(tmp_path, separable_paths)
-        stoplist = tmp_path / "s.txt"
-        stoplist.write_text("the\n", encoding="utf-8")
-        out = tmp_path / "runs"
-        argv = ["train", "--dataset", str(dataset), "--out", str(out), "--stoplist", str(stoplist)]
-        lowercase_only = [*argv, "--set", 'steps=["lowercasing"]']
+        stop_list_dir("the\n")
+        train = ["train", "--dataset", str(dataset)]
+        lowercase_only = [*train, "--out", str(tmp_path / "lower"), "--set", 'steps=["lowercasing"]']
         assert main(lowercase_only) == 0
-        (run_dir,) = out.iterdir()
+        assert main([*train, "--out", str(tmp_path / "runs")]) == 0
+        (run_dir,), (reads_it,) = (tmp_path / "lower").iterdir(), (tmp_path / "runs").iterdir()
         eval_argv = ["eval", "--run", str(run_dir), "--dataset", str(dataset)]
         assert main(eval_argv) == 0
         report = (run_dir / "eval_report.json").read_bytes()
-        stoplist.unlink()
+        stop_list_dir("other\n")
         assert main(eval_argv) == 0
         assert (run_dir / "eval_report.json").read_bytes() == report
         assert main(lowercase_only) == 0
-        assert [p.name for p in out.iterdir()] == [run_dir.name]
+        assert [p.name for p in (tmp_path / "lower").iterdir()] == [run_dir.name]
         capsys.readouterr()
-        assert main(argv) == 2
-        assert "s.txt" in capsys.readouterr().err
+        assert main(["eval", "--run", str(reads_it), "--dataset", str(dataset)]) == 3
+        assert "tables the steps read differs" in capsys.readouterr().err
 
-    def test_relative_stoplist_is_found_from_any_directory(self, tmp_path, separable_paths, monkeypatch):
-        """A run trained with a relative ``--stoplist`` records the file's
-        absolute path, so eval from another directory reads the same file,
-        even where that directory holds a different one of the same name."""
-        dataset = run_ingest(tmp_path, separable_paths)
-        trained_in, evaluated_in = tmp_path / "a", tmp_path / "b"
-        for directory, words in ((trained_in, "the\nnice\n"), (evaluated_in, "other\n")):
-            directory.mkdir()
-            (directory / "stop.txt").write_text(words, encoding="utf-8")
-        out = tmp_path / "runs"
-        monkeypatch.chdir(trained_in)
-        assert main(["train", "--dataset", str(dataset), "--out", str(out), "--stoplist", "stop.txt"]) == 0
-        (run_dir,) = out.iterdir()
-        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["config"]["stoplist"] == str((trained_in / "stop.txt").resolve())
-        eval_argv = ["eval", "--run", str(run_dir), "--dataset", str(dataset)]
-        assert main(eval_argv) == 0
-        report = (run_dir / "eval_report.json").read_bytes()
-        monkeypatch.chdir(evaluated_in)
-        assert main(eval_argv) == 0
-        assert (run_dir / "eval_report.json").read_bytes() == report
+    def test_manifest_config_with_stoplist_is_a_bad_run_config(self, tmp_path, separable_paths, capsys):
+        """A run written while ``stoplist`` was a config key must be
+        retrained: eval exits 3 naming it and writes no report."""
+        run_dir, dataset = train_run(tmp_path, separable_paths)
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["config"]["stoplist"] = ""
+        write_json(path, manifest)
+        before = sorted(p.name for p in run_dir.iterdir())
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run_dir), "--dataset", str(dataset), "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad run config: unknown config keys: ['stoplist']") and str(path) in err
+        assert sorted(p.name for p in run_dir.iterdir()) == before and not (tmp_path / "e").exists()
 
     def test_empty_dataset_is_data_error(self, tmp_path, separable_paths):
         run_dir, _ = train_run(tmp_path, separable_paths)
@@ -790,6 +822,26 @@ class TestMalformedDatasets:
         err = capsys.readouterr().err
         assert f"(at {where})" in err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"entries": [\n  {"id": "a",}]}',
+             "invalid dataset JSON: Expecting property name enclosed in double quotes at line 2 column 14"),
+            ('{"entries": [{"id": "a", "text": "x", "label": 2}]}', "label must be 0 or 1 (at $.entries[0].label)"),
+            ('{"entries": [{"id": "a", "text": "x", "label": 0}, {"id": "a", "text": "y", "label": 1}]}',
+             "duplicate comment id in dataset: 'a'"),
+        ],
+        ids=["syntax", "schema", "duplicate_id"],
+    )
+    @pytest.mark.parametrize("command", ["balance", "analyze", "train"])
+    def test_errors_name_the_file(self, tmp_path, capsys, command, content, message):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(content, encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--dataset", str(dataset), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {dataset}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_an_old_provenance_key_is_ignored(self, tmp_path):
         """Earlier versions wrote each comment's post id under ``provenance``;
@@ -1122,6 +1174,25 @@ def test_errors_defines_five_classes_with_their_exit_codes():
         "SchemaViolationError": 3,
     }
     assert all(issubclass(cls, errors.ModkitError) for cls in classes.values())
-    assert errors.MalformedJsonError("bad", offset=7).offset == 7
     located = errors.SchemaViolationError("bad", "$.comments[0]")
     assert (located.path, str(located)) == ("$.comments[0]", "bad (at $.comments[0])")
+
+
+def parser_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Every long option of ``parser`` and of its subcommands' parsers."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(option for option in action.option_strings if option.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= parser_flags(sub)
+    return flags
+
+
+def test_readme_documents_every_flag():
+    """README's "Command line" section names every long option the parser
+    takes, argparse's own ``--help`` aside, and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert documented == parser_flags(build_parser()) - {"--help"}

@@ -67,10 +67,9 @@ class TestParse:
         with pytest.raises(SchemaViolationError):
             parse_comment_tree("[]")
 
-    def test_malformed_json_reports_offset(self):
-        with pytest.raises(MalformedJsonError) as excinfo:
-            parse_comment_tree('{"post_id": ')
-        assert excinfo.value.offset is not None
+    def test_malformed_json_reports_line_and_column(self):
+        with pytest.raises(MalformedJsonError, match="^invalid JSON: Expecting value at line 2 column 3$"):
+            parse_comment_tree('{"post_id":\n  ')
 
     def test_missing_text_names_path(self):
         with pytest.raises(SchemaViolationError) as excinfo:

@@ -9,8 +9,9 @@ A case is (input kind, corruption, seed). The seed picks where to cut
 the text, which JSON node to replace and with what; a failure message
 names all three so the case can be replayed. A corrupted run artifact
 is resealed in its manifest, so its loader has to catch the damage; an
-artifact or data tables (a stop list included) that differ from their
-recorded sha256 have cases of their own.
+artifact or data tables that differ from their recorded sha256 have
+cases of their own. An error in a tree or dataset names the file, and
+one in JSON that does not parse gives its line and column.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import re
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +58,7 @@ TREE = {
 }
 CONFIG = {
     "seed": 3, "model": "nb", "emoji_mode": "ml", "alpha": 1.0, "learning_rate": 0.1,
-    "epochs": 5, "l2": 0.0001, "ratios": [0.8, 0.1, 0.1], "n_cycles": 1, "stoplist": "",
+    "epochs": 5, "l2": 0.0001, "ratios": [0.8, 0.1, 0.1], "n_cycles": 1,
     "steps": ["lowercasing", "punctuation_removal"], "variant_name": "fuzz",
 }
 
@@ -205,6 +207,10 @@ def test_corrupted_file(tmp_path, capsys, base, kind, how, seed):
     if how in ("not_utf8", "lone_surrogate"):
         assert code == (2 if kind.name == "config" else 3), f"{case}: exit {code}"
         assert f"error: {target} " in err, f"{case}: {err!r}"
+    elif code and kind.name in ("tree", "dataset"):
+        assert err.startswith(f"error: {target}: "), f"{case}: {err!r}"
+    if how == "truncate":
+        assert re.search(r": .* at line \d+ column \d+\b", err), f"{case}: {err!r}"
 
 
 #: --set overrides whose value any cut leaves invalid: an array, or a
@@ -241,28 +247,30 @@ def test_artifact_from_another_run_exits_3(tmp_path, capsys, base):
     assert code == 3 and "model.json differs from the sha256" in err
 
 
-def test_changed_stoplist_exits_3(tmp_path, capsys, base):
+def test_changed_stoplist_exits_3(tmp_path, capsys, base, stop_list_dir):
     """A run records the sha256 of the tables its steps read, the words of
-    its --stoplist file included; eval of the run once the file at that
-    path gives other words is a data error."""
-    stoplist = tmp_path / "stop.txt"
-    stoplist.write_text("the\nnice\n", encoding="utf-8")
+    the data directory's stop list included; eval of the run under a data
+    directory whose stop list gives other words is a data error naming
+    that directory."""
+    stop_list_dir("the\nnice\n")
     dataset, out = str(base / "dataset.json"), tmp_path / "runs"
-    assert main(["train", "--dataset", dataset, "--out", str(out), "--stoplist", str(stoplist)]) == 0
+    assert main(["train", "--dataset", dataset, "--out", str(out)]) == 0
     (run_dir,) = out.iterdir()
     assert main(["eval", "--run", str(run_dir), "--dataset", dataset]) == 0
-    stoplist.write_text("the\n", encoding="utf-8")
+    tables = stop_list_dir("the\n")
     capsys.readouterr()
     code = main(["eval", "--run", str(run_dir), "--dataset", dataset])
     err = capsys.readouterr().err
     check_one_line_error(code, err, "changed stop list")
     assert code == 3 and "tables the steps read differs from the sha256" in err
+    assert err.startswith(f"error: with MODKIT_DATA_DIR={tables}, the content of the tables"), err
 
 
 def test_changed_data_tables_exit_3(tmp_path, capsys, base, monkeypatch):
     """Emptied stop-word and suffix-rule tables under MODKIT_DATA_DIR give
     another run directory, and eval in either mode of a run trained on the
-    bundled tables is a data error under them."""
+    bundled tables is a data error under them, and the other way round;
+    the message names the data directory in use."""
     steps = json.dumps([step.value for step in Step])
     dataset = str(base / "dataset.json")
     argv = ["train", "--dataset", dataset, "--model", "lr", "--cycles", "5", "--set", f"steps={steps}"]
@@ -282,6 +290,12 @@ def test_changed_data_tables_exit_3(tmp_path, capsys, base, monkeypatch):
         err = capsys.readouterr().err
         check_one_line_error(code, err, f"emptied tables {full}")
         assert code == 3 and "tables the steps read differs from the sha256" in err
+        assert f"with MODKIT_DATA_DIR={tables}, " in err
+    monkeypatch.delenv("MODKIT_DATA_DIR")
+    capsys.readouterr()
+    assert main(["eval", "--run", str(other), "--dataset", dataset]) == 3
+    bundled = Path(modkit.__file__).parent / "data"
+    assert f"with MODKIT_DATA_DIR unset (the bundled tables in {bundled}), " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -315,7 +329,7 @@ def test_bad_checksums_exit_3(tmp_path, capsys, base, damage):
 
 
 LEXICON = ("terms.tsv", "dumb\tderogatory\n")
-STOPLIST = ("stop.txt", "the\nnice\n")
+STOPLIST = ("tables/stopwords.txt", "the\nnice\n")
 
 
 @pytest.mark.parametrize("bad", NOT_UTF8, ids=lambda b: b.hex())
@@ -323,16 +337,19 @@ STOPLIST = ("stop.txt", "the\nnice\n")
     "file, argv, out",
     [
         (LEXICON, "ingest {w}/tree.json --lexicon {w}/terms.tsv --out {w}/d.json", "d.json"),
-        (STOPLIST, "analyze --dataset {w}/dataset.json --stoplist {w}/stop.txt --out {w}/c", "c"),
-        (STOPLIST, "train --dataset {w}/dataset.json --stoplist {w}/stop.txt --out {w}/r", "r"),
+        (STOPLIST, "analyze --dataset {w}/dataset.json --out {w}/c", "c"),
+        (STOPLIST, "train --dataset {w}/dataset.json --out {w}/r", "r"),
     ],
     ids=["ingest_lexicon", "analyze_stoplist", "train_stoplist"],
 )
-def test_text_file_not_utf8_writes_nothing(tmp_path, capsys, base, file, argv, out, bad):
-    """A lexicon or stop list holding bytes that are not UTF-8 is refused
-    with one line naming it, before any output exists."""
+def test_text_file_not_utf8_writes_nothing(tmp_path, capsys, base, monkeypatch, file, argv, out, bad):
+    """A lexicon, or the stop list of the MODKIT_DATA_DIR tables, holding
+    bytes that are not UTF-8 is refused with one line naming it, before
+    any output exists."""
     work = tmp_path / "work"
     shutil.copytree(base, work)
+    shutil.copytree(Path(modkit.__file__).parent / "data", work / "tables")
+    monkeypatch.setenv("MODKIT_DATA_DIR", str(work / "tables"))
     name, text = file
     raw = text.encode("utf-8")
     (work / name).write_bytes(raw[:3] + bad + raw[3:])
@@ -417,11 +434,20 @@ REPORT = "report --reference --out {w}/rep/report"
         ("emoticons.tsv", b":)\tsad\n", ANALYZE, "c", "repeated key ':)' on line"),
         ("lemma_exceptions.tsv", b"writing\twrit\n", TRAIN + ' --set steps=["lemmatization"]', "r",
          "repeated key 'writing' on line"),
+        ("lemma_rules.tsv", b"\tx\t1\n", TRAIN, "r", "empty suffix on line"),
+        ("lemma_rules.tsv", b"i ng\t\t1\n", ANALYZE, "c", "suffix 'i ng' holds whitespace on line"),
+        ("lemma_rules.tsv", b"ing\tx\xc2\xa0y\t1\n", TRAIN, "r",
+         "replacement 'x\\xa0y' holds whitespace on line"),
+        ("lemma_exceptions.tsv", b"run\trun fast\n", TRAIN + ' --set steps=["lemmatization"]', "r",
+         "lemma 'run fast' holds whitespace on line"),
+        ("lemma_exceptions.tsv", b"ran away\trun\n", ANALYZE, "c", "word 'ran away' holds whitespace on line"),
     ],
     ids=["analyze_aliases_not_utf8", "train_exceptions_no_tab", "train_rules_bad_min_stem",
          "report_reference_not_utf8", "analyze_emoticon_letters_only",
          "train_emoticon_letters_only", "analyze_alias_empty", "analyze_alias_key_not_one_emoji",
-         "train_lemma_empty", "analyze_emoticon_repeated", "train_lemma_repeated"],
+         "train_lemma_empty", "analyze_emoticon_repeated", "train_lemma_repeated",
+         "train_rule_empty_suffix", "analyze_rule_suffix_spaced", "train_rule_replacement_spaced",
+         "train_lemma_spaced", "analyze_exception_word_spaced"],
 )
 def test_bad_data_table_writes_nothing(
     tmp_path, capsys, base, monkeypatch, table, tail, argv, out, message

@@ -560,7 +560,7 @@ class TestRunConfig:
         config = RunConfig(seed=3)
         assert list(config.asdict()) == [
             "seed", "model", "steps", "emoji_mode", "alpha", "learning_rate", "epochs", "l2",
-            "ratios", "n_cycles", "dataset", "stoplist", "out", "variant_name",
+            "ratios", "n_cycles", "dataset", "out", "variant_name",
         ]
         assert config.replace(model="lr").asdict() == {**config.asdict(), "model": "lr"}
         with pytest.raises(AttributeError, match="cannot assign to field 'seed'"):
@@ -576,7 +576,7 @@ class TestRunConfig:
         config = RunConfig(
             seed=9, model="lr", steps=ALL_STEP_NAMES, emoji_mode="bert", alpha=0.5,
             learning_rate=0.25, epochs=7, l2=0.0, ratios=(0.6, 0.2, 0.2), n_cycles=3,
-            dataset="d.json", stoplist="s.txt", out="o", variant_name="V",
+            dataset="d.json", out="o", variant_name="V",
         )
         assert config.asdict() != RunConfig().asdict()
         loaded = RunConfig(**json.loads(json.dumps(config.asdict())))
