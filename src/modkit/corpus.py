@@ -130,15 +130,16 @@ def _require(obj: dict, key: str, path: str):
 _MAX_DEPTH = 490
 
 
-def _path(trail: list[int]) -> str:
+def _path(trail: Sequence[int]) -> str:
     """``$.comments[i].replies[j]...`` of the node at ``trail``."""
     return f"$.comments[{trail[0]}]" + "".join(f".replies[{i}]" for i in trail[1:])
 
 
-def _parse_node(obj, trail: list[int], seen_ids: set[str], out: list[Comment]) -> None:
+def _parse_node(obj, trail: list[int], seen_ids: dict[str, tuple[int, ...]], out: list[Comment]) -> None:
     """Append the comment ``obj`` and then its replies, in pre-order, to ``out``.
     ``trail`` holds its index among the roots, then among each ancestor's
-    replies; JSON decodes to exact types, so ``type(x) is`` checks them."""
+    replies, and ``seen_ids`` the trail of each id met before; JSON
+    decodes to exact types, so ``type(x) is`` checks them."""
     depth = len(trail) - 1
     if depth == _MAX_DEPTH:
         raise MalformedJsonError("comment tree nesting too deep")
@@ -155,8 +156,9 @@ def _parse_node(obj, trail: list[int], seen_ids: set[str], out: list[Comment]) -
     if type(text) is not str:
         raise SchemaViolationError("text must be a string", f"{_path(trail)}.text")
     if cid in seen_ids:
-        raise ModkitError(f"duplicate comment id: {cid!r}")
-    seen_ids.add(cid)
+        paths = f"{_path(trail)}.id; first at {_path(seen_ids[cid])}.id"
+        raise SchemaViolationError(f"duplicate comment id: {cid!r}", paths)
+    seen_ids[cid] = tuple(trail)
     timestamp = obj.get("timestamp")
     if timestamp is not None and type(timestamp) is not str:
         raise SchemaViolationError("timestamp must be a string", f"{_path(trail)}.timestamp")
@@ -173,8 +175,9 @@ def _parse_node(obj, trail: list[int], seen_ids: set[str], out: list[Comment]) -
 def parse_comment_tree(data: bytes | str) -> CommentTree:
     """Parse a JSON comment-tree dump into a :class:`CommentTree`.
 
-    Depths are computed during the walk; duplicate ids anywhere in the
-    tree are rejected.
+    Depths are computed during the walk; a repeated id anywhere in the
+    tree raises :class:`SchemaViolationError` naming the JSON paths of the
+    repeat and of the first occurrence.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -189,7 +192,7 @@ def parse_comment_tree(data: bytes | str) -> CommentTree:
     if not isinstance(roots, list):
         raise SchemaViolationError("comments must be an array", "$.comments")
     comments: list[Comment] = []
-    seen: set[str] = set()
+    seen: dict[str, tuple[int, ...]] = {}
     try:
         for i, root in enumerate(roots):
             _parse_node(root, [i], seen, comments)

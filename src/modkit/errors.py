@@ -103,11 +103,14 @@ def read_json_text(path: str | Path) -> str:
     """:func:`read_text` of a JSON file, raising :class:`MalformedJsonError`;
     a ``\\uD800``-``\\uDFFF`` escape outside a surrogate pair (a string no
     UTF-8 file can hold, so no output could be written from it) also
-    raises it naming the file."""
+    raises it naming the file, and its line and column as :func:`load_json`
+    gives them."""
     text = read_text(path, MalformedJsonError)
     if _SURROGATE_ESCAPE_START.search(text):
         for match in _SURROGATE_ESCAPES.finditer(text):
             if escape := match.group(1):
+                start = match.start()
+                line, column = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
                 found = f"{path} has a lone surrogate escape {escape}"
-                raise MalformedJsonError(f"{found} at character {match.start()}")
+                raise MalformedJsonError(f"{found} at line {line} column {column}")
     return text

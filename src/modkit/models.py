@@ -15,6 +15,11 @@ called. Models are plain floats, and :func:`predict_nb` and
 one plain-Python row at a time, so scoring a trained model imports no
 numpy.
 
+The acceptance oracles check the code that runs: :func:`nb_log_joint`
+is the scorer's joint over a matrix's rows, and :func:`lr_loss` and
+:func:`lr_gradients` are the one-fold case of :func:`_lr_step`, the
+descent step that trains.
+
 :func:`run_cycles` reproduces the multi-cycle protocol: every cycle
 re-splits the dataset 80/10/10 with a fresh seed, trains, scores the
 validation fold, and the best cycle by validation F1 supplies the
@@ -105,17 +110,17 @@ def train_nb(X: CSRMatrix, y: Sequence[Label], alpha: float = 1.0) -> NBModel:
 
 
 def nb_log_joint(model: NBModel, X: CSRMatrix) -> np.ndarray:
-    """Per row: log prior + sum_t x_t * log P(t|c), shape (n_rows, 2)."""
+    """:func:`_nb_joints` over the rows of ``X``, shape (n_rows, 2)."""
     import numpy as np
     _check_width(model.vocab_size, X.n_cols)
-    joints = [X @ np.asarray(ll, dtype=float) for ll in model.log_likelihood]
-    return np.stack(joints, axis=1) + np.asarray(model.log_prior, dtype=float)
+    bounds, columns, values = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
+    X_rows = ((columns[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return np.array(_nb_joints(model, X_rows), dtype=float).reshape(len(X), 2)
 
 
 def _nb_joints(model: NBModel, X: Iterable[Row]) -> list[tuple[float, float]]:
     """Per row: log prior + sum_t x_t * log P(t|c), by class index, in
-    plain Python: the products added one at a time in column order, as
-    :func:`nb_log_joint` adds them."""
+    plain Python: the products added one at a time in column order."""
     (prior_not, prior_off), (ll_not, ll_off) = model.log_prior, model.log_likelihood
     joints = []
     for columns, values in X:
@@ -161,40 +166,60 @@ class LRModel(NamedTuple):
         return len(self.weights)
 
 
-def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     # two-branch form never exponentiates a positive argument; e = exp(-|z|)
     import numpy as np
-    e = np.exp(-np.abs(z)) if e is None else e
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _cross_entropy(z: np.ndarray, y: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+def _cross_entropy(z: np.ndarray, y: np.ndarray, e: np.ndarray) -> np.ndarray:
     # log(1 + e^z) - y*z  ==  -[y log p + (1-y) log(1-p)], with
     # log(1 + e^z) = max(z, 0) + log1p(exp(-|z|)) from the sigmoid's e
     import numpy as np
-    e = np.exp(-np.abs(z)) if e is None else e
     return np.maximum(z, 0.0) + np.log1p(e) - y * z
+
+
+def _lr_step(
+    X: CSRMatrix | np.ndarray, y: np.ndarray, weights: np.ndarray, bias: np.ndarray | float, l2: float,
+    blocks: Sequence[tuple[slice, slice]], n_rows: np.ndarray | int, n_of_column: np.ndarray | int,
+    gradient: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """One descent step for folds stacked block-diagonally in ``X``: fold j
+    has the rows and columns ``blocks[j]``, ``n_rows[j]`` rows and the bias
+    ``bias[j]``; ``n_of_column`` is each column's ``n_rows``. Returns each
+    fold's mean cross-entropy plus (l2/2)*||w||^2, the weight gradient and
+    each fold's bias gradient (both ``None`` unless ``gradient``). Summed
+    over its slice in storage order, a fold's values are bit for bit its own."""
+    import numpy as np
+    z = X @ weights + np.repeat(bias, n_rows)
+    e = np.exp(-np.abs(z))
+
+    def sums(values: np.ndarray) -> np.ndarray:
+        return np.array([np.add.reduce(values[rows]) for rows, _ in blocks])
+
+    squares = np.array([np.add.reduce(weights[columns] * weights[columns]) for _, columns in blocks])
+    loss = sums(_cross_entropy(z, y, e)) / n_rows + 0.5 * l2 * squares
+    if not gradient:
+        return loss, None, None
+    residual = _sigmoid(z, e) - y
+    return loss, (residual @ X) / n_of_column + l2 * weights, sums(residual) / n_rows
+
+
+_ONE_FOLD = [(slice(None), slice(None))]  # all rows and columns, as _lr_step's blocks
 
 
 def lr_loss(
     weights: np.ndarray, bias: float, X: CSRMatrix | np.ndarray, y: np.ndarray, l2: float
 ) -> float:
-    """Mean cross-entropy + (l2/2)*||w||^2, numerically stable.
-
-    The bias is not regularized. The gradient check passes dense arrays.
-    """
-    import numpy as np
-    per_example = _cross_entropy(X @ weights + bias, y)
-    l2_term = 0.5 * l2 * np.add.reduce(weights * weights)
-    return float(np.add.reduce(per_example) / len(per_example) + l2_term)
+    """Mean cross-entropy + (l2/2)*||w||^2: :func:`_lr_step` on one fold; ``X`` may be dense."""
+    return float(_lr_step(X, y, weights, bias, l2, _ONE_FOLD, len(y), len(y), gradient=False)[0][0])
 
 
 def lr_gradients(
     weights: np.ndarray, bias: float, X: CSRMatrix | np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
-    import numpy as np
-    residual = _sigmoid(X @ weights + bias) - y
-    return (residual @ X) / len(y) + l2 * weights, float(np.add.reduce(residual) / len(residual))
+    _, grad_w, grad_b = _lr_step(X, y, weights, bias, l2, _ONE_FOLD, len(y), len(y))
+    return grad_w, float(grad_b[0])
 
 
 def train_lr(
@@ -222,16 +247,11 @@ def _train_lr_folds(
     """One model per (X, y) fold, from one descent over all of them.
 
     The folds' matrices are stacked block-diagonally, so fold j's rows
-    meet only fold j's weights and every epoch is one set of numpy calls
-    for all folds. Each epoch computes the margins z = Xw + b and
-    exp(-|z|) once: they give the loss after the previous step and the
-    sigmoid of the next. Products, sigmoid and updates are elementwise or
-    summed in storage order within a fold; the bias gradient and the loss
-    are summed per fold over its contiguous slice, and the L2 term is the
-    fold's own ``np.add.reduce(w * w)``. So each model, its
-    ``loss_history`` included, equals bit for bit the descent on its fold
-    alone. A loss that is not finite in any fold raises
-    :class:`NonFiniteLossError`.
+    meet only fold j's weights, and each epoch is one :func:`_lr_step`
+    for all folds (the loss after the last step needs no gradient). So
+    each model, its ``loss_history`` included, equals bit for bit the
+    descent on its fold alone. A loss that is not finite in any fold
+    raises :class:`NonFiniteLossError`.
     """
     import numpy as np
     labels = [_fold_labels(X, y).astype(float) for X, y in folds]
@@ -242,48 +262,26 @@ def _train_lr_folds(
     n_rows = np.array([len(fold) for fold in labels])
     widths = [fold.n_cols for fold, _ in folds]
     n_of_column = np.repeat(n_rows, widths).astype(float)
-    stops = np.cumsum(n_rows).tolist()
-    row_slices = [slice(a, b) for a, b in zip([0, *stops], stops)]
+    row_stops, column_stops = [0, *np.cumsum(n_rows).tolist()], [0, *np.cumsum(widths).tolist()]
+    blocks = [(slice(*row_stops[j:j + 2]), slice(*column_stops[j:j + 2])) for j in range(len(folds))]
     weights = np.zeros(X.n_cols)
     bias = np.zeros(len(folds))
-    fold_weights = np.split(weights, np.cumsum(widths)[:-1])  # views: weights changes in place
-
-    def fold_sums(values: np.ndarray) -> np.ndarray:
-        return np.array([np.add.reduce(values[rows]) for rows in row_slices])
-
-    def losses(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-        squares = np.array([np.add.reduce(w * w) for w in fold_weights])
-        return fold_sums(_cross_entropy(z, y, e)) / n_rows + 0.5 * l2 * squares
-
+    history = []
     # divergence is detected via the finiteness check, so numpy's own
     # overflow warnings on that path are just noise
     with np.errstate(over="ignore", invalid="ignore"):
-        z = X @ weights + bias.repeat(n_rows)
-        e = np.exp(-np.abs(z))
-        history = [losses(z, e)]
-        for _ in range(epochs):
-            residual = _sigmoid(z, e) - y
-            grad_w = (residual @ X) / n_of_column + l2 * weights
-            grad_b = fold_sums(residual) / n_rows
-            weights -= learning_rate * grad_w
-            bias -= learning_rate * grad_b
-            z = X @ weights + bias.repeat(n_rows)
-            e = np.exp(-np.abs(z))
-            loss = losses(z, e)
+        for epoch in range(epochs + 1):
+            last = epoch == epochs
+            loss, grad_w, grad_b = _lr_step(X, y, weights, bias, l2, blocks, n_rows, n_of_column, not last)
             if not np.isfinite(loss).all():
                 raise NonFiniteLossError("training loss diverged; lower the learning rate")
             history.append(loss)
-    history_of = np.array(history).T.tolist()
+            if not last:
+                weights -= learning_rate * grad_w
+                bias -= learning_rate * grad_b
     return [
-        LRModel(
-            weights=w.tolist(),
-            bias=b,
-            l2=l2,
-            learning_rate=learning_rate,
-            epochs=epochs,
-            loss_history=tuple(losses_j),
-        )
-        for w, b, losses_j in zip(fold_weights, bias.tolist(), history_of)
+        LRModel(weights[columns].tolist(), b, l2, learning_rate, epochs, loss_history=tuple(losses))
+        for (_, columns), b, losses in zip(blocks, bias.tolist(), np.array(history).T.tolist())
     ]
 
 

@@ -80,12 +80,25 @@ class TestParse:
         assert "comments[0]" in str(excinfo.value)
 
     def test_duplicate_id_rejected(self):
-        with pytest.raises(ModkitError, match="^duplicate comment id: 'c1'$"):
+        with pytest.raises(SchemaViolationError, match=r"^duplicate comment id: 'c1' \(at \$\.comments\[1\]\.id; first at \$\.comments\[0\]\.id\)$"):
             parse_comment_tree(
                 '{"post_id":"p","post_author":"a","comments":'
                 '[{"id":"c1","author":"u","text":"x","replies":[]},'
                 '{"id":"c1","author":"u","text":"y","replies":[]}]}'
             )
+
+    def test_duplicate_id_names_both_paths(self):
+        reply = {"id": "c1", "author": "u", "text": "z"}
+        tree = {"post_id": "p", "post_author": "a", "comments": [
+            {"id": "c1", "author": "u", "text": "x"},
+            {"id": "c2", "author": "u", "text": "y", "replies": [reply]},
+        ]}
+        with pytest.raises(SchemaViolationError) as info:
+            parse_comment_tree(json.dumps(tree))
+        path = "$.comments[1].replies[0].id; first at $.comments[0].id"
+        assert info.value.path == path
+        assert str(info.value) == f"duplicate comment id: 'c1' (at {path})"
+        assert info.value.exit_code == 3
 
     def test_accepts_bytes_and_emoji(self):
         raw = json.dumps(
@@ -250,7 +263,7 @@ CORRUPTED_TREE_ERRORS = {
     5: (SchemaViolationError, "text must be a string", "$.comments[1].replies[0].replies[0].replies[0].replies[1].text"),
     6: (SchemaViolationError, "timestamp must be a string", "$.comments[3].replies[0].replies[0].replies[0].replies[1].replies[0].timestamp"),
     7: (SchemaViolationError, "replies must be an array", "$.comments[1].replies[0].replies[0].replies[1].replies[1].replies"),
-    8: (ModkitError, "duplicate comment id: 'n28-3'", None),
+    8: (SchemaViolationError, "duplicate comment id: 'n28-3'", "$.comments[0].replies[1].replies[1].replies[1].id; first at $.comments[0].replies[1].replies[0].replies[0].id"),
     9: (SchemaViolationError, "comment must be an object", "$.comments[0].replies[0].replies[0].replies[2].replies[1]"),
     10: (SchemaViolationError, "missing required field 'text'", "$.comments[2].replies[1].replies[0].replies[1].replies[0].replies[1]"),
     11: (SchemaViolationError, "missing required field 'author'", "$.comments[0].replies[0].replies[0]"),
@@ -779,6 +792,25 @@ class TestReadJsonText:
         path.write_text('{"a": ["ok \\ud83d\\ude02", "' + escape + '"]}', encoding="utf-8")
         with pytest.raises(MalformedJsonError, match=f"{path} has a lone surrogate escape"):
             read_json_text(path)
+
+    @pytest.mark.parametrize(
+        "content, escape, line, column",
+        [
+            ('"\\ud800"', "\\ud800", 1, 2),
+            ('{\n  "a": "ok",\n  "b": "x\\udc00"\n}\n', "\\udc00", 3, 10),
+            ('[\n"\\ud83d\\ude02",\r\n\t"\\uDBFF"]', "\\uDBFF", 3, 3),
+        ],
+    )
+    def test_lone_surrogate_escape_gives_line_and_column(self, tmp_path, content, escape, line, column):
+        """The line and column of a JSON syntax error at the escape."""
+        path = tmp_path / "in.json"
+        path.write_text(content, encoding="utf-8", newline="")
+        with pytest.raises(MalformedJsonError, match=re.escape(f"{escape} at line {line} column {column}") + "$"):
+            read_json_text(path)
+        at = content.index(escape)
+        with pytest.raises(json.JSONDecodeError) as syntax:  # an invalid escape in its place
+            json.loads(content[:at] + "\\x" + content[at + 2:])
+        assert (syntax.value.lineno, syntax.value.colno) == (line, column)
 
     @pytest.mark.parametrize(
         "text",

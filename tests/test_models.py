@@ -113,12 +113,9 @@ class TestPredictNB:
     def test_joint_scores_match_hand_arithmetic(self):
         model = train_nb(BAD_GOOD_X, BAD_GOOD_Y, alpha=1.0)
         label, _posterior = predict_one(predict_nb, model, ("t0",))
-        for joints in (
-            np.exp(models._nb_joints(model, [([0], [1.0])])[0]),
-            np.exp(nb_log_joint(model, csr([{0: 1.0}], 2))[0]),
-        ):
-            assert joints[1] == pytest.approx(0.375)
-            assert joints[0] == pytest.approx(1 / 6)
+        joints = np.exp(nb_log_joint(model, csr([{0: 1.0}], 2))[0])
+        assert joints[1] == pytest.approx(0.375)
+        assert joints[0] == pytest.approx(1 / 6)
         assert label is OFF
 
     def test_empty_vector_uses_priors(self):
@@ -288,8 +285,8 @@ class TestAgainstReferences:
         expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
         ez = np.exp(z[~pos])
         expected[~pos] = ez / (1.0 + ez)
-        assert models._sigmoid(z).tobytes() == expected.tobytes()
-        assert np.isnan(models._sigmoid(np.array([np.nan, 1.0]))[0])
+        assert models._sigmoid(z, np.exp(-np.abs(z))).tobytes() == expected.tobytes()
+        assert np.isnan(models._sigmoid(np.array([np.nan, 1.0]), np.array([np.nan, np.exp(-1.0)]))[0])
 
     def test_loss_within_4_ulp_of_logaddexp_form(self):
         """``max(z, 0) + log1p(exp(-|z|))`` is ``np.logaddexp(0, z)`` within
@@ -303,12 +300,13 @@ class TestAgainstReferences:
         with np.errstate(invalid="ignore"):  # 0 * inf
             for label in (0.0, 1.0):
                 y = np.full_like(z, label)
-                got, expected = models._cross_entropy(z, y), np.logaddexp(0.0, z) - y * z
+                got, expected = models._cross_entropy(z, y, np.exp(-np.abs(z))), np.logaddexp(0.0, z) - y * z
                 assert (np.isnan(got) == np.isnan(expected)).all()
                 assert (got[np.isinf(got)] == expected[np.isinf(got)]).all()
                 assert np.isinf(got).sum() == np.isinf(expected).sum() == label
         finite = z[np.isfinite(z)]
-        got, expected = models._cross_entropy(finite, 0.0), np.logaddexp(0.0, finite)
+        got = models._cross_entropy(finite, 0.0, np.exp(-np.abs(finite)))
+        expected = np.logaddexp(0.0, finite)
         assert ((got == 0) == (expected == 0)).all() and (expected == 0).any()
         assert (np.abs(got - expected) <= 4 * np.spacing(expected)).all()
 
@@ -422,7 +420,8 @@ class TestPlainPythonScorer:
         X_train, y = transform_all(tfidf, train), [OFF if i % 2 else NOT for i in range(len(train))]
         nb, lr = train_nb(X_train, y), train_lr(X_train, y, epochs=30)
         joints = np.array(models._nb_joints(nb, python_rows))
-        assert joints.tobytes() == nb_log_joint(nb, X).tobytes()
+        products = np.stack([X @ np.array(ll) for ll in nb.log_likelihood], axis=1)
+        assert joints.tobytes() == (products + np.array(nb.log_prior)).tobytes()
         margins = np.array(models._lr_margins(lr, python_rows))
         assert margins.tobytes() == (X @ np.array(lr.weights) + lr.bias).tobytes()
 
@@ -447,6 +446,48 @@ def lr_folds() -> list[tuple]:
     folds = [tfidf_matrix(seed, n_docs) for seed, n_docs in ((11, 80), (12, 6), (13, 15))]
     sparse = csr([{0: 1.0}, {}, {0: -0.5, 2: 0.25}, {2: 1.0}, {}], 5)
     return [*folds, (sparse, [OFF, NOT, OFF, NOT, OFF])]
+
+
+class TestOraclesShareTheRunPath:
+    """The functions the acceptance oracles check are views of the code
+    that trains and scores: each reaches the same helper."""
+
+    @staticmethod
+    def counted(monkeypatch, name: str) -> list:
+        """Wrap ``models.<name>`` so that each call's result is recorded."""
+        calls, inner = [], getattr(models, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(inner(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(models, name, wrapper)
+        return calls
+
+    def test_lr_loss_gradients_and_training_reach_one_step(self, monkeypatch):
+        X, y = tfidf_matrix(3, 20)
+        labels = np.array([1.0 if t is OFF else 0.0 for t in y])
+        calls = self.counted(monkeypatch, "_lr_step")
+        lr_loss(np.zeros(X.n_cols), 0.0, X, labels, 1e-4)
+        lr_gradients(np.zeros(X.n_cols), 0.0, dense(X), labels, 1e-4)
+        assert len(calls) == 2
+        calls.clear()
+        train_lr(X, y, epochs=7)
+        # one step per epoch, and the loss after the last one without a gradient
+        assert [grad_w is not None for _, grad_w, _ in calls] == [True] * 7 + [False]
+
+    def test_nb_log_joint_and_predict_nb_reach_the_plain_python_joints(self, monkeypatch):
+        X, y = tfidf_matrix(4, 20)
+        model = train_nb(X, y)
+        calls = self.counted(monkeypatch, "_nb_joints")
+        nb_log_joint(model, X)
+        predict_nb(model, unit_tfidf(model.vocab_size), [("t0",)])
+        assert len(calls) == 2
+
+    def test_nb_log_joint_of_no_rows_has_shape_0_by_2(self):
+        X, y = tfidf_matrix(4, 20)
+        joints = nb_log_joint(train_nb(X, y), csr([], X.n_cols))
+        assert joints.shape == (0, 2) and joints.dtype == np.float64
 
 
 class TestSharedDescent:
