@@ -12,7 +12,6 @@ from modkit import (
     LabeledDataset,
     PreprocessConfig,
     cloud_weights,
-    emoji_frequency,
     emoji_stats,
     export_chart_data,
     length_histogram,
@@ -52,10 +51,9 @@ print("\nlength histogram:", dict(sorted(histogram.buckets.items())))
 
 # Emoji usage. The banana comment dominates the raw ranking; a
 # per-comment cap keeps one outlier comment from distorting the chart.
-print("\nemoji frequency, uncapped:", emoji_frequency(dataset.texts()))
-print("emoji frequency, cap=2:  ", emoji_frequency(dataset.texts(), cap=2))
-
 stats = emoji_stats(dataset, cap=2)
+print("\nemoji frequency, uncapped:", list(emoji_stats(dataset).frequency))
+print("emoji frequency, cap=2:  ", list(stats.frequency))
 print(
     "emoji presence: overall "
     f"{stats.presence_overall:.4f}, offensive {stats.presence_offensive:.4f}, "

@@ -31,8 +31,7 @@ _EXPORTS = {
     ),
     "analytics": (
         "CloudWeights", "EmojiStats", "LengthHistogram", "NgramTable", "cloud_weights",
-        "emoji_frequency", "emoji_presence", "emoji_stats", "export_chart_data",
-        "length_histogram", "ngram_counts",
+        "emoji_stats", "export_chart_data", "length_histogram", "ngram_counts",
     ),
     "vectorize": (
         "CSRMatrix", "TfidfModel", "fit", "load_tfidf", "rows", "save_tfidf", "transform_all",
@@ -46,8 +45,8 @@ _EXPORTS = {
         "predict_lr", "predict_nb", "run_cycles", "save_model", "train_lr", "train_nb",
     ),
     "evaluate": (
-        "CANONICAL_VARIANTS", "ConfusionMatrix", "MetricsReport", "confusion",
-        "load_reference_scores", "metrics", "render_json", "render_text_table",
+        "ConfusionMatrix", "MetricsReport", "confusion", "load_reference_scores", "metrics",
+        "render_json", "render_text_table",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

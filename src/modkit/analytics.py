@@ -5,10 +5,12 @@ All counting is per-occurrence within comments; n-gram windows never
 cross comment boundaries. Rankings break count ties lexicographically
 so exports are stable.
 
-Every emoji function reads the bundled (or ``MODKIT_DATA_DIR``) emoji
-alias and emoticon tables: an emoji counts as its alias, and an emoticon
-chunk such as ``:)`` as its emoji's alias, so the library counts what
-``analyze`` writes to ``emoji_stats.csv``.
+:func:`emoji_stats` is the one emoji statistic: one alias scan per
+comment gives both the frequency ranking and the presence fractions. It
+reads the bundled (or ``MODKIT_DATA_DIR``) emoji alias and emoticon
+tables: an emoji counts as its alias, and an emoticon chunk such as
+``:)`` as its emoji's alias, so the library counts what ``analyze``
+writes to ``emoji_stats.csv``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from . import _atomic, textprep
+from . import _atomic
 from .corpus import Label, LabeledDataset
 from .errors import ConfigError, ModkitError
 from .textprep import (
@@ -29,13 +31,13 @@ from .textprep import (
     default_emoji_aliases,
     default_emoticon_map,
     is_alias_placeholder,
+    is_emoji_char,
 )
 
 
 class NgramTable(NamedTuple):
     n: int
     rows: tuple[tuple[str, int], ...]
-    total_windows: int = 0
 
 
 class LengthHistogram(NamedTuple):
@@ -44,11 +46,11 @@ class LengthHistogram(NamedTuple):
 
 
 class EmojiStats(NamedTuple):
-    frequency: tuple[tuple[str, int], ...] = ()
-    presence_overall: float = 0.0
-    presence_offensive: float = 0.0
-    presence_nonoffensive: float = 0.0
-    per_comment_cap: int | None = None
+    frequency: tuple[tuple[str, int], ...]
+    presence_overall: float
+    presence_offensive: float
+    presence_nonoffensive: float
+    per_comment_cap: int | None
 
 
 class CloudWeights(NamedTuple):
@@ -66,14 +68,11 @@ def ngram_counts(corpus: Sequence[Sequence[str]], n: int, top_k: int) -> NgramTa
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
     counts: Counter[str] = Counter()
-    total_windows = 0
     for tokens in corpus:
-        windows = max(0, len(tokens) - n + 1)
-        total_windows += windows
-        for i in range(windows):
+        for i in range(len(tokens) - n + 1):
             counts[" ".join(tokens[i : i + n])] += 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    return NgramTable(n=n, rows=tuple(ranked), total_windows=total_windows)
+    return NgramTable(n=n, rows=tuple(ranked))
 
 
 def length_histogram(texts: Iterable[str], bucket_width: int) -> LengthHistogram:
@@ -102,8 +101,7 @@ def _chunk_aliases(
         return [chunk[1:-1]]
     if chunk.isascii():
         return []
-    classes, emoji = textprep._CHAR_CLASS, textprep._EMOJI
-    return [aliases.get(ch, UNKNOWN_EMOJI_ALIAS) for ch in chunk if classes[ch] == emoji]
+    return [aliases.get(ch, UNKNOWN_EMOJI_ALIAS) for ch in chunk if is_emoji_char(ch)]
 
 
 def _emoji_alias_lists(texts: Iterable[str]) -> Iterator[list[str]]:
@@ -122,49 +120,23 @@ def _emoji_alias_lists(texts: Iterable[str]) -> Iterator[list[str]]:
         yield found
 
 
-def _ranked_totals(alias_lists: Iterable[list[str]], cap: int | None) -> list[tuple[str, int]]:
-    """Per-alias totals, at most ``cap`` per alias per comment, ranked
-    (count desc, alias asc)."""
-    if cap is not None and cap < 1:
-        raise ConfigError(f"cap must be a positive integer or None, got {cap}")
-    if cap is None:  # one count over all comments: the ranking fixes the order
-        totals = Counter(chain.from_iterable(alias_lists))
-    else:
-        totals = Counter()
-        for found in filter(None, alias_lists):
-            for alias, count in Counter(found).items():
-                totals[alias] += min(count, cap)
-    return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
-def emoji_frequency(texts: Iterable[str], cap: int | None = None) -> list[tuple[str, int]]:
+def emoji_stats(dataset: LabeledDataset, cap: int | None = None) -> EmojiStats:
     """Emoji occurrence counts per alias of ``default_emoji_aliases()``,
     an emoji missing from it as ``unknown_emoji``, ranked (count desc,
-    alias asc). Each whitespace-delimited chunk that is a key of
-    ``default_emoticon_map()`` counts as its alias, exactly as after
-    ``normalize_emoticons``.
+    alias asc), plus presence fractions, overall and per class, from one
+    alias scan per comment. Each whitespace-delimited chunk that is a key
+    of ``default_emoticon_map()`` counts as its alias, exactly as after
+    ``normalize_emoticons``; a comment contains an emoji exactly when its
+    alias list is non-empty.
 
     With ``cap=c`` at most c occurrences of one alias are counted per
     comment, damping single-comment outliers (the fifty-bananas problem)
-    without dropping the comment.
-    """
-    return _ranked_totals(_emoji_alias_lists(texts), cap)
-
-
-def emoji_presence(dataset: LabeledDataset) -> EmojiStats:
-    """Fraction of comments with at least one emoji, overall and per
-    class, as :func:`emoji_stats` computes it."""
-    return emoji_stats(dataset)._replace(frequency=())
-
-
-def emoji_stats(dataset: LabeledDataset, cap: int | None = None) -> EmojiStats:
-    """Frequency ranking, as :func:`emoji_frequency` ranks it (emoticons
-    included), plus presence fractions from one alias scan per comment; a
-    comment contains an emoji exactly when its alias list is non-empty.
-    Presence is computed in exact rational arithmetic and rounded to 4
-    places."""
+    without dropping the comment. Presence is computed in exact rational
+    arithmetic and rounded to 4 places."""
     if len(dataset.entries) == 0:
         raise ModkitError("emoji presence needs a non-empty dataset")
+    if cap is not None and cap < 1:
+        raise ConfigError(f"cap must be a positive integer or None, got {cap}")
 
     def fraction(hits: int, total: int) -> float:
         if total == 0:
@@ -180,8 +152,15 @@ def emoji_stats(dataset: LabeledDataset, cap: int | None = None) -> EmojiStats:
         else:
             n_not += 1
             hit_not += bool(in_comment)
+    if cap is None:  # one count over all comments: the ranking fixes the order
+        totals = Counter(chain.from_iterable(found))
+    else:
+        totals = Counter()
+        for in_comment in filter(None, found):
+            for alias, count in Counter(in_comment).items():
+                totals[alias] += min(count, cap)
     return EmojiStats(
-        frequency=tuple(_ranked_totals(found, cap)),
+        frequency=tuple(sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))),
         presence_overall=fraction(hit_off + hit_not, n_off + n_not),
         presence_offensive=fraction(hit_off, n_off),
         presence_nonoffensive=fraction(hit_not, n_not),

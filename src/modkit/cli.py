@@ -99,10 +99,18 @@ def _check_sha256(what: str, sha256: str, recorded, manifest_path: Path) -> None
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     all_comments: list[corpus.Comment] = []
+    first_seen: dict[str, tuple[str, str]] = {}  # id -> its stripped text and first tree
     for tree_path in args.trees:
         data = _read_json_text(tree_path, "comment-tree file")
         with in_file(tree_path):
-            all_comments.extend(corpus.flatten(corpus.parse_comment_tree(data)))
+            comments = corpus.flatten(corpus.parse_comment_tree(data))
+        for comment in comments:  # a tree repeats no id: only another tree can
+            text, first = first_seen.setdefault(comment.id, (comment.text.strip(), tree_path))
+            if text != comment.text.strip():
+                raise ModkitError(
+                    f"duplicate comment id {comment.id!r} with another text in {tree_path} (first in {first})"
+                )
+        all_comments.extend(comments)
     unique = corpus.dedupe(all_comments)
     labels = corpus.load_labels(_require_file(args.labels, "label file")) if args.labels else {}
     lexicon = None
@@ -182,7 +190,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("a dataset file is required (--dataset or config)")
     dataset = corpus.load_dataset(_require_file(config.dataset, "dataset file"))
     dataset_sha256 = models.dataset_sha256(dataset)
-    tables_sha256 = config.tables_sha256()
+    tables_sha256 = textprep.tables_sha256(config.preprocess)
     started = time.perf_counter()
     trained = models.run_cycles(dataset, config)
     train_seconds = time.perf_counter() - started
@@ -252,7 +260,8 @@ def _load_run(
     override = os.environ.get(ENV_VAR)
     tables = f"={override}" if override else f" unset (the bundled tables in {data_dir()})"
     what = f"with {ENV_VAR}{tables}, the content of the tables the steps read"
-    _check_sha256(what, config.tables_sha256(), manifest.get("tables_sha256"), manifest_path)
+    tables_sha256 = textprep.tables_sha256(config.preprocess)
+    _check_sha256(what, tables_sha256, manifest.get("tables_sha256"), manifest_path)
     tfidf = vectorize.load_tfidf(run_dir / "tfidf.json")
     model = models.load_model(run_dir / "model.json")
     return config, tfidf, model, manifest

@@ -21,9 +21,12 @@ is the scorer's joint over a matrix's rows, and :func:`lr_loss` and
 descent step that trains.
 
 :func:`run_cycles` reproduces the multi-cycle protocol: every cycle
-re-splits the dataset 80/10/10 with a fresh seed, trains, scores the
+re-splits the dataset 80/10/10 with a fresh seed, fits its TF-IDF and
+train matrix with ``vectorize.fit_transform``, trains, scores the
 validation fold, and the best cycle by validation F1 supplies the
-reported test metrics.
+reported test metrics. A run's identity is :meth:`RunConfig.hash` of its
+config, :func:`dataset_sha256` and ``textprep.tables_sha256``, the digest
+of the tables its steps read.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from .errors import (
     read_json_text,
 )
 from .evaluate import MetricsReport, confusion, metrics
-from .textprep import PIPELINE_ORDER, ChunkMemo, EmojiMode, PreprocessConfig, Step, TokenStream, _step_tables
-from .vectorize import CSRMatrix, Row, TfidfModel, _fit_transform, rows
+from .textprep import PIPELINE_ORDER, ChunkMemo, EmojiMode, PreprocessConfig, Step, TokenStream
+from .vectorize import CSRMatrix, Row, TfidfModel, fit_transform, rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -444,19 +447,6 @@ class RunConfig(Frozen):
         )
         return digest.hexdigest()[:12]
 
-    def tables_sha256(self) -> str:
-        """sha256 of the data directory's tables that the steps read, as
-        canonical JSON: sets and mappings sorted, the lemma suffix rules in
-        their order. So the stop list counts by its words, not its comments."""
-        canonical = json.dumps(
-            _step_tables(self.preprocess),
-            sort_keys=True,
-            default=lambda table: (
-                sorted(table) if isinstance(table, frozenset) else [table.exceptions, table.suffix_rules]
-            ),
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
 
 def dataset_sha256(dataset: LabeledDataset) -> str:
     """The sha256 of the dataset's ordered entries, in hex: that of
@@ -565,7 +555,7 @@ def run_cycles(dataset: LabeledDataset, config: RunConfig) -> TrainedArtifacts:
     featurizers, folds = [], []  # per cycle: TF-IDF; train (X, y), validation and test (streams, y)
     for seed in seeds:
         parts = split(dataset, config.ratios, seed)
-        tfidf, train_X = _fit_transform(streams(parts[0]))
+        tfidf, train_X = fit_transform(streams(parts[0]))
         featurizers.append(tfidf)
         features = [train_X, *map(streams, parts[1:])]
         folds.append([(X, part.labels()) for X, part in zip(features, parts)])

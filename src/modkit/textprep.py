@@ -19,7 +19,8 @@ its chunks' tokens in order. A caller preprocessing a dataset makes a
 :class:`ChunkMemo` ``(config)`` for the run and calls it on each text,
 and each distinct chunk then goes through :func:`run_pipeline` once; the
 tokens do not change. The tables the steps read are the bundled ones, or
-those of ``MODKIT_DATA_DIR``, the one way to replace a table.
+those of ``MODKIT_DATA_DIR``, the one way to replace a table, and
+:func:`tables_sha256` is the digest of those a config's steps read.
 """
 
 from __future__ import annotations
@@ -490,6 +491,23 @@ def _step_tables(config: PreprocessConfig) -> dict:
     if Step.EMOJI_ENCODING in config.steps:
         tables.update(emoticon_map=default_emoticon_map(), aliases=default_emoji_aliases())
     return tables
+
+
+def tables_sha256(config: PreprocessConfig) -> str:
+    """sha256 of the data directory's tables that ``config``'s steps read,
+    as canonical JSON: sets and mappings sorted, the lemma suffix rules in
+    their order. So the stop list counts by its words, not its comments."""
+    import hashlib  # here, so that a command that hashes no tables loads no hashlib
+    import json
+
+    canonical = json.dumps(
+        _step_tables(config),
+        sort_keys=True,
+        default=lambda table: (
+            sorted(table) if isinstance(table, frozenset) else [table.exceptions, table.suffix_rules]
+        ),
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ frequency, idf(t) = ln((1 + N) / (1 + df(t))) + 1, followed by L2
 normalization. The smoothing keeps idf >= 1, so downstream multinomial
 models never see negative feature mass.
 
-Fitting counts the corpus's terms once, and the model and the corpus's
-numpy :class:`CSRMatrix` rows both come from that count (:func:`fit`
-keeps the model); :func:`transform_all` gives the rows of other
-streams. Scoring reads the plain-Python :func:`rows`, one
+:func:`fit_transform` counts the corpus's terms once, and the model and
+the corpus's numpy :class:`CSRMatrix` rows both come from that count;
+:func:`fit` is its model half, and :func:`transform_all` gives the rows
+of other streams. Scoring reads the plain-Python :func:`rows`, one
 stream at a time, the same rows bit for bit. Only fitting imports numpy,
 inside the functions that use it, so scoring never loads it.
 """
@@ -119,10 +119,10 @@ def _term_counts(vocabulary: dict[str, int], corpus: Sequence[Sequence[str]]) ->
 def fit(corpus: Sequence[Sequence[str]]) -> TfidfModel:
     """Learn vocabulary (first-appearance order) and smoothed idf; a
     term's document frequency is the number of streams it has a count in."""
-    return _fit_transform(corpus)[0]
+    return fit_transform(corpus)[0]
 
 
-def _fit_transform(corpus: Sequence[Sequence[str]]) -> tuple[TfidfModel, CSRMatrix]:
+def fit_transform(corpus: Sequence[Sequence[str]]) -> tuple[TfidfModel, CSRMatrix]:
     """``fit(corpus)`` and ``transform_all`` of ``corpus`` by it, from one term count."""
     import numpy as np
     if len(corpus) == 0:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modkit.analytics import emoji_presence, ngram_counts
+from modkit.analytics import emoji_stats, ngram_counts
 from modkit.cli import main
 from modkit.corpus import Label, LabeledDataset, balance
 from modkit.evaluate import ConfusionMatrix, metrics
@@ -322,7 +322,7 @@ def test_emoji_presence_definition():
     for i in range(5000):
         text = "calm comment 😭" if i < 521 else "calm comment"
         entries.append((f"not{i:04d}", text, Label.NOT_OFFENSIVE))
-    stats = emoji_presence(LabeledDataset(entries=tuple(entries)))
+    stats = emoji_stats(LabeledDataset(entries=tuple(entries)))
     assert Fraction(359, 5000) == Fraction(718, 10000)
     assert stats.presence_overall == 0.0880
     assert stats.presence_offensive == 0.0718

@@ -11,8 +11,6 @@ import pytest
 from modkit import _resources
 from modkit.analytics import (
     cloud_weights,
-    emoji_frequency,
-    emoji_presence,
     emoji_stats,
     export_chart_data,
     length_histogram,
@@ -52,7 +50,6 @@ class TestNgramCounts:
     def test_empty_corpus(self):
         table = ngram_counts([], 1, 10)
         assert table.rows == ()
-        assert table.total_windows == 0
 
     def test_trigram(self):
         table = ngram_counts([stream("critical", "thinking", "skills")], 3, 5)
@@ -85,7 +82,6 @@ class TestNgramCounts:
                 for docs in (corpus, plain):
                     table = ngram_counts(docs, n, 20)
                     assert list(table.rows) == expected
-                    assert table.total_windows == sum(max(0, len(s) - n + 1) for s in corpus)
 
     def test_counting_is_order_independent(self):
         rng = random.Random(7)
@@ -120,26 +116,32 @@ class TestLengthHistogram:
             length_histogram(["x"], 0)
 
 
+def ranking(texts, cap=None) -> list[tuple[str, int]]:
+    """The frequency ranking :func:`emoji_stats` gives for ``texts``, as a list."""
+    entries = tuple((f"c{i}", text, Label.NOT_OFFENSIVE) for i, text in enumerate(texts))
+    return list(emoji_stats(LabeledDataset(entries=entries), cap=cap).frequency)
+
+
 class TestEmojiFrequency:
     def test_plain_count(self):
-        assert emoji_frequency(["😂😂", "😂"]) == [("face_with_tears_of_joy", 3)]
+        assert ranking(["😂😂", "😂"]) == [("face_with_tears_of_joy", 3)]
 
     def test_outlier_cap(self):
-        assert emoji_frequency(["🍌" * 50], cap=1) == [("banana", 1)]
+        assert ranking(["🍌" * 50], cap=1) == [("banana", 1)]
 
     def test_no_emojis(self):
-        assert emoji_frequency(["plain", "text"]) == []
+        assert ranking(["plain", "text"]) == []
 
     def test_normalized_emoticon_placeholders_counted(self):
         texts = ["nice :slightly_smiling_face:", "wow 🙂"]
-        assert emoji_frequency(texts) == [("slightly_smiling_face", 2)]
+        assert ranking(texts) == [("slightly_smiling_face", 2)]
 
     def test_cap_is_pointwise_monotone(self):
         rng = random.Random(13)
         texts = ["".join(rng.choice(["😂", "💀", "x", " "]) for _ in range(30)) for _ in range(40)]
-        unlimited = dict(emoji_frequency(texts))
+        unlimited = dict(ranking(texts))
         for cap in (1, 2, 3):
-            capped = dict(emoji_frequency(texts, cap=cap))
+            capped = dict(ranking(texts, cap=cap))
             assert all(capped[alias] <= unlimited[alias] for alias in capped)
 
 
@@ -156,7 +158,7 @@ def presence_dataset() -> LabeledDataset:
 
 class TestEmojiPresence:
     def test_counting(self):
-        stats = emoji_presence(presence_dataset())
+        stats = emoji_stats(presence_dataset())
         assert stats.presence_overall == 0.5
         assert stats.presence_offensive == 0.5
         assert stats.presence_nonoffensive == 0.5
@@ -165,12 +167,12 @@ class TestEmojiPresence:
         dataset = LabeledDataset(
             entries=(("a", "x", Label.OFFENSIVE), ("b", "y", Label.NOT_OFFENSIVE))
         )
-        stats = emoji_presence(dataset)
+        stats = emoji_stats(dataset)
         assert (stats.presence_overall, stats.presence_offensive) == (0.0, 0.0)
 
     def test_empty_dataset(self):
         with pytest.raises(ModkitError, match="^emoji presence needs a non-empty dataset$"):
-            emoji_presence(LabeledDataset(entries=()))
+            emoji_stats(LabeledDataset(entries=()))
 
 
 def fuzz_emoji_dataset() -> LabeledDataset:
@@ -222,10 +224,6 @@ class TestEmojiStatsSingleScan:
         assert stats.frequency == tuple(frequency)
         assert presence_of(stats) == presence
         assert stats.per_comment_cap == cap
-        assert emoji_frequency(texts, cap=cap) == frequency
-        only_presence = emoji_presence(dataset)
-        assert presence_of(only_presence) == presence
-        assert (only_presence.frequency, only_presence.per_comment_cap) == ((), None)
         assert 0 < presence[0] < 1
 
     @pytest.mark.parametrize("cap", [None, 1, 2])
@@ -260,8 +258,6 @@ class TestEmojiStatsSingleScan:
         stats = emoji_stats(dataset, cap=cap)
         assert stats.frequency == tuple(frequency)
         assert presence_of(stats) == presence
-        assert emoji_frequency(texts, cap=cap) == frequency
-        assert presence_of(emoji_presence(dataset)) == presence
         if table == "override":
             assert {"joy_heart", "two_skulls", "kiss"} <= dict(frequency).keys()
 
@@ -284,7 +280,6 @@ class TestEmojiStatsSingleScan:
         aliases, emoticons = default_emoji_aliases(), default_emoticon_map()
         normalized = [oracle_normalize_emoticons(text, emoticons) for text in texts]
         expected = oracle_emoji_frequency(normalized, cap, aliases, UNKNOWN_EMOJI_ALIAS)
-        assert emoji_frequency(texts, cap=cap) == expected
         labels = [Label.OFFENSIVE if rng.random() < 0.3 else Label.NOT_OFFENSIVE for _ in texts]
         dataset = LabeledDataset(
             entries=tuple((f"c{i}", t, label) for i, (t, label) in enumerate(zip(texts, labels)))
@@ -301,7 +296,6 @@ class TestEmojiStatsSingleScan:
         assert emoji_stats(dataset).frequency == (("face_with_tears_of_joy", 2),)
         add_emoticons(tmp_path, monkeypatch, "<😂\tjoy_heart\n")
         assert emoji_stats(dataset).frequency == (("joy_heart", 2),)
-        assert emoji_frequency(dataset.texts()) == [("joy_heart", 2)]
 
     def test_no_emoji_below_u2600(self):
         """The premise of skipping the character scan on ASCII text."""
@@ -311,8 +305,6 @@ class TestEmojiStatsSingleScan:
     def test_bad_cap_rejected(self):
         with pytest.raises(ConfigError):
             emoji_stats(presence_dataset(), cap=0)
-        with pytest.raises(ConfigError):
-            emoji_frequency(["x"], cap=0)
 
 
 class TestCloudWeights:

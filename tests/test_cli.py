@@ -114,6 +114,37 @@ class TestIngest:
         assert code == 2
         assert "absent.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", [{}, {"c1": 1}], ids=["unlabeled", "labeled"])
+    def test_one_id_for_two_texts_in_two_trees_exits_3(self, tmp_path, capsys, labels):
+        """Two trees that give one id to comments whose stripped texts
+        differ are refused, naming both files, before anything is written;
+        the same id with the same stripped text is a repeat, dropped as a
+        duplicate."""
+
+        def tree(text: str) -> dict:
+            comment = {"id": "c1", "author": "u", "text": text, "replies": []}
+            return {"post_id": "p", "post_author": "op", "comments": [comment]}
+
+        first = write_json(tmp_path / "a.json", tree("hello there"))
+        second = write_json(tmp_path / "b.json", tree("another text"))
+        label_file = write_json(tmp_path / "labels.json", labels)
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("hello\tderogatory\nanother\twatchword\n", encoding="utf-8")
+        out, hits = tmp_path / "dataset.json", tmp_path / "dataset_lexicon_hits.json"
+        argv = [
+            "ingest", str(first), str(second), "--labels", str(label_file),
+            "--lexicon", str(lexicon), "--out", str(out),
+        ]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: duplicate comment id 'c1' with another text in {second} (first in {first})\n"
+        )
+        assert not out.exists() and not hits.exists()
+        write_json(second, tree(" hello there\n"))
+        assert main(argv) == 0
+        assert f"2 total, 1 unique, {len(labels)} labeled" in capsys.readouterr().out
+        assert json.loads(hits.read_text()) == {"c1": [["hello", "derogatory"]]}
+
     def test_lexicon_hits_written(self, tmp_path, capsys):
         tree = {
             "post_id": "p",

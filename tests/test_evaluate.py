@@ -10,7 +10,6 @@ import pytest
 from modkit.corpus import Label
 from modkit.errors import ModkitError
 from modkit.evaluate import (
-    CANONICAL_VARIANTS,
     ConfusionMatrix,
     confusion,
     load_reference_scores,
@@ -158,7 +157,16 @@ class TestReportRendering:
 class TestReferenceScores:
     def test_bundled_rows_cover_canonical_variants(self):
         names = [row.variant_name for row in load_reference_scores()]
-        assert names == list(CANONICAL_VARIANTS)
+        assert names == [
+            "Naive Bayes Default",
+            "Naive Bayes Emojis",
+            "Logistic Regression Default",
+            "Logistic Regression Emojis",
+            "BERT Default",
+            "BERT Emojis",
+            "BERT Slang",
+            "BERT Emoji & slang",
+        ]
 
     def test_best_reference_f1_rendered_verbatim(self):
         rows = load_reference_scores()

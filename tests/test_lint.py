@@ -1,8 +1,8 @@
 """Static checks of the library source, with the stdlib ``ast`` only.
 
-``__init__.py`` is left out of the import check and of the readers of
-the public-definition check: the names it imports and lists are its
-exports.
+``__init__.py`` is left out of the import and private-name checks and
+of the readers of the public-definition and public-constant checks: the
+names it imports and lists are its exports.
 """
 
 from __future__ import annotations
@@ -42,12 +42,13 @@ def test_no_unused_imports(path):
 
 
 def read_names(trees: Iterable[ast.Module]) -> set[str]:
-    """Every name the trees read by name, by attribute or in an import."""
+    """Every name the trees load by name or by attribute, or import; an
+    assignment to a name does not read it."""
     referenced = set()
     for node in (node for tree in trees for node in ast.walk(tree)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             referenced.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             referenced.add(node.attr)
         elif isinstance(node, ast.alias):
             referenced.add(node.name)
@@ -123,6 +124,96 @@ def test_every_public_definition_has_a_reader():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     readers_text = [path.read_text(encoding="utf-8") for path in readers]
     assert unread_public_definitions(sources, readers_text) == []
+
+
+def constants(tree: ast.Module) -> list[str]:
+    """The names a module's module-level assignments bind."""
+    targets = [
+        target
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    return [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+
+
+def unread_public_constants(sources: dict[str, str], readers: Iterable[str]) -> list[str]:
+    """Each public module-level constant of ``sources``, as ``module:
+    name``, that no source of ``readers`` loads or imports."""
+    referenced = read_names(map(ast.parse, readers))
+    return [
+        f"{module}: {name}"
+        for module, source in sources.items()
+        for name in constants(ast.parse(source))
+        if not name.startswith("_") and name not in referenced
+    ]
+
+
+def test_finds_an_unread_public_constant():
+    sources = {"a": "DEAD = 1\nREAD: int = 2\nIMPORTED = 3\n_PRIVATE = 4\nA, B = 5, 6\nDEAD = READ\n"}
+    readers = [sources["a"], "from a import IMPORTED\nimport a\nprint(a.B)\n"]
+    assert unread_public_constants(sources, readers) == ["a: DEAD", "a: A", "a: DEAD"]
+
+
+def test_every_public_constant_has_a_reader():
+    """A public module-level constant of the library is read by the
+    library itself, a demo, a tool, the benchmark or the acceptance
+    oracles; one that only its own tests read is dead surface."""
+    readers = [
+        *SOURCES,
+        *(ROOT / "demos").rglob("*.py"),
+        *(ROOT / "tools").rglob("*.py"),
+        *(ROOT / "perfbench").rglob("*.py"),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    readers_text = [path.read_text(encoding="utf-8") for path in readers]
+    assert unread_public_constants(sources, readers_text) == []
+
+
+def private_reads(source: str) -> list[str]:
+    """Each private name of another package module that a module of the
+    package imports or reads by attribute, as ``line: module.name``.
+    Private modules themselves and their public names are not private
+    names."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> package module it binds
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            found.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_finds_a_private_read_across_modules():
+    source = (
+        "from . import _atomic, textprep as tp\n"
+        "from ._resources import ENV_VAR\n"
+        "from .vectorize import _fit, fit\n"
+        "_atomic.write_text(tp._TABLE, tp.__name__, tp.public)\n"
+        "_local = object()\n_local._x\n"
+    )
+    assert private_reads(source) == ["3: vectorize._fit", "4: textprep._TABLE"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_private_name_read_across_modules(path):
+    """A module of the library uses only the public names of the others,
+    so each private name has one owning module."""
+    assert private_reads(path.read_text(encoding="utf-8")) == []
 
 
 def misplaced_pipeline_calls(name: str, source: str) -> list[int]:
