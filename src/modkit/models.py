@@ -3,30 +3,32 @@
 Multinomial Naive Bayes treats TF-IDF weights as fractional event
 counts (per-class feature mass) with Laplace smoothing; Logistic
 Regression is full-batch gradient descent on L2-regularized mean
-cross-entropy. Both are deterministic given their inputs, which keeps
-whole training runs byte-reproducible on one numpy build and CPU
-dispatch; across dispatch paths, whose ``exp``/``log``/``log1p`` may
-differ in the last bit, weights agree within 1e-12 relative. No step
-calls BLAS, so the BLAS core numpy picks does not matter.
+cross-entropy. Both are deterministic given their inputs.
 
-Fitting runs on numpy, which the fitting functions import when first
-called. Models are plain floats, and :func:`predict_nb` and
-:func:`predict_lr` score token streams through the model's own TF-IDF,
-one plain-Python row at a time, so scoring a trained model imports no
-numpy.
+Naive Bayes trains in plain Python on ``vectorize.rows``, the rows the
+scorer reads, with ``math`` sums and logs, so an NB run is byte for byte
+the same on every Python version and CPU and imports no numpy. LR trains
+on numpy, which its functions import when first called; a whole LR run
+is byte-reproducible on one numpy build and CPU dispatch, and across
+dispatch paths, whose ``exp``/``log1p`` may differ in the last bit, its
+weights agree within 1e-12 relative. No step calls BLAS, so the BLAS
+core numpy picks does not matter. Models are plain floats, and
+:func:`predict_nb` and :func:`predict_lr` score token streams through
+the model's own TF-IDF, one plain-Python row at a time, so scoring a
+trained model imports no numpy.
 
-The acceptance oracles check the code that runs: :func:`nb_log_joint`
-is the scorer's joint over a matrix's rows, and :func:`lr_loss` and
-:func:`lr_gradients` are the one-fold case of :func:`_lr_step`, the
-descent step that trains.
+The acceptance oracles check the code that runs: :func:`train_nb` and
+:func:`nb_log_joint` are :func:`_train_nb` and the scorer's joint over a
+matrix's rows, and :func:`lr_loss` and :func:`lr_gradients` are the
+one-fold case of :func:`_lr_step`, the descent step that trains.
 
 :func:`run_cycles` reproduces the multi-cycle protocol: every cycle
-re-splits the dataset 80/10/10 with a fresh seed, fits its TF-IDF and
-train matrix with ``vectorize.fit_transform``, trains, scores the
-validation fold, and the best cycle by validation F1 supplies the
-reported test metrics. A run's identity is :meth:`RunConfig.hash` of its
-config, :func:`dataset_sha256` and ``textprep.tables_sha256``, the digest
-of the tables its steps read.
+re-splits the dataset 80/10/10 with a fresh seed, fits its TF-IDF on
+its train fold (with ``vectorize.fit_transform``'s train matrix for
+LR), trains, scores the validation fold, and the best cycle by
+validation F1 supplies the reported test metrics. A run's identity is
+:meth:`RunConfig.hash` of its config, :func:`dataset_sha256` and
+``textprep.tables_sha256``, the digest of the tables its steps read.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _atomic
 from ._frozen import Frozen
@@ -51,7 +54,7 @@ from .errors import (
 )
 from .evaluate import MetricsReport, confusion, metrics
 from .textprep import PIPELINE_ORDER, ChunkMemo, EmojiMode, PreprocessConfig, Step, TokenStream
-from .vectorize import CSRMatrix, Row, TfidfModel, fit_transform, rows
+from .vectorize import CSRMatrix, Row, TfidfModel, fit, fit_transform, rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,18 +65,27 @@ _NOT, _OFF = 0, 1
 _CLASSES = ("not_offensive", "offensive")
 
 
-def _fold_labels(X: CSRMatrix, y: Sequence[Label]) -> np.ndarray:
-    """The class indices of ``y``, once the training fold (X, y) is checked:
-    of equal lengths, not empty, and holding both classes."""
-    import numpy as np
-    if len(X) != len(y):
+def _class_indices(y: Sequence[Label]) -> list[int]:
+    return [_OFF if label is Label.OFFENSIVE else _NOT for label in y]
+
+
+def _check_fold(n_rows: int, labels: Sequence[int]) -> None:
+    """Refuse a training fold of ``n_rows`` rows and these class indices
+    unless it is of equal lengths, not empty, and holding both classes."""
+    if n_rows != len(labels):
         raise ValueError("X and y must have equal length")
-    if len(X) == 0:
+    if n_rows == 0:
         raise ModkitError("training set is empty")
-    labels = np.array([1 if label is Label.OFFENSIVE else 0 for label in y])
-    if labels.min() == labels.max():
+    if min(labels) == max(labels):
         raise ModkitError("both classes must be present in the training set")
-    return labels
+
+
+def _fold_labels(X: CSRMatrix, y: Sequence[Label]) -> np.ndarray:
+    """The class indices of ``y``, once the training fold (X, y) is checked."""
+    import numpy as np
+    labels = _class_indices(y)
+    _check_fold(len(X), labels)
+    return np.array(labels)
 
 
 def _check_width(n_features: int, n_cols: int) -> None:
@@ -93,32 +105,54 @@ class NBModel(NamedTuple):
         return len(self.log_likelihood[0])
 
 
-def train_nb(X: CSRMatrix, y: Sequence[Label], alpha: float = 1.0) -> NBModel:
-    """Multinomial NB over per-class feature mass.
+def _csr_rows(X: CSRMatrix) -> Iterator[Row]:
+    """The rows of ``X`` as plain ``(columns, values)`` lists."""
+    bounds, columns, values = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
+    return ((columns[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:]))
 
-    mass(t, c) sums the weight of term t across class-c documents;
-    log P(t|c) = ln((mass(t,c) + alpha) / (mass(., c) + alpha * V)).
-    Priors are class document fractions.
+
+def train_nb(X: CSRMatrix, y: Sequence[Label], alpha: float = 1.0) -> NBModel:
+    """:func:`_train_nb` over the rows of ``X``."""
+    return _train_nb(_csr_rows(X), X.n_cols, y, alpha)
+
+
+def _train_nb(X: Iterable[Row], n_cols: int, y: Sequence[Label], alpha: float) -> NBModel:
+    """Multinomial NB over per-class feature mass, in plain Python, from
+    rows ``n_cols`` wide read one at a time.
+
+    mass(t, c) sums the weight of term t across class-c documents, added
+    one at a time in row order; log P(t|c) = ln((mass(t,c) + alpha) /
+    (mass(., c) + alpha * V)), the class total by ``math.fsum``, which
+    rounds once on every Python version. Priors are class document
+    fractions. A mass(t, c) + alpha at or below zero, which only
+    negative weights give and no TF-IDF does, raises ``ValueError``.
     """
-    import numpy as np
     if alpha <= 0:
         raise ConfigError(f"alpha must be > 0, got {alpha}")
-    labels = _fold_labels(X, y)
-    mass = np.stack([(labels == _NOT) @ X, (labels == _OFF) @ X])
-    class_counts = np.array([(labels == _NOT).sum(), (labels == _OFF).sum()])
-    log_prior = np.log(class_counts / len(X))
-    totals = mass.sum(axis=1, keepdims=True)
-    log_likelihood = np.log(mass + alpha) - np.log(totals + alpha * X.n_cols)
-    return NBModel(log_prior=log_prior.tolist(), log_likelihood=log_likelihood.tolist(), alpha=alpha)
+    labels = _class_indices(y)
+    mass = [[0.0] * n_cols, [0.0] * n_cols]
+    X = iter(X)
+    n_rows = 0
+    for label, (columns, values) in zip(labels, X):  # labels first: zip then takes no row past y
+        class_mass = mass[label]
+        for column, value in zip(columns, values):
+            class_mass[column] += value
+        n_rows += 1
+    n_rows += sum(1 for _ in X)
+    _check_fold(n_rows, labels)
+    log_prior = [math.log(labels.count(c) / n_rows) for c in (_NOT, _OFF)]
+    log_likelihood = []
+    for class_mass in mass:
+        log_total = math.log(math.fsum(class_mass) + alpha * n_cols)
+        log_likelihood.append([math.log(m + alpha) - log_total for m in class_mass])
+    return NBModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=alpha)
 
 
 def nb_log_joint(model: NBModel, X: CSRMatrix) -> np.ndarray:
     """:func:`_nb_joints` over the rows of ``X``, shape (n_rows, 2)."""
     import numpy as np
     _check_width(model.vocab_size, X.n_cols)
-    bounds, columns, values = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
-    X_rows = ((columns[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return np.array(_nb_joints(model, X_rows), dtype=float).reshape(len(X), 2)
+    return np.array(_nb_joints(model, _csr_rows(X)), dtype=float).reshape(len(X), 2)
 
 
 def _nb_joints(model: NBModel, X: Iterable[Row]) -> list[tuple[float, float]]:
@@ -318,11 +352,13 @@ def predict_lr(
     return labels, probability
 
 
-def numpy_runtime() -> dict:
+def numpy_runtime() -> dict | None:
     """numpy's version and the SIMD targets it runs on this CPU: its
     baseline, then each dispatch target the CPU has and the environment
-    leaves on."""
-    import numpy as np
+    leaves on; ``None`` when this process has not loaded numpy."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        return None
     try:
         from numpy._core._multiarray_umath import (
             __cpu_baseline__, __cpu_dispatch__, __cpu_features__,
@@ -491,15 +527,6 @@ def _preprocess_all(dataset: LabeledDataset, preprocess: PreprocessConfig) -> li
     return list(map(ChunkMemo(preprocess), dataset.texts()))
 
 
-def _train_all(
-    folds: Sequence[tuple[CSRMatrix, Sequence[Label]]], config: RunConfig
-) -> list[NBModel | LRModel]:
-    """One model per (X, y) training fold."""
-    if config.model == "nb":
-        return [train_nb(X, y, alpha=config.alpha) for X, y in folds]
-    return _train_lr_folds(folds, config.learning_rate, config.epochs, config.l2)
-
-
 def _score(
     model: NBModel | LRModel, tfidf: TfidfModel, streams: Iterable[Sequence[str]], y: Sequence[Label], name: str
 ) -> MetricsReport:
@@ -529,12 +556,14 @@ def run_cycles(dataset: LabeledDataset, config: RunConfig) -> TrainedArtifacts:
     cycle fits TF-IDF on its own train fold only. Reports are named
     ``config.name``.
 
-    All cycles are split, and their train folds fitted and transformed
-    to numpy matrices, first. NB then trains per cycle, and LR trains
-    every cycle in one shared descent (see :func:`_train_lr_folds`) whose
-    models equal, bit for bit, those of :func:`train_lr` on each cycle's
-    train fold. Each cycle's model then scores its validation and test
-    streams through that cycle's TF-IDF, as :func:`evaluate_on` scores.
+    NB fits each cycle's TF-IDF with ``vectorize.fit`` and trains on
+    its train fold's ``vectorize.rows`` as they are built, in plain
+    Python. LR fits and transforms every cycle's train fold to a numpy
+    matrix with ``vectorize.fit_transform``, then trains every cycle in
+    one shared descent (see :func:`_train_lr_folds`) whose models equal,
+    bit for bit, those of :func:`train_lr` on each cycle's train fold.
+    Each cycle's model then scores its validation and test streams
+    through that cycle's TF-IDF, as :func:`evaluate_on` scores.
 
     A fold that :func:`fold_sizes` leaves empty raises
     :class:`ModkitError`, naming it, before any comment is preprocessed.
@@ -552,18 +581,28 @@ def run_cycles(dataset: LabeledDataset, config: RunConfig) -> TrainedArtifacts:
         return [stream_of[cid] for cid in part.ids()]
 
     seeds = range(config.seed, config.seed + config.n_cycles)
-    featurizers, folds = [], []  # per cycle: TF-IDF; train (X, y), validation and test (streams, y)
-    for seed in seeds:
-        parts = split(dataset, config.ratios, seed)
-        tfidf, train_X = fit_transform(streams(parts[0]))
+    cycles = [split(dataset, config.ratios, seed) for seed in seeds]
+    featurizers, trained, lr_folds = [], [], []  # per cycle: TF-IDF; NB model or LR (X, y)
+    for train, _, _ in cycles:
+        train_streams = streams(train)
+        if config.model == "nb":
+            tfidf = fit(train_streams)
+            X = rows(tfidf, train_streams)
+            trained.append(_train_nb(X, tfidf.vocab_size, train.labels(), config.alpha))
+        else:
+            tfidf, X = fit_transform(train_streams)
+            lr_folds.append((X, train.labels()))
         featurizers.append(tfidf)
-        features = [train_X, *map(streams, parts[1:])]
-        folds.append([(X, part.labels()) for X, part in zip(features, parts)])
-    trained = _train_all([train for train, _, _ in folds], config)
+    if lr_folds:
+        trained = _train_lr_folds(lr_folds, config.learning_rate, config.epochs, config.l2)
     name = config.name
+
+    def score(model, tfidf, part: LabeledDataset) -> MetricsReport:
+        return _score(model, tfidf, streams(part), part.labels(), name)
+
     results = [
-        CycleResult(seed, _score(model, tfidf, *val, name), _score(model, tfidf, *test, name))
-        for seed, tfidf, model, (_, val, test) in zip(seeds, featurizers, trained, folds)
+        CycleResult(seed, score(model, tfidf, val), score(model, tfidf, test))
+        for seed, tfidf, model, (_, val, test) in zip(seeds, featurizers, trained, cycles)
     ]
     best = select_best_cycle(results)
     report = TrainReport(cycles=tuple(results), best_cycle_index=best, variant_name=name)

@@ -5,18 +5,21 @@ frequency, idf(t) = ln((1 + N) / (1 + df(t))) + 1, followed by L2
 normalization. The smoothing keeps idf >= 1, so downstream multinomial
 models never see negative feature mass.
 
-:func:`fit_transform` counts the corpus's terms once, and the model and
-the corpus's numpy :class:`CSRMatrix` rows both come from that count;
-:func:`fit` is its model half, and :func:`transform_all` gives the rows
-of other streams. Scoring reads the plain-Python :func:`rows`, one
-stream at a time, the same rows bit for bit. Only fitting imports numpy,
-inside the functions that use it, so scoring never loads it.
+:func:`fit` learns the model in plain Python. :func:`fit_transform`,
+Logistic Regression's path, counts the corpus's terms once with numpy,
+and the same model and the corpus's :class:`CSRMatrix` rows both come
+from that count; :func:`transform_all` gives the rows of other streams.
+Naive Bayes training and all scoring read the plain-Python :func:`rows`,
+one stream at a time, the same rows bit for bit. Only the functions that
+build a :class:`CSRMatrix` import numpy, so neither scoring nor fitting
+a model without a matrix loads it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
@@ -116,24 +119,35 @@ def _term_counts(vocabulary: dict[str, int], corpus: Sequence[Sequence[str]]) ->
     return row_of, indices, counts
 
 
+def _vocabulary(corpus: Sequence[Sequence[str]]) -> dict[str, int]:
+    """Every term of a non-empty corpus by column, in first-seen order."""
+    if len(corpus) == 0:
+        raise ModkitError("cannot fit TF-IDF on an empty corpus")
+    return {term: index for index, term in enumerate(dict.fromkeys(chain.from_iterable(corpus)))}
+
+
+def _tfidf_model(vocabulary: dict[str, int], df: Iterable[int], n: int) -> TfidfModel:
+    idf = [math.log((1 + n) / (1 + d)) + 1.0 for d in df]
+    return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n)
+
+
 def fit(corpus: Sequence[Sequence[str]]) -> TfidfModel:
-    """Learn vocabulary (first-appearance order) and smoothed idf; a
-    term's document frequency is the number of streams it has a count in."""
-    return fit_transform(corpus)[0]
+    """Learn vocabulary (first-appearance order) and smoothed idf, in
+    plain Python; a term's document frequency is the number of streams
+    that hold it."""
+    vocabulary = _vocabulary(corpus)
+    df = Counter(chain.from_iterable(map(set, corpus)))
+    return _tfidf_model(vocabulary, map(df.__getitem__, vocabulary), len(corpus))
 
 
 def fit_transform(corpus: Sequence[Sequence[str]]) -> tuple[TfidfModel, CSRMatrix]:
-    """``fit(corpus)`` and ``transform_all`` of ``corpus`` by it, from one term count."""
+    """``fit(corpus)`` and ``transform_all`` of ``corpus`` by it, from one
+    numpy count of its terms."""
     import numpy as np
-    if len(corpus) == 0:
-        raise ModkitError("cannot fit TF-IDF on an empty corpus")
-    terms = dict.fromkeys(chain.from_iterable(corpus))
-    vocabulary = {term: index for index, term in enumerate(terms)}
+    vocabulary = _vocabulary(corpus)
     counts = _term_counts(vocabulary, corpus)
     n = len(corpus)
-    df = np.bincount(counts[1], minlength=len(vocabulary)).tolist()
-    idf = [math.log((1 + n) / (1 + d)) + 1.0 for d in df]
-    model = TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n)
+    model = _tfidf_model(vocabulary, np.bincount(counts[1], minlength=len(vocabulary)).tolist(), n)
     return model, _tfidf_rows(model, n, counts)
 
 

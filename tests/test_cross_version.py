@@ -20,7 +20,7 @@ def run_tool(*pythons: str, tmp_path: Path) -> subprocess.CompletedProcess:
 def test_same_interpreter_agrees(tmp_path):
     proc = run_tool(sys.executable, tmp_path=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].endswith("all 21 outputs byte-identical")
+    assert proc.stdout.splitlines()[-1].endswith("all 25 outputs byte-identical")
 
 
 def test_missing_interpreter_exits_2(tmp_path):

@@ -141,8 +141,12 @@ def states(tmp_path_factory, separable_paths) -> dict[str, dict]:
         "report": ["report", "--reference", "--out", str(work / "report")],
         "version": ["--version"],
         "train": ["train", "--dataset", balanced, "--out", str(work / "runs")],
+        "train_lr": ["train", "--dataset", balanced, "--out", str(work / "runs_lr"), "--model", "lr"],
     }
     states = {name: probe(work, *argv) for name, argv in commands.items()}
+    for name, runs in (("train", "runs"), ("train_lr", "runs_lr")):
+        (run_dir,) = (work / runs).iterdir()
+        states[name]["manifest"] = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
     (run_dir,) = (work / "runs").iterdir()
     states["eval"] = probe(work, "eval", "--run", str(run_dir), "--dataset", balanced)
     states["eval_full"] = probe(
@@ -179,9 +183,26 @@ def test_train_and_eval_load_no_dataclasses(states, command):
 
 
 def test_train_executes_models_and_vectorize(states):
+    """``train`` trains NB by default, in plain Python: it loads no numpy."""
     state = states["train"]
     assert {"models", "vectorize"} <= set(state["executed"])
+    assert state["numpy"] == []
+
+
+def test_train_lr_loads_numpy(states):
+    state = states["train_lr"]
+    assert {"models", "vectorize"} <= set(state["executed"])
     assert "numpy" in state["numpy"]
+
+
+def test_manifest_records_numpy_only_when_the_run_loaded_it(states):
+    """An NB run loads no numpy and records ``"numpy": null``; an LR run
+    records the numpy it ran on."""
+    import numpy as np
+
+    assert states["train"]["manifest"]["numpy"] is None
+    record = states["train_lr"]["manifest"]["numpy"]
+    assert record["version"] == np.__version__ and record["simd"]
 
 
 def test_import_registers_every_library_module(states):

@@ -311,17 +311,21 @@ class TestAgainstReferences:
         assert (np.abs(got - expected) <= 4 * np.spacing(expected)).all()
 
     def test_nb_mass_and_likelihoods_bit_identical_to_loop(self):
+        """The mass added one weight at a time in row order, each class
+        total by ``math.fsum`` and every log by ``math.log``."""
         for seed in (1, 2, 3):
             X, y = tfidf_matrix(seed)
             labels = [1 if t is OFF else 0 for t in y]
-            mass = np.zeros((2, X.n_cols))
+            mass = [[0.0] * X.n_cols for _ in range(2)]
             for row in range(len(X)):
                 for column, weight in entries(X, row):
-                    mass[labels[row], column] += weight
-            totals = mass.sum(axis=1, keepdims=True)
-            expected = np.log(mass + 0.5) - np.log(totals + 0.5 * X.n_cols)
+                    mass[labels[row]][column] += weight
+            expected = []
+            for class_mass in mass:
+                log_total = math.log(math.fsum(class_mass) + 0.5 * X.n_cols)
+                expected.append([math.log(m + 0.5) - log_total for m in class_mass])
             model = train_nb(X, y, alpha=0.5)
-            assert model.log_likelihood == expected.tolist()
+            assert model.log_likelihood == expected
 
     def test_nb_joint_matches_loop(self):
         X, y = tfidf_matrix(4)
@@ -483,6 +487,18 @@ class TestOraclesShareTheRunPath:
         nb_log_joint(model, X)
         predict_nb(model, unit_tfidf(model.vocab_size), [("t0",)])
         assert len(calls) == 2
+
+    def test_train_nb_and_run_cycles_reach_one_trainer(self, monkeypatch):
+        """The NB oracle's entry, ``train_nb`` on a matrix, and every cycle
+        of an NB run train through ``_train_nb``."""
+        X, y = tfidf_matrix(4, 20)
+        calls = self.counted(monkeypatch, "_train_nb")
+        model = train_nb(X, y)
+        assert calls == [model]
+        calls.clear()
+        trained = run_cycles(noisy_dataset(), RunConfig(model="nb", n_cycles=3))
+        assert len(calls) == 3
+        assert trained.model is calls[trained.report.best_cycle_index]
 
     def test_nb_log_joint_of_no_rows_has_shape_0_by_2(self):
         X, y = tfidf_matrix(4, 20)

@@ -12,7 +12,9 @@ import pytest
 
 from modkit.errors import ModkitError, SchemaViolationError
 from modkit.textprep import TokenStream
-from modkit.vectorize import CSRMatrix, TfidfModel, fit, load_tfidf, rows, save_tfidf, transform_all
+from modkit.vectorize import (
+    CSRMatrix, TfidfModel, fit, fit_transform, load_tfidf, rows, save_tfidf, transform_all,
+)
 
 from _oracles import oracle_tfidf_fit
 from _sparse import csr, dense, entries, row_lists
@@ -79,6 +81,25 @@ class TestFit:
             assert all(type(value) is float for value in model.idf)
             assert np.array(model.idf).tobytes() == np.array(idf, dtype=np.float64).tobytes()
             assert model.doc_count == n == len(docs)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fit_is_fit_transforms_model(self, seed):
+        """The plain-Python ``fit`` and numpy ``fit_transform`` learn the
+        same vocabulary, in the same order, and the same idf bits, over
+        corpora with empty streams and repeated tokens."""
+        rng = random.Random(seed)
+        words = [f"w{i}" for i in range(rng.randint(1, 40))]
+        corpus = [
+            tuple(rng.choice(words) for _ in range(rng.choice([0, 0, 1, 3, 12, 40])))
+            for _ in range(rng.randint(1, 60))
+        ]
+        for docs in (corpus, [*corpus, ("x",) * 5, ()], [()] * rng.randint(1, 4)):
+            got, (expected, _) = fit(docs), fit_transform(docs)
+            assert list(got.vocabulary.items()) == list(expected.vocabulary.items())
+            assert [value.hex() for value in got.idf] == [value.hex() for value in expected.idf]
+            assert got.doc_count == expected.doc_count
+        with pytest.raises(ModkitError, match="^cannot fit TF-IDF on an empty corpus$"):
+            fit_transform([])
 
 
 def per_document_transform(model, corpus) -> CSRMatrix:

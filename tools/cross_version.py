@@ -3,19 +3,23 @@
 
     python tools/cross_version.py PYTHON [PYTHON ...]
 
-The running interpreter, which needs numpy, trains one NB run (ML emoji
-mode, all five steps, seed 7, 3 cycles) on the committed separable
-fixture and the 10-comment fixture, exactly as ``tools/make_fixtures.py``
-trains the golden ``run_nb_ml``. Then the running interpreter and each
-given one run, from ``src/`` with the bundled tables, ``ingest
---lexicon``, ``balance``, ``analyze``, test-fold ``eval`` and ``eval
---full`` of that run. Every file they write and every command's stdout
-is compared byte for byte with the running interpreter's, and the
-test-fold ``eval_report.json`` also with the golden one.
+The running interpreter trains one NB run (ML emoji mode, all five
+steps, seed 7, 3 cycles) on the committed separable fixture and the
+10-comment fixture, exactly as ``tools/make_fixtures.py`` trains the
+golden ``run_nb_ml``. Then the running interpreter and each given one
+run, from ``src/`` with the bundled tables, ``ingest --lexicon``,
+``balance``, ``analyze``, that NB training on the dataset they ingested,
+and test-fold ``eval`` and ``eval --full`` of the running interpreter's
+run. Every file they write but the run's ``manifest.json``, whose
+``timings`` always differ, and every command's stdout is compared byte
+for byte with the running interpreter's. The running interpreter's
+``tfidf.json``, ``model.json``, ``train_report.json`` and test-fold
+``eval_report.json`` are also compared with the golden ones.
 
 Exit 0 when everything agrees; exit 1 naming each output that differs,
 or the command that failed; exit 2 when an interpreter does not run. The
-given interpreters need neither numpy nor pytest.
+given interpreters need neither numpy nor pytest: NB training, like
+every command here, loads no numpy.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from make_fixtures import DATA, golden_run, golden_trees  # noqa: E402
+from make_fixtures import DATA, golden_run, golden_train_argv, golden_trees  # noqa: E402
 
-GOLDEN_REPORT = DATA / "golden" / "run_nb_ml" / "eval_report.json"
+GOLDEN = DATA / "golden" / "run_nb_ml"
 
 
 def commands(work: Path, run_dir: Path) -> dict[str, list[str]]:
@@ -42,6 +46,7 @@ def commands(work: Path, run_dir: Path) -> dict[str, list[str]]:
                    "--lexicon", str(lexicon), "--out", "dataset.json"],
         "balance": ["balance", "--dataset", "dataset.json", "--seed", "5", "--out", "balanced.json"],
         "analyze": ["analyze", "--dataset", "dataset.json", "--out", "charts"],
+        "train": golden_train_argv("nb", "ml", "dataset.json", "runs"),
         "eval": ["eval", "--run", str(run_dir), "--dataset", "dataset.json", "--out", "eval"],
         "eval_full": ["eval", "--run", str(run_dir), "--dataset", "dataset.json", "--full",
                       "--out", "eval_full"],
@@ -50,7 +55,7 @@ def commands(work: Path, run_dir: Path) -> dict[str, list[str]]:
 
 def run_all(python: str, out: Path, argvs: dict[str, list[str]]) -> tuple[dict[str, bytes], str]:
     """Run every command under ``python`` in ``out``; each output's bytes by
-    name, and the first failure ("" when none failed)."""
+    name, run manifests left out, and the first failure ("" when none failed)."""
     out.mkdir(parents=True)
     env = {k: v for k, v in os.environ.items() if k not in ("MODKIT_DATA_DIR", "PYTHONPATH")}
     env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -63,7 +68,7 @@ def run_all(python: str, out: Path, argvs: dict[str, list[str]]) -> tuple[dict[s
             return outputs, f"{name} exited {proc.returncode}: {err[-1] if err else ''}"
         outputs[f"stdout of {name}"] = proc.stdout
     for path in sorted(out.rglob("*")):
-        if path.is_file():
+        if path.is_file() and path.name != "manifest.json":
             outputs[path.relative_to(out).as_posix()] = path.read_bytes()
     return outputs, ""
 
@@ -93,9 +98,11 @@ def main(pythons: list[str]) -> int:
             print(f"{sys.executable}: {failure}")
             return 1
         differing = 0
-        if reference["eval/eval_report.json"] != GOLDEN_REPORT.read_bytes():
-            print(f"{sys.executable}: eval/eval_report.json differs from {GOLDEN_REPORT}")
-            differing += 1
+        golden = [name for name in reference if name.startswith("runs/")] + ["eval/eval_report.json"]
+        for name in golden:
+            if reference[name] != (GOLDEN / Path(name).name).read_bytes():
+                print(f"{sys.executable}: {name} differs from {GOLDEN / Path(name).name}")
+                differing += 1
         print(f"reference {label(sys.executable)}: {len(reference)} outputs")
         for i, (python, name) in enumerate(zip(pythons, labels)):
             outputs, failure = run_all(python, work / f"python_{i}", argvs)

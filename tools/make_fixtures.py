@@ -283,10 +283,17 @@ GOLDEN_RUNS = [(model, mode) for model in ("nb", "lr") for mode in ("ml", "bert"
 GOLDEN_RUN_FILES = ("tfidf.json", "train_report.json", "eval_report.json", "model.json")
 
 
+def golden_train_argv(model: str, emoji_mode: str, dataset: str, runs: str) -> list[str]:
+    """``train`` with all five steps, seed 7 and 3 cycles, as the golden runs train."""
+    steps = json.dumps([step.value for step in textprep.PIPELINE_ORDER])
+    return ["train", "--dataset", dataset, "--out", runs, "--model", model,
+            "--emoji-mode", emoji_mode, "--seed", "7", "--cycles", "3", "--set", f"steps={steps}"]
+
+
 def golden_run(model: str, emoji_mode: str, work: Path) -> Path:
     """Ingest the separable corpus and the 10-comment fixture, train a run
-    on them with all five steps, seed 7 and 3 cycles, and score its best
-    cycle's test fold, all in ``work``; the run directory."""
+    on them (:func:`golden_train_argv`), and score its best cycle's test
+    fold, all in ``work``; the run directory."""
     from modkit.cli import main
 
     work.mkdir(parents=True, exist_ok=True)
@@ -296,7 +303,6 @@ def golden_run(model: str, emoji_mode: str, work: Path) -> Path:
         **json.loads((DATA / "fixture10_labels.json").read_text(encoding="utf-8")),
         **json.loads((DATA / "separable_labels.json").read_text(encoding="utf-8")),
     }), encoding="utf-8")
-    steps = json.dumps([step.value for step in textprep.PIPELINE_ORDER])
 
     def run(*argv: str) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -304,8 +310,7 @@ def golden_run(model: str, emoji_mode: str, work: Path) -> Path:
                 raise SystemExit(f"modkit {argv[0]} failed")
 
     run("ingest", *trees, "--labels", str(labels), "--out", str(dataset))
-    run("train", "--dataset", str(dataset), "--out", str(runs), "--model", model,
-        "--emoji-mode", emoji_mode, "--seed", "7", "--cycles", "3", "--set", f"steps={steps}")
+    run(*golden_train_argv(model, emoji_mode, str(dataset), str(runs)))
     (run_dir,) = runs.iterdir()
     run("eval", "--run", str(run_dir), "--dataset", str(dataset))
     return run_dir
